@@ -1,5 +1,6 @@
 //! Criterion benchmarks of the real Rust kernels: the per-site algebra,
-//! the Dirac stencils, BLAS, and the precision machinery.
+//! the Dirac stencils, the operator set-up builds, BLAS, and the
+//! precision machinery.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use lqcd_comms::SingleComm;
@@ -105,6 +106,23 @@ fn staggered_dslash(c: &mut Criterion) {
     g.finish();
 }
 
+fn setup_kernels(c: &mut Criterion) {
+    let seed = SeedTree::new(7);
+    let sub = Arc::new(SubLattice::single(GLOBAL).unwrap());
+    let faces = FaceGeometry::new(&sub, STAGGERED_DEPTH).unwrap();
+    let thin = GaugeField::<f64>::generate(sub, &faces, GLOBAL, &seed, GaugeStart::Disordered(0.2));
+    let coeffs = AsqtadCoeffs::default();
+    let mut g = c.benchmark_group("setup");
+    g.sample_size(10);
+    g.bench_function("asqtad_links_8x8x8x8", |bch| {
+        bch.iter(|| black_box(AsqtadLinks::compute(black_box(&thin), GLOBAL, &coeffs)))
+    });
+    g.bench_function("clover_build_8x8x8x8", |bch| {
+        bch.iter(|| black_box(build_clover_field(black_box(&thin), GLOBAL, 1.0)))
+    });
+    g.finish();
+}
+
 fn blas_kernels(c: &mut Criterion) {
     let sub = Arc::new(SubLattice::single(GLOBAL).unwrap());
     let faces = FaceGeometry::new(&sub, 1).unwrap();
@@ -162,7 +180,7 @@ fn whole_solves(c: &mut Criterion) {
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(20);
-    targets = su3_algebra, spin_projection, wilson_dslash, staggered_dslash, blas_kernels,
-              half_precision, whole_solves
+    targets = su3_algebra, spin_projection, wilson_dslash, staggered_dslash, setup_kernels,
+              blas_kernels, half_precision, whole_solves
 }
 criterion_main!(kernels);

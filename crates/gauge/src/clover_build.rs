@@ -11,7 +11,7 @@
 //! lattice (it is site-diagonal, so per-rank restriction is a plain copy).
 
 use crate::field::GaugeField;
-use crate::paths::{path_product, Step};
+use crate::paths::LexLinks;
 use lqcd_field::LatticeField;
 use lqcd_lattice::{Dims, FaceGeometry, Parity, SubLattice, NDIM};
 use lqcd_su3::clover::{CloverSite, HermBlock, BLOCK_DIM};
@@ -20,27 +20,28 @@ use lqcd_su3::Su3;
 use lqcd_util::{Complex, Real};
 use std::sync::Arc;
 
-/// Clover-averaged field strength `F̂_µν(x)`: the four leaves around `x`
-/// in the µ–ν plane, anti-hermitized and traceless-projected.
-pub fn field_strength<R: Real>(
-    g: &GaugeField<R>,
-    global: Dims,
-    x: [usize; NDIM],
-    mu: usize,
-    nu: usize,
-) -> Su3<R> {
-    debug_assert!(mu != nu);
-    let leaves: [[Step; 4]; 4] = [
-        [Step(mu, true), Step(nu, true), Step(mu, false), Step(nu, false)],
-        [Step(nu, true), Step(mu, false), Step(nu, false), Step(mu, true)],
-        [Step(mu, false), Step(nu, false), Step(mu, true), Step(nu, true)],
-        [Step(nu, false), Step(mu, true), Step(nu, true), Step(mu, false)],
-    ];
-    let mut q = Su3::zero();
-    for leaf in &leaves {
-        q = q.add(&path_product(g, global, x, leaf));
-    }
-    // Anti-hermitize and remove the trace.
+/// The clover sum `Q_µν(x)` of the four plaquette leaves around site `i`
+/// in the µ–ν plane, each multiplied in path order starting at `x`.
+fn leaf_sum<R: Real>(l: &LexLinks<R>, i: usize, mu: usize, nu: usize) -> Su3<R> {
+    let (um, un) = (&l.u[mu], &l.u[nu]);
+    let (xpm, xpn, xmm, xmn) = (l.up(mu, i), l.up(nu, i), l.dn(mu, i), l.dn(nu, i));
+    let xmm_pn = l.up(nu, xmm);
+    let xmm_mn = l.dn(nu, xmm);
+    let xmn_pm = l.up(mu, xmn);
+    // µ, ν, µ̄, ν̄.
+    let q1 = um[i].mul(&un[xpm]).mul_adj(&um[xpn]).mul_adj(&un[i]);
+    // ν, µ̄, ν̄, µ.
+    let q2 = un[i].mul_adj(&um[xmm_pn]).mul_adj(&un[xmm]).mul(&um[xmm]);
+    // µ̄, ν̄, µ, ν.
+    let q3 = um[xmm].adjoint().mul_adj(&un[xmm_mn]).mul(&um[xmm_mn]).mul(&un[xmn]);
+    // ν̄, µ, ν, µ̄.
+    let q4 = un[xmn].adj_mul(&um[xmn]).mul(&un[xmn_pm]).mul_adj(&um[i]);
+    q1.add(&q2).add(&q3).add(&q4)
+}
+
+/// `F̂ = (Q − Q†)/8` with its trace removed: the traceless anti-Hermitian
+/// clover average of a leaf sum.
+fn clover_average<R: Real>(q: &Su3<R>) -> Su3<R> {
     let f = q.sub(&q.adjoint()).scale(R::from_f64(1.0 / 8.0));
     let tr = f.trace().scale(R::from_f64(1.0 / 3.0));
     let mut out = f;
@@ -61,6 +62,19 @@ fn sigma_entry<R: Real>(mu: usize, nu: usize, row: usize, col: usize) -> Complex
     }
 }
 
+/// `σ_µν` restricted to its chirality blocks: `[µ][ν][χ][s][s′]` is the
+/// entry at row `2χ+s`, column `2χ+s′`.
+type SigmaBlocks<R> = [[[[[Complex<R>; 2]; 2]; 2]; NDIM]; NDIM];
+
+fn sigma_blocks<R: Real>() -> SigmaBlocks<R> {
+    use std::array::from_fn;
+    from_fn(|mu| {
+        from_fn(|nu| {
+            from_fn(|chi| from_fn(|s| from_fn(|s2| sigma_entry(mu, nu, 2 * chi + s, 2 * chi + s2))))
+        })
+    })
+}
+
 /// Construct the packed clover term for every site of a *global* gauge
 /// field: `A_x = c_sw Σ_{µ<ν} σ_µν ⊗ (i F̂_µν)` (no mass/diagonal shift —
 /// operators fold `4 + m` in at apply time).
@@ -69,43 +83,37 @@ pub fn build_clover_field<R: Real>(
     global: Dims,
     c_sw: f64,
 ) -> [LatticeField<R, CloverSite<R>>; 2] {
+    let l = LexLinks::new(g, global);
     let sub = g.sublattice().clone();
-    assert!(
-        sub.partitioned.iter().all(|&x| !x),
-        "clover field is precomputed on the global lattice"
-    );
+    let sigma = sigma_blocks::<R>();
     let faces = FaceGeometry::new(&sub, 1).expect("face geometry");
     let mut out = [
         LatticeField::zeros(sub.clone(), &faces, Parity::Even, 0),
-        LatticeField::zeros(sub.clone(), &faces, Parity::Odd, 0),
+        LatticeField::zeros(sub, &faces, Parity::Odd, 0),
     ];
-    for p in Parity::BOTH {
-        let sites: Vec<(usize, CloverSite<R>)> =
-            sub.sites(p).map(|(idx, x)| (idx, clover_site(g, global, x, c_sw))).collect();
-        for (idx, site) in sites {
-            out[p.index()].set_site(idx, site);
-        }
+    for i in 0..l.volume() {
+        let (p, idx) = l.cb_site(i);
+        let site = pack_clover(|mu, nu| clover_average(&leaf_sum(&l, i, mu, nu)), &sigma, c_sw);
+        out[p.index()].set_site(idx, site);
     }
     out
 }
 
-/// The clover term at one site.
-pub fn clover_site<R: Real>(
-    g: &GaugeField<R>,
-    global: Dims,
-    x: [usize; NDIM],
+/// The clover term at one site from its six field strengths `f(µ, ν)`.
+fn pack_clover<R: Real>(
+    f: impl Fn(usize, usize) -> Su3<R>,
+    sigma: &SigmaBlocks<R>,
     c_sw: f64,
 ) -> CloverSite<R> {
     let mut dense = [[[Complex::<R>::zero(); BLOCK_DIM]; BLOCK_DIM]; 2];
     for mu in 0..NDIM {
         for nu in (mu + 1)..NDIM {
-            let f = field_strength(g, global, x, mu, nu);
             // H = iF is Hermitian in color.
-            let h = f.scale_c(Complex::i());
+            let h = f(mu, nu).scale_c(Complex::i());
             for chi in 0..2 {
                 for s in 0..2 {
                     for s2 in 0..2 {
-                        let ph = sigma_entry::<R>(mu, nu, 2 * chi + s, 2 * chi + s2);
+                        let ph = sigma[mu][nu][chi][s][s2];
                         if ph == Complex::zero() {
                             continue;
                         }
@@ -152,13 +160,100 @@ pub fn restrict_clover<R: Real>(
 mod tests {
     use super::*;
     use crate::field::GaugeStart;
+    use crate::paths::{path_product, Step};
     use lqcd_su3::WilsonSpinor;
     use lqcd_util::rng::SeedTree;
+
+    /// Oracle: the clover-averaged field strength `F̂_µν(x)`, each of the
+    /// four leaves walked as a path.
+    fn field_strength<R: Real>(
+        g: &GaugeField<R>,
+        global: Dims,
+        x: [usize; NDIM],
+        mu: usize,
+        nu: usize,
+    ) -> Su3<R> {
+        debug_assert!(mu != nu);
+        let leaves: [[Step; 4]; 4] = [
+            [Step(mu, true), Step(nu, true), Step(mu, false), Step(nu, false)],
+            [Step(nu, true), Step(mu, false), Step(nu, false), Step(mu, true)],
+            [Step(mu, false), Step(nu, false), Step(mu, true), Step(nu, true)],
+            [Step(nu, false), Step(mu, true), Step(nu, true), Step(mu, false)],
+        ];
+        let mut q = Su3::zero();
+        for leaf in &leaves {
+            q = q.add(&path_product(g, global, x, leaf));
+        }
+        clover_average(&q)
+    }
+
+    /// Oracle: the clover term at one site, as built before the field-level
+    /// build (σ entries recomputed per site).
+    fn clover_site<R: Real>(
+        g: &GaugeField<R>,
+        global: Dims,
+        x: [usize; NDIM],
+        c_sw: f64,
+    ) -> CloverSite<R> {
+        let mut dense = [[[Complex::<R>::zero(); BLOCK_DIM]; BLOCK_DIM]; 2];
+        for mu in 0..NDIM {
+            for nu in (mu + 1)..NDIM {
+                let f = field_strength(g, global, x, mu, nu);
+                // H = iF is Hermitian in color.
+                let h = f.scale_c(Complex::i());
+                for chi in 0..2 {
+                    for s in 0..2 {
+                        for s2 in 0..2 {
+                            let ph = sigma_entry::<R>(mu, nu, 2 * chi + s, 2 * chi + s2);
+                            if ph == Complex::zero() {
+                                continue;
+                            }
+                            for c in 0..3 {
+                                for c2 in 0..3 {
+                                    dense[chi][s * 3 + c][s2 * 3 + c2] +=
+                                        ph * h.m[c][c2] * Complex::from_re(R::from_f64(c_sw));
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // Verify hermiticity before packing (cheap; debug builds only).
+        #[cfg(debug_assertions)]
+        for block in &dense {
+            for i in 0..BLOCK_DIM {
+                for j in 0..BLOCK_DIM {
+                    let d = block[i][j] - block[j][i].conj();
+                    debug_assert!(
+                        d.norm_sqr().to_f64() < 1e-16,
+                        "clover block not Hermitian at ({i},{j})"
+                    );
+                }
+            }
+        }
+        CloverSite { blocks: [HermBlock::from_dense(&dense[0]), HermBlock::from_dense(&dense[1])] }
+    }
 
     fn field(global: Dims, start: GaugeStart, seed: u64) -> GaugeField<f64> {
         let sub = Arc::new(SubLattice::single(global).unwrap());
         let faces = FaceGeometry::new(&sub, 1).unwrap();
         GaugeField::generate(sub, &faces, global, &SeedTree::new(seed), start)
+    }
+
+    #[test]
+    fn field_build_equals_per_site_oracle_exactly() {
+        let global = Dims([4, 6, 4, 8]);
+        for (start, seed) in [(GaugeStart::Hot, 8), (GaugeStart::Disordered(0.3), 9)] {
+            let g = field(global, start, seed);
+            let whole = build_clover_field(&g, global, 1.3);
+            for p in Parity::BOTH {
+                for (idx, x) in g.sublattice().sites(p) {
+                    let want = clover_site(&g, global, x, 1.3);
+                    assert_eq!(whole[p.index()].site(idx), want, "{start:?} at {x:?}");
+                }
+            }
+        }
     }
 
     #[test]

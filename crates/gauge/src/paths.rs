@@ -1,13 +1,21 @@
-//! Products of links along arbitrary lattice paths.
+//! Products of links along lattice paths, per site and per field.
 //!
 //! Staples, plaquettes, improved-action terms, and the clover leaves are
-//! all path products. These helpers operate on *single-rank* (global)
+//! all path products. Everything here operates on *single-rank* (global)
 //! gauge fields with periodic wrap — precomputation of smeared links and
 //! clover terms happens globally and is then restricted per rank (see
-//! crate docs).
+//! crate docs). Two access patterns:
+//!
+//! * [`path_product`] walks one arbitrary path from one site, resolving
+//!   each hop's coordinate as it goes. The plaquette, the heatbath staple
+//!   sum and the test oracles use it.
+//! * `LexLinks` copies the field once into lexicographic per-direction
+//!   arrays with ±µ̂ neighbour tables. The whole-field builders (asqtad
+//!   staple recursion, clover leaves) index it directly, so a hop costs a
+//!   table lookup rather than a coordinate decode.
 
 use crate::field::GaugeField;
-use lqcd_lattice::{Dims, NDIM};
+use lqcd_lattice::{Dims, Parity, NDIM};
 use lqcd_su3::Su3;
 use lqcd_util::Real;
 
@@ -55,6 +63,80 @@ pub fn path_product<R: Real>(
         }
     }
     acc
+}
+
+/// A global gauge field in lexicographic site order (X fastest, the order
+/// of [`Dims::index`]) with ±µ̂ neighbour tables.
+pub(crate) struct LexLinks<R: Real> {
+    dims: Dims,
+    /// `u[µ][i] = U_µ(x_i)`.
+    pub u: [Vec<Su3<R>>; NDIM],
+    fwd: [Vec<usize>; NDIM],
+    bwd: [Vec<usize>; NDIM],
+}
+
+impl<R: Real> LexLinks<R> {
+    /// Copy a global field; panics if `g` is one rank's piece of a larger
+    /// lattice or does not cover `global`.
+    pub fn new(g: &GaugeField<R>, global: Dims) -> Self {
+        let sub = g.sublattice();
+        assert!(
+            sub.partitioned.iter().all(|&x| !x),
+            "asqtad links and the clover term are precomputed on the global lattice (see crate docs)"
+        );
+        assert_eq!(sub.dims, global, "gauge field does not cover the global lattice");
+        let v = global.volume();
+        let u = std::array::from_fn(|mu| {
+            (0..v)
+                .map(|i| {
+                    let c = global.coords(i);
+                    g.link(mu, sub.parity(c), sub.cb_index(c))
+                })
+                .collect()
+        });
+        let table = |mu: usize, step: isize| -> Vec<usize> {
+            (0..v).map(|i| global.index(global.displace(global.coords(i), mu, step))).collect()
+        };
+        Self {
+            dims: global,
+            u,
+            fwd: std::array::from_fn(|mu| table(mu, 1)),
+            bwd: std::array::from_fn(|mu| table(mu, -1)),
+        }
+    }
+
+    /// Number of sites.
+    pub fn volume(&self) -> usize {
+        self.dims.volume()
+    }
+
+    /// Index of `x_i + µ̂`.
+    #[inline(always)]
+    pub fn up(&self, mu: usize, i: usize) -> usize {
+        self.fwd[mu][i]
+    }
+
+    /// Index of `x_i − µ̂`.
+    #[inline(always)]
+    pub fn dn(&self, mu: usize, i: usize) -> usize {
+        self.bwd[mu][i]
+    }
+
+    /// Parity and checkerboard index of site `i` (the storage address of
+    /// [`GaugeField`] and `LatticeField`).
+    #[inline]
+    pub fn cb_site(&self, i: usize) -> (Parity, usize) {
+        let c = self.dims.coords(i);
+        (Parity::of_sum(c.iter().sum()), i / 2)
+    }
+
+    /// Store a lexicographic field as direction `mu` of `out`.
+    pub fn scatter(&self, field: &[Su3<R>], mu: usize, out: &mut GaugeField<R>) {
+        for (i, u) in field.iter().enumerate() {
+            let (p, idx) = self.cb_site(i);
+            out.set_link(mu, p, idx, *u);
+        }
+    }
 }
 
 /// The sum of the six staples around `U_µ(x)` (used by the heatbath):

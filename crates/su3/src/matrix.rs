@@ -65,6 +65,38 @@ impl<R: Real> Su3<R> {
         out
     }
 
+    /// `self · rhs†` without forming the adjoint (bit-identical to
+    /// `self.mul(&rhs.adjoint())`).
+    #[inline]
+    pub fn mul_adj(&self, rhs: &Self) -> Self {
+        let mut out = Self::zero();
+        for i in 0..NCOLOR {
+            for k in 0..NCOLOR {
+                let a = self.m[i][k];
+                for j in 0..NCOLOR {
+                    out.m[i][j] = Complex::mul_acc(out.m[i][j], a, rhs.m[j][k].conj());
+                }
+            }
+        }
+        out
+    }
+
+    /// `self† · rhs` without forming the adjoint (bit-identical to
+    /// `self.adjoint().mul(rhs)`).
+    #[inline]
+    pub fn adj_mul(&self, rhs: &Self) -> Self {
+        let mut out = Self::zero();
+        for i in 0..NCOLOR {
+            for k in 0..NCOLOR {
+                let a = self.m[k][i].conj();
+                for j in 0..NCOLOR {
+                    out.m[i][j] = Complex::mul_acc(out.m[i][j], a, rhs.m[k][j]);
+                }
+            }
+        }
+        out
+    }
+
     /// Hermitian conjugate (adjoint) `U†`.
     #[inline]
     pub fn adjoint(&self) -> Self {
@@ -309,6 +341,18 @@ mod tests {
         let a = u.adj_mul_vec(&v);
         let b = u.adjoint().mul_vec(&v);
         assert!(a.sub(&b).norm_sqr() < 1e-28);
+    }
+
+    #[test]
+    fn fused_adjoint_products_match_explicit_adjoint_bitwise() {
+        let tree = SeedTree::new(98);
+        let mut rng = tree.rng();
+        // General (non-unitary) complex matrices, as for smeared links.
+        let mut gen = || M::from_fn(|_, _| Complex::new(rng.gen::<f64>() - 0.5, rng.gen()));
+        let (a, b) = (gen(), gen());
+        let bits = |u: M| u.to_reals().map(f64::to_bits);
+        assert_eq!(bits(a.mul_adj(&b)), bits(a.mul(&b.adjoint())));
+        assert_eq!(bits(a.adj_mul(&b)), bits(a.adjoint().mul(&b)));
     }
 
     #[test]

@@ -33,10 +33,10 @@ const SCALE: f32 = i16::MAX as f32;
 
 impl Fixed16 {
     /// Encode a value already normalized to `[-1, 1]`; saturates outside.
+    /// Rounds half away from zero, exactly as `f32::round`.
     #[inline(always)]
     pub fn encode_unit(x: f32) -> Self {
-        let clamped = x.clamp(-1.0, 1.0);
-        Fixed16((clamped * SCALE).round() as i16)
+        Fixed16(round_half_away(x.clamp(-1.0, 1.0) * SCALE) as i16)
     }
 
     /// Decode back to `f32` under a unit scale.
@@ -50,6 +50,18 @@ impl Fixed16 {
         // Half a quantization step.
         0.5 / SCALE
     }
+}
+
+/// `y.round() as i32` for |y| < 2²³, without the libm call `f32::round`
+/// compiles to on baseline x86-64: truncate, then step outward when the
+/// dropped fraction is at least one half. `y − t` is exact in that range.
+/// (`(|y| + 0.5) as i32` is not equivalent: the sum rounds up to 1 for
+/// y = 0.49999997.) NaN maps to 0, as `NaN as i32` does.
+#[inline(always)]
+fn round_half_away(y: f32) -> i32 {
+    let t = y as i32;
+    let frac = y - t as f32;
+    t + (frac >= 0.5) as i32 - (frac <= -0.5) as i32
 }
 
 /// Encode a block of `f32` values (e.g. the 24 reals of one Wilson spinor
@@ -141,6 +153,47 @@ mod tests {
         let mut dec = [0.0f32; 3];
         decode_block(&enc, norm, &mut dec);
         assert!((dec[0] - 3.0).abs() < 1e-3);
+    }
+
+    /// The encoding before the truncating rewrite.
+    fn encode_by_round(x: f32) -> Fixed16 {
+        Fixed16((x.clamp(-1.0, 1.0) * SCALE).round() as i16)
+    }
+
+    /// `f(tie)` and `f` at up to 4 ulps either side of it.
+    fn around(tie: f32, mut f: impl FnMut(f32)) {
+        let (mut lo, mut hi) = (tie, tie);
+        for _ in 0..=4 {
+            f(lo);
+            f(hi);
+            (lo, hi) = (lo.next_down(), hi.next_up());
+        }
+    }
+
+    #[test]
+    fn encode_matches_round_half_away_from_zero_at_every_tie() {
+        for k in -(SCALE as i32) - 1..=SCALE as i32 {
+            around((k as f32 + 0.5) / SCALE, |x| {
+                assert_eq!(Fixed16::encode_unit(x), encode_by_round(x), "x = {x:e}");
+            });
+            // The scaled ties themselves, which x·SCALE does not reach
+            // exactly for every k (0.49999997 among them).
+            around(k as f32 + 0.5, |y| {
+                assert_eq!(round_half_away(y), y.round() as i32, "y = {y:e}");
+            });
+        }
+    }
+
+    #[test]
+    fn encode_matches_round_on_a_dense_sweep() {
+        const N: i32 = 1 << 22;
+        for i in -N..=N {
+            let x = i as f32 / N as f32;
+            assert_eq!(Fixed16::encode_unit(x), encode_by_round(x), "x = {x:e}");
+        }
+        for x in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 2.0, -2.0] {
+            assert_eq!(Fixed16::encode_unit(x), encode_by_round(x), "x = {x:e}");
+        }
     }
 
     proptest! {
