@@ -77,6 +77,45 @@ fn wilson_dslash(c: &mut Criterion) {
     });
     let mut t = op.alloc(Parity::Odd);
     g.bench_function("clover_t_apply", |bch| bch.iter(|| op.t_apply(&mut t, &src)));
+
+    // Single precision on one rank's volume of the GCR-DD workload: the
+    // SSE2 site kernels.
+    let global = Dims([16, 8, 8, 8]);
+    let sub = Arc::new(SubLattice::single(global).unwrap());
+    let faces = FaceGeometry::new(&sub, WILSON_DEPTH).unwrap();
+    let gauge = GaugeField::<f32>::generate(
+        sub.clone(),
+        &faces,
+        global,
+        &seed,
+        GaugeStart::Disordered(0.3),
+    );
+    let clover = build_clover_field(&gauge, global, 1.0);
+    let mut op = WilsonCloverOp::new(gauge, Some(clover), 0.1).unwrap();
+    op.build_t_inverse().unwrap();
+    let mut comm = SingleComm::new(global).unwrap();
+    let mut src = op.alloc(Parity::Odd);
+    src.fill(|_| WilsonSpinor::random(&mut rng));
+    let (mut out, mut out_o) = (op.alloc(Parity::Even), op.alloc(Parity::Odd));
+    let (mut s1, mut s2) = (op.alloc(Parity::Even), op.alloc(Parity::Even));
+    g.throughput(Throughput::Elements(sub.volume_cb() as u64));
+    g.bench_function("dslash_16x8x8x8_f32", |bch| {
+        bch.iter(|| op.dslash(&mut out, &mut src, &mut comm, BoundaryMode::Full).unwrap())
+    });
+    g.bench_function("t_inv_apply_f32", |bch| bch.iter(|| op.t_inv_apply(&mut s1, &out).unwrap()));
+    g.bench_function("eo_prec_dirichlet_f32", |bch| {
+        bch.iter(|| {
+            op.apply_eo_prec(
+                &mut out_o,
+                &mut src,
+                &mut s1,
+                &mut s2,
+                &mut comm,
+                BoundaryMode::Dirichlet,
+            )
+            .unwrap()
+        })
+    });
     g.finish();
 }
 

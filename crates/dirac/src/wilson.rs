@@ -9,16 +9,28 @@
 //!
 //! Even-odd (red-black) preconditioning solves the Schur complement
 //! `M̂_oo = T_oo − (1/16) D̂_oe T_ee⁻¹ D̂_eo` (§3.1).
+//!
+//! The per-site work runs through `kernels::SiteKernels`: on x86_64 an
+//! f32 operator takes bit-identical SSE2 kernels (chosen by a safe
+//! `Any` downcast of the operator and its fields, so every signature
+//! stays generic over `R: Real`); everything else takes the generic
+//! per-site code, which is also the oracle the kernels are tested
+//! against.
+
+mod kernels;
 
 use crate::exchange::{complete_ghost_dim, exchange_ghosts_with, post_ghost_sends};
 use crate::overlap::{check_dslash_pair, run_overlapped, OverlapHost, OverlapPipeline};
 use crate::BoundaryMode;
+use kernels::{site, site_mut, SiteKernels};
 use lqcd_comms::Communicator;
-use lqcd_field::{blas, BodyView, LatticeField, SiteObject};
+use lqcd_field::{LatticeField, SiteObject};
 use lqcd_gauge::GaugeField;
-use lqcd_lattice::{FaceGeometry, Neighbor, Parity, SubLattice, NDIM};
-use lqcd_su3::{CloverSite, Projector, WilsonSpinor};
+use lqcd_lattice::{FaceGeometry, NeighborTable, Parity, SubLattice, NDIM};
+use lqcd_su3::{CloverSite, WilsonSpinor};
 use lqcd_util::{trace, Error, Real, Result};
+#[cfg(target_arch = "x86_64")]
+use std::any::Any;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -27,6 +39,66 @@ pub const WILSON_DEPTH: usize = 1;
 
 /// A Wilson spinor field.
 pub type SpinorField<R> = LatticeField<R, WilsonSpinor<R>>;
+
+/// Reals of one Wilson spinor.
+const SPINOR: usize = 24;
+
+/// Run `$body` with `$op` the operator and `$k` its site kernels. On
+/// x86_64 an `f32` operator takes [`kernels::Sse2`], with the fields
+/// listed in `[..]` re-bound at their concrete `f32` type (the body
+/// `return`s from the enclosing method); everything else takes
+/// [`kernels::Generic`].
+macro_rules! with_kernels {
+    ($self:ident, |$op:ident, $k:ident| [$($field:ident),*] $body:expr) => {{
+        #[cfg(target_arch = "x86_64")]
+        if let Some($op) = ($self as &dyn Any).downcast_ref::<WilsonCloverOp<f32>>() {
+            $(let $field = IntoF32::into_f32($field);)*
+            let $k = kernels::Sse2;
+            return $body;
+        }
+        let ($op, $k) = ($self, kernels::Generic);
+        $body
+    }};
+}
+
+/// A spinor field of an operator whose `R` is `f32`, at that type.
+#[cfg(target_arch = "x86_64")]
+trait IntoF32 {
+    type F32;
+    fn into_f32(self) -> Self::F32;
+}
+
+#[cfg(target_arch = "x86_64")]
+const F32_FIELDS: &str = "an f32 operator applies to f32 fields";
+
+#[cfg(target_arch = "x86_64")]
+impl<'a, R: Real> IntoF32 for &'a mut SpinorField<R> {
+    type F32 = &'a mut SpinorField<f32>;
+    fn into_f32(self) -> Self::F32 {
+        (self as &mut dyn Any).downcast_mut().expect(F32_FIELDS)
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl<'a, R: Real> IntoF32 for &'a SpinorField<R> {
+    type F32 = &'a SpinorField<f32>;
+    fn into_f32(self) -> Self::F32 {
+        (self as &dyn Any).downcast_ref().expect(F32_FIELDS)
+    }
+}
+
+/// A site-diagonal pass over one parity, `T = 4 + m + A`.
+#[derive(Clone, Copy)]
+enum Diag {
+    /// `out = T src`.
+    T,
+    /// `out = T src + c·out`.
+    TPlus(f64),
+    /// `out = T⁻¹ src`.
+    TInv,
+    /// `out = T⁻¹ (src + c·out)`.
+    TInvOf(f64),
+}
 
 /// The Wilson(-clover) operator bound to one rank's gauge field.
 pub struct WilsonCloverOp<R: Real> {
@@ -42,6 +114,8 @@ pub struct WilsonCloverOp<R: Real> {
     pub mass: f64,
     sub: Arc<SubLattice>,
     faces: FaceGeometry,
+    /// Nearest-neighbour hops of every site.
+    nbrs: Arc<NeighborTable>,
     /// Exchange buffers, apply counters, scheduling policy.
     overlap: Mutex<OverlapPipeline<R>>,
 }
@@ -58,6 +132,7 @@ impl<R: Real> Clone for WilsonCloverOp<R> {
             mass: self.mass,
             sub: self.sub.clone(),
             faces: self.faces.clone(),
+            nbrs: self.nbrs.clone(),
             overlap: Mutex::new(OverlapPipeline::with_policy(policy)),
         }
     }
@@ -83,6 +158,7 @@ impl<R: Real> WilsonCloverOp<R> {
                 "gauge field ghost depth too small for the Wilson stencil".into(),
             ));
         }
+        let nbrs = Arc::new(NeighborTable::new(&sub)?);
         Ok(Self {
             gauge,
             clover,
@@ -90,6 +166,7 @@ impl<R: Real> WilsonCloverOp<R> {
             mass,
             sub,
             faces,
+            nbrs,
             overlap: Mutex::new(OverlapPipeline::default()),
         })
     }
@@ -163,6 +240,18 @@ impl<R: Real> WilsonCloverOp<R> {
         comm: &mut C,
         mode: BoundaryMode,
     ) -> Result<()> {
+        with_kernels!(self, |op, k| [out, src] op.dslash_with(k, out, src, comm, mode))
+    }
+
+    /// [`WilsonCloverOp::dslash`] with the given site kernels.
+    fn dslash_with<K: SiteKernels<R>, C: Communicator>(
+        &self,
+        k: K,
+        out: &mut SpinorField<R>,
+        src: &mut SpinorField<R>,
+        comm: &mut C,
+        mode: BoundaryMode,
+    ) -> Result<()> {
         self.check_geometry(out, src)?;
         let traced = trace::is_enabled();
         let apply_t = Instant::now();
@@ -189,7 +278,7 @@ impl<R: Real> WilsonCloverOp<R> {
         let (interior_ns, wall_ns) = {
             let (src_view, mut zones) = src.body_and_ghosts_mut();
             let kernel = |chunk: &mut [R], lo_site: usize| {
-                self.interior_range(chunk, lo_site, src_view, out_parity, src_parity);
+                k.interior(self, chunk, lo_site, src_view, out_parity, src_parity);
             };
             run_overlapped(
                 policy.threads,
@@ -240,7 +329,7 @@ impl<R: Real> WilsonCloverOp<R> {
             for mu in 0..NDIM {
                 if self.sub.partitioned[mu] {
                     let _sp = trace::span_arg(trace::Track::Exterior, "exterior", mu as i64);
-                    self.dslash_exterior(out, src, mu);
+                    k.exterior(self, out, src, mu);
                 }
             }
         }
@@ -264,144 +353,101 @@ impl<R: Real> WilsonCloverOp<R> {
         comm: &mut C,
         mode: BoundaryMode,
     ) -> Result<()> {
+        with_kernels!(self, |op, k| [out, src] op.dslash_sequential_with(k, out, src, comm, mode))
+    }
+
+    fn dslash_sequential_with<K: SiteKernels<R>, C: Communicator>(
+        &self,
+        k: K,
+        out: &mut SpinorField<R>,
+        src: &mut SpinorField<R>,
+        comm: &mut C,
+        mode: BoundaryMode,
+    ) -> Result<()> {
         self.check_geometry(out, src)?;
         if mode == BoundaryMode::Full {
             let bufs = &mut self.overlap.lock().unwrap().bufs;
             exchange_ghosts_with(src, &self.faces, comm, bufs)?;
         }
-        self.dslash_interior(out, src);
+        // Interior: every contribution that resolves inside the body.
+        // Boundary sites are *partially* updated (all their interior
+        // hops), exactly as §6.2 describes.
+        let (out_parity, src_parity) = (out.parity(), src.parity());
+        k.interior(self, out.body_mut(), 0, src.body_view(), out_parity, src_parity);
         if mode == BoundaryMode::Full {
             for mu in 0..NDIM {
                 if self.sub.partitioned[mu] {
-                    self.dslash_exterior(out, src, mu);
+                    k.exterior(self, out, src, mu);
                 }
             }
         }
         Ok(())
     }
 
-    /// Interior kernel: every contribution that resolves inside the body.
-    /// Boundary sites are *partially* updated (all their interior hops),
-    /// exactly as §6.2 describes.
-    fn dslash_interior(&self, out: &mut SpinorField<R>, src: &SpinorField<R>) {
-        let out_parity = out.parity();
-        let src_parity = src.parity();
-        let view = src.body_view();
-        self.interior_range(out.body_mut(), 0, view, out_parity, src_parity);
-    }
-
-    /// Interior kernel over a contiguous site range: `out_chunk` holds
-    /// the flat reals of sites `lo_site ..`, each computed independently
-    /// (this is what makes chunked parallel execution bit-identical to
-    /// the single pass).
-    fn interior_range(
-        &self,
-        out_chunk: &mut [R],
-        lo_site: usize,
-        src: BodyView<'_, R, WilsonSpinor<R>>,
-        out_parity: Parity,
-        src_parity: Parity,
-    ) {
-        let reals = <WilsonSpinor<R> as SiteObject<R>>::REALS;
-        for (k, slot) in out_chunk.chunks_exact_mut(reals).enumerate() {
-            let idx = lo_site + k;
-            let c = self.sub.cb_coords(out_parity, idx);
-            let mut acc = WilsonSpinor::zero();
-            for mu in 0..NDIM {
-                // Forward hop: U_µ(x) (1 − γµ) ψ(x + µ̂).
-                if let Neighbor::Interior { idx: nidx } = self.sub.neighbor(c, mu, 1, WILSON_DEPTH)
-                {
-                    let proj = Projector { mu, plus: false };
-                    let h = proj
-                        .project(&src.site(nidx))
-                        .color_mul(&self.gauge.link(mu, out_parity, idx));
-                    proj.accumulate(&mut acc, &h);
-                }
-                // Backward hop: U†_µ(x − µ̂) (1 + γµ) ψ(x − µ̂).
-                if let Neighbor::Interior { idx: nidx } = self.sub.neighbor(c, mu, -1, WILSON_DEPTH)
-                {
-                    let proj = Projector { mu, plus: true };
-                    let h = proj
-                        .project(&src.site(nidx))
-                        .color_adj_mul(&self.gauge.link(mu, src_parity, nidx));
-                    proj.accumulate(&mut acc, &h);
-                }
-            }
-            acc.write(slot);
-        }
-    }
-
-    /// Exterior kernel for dimension `mu`: adds the boundary contributions
-    /// read from ghost zones. Must run after the exchange of dimension
-    /// `mu` completes; corner sites accumulate across multiple calls.
-    fn dslash_exterior(&self, out: &mut SpinorField<R>, src: &SpinorField<R>, mu: usize) {
-        let out_parity = out.parity();
-        let src_parity = src.parity();
-        let l = self.sub.dims.extent(mu);
-        // High face: forward hop crosses into the forward ghost.
-        for &cb in self.faces.high_face(mu, out_parity) {
-            let idx = cb as usize;
-            let c = self.sub.cb_coords(out_parity, idx);
-            debug_assert_eq!(c[mu], l - 1);
-            let hop = self.sub.neighbor(c, mu, 1, WILSON_DEPTH);
-            let Neighbor::Ghost { forward, offset, .. } = hop else { unreachable!() };
-            let proj = Projector { mu, plus: false };
-            let psi = src.ghost(mu, forward, offset);
-            let h = proj.project(&psi).color_mul(&self.gauge.link(mu, out_parity, idx));
-            let mut acc = out.site(idx);
-            proj.accumulate(&mut acc, &h);
-            out.set_site(idx, acc);
-        }
-        // Low face: backward hop crosses into the backward ghost; the
-        // link comes from the gauge ghost of the same dimension.
-        for &cb in self.faces.low_face(mu, out_parity) {
-            let idx = cb as usize;
-            let c = self.sub.cb_coords(out_parity, idx);
-            debug_assert_eq!(c[mu], 0);
-            let hop = self.sub.neighbor(c, mu, -1, WILSON_DEPTH);
-            let Neighbor::Ghost { forward, offset, .. } = hop else { unreachable!() };
-            let proj = Projector { mu, plus: true };
-            let psi = src.ghost(mu, forward, offset);
-            let u = self.gauge.link_resolved(mu, src_parity, hop);
-            let h = proj.project(&psi).color_adj_mul(&u);
-            let mut acc = out.site(idx);
-            proj.accumulate(&mut acc, &h);
-            out.set_site(idx, acc);
-        }
-    }
-
     /// Site-diagonal term: `out = (4 + m) src + A src`.
     pub fn t_apply(&self, out: &mut SpinorField<R>, src: &SpinorField<R>) {
-        let p = src.parity();
-        let shift = self.diag_shift();
-        match &self.clover {
-            Some(cl) => {
-                let cf = &cl[p.index()];
-                for idx in 0..src.num_sites() {
-                    let s = src.site(idx);
-                    let v = cf.site(idx).apply(&s).add(&s.scale(shift));
-                    out.set_site(idx, v);
-                }
-            }
-            None => {
-                blas::copy(out, src);
-                blas::scale(out, shift);
-            }
-        }
+        with_kernels!(self, |op, k| [out, src] op
+            .diag_with(k, out, src, Diag::T)
+            .expect("T apply: out and src differ in site count"))
     }
 
     /// Apply the precomputed `T⁻¹` (requires
     /// [`WilsonCloverOp::build_t_inverse`]).
     pub fn t_inv_apply(&self, out: &mut SpinorField<R>, src: &SpinorField<R>) -> Result<()> {
+        with_kernels!(self, |op, k| [out, src] op.diag_with(k, out, src, Diag::TInv))
+    }
+
+    /// The precomputed `T⁻¹` of parity `p`.
+    fn t_inv_field(&self, p: Parity) -> Result<&LatticeField<R, CloverSite<R>>> {
         let t_inv = self.t_inv.as_ref().ok_or_else(|| {
             Error::Config(
                 "T-inverse not built; call build_t_inverse() before even-odd preconditioning"
                     .into(),
             )
         })?;
-        let cf = &t_inv[src.parity().index()];
-        for idx in 0..src.num_sites() {
-            out.set_site(idx, cf.site(idx).apply(&src.site(idx)));
+        Ok(&t_inv[p.index()])
+    }
+
+    /// One site-diagonal pass over the parity of `src`.
+    fn diag_with<K: SiteKernels<R>>(
+        &self,
+        k: K,
+        out: &mut SpinorField<R>,
+        src: &SpinorField<R>,
+        pass: Diag,
+    ) -> Result<()> {
+        if out.num_sites() != src.num_sites() {
+            return Err(Error::Shape(format!(
+                "site-diagonal pass: out has {} sites, src {}",
+                out.num_sites(),
+                src.num_sites()
+            )));
+        }
+        let p = src.parity();
+        let t_inv = match pass {
+            Diag::TInv | Diag::TInvOf(_) => self.t_inv_field(p)?.body(),
+            Diag::T | Diag::TPlus(_) => &[],
+        };
+        let sites = out.body_mut().chunks_exact_mut(SPINOR).zip(src.body().chunks_exact(SPINOR));
+        for (idx, (o, s)) in sites.enumerate() {
+            let (o, s) = (site_mut(o, 0), site(s, 0));
+            match pass {
+                Diag::T => k.t(self, p, idx, s, o),
+                Diag::TPlus(c) => {
+                    let c = R::from_f64(c);
+                    let mut t = [R::ZERO; SPINOR];
+                    k.t(self, p, idx, s, &mut t);
+                    for (o, t) in o.iter_mut().zip(t) {
+                        *o = t + *o * c;
+                    }
+                }
+                Diag::TInv => k.t_inv(site(t_inv, idx), s, o),
+                Diag::TInvOf(c) => {
+                    let c = R::from_f64(c);
+                    let y = std::array::from_fn(|i| o[i] * c + s[i]);
+                    k.t_inv(site(t_inv, idx), &y, o);
+                }
+            }
         }
         Ok(())
     }
@@ -417,20 +463,26 @@ impl<R: Real> WilsonCloverOp<R> {
         comm: &mut C,
         mode: BoundaryMode,
     ) -> Result<()> {
-        // Hopping parts first (they overwrite `out`).
-        self.dslash(out_e, src_o, comm, mode)?;
-        self.dslash(out_o, src_e, comm, mode)?;
-        let quarter = -R::from_f64(0.25);
-        blas::scale(out_e, quarter);
-        blas::scale(out_o, quarter);
-        // Add the site-diagonal term.
-        let mut t = LatticeField::zeros_like(src_e);
-        self.t_apply(&mut t, src_e);
-        blas::axpy(R::ONE, &t, out_e);
-        let mut t = LatticeField::zeros_like(src_o);
-        self.t_apply(&mut t, src_o);
-        blas::axpy(R::ONE, &t, out_o);
-        Ok(())
+        with_kernels!(self, |op, k| [out_e, out_o, src_e, src_o] op
+            .apply_full_with(k, out_e, out_o, src_e, src_o, comm, mode))
+    }
+
+    fn apply_full_with<K: SiteKernels<R>, C: Communicator>(
+        &self,
+        k: K,
+        out_e: &mut SpinorField<R>,
+        out_o: &mut SpinorField<R>,
+        src_e: &mut SpinorField<R>,
+        src_o: &mut SpinorField<R>,
+        comm: &mut C,
+        mode: BoundaryMode,
+    ) -> Result<()> {
+        // Hopping parts first (they overwrite `out`), then one in-place
+        // pass per parity: `out = T src − (1/4) out`.
+        self.dslash_with(k, out_e, src_o, comm, mode)?;
+        self.dslash_with(k, out_o, src_e, comm, mode)?;
+        self.diag_with(k, out_e, src_e, Diag::TPlus(-0.25))?;
+        self.diag_with(k, out_o, src_o, Diag::TPlus(-0.25))
     }
 
     /// Even-odd preconditioned operator on the odd parity:
@@ -444,17 +496,27 @@ impl<R: Real> WilsonCloverOp<R> {
         comm: &mut C,
         mode: BoundaryMode,
     ) -> Result<()> {
+        with_kernels!(self, |op, k| [out, src, scratch_e, scratch_e2] op
+            .apply_eo_prec_with(k, out, src, scratch_e, scratch_e2, comm, mode))
+    }
+
+    fn apply_eo_prec_with<K: SiteKernels<R>, C: Communicator>(
+        &self,
+        k: K,
+        out: &mut SpinorField<R>,
+        src: &mut SpinorField<R>,
+        scratch_e: &mut SpinorField<R>,
+        scratch_e2: &mut SpinorField<R>,
+        comm: &mut C,
+        mode: BoundaryMode,
+    ) -> Result<()> {
         if src.parity() != Parity::Odd {
             return Err(Error::Shape("eo-preconditioned operator acts on odd parity".into()));
         }
-        self.dslash(scratch_e, src, comm, mode)?;
-        self.t_inv_apply(scratch_e2, scratch_e)?;
-        self.dslash(out, scratch_e2, comm, mode)?;
-        blas::scale(out, -R::from_f64(1.0 / 16.0));
-        let mut t = LatticeField::zeros_like(src);
-        self.t_apply(&mut t, src);
-        blas::axpy(R::ONE, &t, out);
-        Ok(())
+        self.dslash_with(k, scratch_e, src, comm, mode)?;
+        self.diag_with(k, scratch_e2, scratch_e, Diag::TInv)?;
+        self.dslash_with(k, out, scratch_e2, comm, mode)?;
+        self.diag_with(k, out, src, Diag::TPlus(-1.0 / 16.0))
     }
 
     /// Reconstruct the even solution after an odd-parity Schur solve:
@@ -467,11 +529,23 @@ impl<R: Real> WilsonCloverOp<R> {
         comm: &mut C,
         mode: BoundaryMode,
     ) -> Result<()> {
-        let mut tmp = LatticeField::zeros_like(b_e);
-        self.dslash(&mut tmp, x_o, comm, mode)?;
-        blas::scale(&mut tmp, R::from_f64(0.25));
-        blas::axpy(R::ONE, b_e, &mut tmp);
-        self.t_inv_apply(x_e, &tmp)
+        with_kernels!(self, |op, k| [x_e, b_e, x_o] op
+            .reconstruct_even_with(k, x_e, b_e, x_o, comm, mode))
+    }
+
+    fn reconstruct_even_with<K: SiteKernels<R>, C: Communicator>(
+        &self,
+        k: K,
+        x_e: &mut SpinorField<R>,
+        b_e: &SpinorField<R>,
+        x_o: &mut SpinorField<R>,
+        comm: &mut C,
+        mode: BoundaryMode,
+    ) -> Result<()> {
+        // Fail before `x_e` is overwritten when `T⁻¹` is missing.
+        self.t_inv_field(b_e.parity())?;
+        self.dslash_with(k, x_e, x_o, comm, mode)?;
+        self.diag_with(k, x_e, b_e, Diag::TInvOf(0.25))
     }
 }
 
@@ -485,11 +559,15 @@ pub fn gamma5_in_place<R: Real>(f: &mut SpinorField<R>) {
     }
 }
 
+// After `with_kernels!`: macro_rules scope is textual.
+#[cfg(test)]
+mod kernel_equality;
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use lqcd_comms::SingleComm;
-    use lqcd_field::blas::{cdot_local, max_abs_diff, norm2_local};
+    use lqcd_field::blas::{self, cdot_local, max_abs_diff, norm2_local};
     use lqcd_gauge::clover_build::build_clover_field;
     use lqcd_gauge::field::GaugeStart;
     use lqcd_lattice::Dims;

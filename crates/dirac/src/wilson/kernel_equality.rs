@@ -1,0 +1,228 @@
+//! Operator-level bit identity of the SSE2 site kernels: every f32 entry
+//! point — `dslash` (Full and Dirichlet), `apply_eo_prec`, `apply_full`
+//! and `reconstruct_even` — against the same pass run through the
+//! generic per-site kernels, on an unpartitioned lattice and on two
+//! ranks split along T, with one and two interior threads.
+
+use super::kernels::Generic;
+use super::*;
+use lqcd_comms::{run_on_grid, SingleComm};
+use lqcd_field::blas;
+use lqcd_gauge::field::GaugeStart;
+use lqcd_lattice::{Dims, ProcessGrid};
+use lqcd_util::rng::SeedTree;
+
+const GLOBAL: Dims = Dims([4, 4, 4, 8]);
+
+fn type_name_of<K>(_: K) -> &'static str {
+    std::any::type_name::<K>()
+}
+
+impl<R: Real> WilsonCloverOp<R> {
+    /// The site kernels the dispatching entry points pick.
+    fn kernels_name(&self) -> &'static str {
+        with_kernels!(self, |_op, k| [] type_name_of(k))
+    }
+}
+
+/// One rank's f32 operator: disordered links with exchanged ghosts,
+/// random positive-definite clover sites when `clover`, and `T⁻¹`.
+fn build_op<C: Communicator>(
+    comm: &mut C,
+    grid: &ProcessGrid,
+    clover: bool,
+) -> WilsonCloverOp<f32> {
+    let sub = Arc::new(SubLattice::for_rank(grid, comm.rank()));
+    let faces = FaceGeometry::new(&sub, WILSON_DEPTH).unwrap();
+    let seed = SeedTree::new(2026);
+    let mut gauge = GaugeField::<f32>::generate(
+        sub.clone(),
+        &faces,
+        GLOBAL,
+        &seed,
+        GaugeStart::Disordered(0.3),
+    );
+    gauge.exchange_ghosts(comm, &faces).unwrap();
+    let clover = clover.then(|| {
+        let mut rng = seed.child("clover").stream(comm.rank() as u64);
+        Parity::BOTH.map(|p| {
+            let mut f = LatticeField::zeros(sub.clone(), &faces, p, 0);
+            f.fill(|_| CloverSite::<f64>::random_spd(&mut rng).cast());
+            f
+        })
+    });
+    let mut op = WilsonCloverOp::new(gauge, clover, 0.1).unwrap();
+    op.build_t_inverse().unwrap();
+    op
+}
+
+fn bits(f: &SpinorField<f32>) -> Vec<u32> {
+    assert!(f.body().iter().any(|&x| x != 0.0), "an all-zero output proves nothing");
+    f.body().iter().map(|x| x.to_bits()).collect()
+}
+
+/// Run every entry point both ways; returns the names of those whose
+/// outputs differ in any bit.
+fn mismatches<C: Communicator>(op: &WilsonCloverOp<f32>, comm: &mut C) -> Vec<String> {
+    let mut rng = SeedTree::new(7).child("src").stream(comm.rank() as u64);
+    let mut random = |p: Parity| {
+        let mut f = op.alloc(p);
+        f.fill(|_| WilsonSpinor::random(&mut rng));
+        f
+    };
+    let (mut se, mut so) = (random(Parity::Even), random(Parity::Odd));
+    let mut bad = Vec::new();
+    let mut check = |name: String, a: &SpinorField<f32>, b: &SpinorField<f32>| {
+        if bits(a) != bits(b) {
+            bad.push(name);
+        }
+    };
+    let even = || op.alloc(Parity::Even);
+    let odd = || op.alloc(Parity::Odd);
+
+    for mode in [BoundaryMode::Full, BoundaryMode::Dirichlet] {
+        let (mut a, mut b) = (even(), even());
+        op.dslash(&mut a, &mut so, comm, mode).unwrap();
+        op.dslash_with(Generic, &mut b, &mut so, comm, mode).unwrap();
+        check(format!("dslash {mode:?}"), &a, &b);
+
+        let (mut a, mut b) = (odd(), odd());
+        let (mut s1, mut s2) = (even(), even());
+        op.apply_eo_prec(&mut a, &mut so, &mut s1, &mut s2, comm, mode).unwrap();
+        op.apply_eo_prec_with(Generic, &mut b, &mut so, &mut s1, &mut s2, comm, mode).unwrap();
+        check(format!("apply_eo_prec {mode:?}"), &a, &b);
+    }
+
+    let (mut ae, mut ao, mut be, mut bo) = (even(), odd(), even(), odd());
+    op.apply_full(&mut ae, &mut ao, &mut se, &mut so, comm, BoundaryMode::Full).unwrap();
+    op.apply_full_with(Generic, &mut be, &mut bo, &mut se, &mut so, comm, BoundaryMode::Full)
+        .unwrap();
+    check("apply_full even".into(), &ae, &be);
+    check("apply_full odd".into(), &ao, &bo);
+
+    let (mut a, mut b) = (even(), even());
+    op.reconstruct_even(&mut a, &se, &mut so, comm, BoundaryMode::Full).unwrap();
+    op.reconstruct_even_with(Generic, &mut b, &se, &mut so, comm, BoundaryMode::Full).unwrap();
+    check("reconstruct_even".into(), &a, &b);
+    bad
+}
+
+#[test]
+fn dispatch_picks_sse2_for_f32_only() {
+    let grid = ProcessGrid::new(Dims([1, 1, 1, 1]), GLOBAL).unwrap();
+    let mut comm = SingleComm::new(GLOBAL).unwrap();
+    let op = build_op(&mut comm, &grid, true);
+    let want = if cfg!(target_arch = "x86_64") { "Sse2" } else { "Generic" };
+    assert!(op.kernels_name().ends_with(want), "{}", op.kernels_name());
+    let op64 = WilsonCloverOp::new(op.gauge.cast::<f64>(), None, 0.1).unwrap();
+    assert!(op64.kernels_name().ends_with("Generic"), "{}", op64.kernels_name());
+}
+
+#[test]
+fn unpartitioned_f32_entry_points_match_generic_bitwise() {
+    let grid = ProcessGrid::new(Dims([1, 1, 1, 1]), GLOBAL).unwrap();
+    let mut comm = SingleComm::new(GLOBAL).unwrap();
+    for clover in [true, false] {
+        let op = build_op(&mut comm, &grid, clover);
+        for threads in [1, 2] {
+            op.set_interior_threads(threads);
+            let bad = mismatches(&op, &mut comm);
+            assert!(bad.is_empty(), "clover {clover}, {threads} threads: {bad:?}");
+        }
+    }
+}
+
+#[test]
+fn two_rank_f32_entry_points_match_generic_bitwise() {
+    let grid = ProcessGrid::new(Dims([1, 1, 1, 2]), GLOBAL).unwrap();
+    let bad = run_on_grid(grid.clone(), move |mut comm| {
+        let mut bad = Vec::new();
+        for clover in [true, false] {
+            let op = build_op(&mut comm, &grid, clover);
+            for threads in [1, 2] {
+                op.set_interior_threads(threads);
+                for name in mismatches(&op, &mut comm) {
+                    bad.push(format!(
+                        "rank {}: clover {clover}, {threads} threads: {name}",
+                        comm.rank()
+                    ));
+                }
+            }
+        }
+        bad
+    });
+    assert!(bad.iter().all(Vec::is_empty), "{bad:?}");
+}
+
+/// The in-place passes of `apply_eo_prec`, `apply_full` and
+/// `reconstruct_even` against the composition they fold — separate
+/// dslash, `t_apply`/`t_inv_apply`, `blas::scale` and `blas::axpy` passes
+/// over temporaries — bit for bit, in both precisions.
+fn fused_matches_composition<R: Real>(op: &WilsonCloverOp<R>) {
+    let mut comm = SingleComm::new(GLOBAL).unwrap();
+    let comm = &mut comm;
+    let mut rng = SeedTree::new(8).rng();
+    let mut random = |p: Parity| {
+        let mut f = op.alloc(p);
+        f.fill(|_| WilsonSpinor::<f64>::random(&mut rng).cast());
+        f
+    };
+    let (mut se, mut so) = (random(Parity::Even), random(Parity::Odd));
+    let full = BoundaryMode::Full;
+    let bits =
+        |f: &SpinorField<R>| f.body().iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
+
+    let (mut got, mut want) = (op.alloc(Parity::Odd), op.alloc(Parity::Odd));
+    let (mut s1, mut s2) = (op.alloc(Parity::Even), op.alloc(Parity::Even));
+    op.apply_eo_prec(&mut got, &mut so, &mut s1, &mut s2, comm, full).unwrap();
+    op.dslash(&mut s1, &mut so, comm, full).unwrap();
+    op.t_inv_apply(&mut s2, &s1).unwrap();
+    op.dslash(&mut want, &mut s2, comm, full).unwrap();
+    blas::scale(&mut want, R::from_f64(-1.0 / 16.0));
+    let mut t = LatticeField::zeros_like(&so);
+    op.t_apply(&mut t, &so);
+    blas::axpy(R::ONE, &t, &mut want);
+    assert_eq!(bits(&got), bits(&want), "apply_eo_prec");
+
+    let (mut ge, mut go) = (op.alloc(Parity::Even), op.alloc(Parity::Odd));
+    op.apply_full(&mut ge, &mut go, &mut se, &mut so, comm, full).unwrap();
+    for (got, out_parity) in [(&ge, Parity::Even), (&go, Parity::Odd)] {
+        let (src, hop_src) =
+            if out_parity == Parity::Even { (&se, &mut so) } else { (&so, &mut se) };
+        let mut want = op.alloc(out_parity);
+        op.dslash(&mut want, hop_src, comm, full).unwrap();
+        blas::scale(&mut want, -R::from_f64(0.25));
+        let mut t = LatticeField::zeros_like(src);
+        op.t_apply(&mut t, src);
+        blas::axpy(R::ONE, &t, &mut want);
+        assert_eq!(bits(got), bits(&want), "apply_full {out_parity:?}");
+    }
+
+    let mut got = op.alloc(Parity::Even);
+    op.reconstruct_even(&mut got, &se, &mut so, comm, full).unwrap();
+    let mut tmp = LatticeField::zeros_like(&se);
+    op.dslash(&mut tmp, &mut so, comm, full).unwrap();
+    blas::scale(&mut tmp, R::from_f64(0.25));
+    blas::axpy(R::ONE, &se, &mut tmp);
+    let mut want = op.alloc(Parity::Even);
+    op.t_inv_apply(&mut want, &tmp).unwrap();
+    assert_eq!(bits(&got), bits(&want), "reconstruct_even");
+}
+
+#[test]
+fn in_place_passes_match_the_unfused_composition() {
+    let grid = ProcessGrid::new(Dims([1, 1, 1, 1]), GLOBAL).unwrap();
+    let mut comm = SingleComm::new(GLOBAL).unwrap();
+    for clover in [true, false] {
+        let op = build_op(&mut comm, &grid, clover);
+        fused_matches_composition(&op);
+        let mut op64 = WilsonCloverOp::new(
+            op.gauge.cast::<f64>(),
+            op.clover.as_ref().map(|c| [c[0].cast_all::<f64>(), c[1].cast_all::<f64>()]),
+            0.1,
+        )
+        .unwrap();
+        op64.build_t_inverse().unwrap();
+        fused_matches_composition(&op64);
+    }
+}

@@ -278,6 +278,12 @@ impl<'a, R: Real, S: SiteObject<R>> BodyView<'a, R, S> {
     pub fn num_sites(&self) -> usize {
         self.body.len() / S::REALS
     }
+
+    /// The body as flat reals (`S::REALS` per site).
+    #[inline]
+    pub fn reals(&self) -> &'a [R] {
+        self.body
+    }
 }
 
 /// Exclusive access to every ghost zone of a field, independent of the

@@ -13,7 +13,9 @@
 //!   classifies each stencil hop as interior or ghost;
 //! * [`FaceGeometry`] — gather tables and ghost-slot indexing for the
 //!   boundary faces, at arbitrary stencil depth (1 for Wilson, 3 for the
-//!   improved-staggered Naik term).
+//!   improved-staggered Naik term);
+//! * [`NeighborTable`] — the eight nearest-neighbour hops of every site,
+//!   resolved once for the Wilson stencil.
 //!
 //! The invariant the whole workspace rests on: **the sender's gather order
 //! and the receiver's ghost-slot arithmetic are derived from the same
@@ -24,8 +26,10 @@ pub mod dims;
 pub mod face;
 pub mod grid;
 pub mod local;
+pub mod neighbors;
 
 pub use dims::{Dims, NDIM};
 pub use face::FaceGeometry;
 pub use grid::{PartitionScheme, ProcessGrid};
 pub use local::{Neighbor, Parity, SubLattice};
+pub use neighbors::NeighborTable;

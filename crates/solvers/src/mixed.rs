@@ -104,14 +104,14 @@ where
     let mut e_hi = hi.alloc();
     let mut r_lo = lo.alloc();
     let mut e_lo = lo.alloc();
-    for _cycle in 0..max_cycles {
+    for cycle in 0..max_cycles {
         // True residual at high precision.
         hi.matvec(&mut r, x)?;
         stats.matvecs += 1;
         hi.xpay(b, -1.0, &mut r);
         let rnorm = hi.norm2(&r)?.sqrt();
         stats.residual = rnorm / bnorm;
-        monitor.observe(stats.restarts, stats.residual)?;
+        monitor.observe(cycle, stats.residual)?;
         if stats.residual <= tol {
             stats.converged = true;
             return Ok(stats);
@@ -135,7 +135,7 @@ where
     if !stats.converged {
         return Err(Error::NoConvergence {
             solver: "defect_correction",
-            iterations: stats.restarts,
+            iterations: max_cycles,
             residual: stats.residual,
             target: tol,
         });
@@ -250,7 +250,6 @@ where
             )?
         };
         stats.absorb(&refine);
-        stats.restarts += refine.restarts;
         out.push(x);
     }
     stats.converged = true;

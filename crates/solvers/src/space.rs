@@ -79,6 +79,7 @@ impl SolveStats {
         self.iterations += inner.iterations;
         self.matvecs += inner.matvecs;
         self.precond_matvecs += inner.precond_matvecs;
+        self.restarts += inner.restarts;
         self.precision_fallbacks += inner.precision_fallbacks;
         self.exchange_retries += inner.exchange_retries;
         self.faults_survived += inner.faults_survived;
@@ -481,6 +482,19 @@ mod tests {
         hidden.absorb(&seq);
         let eff = hidden.overlap_efficiency().unwrap();
         assert!((0.0..=1.0).contains(&eff), "folded efficiency {eff} out of range");
+    }
+
+    #[test]
+    fn absorb_sums_restarts() {
+        let mut outer = SolveStats::new();
+        outer.restarts = 2;
+        let mut inner = SolveStats::new();
+        inner.restarts = 3;
+        inner.iterations = 7;
+        outer.absorb(&inner);
+        outer.absorb(&inner);
+        assert_eq!(outer.restarts, 8);
+        assert_eq!(outer.iterations, 14);
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub struct HermBlock<R> {
 
 /// Index of lower-triangle entry `(i, j)`, `i > j`.
 #[inline(always)]
-fn tri(i: usize, j: usize) -> usize {
+pub(crate) fn tri(i: usize, j: usize) -> usize {
     debug_assert!(i > j && i < BLOCK_DIM);
     i * (i - 1) / 2 + j
 }

@@ -1,0 +1,591 @@
+//! Single-precision SSE2 site kernels for the Wilson-clover operator.
+//!
+//! Two kernels, each bit-identical to the scalar code it stands in for:
+//!
+//! * [`SpinorAcc::hop`] — one fused stencil hop: project `(1 ± γµ)ψ` to
+//!   its two independent spins, rotate them by `U` or `U†`, and
+//!   accumulate the reconstructed 4-spinor. Reference:
+//!   [`Projector::project`] → [`HalfSpinor::color_mul`] or
+//!   [`HalfSpinor::color_adj_mul`] → [`Projector::accumulate`].
+//! * [`clover_apply`] / [`clover_apply_shifted`] — the two Hermitian 6×6
+//!   chiral blocks of one packed clover site. Reference:
+//!   [`CloverSite::apply`], plus `ψ·shift` for the Wilson diagonal.
+//!
+//! Vectorisation is *within a site*: one `__m128` holds two complex
+//! numbers as `[re, im, re, im]` — the two projected spins of one colour
+//! in the hop kernel, the same row of both chiral blocks in the clover
+//! kernel. Each lane performs the scalar operations in the scalar order:
+//! a complex multiply-accumulate is `acc + ur·h`, then
+//! `+ (ui·swap(h) ^ sign)`, with no FMA and no reassociation. Signs are
+//! applied by flipping sign bits, which is exact (`a − b ≡ a + (−b)`,
+//! `(−u)·h ≡ −(u·h)`), so results agree bit for bit with the scalar code,
+//! signed zeros and subnormals included.
+//!
+//! SSE2 is part of the x86_64 baseline, so there is no runtime detection
+//! and no build flag: each entry point makes one `unsafe` call into an
+//! `#[inline(always)]` body, whose loads and stores are bounds-checked
+//! against fixed-size arrays.
+//!
+//! [`Projector::project`]: crate::Projector::project
+//! [`Projector::accumulate`]: crate::Projector::accumulate
+//! [`HalfSpinor::color_mul`]: crate::HalfSpinor::color_mul
+//! [`HalfSpinor::color_adj_mul`]: crate::HalfSpinor::color_adj_mul
+//! [`CloverSite::apply`]: crate::CloverSite::apply
+
+use crate::clover::tri;
+use crate::gamma::{Phase, GAMMA};
+use crate::Projector;
+use std::arch::x86_64::*;
+
+/// `_mm_shuffle_ps` immediate selecting lanes `[a[l0], a[l1], b[h0], b[h1]]`.
+const fn sel(l0: i32, l1: i32, h0: i32, h1: i32) -> i32 {
+    l0 | (l1 << 2) | (h0 << 4) | (h1 << 6)
+}
+
+/// Four lanes of `a` starting at `at`.
+///
+/// # Safety
+/// SSE2 must be available, which it is on every x86_64 target.
+#[inline(always)]
+unsafe fn load<const N: usize>(a: &[f32; N], at: usize) -> __m128 {
+    assert!(at + 4 <= N);
+    _mm_loadu_ps(a.as_ptr().add(at))
+}
+
+/// Write four lanes to `a` starting at `at`.
+///
+/// # Safety
+/// As for [`load`].
+#[inline(always)]
+unsafe fn store<const N: usize>(a: &mut [f32; N], at: usize, v: __m128) {
+    assert!(at + 4 <= N);
+    _mm_storeu_ps(a.as_mut_ptr().add(at), v)
+}
+
+/// Sign-bit mask: lane `k` is `−0.0` where `neg[k]`, else `+0.0`.
+///
+/// # Safety
+/// As for [`load`].
+#[inline(always)]
+unsafe fn signs(neg: [bool; 4]) -> __m128 {
+    let s = |n: bool| if n { -0.0 } else { 0.0 };
+    _mm_setr_ps(s(neg[0]), s(neg[1]), s(neg[2]), s(neg[3]))
+}
+
+/// `[re, im, re', im']` → `[re', im', re, im]`.
+///
+/// # Safety
+/// As for [`load`].
+#[inline(always)]
+unsafe fn swap_pair(x: __m128) -> __m128 {
+    _mm_shuffle_ps::<{ sel(2, 3, 0, 1) }>(x, x)
+}
+
+/// `[re, im, re', im']` → `[im, re, im', re']`.
+///
+/// # Safety
+/// As for [`load`].
+#[inline(always)]
+unsafe fn swap_reim(x: __m128) -> __m128 {
+    _mm_shuffle_ps::<{ sel(1, 0, 3, 2) }>(x, x)
+}
+
+/// Two rows `r, r + 1` of `±γµ` acting on a spin pair. In the
+/// DeGrand–Rossi basis both rows read the same pair of spins (possibly
+/// crossed) with phases that are both real or both imaginary, so one
+/// shuffle recipe and one sign mask cover both.
+#[derive(Clone, Copy)]
+struct RowPair {
+    /// Row `r` reads the second spin of the pair (the pair is crossed).
+    cross: bool,
+    /// The phases are `±i`: swap real and imaginary parts.
+    imaginary: bool,
+    /// Lanes negated afterwards (phase signs, and the overall `−`).
+    neg: [bool; 4],
+}
+
+/// The recipe of rows `r, r + 1` of `γµ`, negated when `negate`.
+const fn row_pair(mu: usize, r: usize, negate: bool) -> RowPair {
+    let g = &GAMMA[mu];
+    let mut neg = [false; 4];
+    let mut k = 0;
+    while k < 2 {
+        // Phase · (re, im) after the optional re/im swap.
+        let (re, im) = match g.phase[r + k] {
+            Phase::One => (false, false),
+            Phase::MinusOne => (true, true),
+            Phase::I => (true, false),
+            Phase::MinusI => (false, true),
+        };
+        neg[2 * k] = re != negate;
+        neg[2 * k + 1] = im != negate;
+        k += 1;
+    }
+    RowPair {
+        cross: g.col[r] % 2 == 1,
+        imaginary: matches!(g.phase[r], Phase::I | Phase::MinusI),
+        neg,
+    }
+}
+
+/// Apply a row recipe to a spin-pair vector.
+///
+/// # Safety
+/// As for [`load`].
+#[inline(always)]
+unsafe fn apply_rows(rp: RowPair, x: __m128) -> __m128 {
+    let x = if rp.cross { swap_pair(x) } else { x };
+    let x = if rp.imaginary { swap_reim(x) } else { x };
+    _mm_xor_ps(x, signs(rp.neg))
+}
+
+/// A 4-spinor as colour-pair vectors: `up[c] = [ψ₀c, ψ₁c]`,
+/// `lo[c] = [ψ₂c, ψ₃c]`.
+#[derive(Clone, Copy)]
+struct Pairs {
+    up: [__m128; 3],
+    lo: [__m128; 3],
+}
+
+/// Spins `s, s + 1` (flat reals `[v0 v1 v2]`, spin-major) as colour pairs.
+///
+/// # Safety
+/// As for [`load`].
+#[inline(always)]
+unsafe fn to_pairs(v0: __m128, v1: __m128, v2: __m128) -> [__m128; 3] {
+    [
+        _mm_shuffle_ps::<{ sel(0, 1, 2, 3) }>(v0, v1),
+        _mm_shuffle_ps::<{ sel(2, 3, 0, 1) }>(v0, v2),
+        _mm_shuffle_ps::<{ sel(0, 1, 2, 3) }>(v1, v2),
+    ]
+}
+
+/// Inverse of [`to_pairs`].
+///
+/// # Safety
+/// As for [`load`].
+#[inline(always)]
+unsafe fn from_pairs(c: [__m128; 3]) -> [__m128; 3] {
+    [
+        _mm_shuffle_ps::<{ sel(0, 1, 0, 1) }>(c[0], c[1]),
+        _mm_shuffle_ps::<{ sel(0, 1, 2, 3) }>(c[2], c[0]),
+        _mm_shuffle_ps::<{ sel(2, 3, 2, 3) }>(c[1], c[2]),
+    ]
+}
+
+/// # Safety
+/// As for [`load`].
+#[inline(always)]
+unsafe fn load_pairs(p: &[f32; 24]) -> Pairs {
+    Pairs {
+        up: to_pairs(load(p, 0), load(p, 4), load(p, 8)),
+        lo: to_pairs(load(p, 12), load(p, 16), load(p, 20)),
+    }
+}
+
+/// # Safety
+/// As for [`load`].
+#[inline(always)]
+unsafe fn store_pairs(pairs: &Pairs, out: &mut [f32; 24]) {
+    let up = from_pairs(pairs.up);
+    let lo = from_pairs(pairs.lo);
+    for k in 0..3 {
+        store(out, 4 * k, up[k]);
+        store(out, 12 + 4 * k, lo[k]);
+    }
+}
+
+/// `v` shuffled by the immediate `M`.
+///
+/// # Safety
+/// As for [`load`].
+#[inline(always)]
+unsafe fn splat<const M: i32>(v: __m128) -> __m128 {
+    _mm_shuffle_ps::<M>(v, v)
+}
+
+/// Link entry `k = 3·row + col` as broadcast `(re, im)`, from the rows
+/// loaded at reals 0, 4, 8, 12 and 14.
+///
+/// # Safety
+/// As for [`load`].
+#[inline(always)]
+unsafe fn link_entry(l: &[__m128; 5], k: usize) -> (__m128, __m128) {
+    let (v, high) = if k == 8 { (l[4], true) } else { (l[k / 2], k % 2 == 1) };
+    if high {
+        (splat::<0xAA>(v), splat::<0xFF>(v))
+    } else {
+        (splat::<0x00>(v), splat::<0x55>(v))
+    }
+}
+
+/// One hop in direction `MU`.
+///
+/// # Safety
+/// As for [`load`].
+#[inline(always)]
+unsafe fn hop_mu<const MU: usize>(
+    acc: &mut Pairs,
+    plus: bool,
+    adjoint: bool,
+    psi: &[f32; 24],
+    u: &[f32; 18],
+) {
+    let p = load_pairs(psi);
+    // Project: h_c = ψ_up,c ± γ-rows(0, 1) ψ_lo,c.
+    let proj = row_pair(MU, 0, !plus);
+    let h = [0, 1, 2].map(|c| _mm_add_ps(p.up[c], apply_rows(proj, p.lo[c])));
+    // Colour-rotate: r_i = Σ_j U'_ij h_j with U' = U or U†. The
+    // imaginary part of U'_ij meets swap(h_j) with the sign of its lane.
+    let ui_sign =
+        signs(if adjoint { [false, true, false, true] } else { [true, false, true, false] });
+    let hs = h.map(|x| _mm_xor_ps(swap_reim(x), ui_sign));
+    let l = [load(u, 0), load(u, 4), load(u, 8), load(u, 12), load(u, 14)];
+    let mut r = [_mm_setzero_ps(); 3];
+    for i in 0..3 {
+        for j in 0..3 {
+            let (ur, ui) = link_entry(&l, if adjoint { 3 * j + i } else { 3 * i + j });
+            r[i] = _mm_add_ps(r[i], _mm_mul_ps(ur, h[j]));
+            r[i] = _mm_add_ps(r[i], _mm_mul_ps(ui, hs[j]));
+        }
+    }
+    // Accumulate: upper spins take r, lower spins ±γ-rows(2, 3) r.
+    let recon = row_pair(MU, 2, !plus);
+    for c in 0..3 {
+        acc.up[c] = _mm_add_ps(acc.up[c], r[c]);
+        acc.lo[c] = _mm_add_ps(acc.lo[c], apply_rows(recon, r[c]));
+    }
+}
+
+/// # Safety
+/// As for [`load`].
+#[inline(always)]
+unsafe fn hop(
+    acc: &mut Pairs,
+    mu: usize,
+    plus: bool,
+    adjoint: bool,
+    psi: &[f32; 24],
+    u: &[f32; 18],
+) {
+    match mu {
+        0 => hop_mu::<0>(acc, plus, adjoint, psi, u),
+        1 => hop_mu::<1>(acc, plus, adjoint, psi, u),
+        2 => hop_mu::<2>(acc, plus, adjoint, psi, u),
+        3 => hop_mu::<3>(acc, plus, adjoint, psi, u),
+        _ => panic!("direction {mu} out of range"),
+    }
+}
+
+/// The output spinor of one site while its hops are summed, held in
+/// SSE registers. Flat spinors are the 24 reals of
+/// [`WilsonSpinor`](crate::WilsonSpinor), spin-major, `[re, im]` per
+/// colour.
+#[derive(Clone, Copy)]
+pub struct SpinorAcc(Pairs);
+
+impl SpinorAcc {
+    /// The zero spinor.
+    #[inline(always)]
+    pub fn zero() -> Self {
+        // SAFETY: SSE2 is part of the x86_64 baseline.
+        let z = unsafe { _mm_setzero_ps() };
+        SpinorAcc(Pairs { up: [z; 3], lo: [z; 3] })
+    }
+
+    /// Start from an existing spinor.
+    #[inline(always)]
+    pub fn load(s: &[f32; 24]) -> Self {
+        // SAFETY: SSE2 is part of the x86_64 baseline; loads stay in `s`.
+        unsafe { SpinorAcc(load_pairs(s)) }
+    }
+
+    /// Write the sum out.
+    #[inline(always)]
+    pub fn store(&self, out: &mut [f32; 24]) {
+        // SAFETY: SSE2 is part of the x86_64 baseline; stores stay in `out`.
+        unsafe { store_pairs(&self.0, out) }
+    }
+
+    /// Add one hop, `(1 ± γµ) ⊗ U'` applied to `psi` with `U' = U†` when
+    /// `adjoint` (the backward hop) and `U` otherwise; `u` holds the 18
+    /// reals of [`Su3::to_reals`](crate::Su3::to_reals). Bit-identical
+    /// to `proj.accumulate(acc, &proj.project(ψ).color_mul(U))` (or
+    /// `color_adj_mul`).
+    #[inline(always)]
+    pub fn hop(&mut self, proj: Projector, adjoint: bool, psi: &[f32; 24], u: &[f32; 18]) {
+        // SAFETY: SSE2 is part of the x86_64 baseline; loads and stores
+        // are bounds-checked against the fixed-size arrays.
+        unsafe { hop(&mut self.0, proj.mu, proj.plus, adjoint, psi, u) }
+    }
+}
+
+/// Row `I` of both chiral blocks of a packed clover site (the 72 reals
+/// of [`CloverSite::to_reals`](crate::CloverSite::to_reals)) applied to
+/// `v[j] = [ψ⁰_j, ψ¹_j]`, element `j` of the chirality-0 (spins 0, 1) and
+/// chirality-1 (spins 2, 3) 6-vectors; `vs[j] = swap(v[j])`. The scalar
+/// order: the diagonal term, then every `j ≠ I` ascending.
+///
+/// # Safety
+/// As for [`load`].
+#[inline(always)]
+unsafe fn clover_row<const I: usize>(a: &[f32; 72], v: &[__m128; 6], vs: &[__m128; 6]) -> __m128 {
+    // Lower-triangle entries A_Ij = off(I, j) meet swap(v_j) with a
+    // negated real lane; upper ones A_Ij = conj(off(j, I)) with a negated
+    // imaginary lane.
+    let lower = signs([true, false, true, false]);
+    let upper = signs([false, true, false, true]);
+    // [d⁰_I, d⁰_I, d¹_I, d¹_I]: the diagonals sit at reals 0 and 36.
+    let d = _mm_shuffle_ps::<{ sel(0, 0, 0, 0) }>(load(a, I), load(a, 36 + I));
+    let mut acc = _mm_mul_ps(v[I], d);
+    let mut mac = |t: usize, j: usize, sign: __m128| {
+        // [off⁰_t, off¹_t]: off-diagonals start at reals 6 and 42.
+        let c = _mm_shuffle_ps::<{ sel(0, 1, 2, 3) }>(load(a, 6 + 2 * t), load(a, 40 + 2 * t));
+        let cr = splat::<{ sel(0, 0, 2, 2) }>(c);
+        let ci = splat::<{ sel(1, 1, 3, 3) }>(c);
+        acc = _mm_add_ps(acc, _mm_mul_ps(cr, v[j]));
+        acc = _mm_add_ps(acc, _mm_xor_ps(_mm_mul_ps(ci, vs[j]), sign));
+    };
+    for j in 0..I {
+        mac(tri(I, j), j, lower);
+    }
+    for j in I + 1..6 {
+        mac(tri(j, I), j, upper);
+    }
+    acc
+}
+
+/// Both chiral blocks of a packed clover site applied to a flat spinor,
+/// plus `shift·ψ` when `SHIFTED`.
+///
+/// # Safety
+/// As for [`load`].
+#[inline(always)]
+unsafe fn clover<const SHIFTED: bool>(
+    a: &[f32; 72],
+    psi: &[f32; 24],
+    shift: f32,
+    out: &mut [f32; 24],
+) {
+    let (x0, x4, x8) = (load(psi, 0), load(psi, 4), load(psi, 8));
+    let (y0, y4, y8) = (load(psi, 12), load(psi, 16), load(psi, 20));
+    let v = [
+        _mm_movelh_ps(x0, y0),
+        _mm_movehl_ps(y0, x0),
+        _mm_movelh_ps(x4, y4),
+        _mm_movehl_ps(y4, x4),
+        _mm_movelh_ps(x8, y8),
+        _mm_movehl_ps(y8, x8),
+    ];
+    let vs = v.map(|x| swap_reim(x));
+    let mut w = [
+        clover_row::<0>(a, &v, &vs),
+        clover_row::<1>(a, &v, &vs),
+        clover_row::<2>(a, &v, &vs),
+        clover_row::<3>(a, &v, &vs),
+        clover_row::<4>(a, &v, &vs),
+        clover_row::<5>(a, &v, &vs),
+    ];
+    if SHIFTED {
+        let s = _mm_set1_ps(shift);
+        for (w, v) in w.iter_mut().zip(v) {
+            *w = _mm_add_ps(*w, _mm_mul_ps(v, s));
+        }
+    }
+    for k in 0..3 {
+        store(out, 4 * k, _mm_movelh_ps(w[2 * k], w[2 * k + 1]));
+        store(out, 12 + 4 * k, _mm_movehl_ps(w[2 * k + 1], w[2 * k]));
+    }
+}
+
+/// `out = A ψ` for one packed clover site `a`; bit-identical to
+/// [`CloverSite::apply`](crate::CloverSite::apply).
+#[inline(always)]
+pub fn clover_apply(a: &[f32; 72], psi: &[f32; 24], out: &mut [f32; 24]) {
+    // SAFETY: SSE2 is part of the x86_64 baseline; loads and stores are
+    // bounds-checked against the fixed-size arrays.
+    unsafe { clover::<false>(a, psi, 0.0, out) }
+}
+
+/// `out = A ψ + shift·ψ`; bit-identical to
+/// `a.apply(ψ).add(&ψ.scale(shift))`.
+#[inline(always)]
+pub fn clover_apply_shifted(a: &[f32; 72], psi: &[f32; 24], shift: f32, out: &mut [f32; 24]) {
+    // SAFETY: SSE2 is part of the x86_64 baseline; loads and stores are
+    // bounds-checked against the fixed-size arrays.
+    unsafe { clover::<true>(a, psi, shift, out) }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::gamma::HalfSpinor;
+    use crate::{CloverSite, ColorVector, Su3, WilsonSpinor};
+    use lqcd_util::rng::SeedTree;
+    use lqcd_util::Complex;
+    use rand::Rng;
+
+    fn flat(s: &WilsonSpinor<f32>) -> [f32; 24] {
+        let mut out = [0.0; 24];
+        for sp in 0..4 {
+            for c in 0..3 {
+                out[6 * sp + 2 * c] = s.s[sp].c[c].re;
+                out[6 * sp + 2 * c + 1] = s.s[sp].c[c].im;
+            }
+        }
+        out
+    }
+
+    fn bits<const N: usize>(a: &[f32; N]) -> [u32; N] {
+        a.map(f32::to_bits)
+    }
+
+    /// Gaussian values, or with `special` a mix that also draws ±0.0,
+    /// subnormals and magnitudes whose products underflow.
+    fn value<G: Rng>(rng: &mut G, special: bool) -> f32 {
+        let (x, _) = lqcd_util::rng::normal_pair(rng);
+        if !special {
+            return x as f32;
+        }
+        let sign = if rng.gen::<bool>() { -1.0f32 } else { 1.0 };
+        match rng.gen::<u32>() % 6 {
+            0 => sign * 0.0,
+            1 => sign * f32::from_bits(1 + rng.gen::<u32>() % 0x007f_ffff),
+            2 => sign * 1e-20 * (1.0 + x.abs() as f32),
+            _ => x as f32,
+        }
+    }
+
+    fn spinor<G: Rng>(rng: &mut G, special: bool) -> WilsonSpinor<f32> {
+        WilsonSpinor::from_fn(|_| {
+            ColorVector::from_fn(|_| Complex::new(value(rng, special), value(rng, special)))
+        })
+    }
+
+    /// A general complex matrix (not unitary, like a fat link).
+    fn matrix<G: Rng>(rng: &mut G, special: bool) -> Su3<f32> {
+        Su3::from_fn(|_, _| Complex::new(value(rng, special), value(rng, special)))
+    }
+
+    fn scalar_hop(
+        acc: &WilsonSpinor<f32>,
+        proj: Projector,
+        adjoint: bool,
+        psi: &WilsonSpinor<f32>,
+        u: &Su3<f32>,
+    ) -> WilsonSpinor<f32> {
+        let h: HalfSpinor<f32> = proj.project(psi);
+        let h = if adjoint { h.color_adj_mul(u) } else { h.color_mul(u) };
+        let mut out = *acc;
+        proj.accumulate(&mut out, &h);
+        out
+    }
+
+    #[test]
+    fn row_recipes_reproduce_gamma() {
+        // Both rows of each pair share one spin crossing and one
+        // real/imaginary kind — the property the pair recipe relies on.
+        for g in &GAMMA {
+            for r in [0, 2] {
+                assert_eq!(g.col[r] ^ 1, g.col[r + 1]);
+                let imag = |p: Phase| matches!(p, Phase::I | Phase::MinusI);
+                assert_eq!(imag(g.phase[r]), imag(g.phase[r + 1]));
+            }
+        }
+    }
+
+    #[test]
+    fn hop_matches_scalar_bitwise() {
+        let tree = SeedTree::new(41);
+        let mut rng = tree.rng();
+        for trial in 0..400 {
+            let special = trial % 2 == 1;
+            let psi = spinor(&mut rng, special);
+            let u = matrix(&mut rng, special);
+            let acc0 =
+                if trial % 4 == 0 { WilsonSpinor::zero() } else { spinor(&mut rng, special) };
+            for mu in 0..4 {
+                for plus in [false, true] {
+                    for adjoint in [false, true] {
+                        let proj = Projector { mu, plus };
+                        let want = scalar_hop(&acc0, proj, adjoint, &psi, &u);
+                        let mut acc = SpinorAcc::load(&flat(&acc0));
+                        acc.hop(proj, adjoint, &flat(&psi), &u.to_reals());
+                        let mut got = [0.0f32; 24];
+                        acc.store(&mut got);
+                        assert_eq!(
+                            bits(&got),
+                            bits(&flat(&want)),
+                            "trial {trial}, µ={mu}, plus={plus}, adjoint={adjoint}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chained_hops_from_zero_match_scalar_bitwise() {
+        // The interior-kernel pattern: eight hops summed into a zero
+        // accumulator, forward with U and backward with U†.
+        let tree = SeedTree::new(42);
+        let mut rng = tree.rng();
+        for trial in 0..50 {
+            let special = trial % 2 == 0;
+            let mut want = WilsonSpinor::zero();
+            let mut acc = SpinorAcc::zero();
+            for mu in 0..4 {
+                for (plus, adjoint) in [(false, false), (true, true)] {
+                    let psi = spinor(&mut rng, special);
+                    let u = matrix(&mut rng, special);
+                    let proj = Projector { mu, plus };
+                    want = scalar_hop(&want, proj, adjoint, &psi, &u);
+                    acc.hop(proj, adjoint, &flat(&psi), &u.to_reals());
+                }
+            }
+            let mut got = [0.0f32; 24];
+            acc.store(&mut got);
+            assert_eq!(bits(&got), bits(&flat(&want)), "trial {trial}");
+        }
+    }
+
+    #[test]
+    fn zero_load_store_roundtrip_is_exact() {
+        let mut got = [1.0f32; 24];
+        SpinorAcc::zero().store(&mut got);
+        assert_eq!(bits(&got), [0u32; 24]);
+        let s = flat(&spinor(&mut SeedTree::new(43).rng(), true));
+        SpinorAcc::load(&s).store(&mut got);
+        assert_eq!(bits(&got), bits(&s));
+    }
+
+    fn clover_site<G: Rng>(rng: &mut G, special: bool) -> CloverSite<f32> {
+        let mut reals = [0.0f32; 72];
+        for r in &mut reals {
+            *r = value(rng, special);
+        }
+        CloverSite::from_reals(&reals)
+    }
+
+    #[test]
+    fn clover_matches_scalar_bitwise() {
+        let tree = SeedTree::new(44);
+        let mut rng = tree.rng();
+        for trial in 0..400 {
+            let special = trial % 2 == 1;
+            let a = if trial % 3 == 0 {
+                CloverSite::<f64>::random_spd(&mut rng).cast()
+            } else {
+                clover_site(&mut rng, special)
+            };
+            let psi = spinor(&mut rng, special);
+            let mut got = [0.0f32; 24];
+            clover_apply(&a.to_reals(), &flat(&psi), &mut got);
+            assert_eq!(bits(&got), bits(&flat(&a.apply(&psi))), "trial {trial}");
+            let shift = value(&mut rng, special);
+            clover_apply_shifted(&a.to_reals(), &flat(&psi), shift, &mut got);
+            let want = a.apply(&psi).add(&psi.scale(shift));
+            assert_eq!(bits(&got), bits(&flat(&want)), "trial {trial} (shifted)");
+        }
+    }
+}

@@ -15,11 +15,15 @@
 //! * [`compress`] — the 12-real and 8-real compressed gauge-link storage
 //!   formats with exact SU(3) reconstruction (paper §5, "strategy (a)");
 //! * [`clover`] — the packed 72-real clover term (two 6×6 Hermitian
-//!   chiral blocks) with apply and inverse.
+//!   chiral blocks) with apply and inverse;
+//! * `kernels` (x86_64) — bit-identical single-precision SSE2 site
+//!   kernels for the Wilson hop and the clover block.
 
 pub mod clover;
 pub mod compress;
 pub mod gamma;
+#[cfg(target_arch = "x86_64")]
+pub mod kernels;
 pub mod matrix;
 pub mod spinor;
 pub mod vector;
