@@ -28,6 +28,23 @@ fn su3_algebra(c: &mut Criterion) {
     g.bench_function("mat_vec", |bch| bch.iter(|| black_box(a.mul_vec(black_box(&v)))));
     g.bench_function("adj_mat_vec", |bch| bch.iter(|| black_box(a.adj_mul_vec(black_box(&v)))));
     g.bench_function("reunitarize", |bch| bch.iter(|| black_box(a.reunitarize())));
+    // One asqtad colour hop on flat reals: `acc − U†·v` (SSE2).
+    #[cfg(target_arch = "x86_64")]
+    {
+        use lqcd_su3::kernels::ColorAcc;
+        let u = a.to_reals();
+        let v: [f64; 6] =
+            std::array::from_fn(|k| if k % 2 == 0 { v.c[k / 2].re } else { v.c[k / 2].im });
+        g.bench_function("color_hop_f64", |bch| {
+            bch.iter(|| {
+                let mut acc = ColorAcc::zero();
+                acc.hop(true, true, black_box(&v), black_box(&u));
+                let mut out = [0.0; 6];
+                acc.store(&mut out);
+                black_box(out)
+            })
+        });
+    }
     g.finish();
 }
 
@@ -141,6 +158,9 @@ fn staggered_dslash(c: &mut Criterion) {
     g.throughput(Throughput::Elements(sub.volume_cb() as u64));
     g.bench_function("asqtad_dslash_8x8x8x8", |bch| {
         bch.iter(|| op.dslash(&mut out, &mut src, &mut comm, BoundaryMode::Full).unwrap())
+    });
+    g.bench_function("asqtad_dslash_dirichlet_8x8x8x8", |bch| {
+        bch.iter(|| op.dslash(&mut out, &mut src, &mut comm, BoundaryMode::Dirichlet).unwrap())
     });
     g.finish();
 }

@@ -1,0 +1,67 @@
+//! Safe selection of an operator's SIMD site kernels, and flat site
+//! access for them.
+//!
+//! The operators are generic over `R: Real`, but each SSE2 kernel set
+//! serves one precision: f32 for Wilson-clover, f64 for asqtad. Every
+//! public entry point runs its body through [`with_kernels!`]: when the
+//! operator is the concrete type the fast kernels serve, an `Any`
+//! downcast re-binds the operator and the listed fields at that type and
+//! the body runs with `kernels::Sse2`; otherwise it runs with
+//! `kernels::Generic`. No signature changes and no `unsafe`.
+
+/// A reference re-bound at the concrete type it is known to have.
+#[cfg(target_arch = "x86_64")]
+pub(crate) trait Retype<T> {
+    /// Panics if the referent is not a `T`.
+    fn retype(self) -> T;
+}
+
+#[cfg(target_arch = "x86_64")]
+const SAME_PRECISION: &str = "an operator applies to fields of its own precision";
+
+#[cfg(target_arch = "x86_64")]
+impl<'a, X: std::any::Any, T: std::any::Any> Retype<&'a mut T> for &'a mut X {
+    fn retype(self) -> &'a mut T {
+        (self as &mut dyn std::any::Any).downcast_mut().expect(SAME_PRECISION)
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl<'a, X: std::any::Any, T: std::any::Any> Retype<&'a T> for &'a X {
+    fn retype(self) -> &'a T {
+        (self as &dyn std::any::Any).downcast_ref().expect(SAME_PRECISION)
+    }
+}
+
+/// Run `$body` with `$op` the operator and `$k` its site kernels. On
+/// x86_64 an operator of type `$fast` takes `kernels::Sse2`, with the
+/// fields listed in `[..]` re-bound at their concrete types (the body
+/// `return`s from the enclosing method); everything else takes
+/// `kernels::Generic`. Both paths name the `kernels` module in scope at
+/// the call site.
+macro_rules! with_kernels {
+    ($self:ident as $fast:ty, |$op:ident, $k:ident| [$($field:ident),*] $body:expr) => {{
+        #[cfg(target_arch = "x86_64")]
+        if let Some($op) = ($self as &dyn std::any::Any).downcast_ref::<$fast>() {
+            $(let $field = $crate::dispatch::Retype::retype($field);)*
+            let $k = kernels::Sse2;
+            return $body;
+        }
+        let ($op, $k) = ($self, kernels::Generic);
+        $body
+    }};
+}
+
+pub(crate) use with_kernels;
+
+/// Site `idx` of a flat field of `N` reals per site.
+#[inline(always)]
+pub(crate) fn site<R, const N: usize>(reals: &[R], idx: usize) -> &[R; N] {
+    reals[N * idx..].first_chunk().expect("site index inside the field")
+}
+
+/// Mutable site `idx` of a flat field of `N` reals per site.
+#[inline(always)]
+pub(crate) fn site_mut<R, const N: usize>(reals: &mut [R], idx: usize) -> &mut [R; N] {
+    reals[N * idx..].first_chunk_mut().expect("site index inside the field")
+}

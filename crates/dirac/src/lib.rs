@@ -19,6 +19,7 @@
 //! and on many (ghosts filled by [`lqcd_comms`]); the integration tests
 //! pin distributed-equals-serial for every partitioning scheme.
 
+mod dispatch;
 pub mod exchange;
 pub mod overlap;
 pub mod reference;

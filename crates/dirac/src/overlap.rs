@@ -1,16 +1,22 @@
-//! Overlap pipeline state: per-operator exchange buffers, interior
-//! worker configuration, and per-apply timing counters.
+//! The dslash pipeline: its stages, per-operator exchange buffers,
+//! interior worker configuration, and per-apply timing counters.
 //!
-//! The stages (paper Fig. 4) are orchestrated by the operators'
-//! `dslash`; this module holds what persists between applies. Everything
-//! lives behind one `Mutex` per operator so `dslash` can stay `&self`
-//! (operators are shared across solver layers) while buffers and
+//! Both operators run their stencil through the same two drivers,
+//! `dslash` (the overlapped pipeline of the paper's Fig. 4) and
+//! `dslash_sequential` (its blocking baseline); an operator supplies
+//! only its site kernels, as a `Stencil`. What persists between
+//! applies lives behind one `Mutex` per operator so `dslash` can stay
+//! `&self` (operators are shared across solver layers) while buffers and
 //! counters mutate.
 
-use crate::exchange::ExchangeBuffers;
-use lqcd_field::{LatticeField, SiteObject};
-use lqcd_lattice::{FaceGeometry, SubLattice, NDIM};
-use lqcd_util::{Error, Real, Result};
+use crate::exchange::{
+    complete_ghost_dim, exchange_ghosts_with, post_ghost_sends, ExchangeBuffers,
+};
+use crate::BoundaryMode;
+use lqcd_comms::Communicator;
+use lqcd_field::{BodyView, LatticeField, SiteObject};
+use lqcd_lattice::{FaceGeometry, Parity, SubLattice, NDIM};
+use lqcd_util::{trace, Error, Real, Result};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -287,6 +293,165 @@ pub fn check_field_geometry<R: Real, S: SiteObject<R>>(
                  operator's face geometry needs {want} (stencil depth mismatch?)",
                 layout.ghost_sites[mu]
             )));
+        }
+    }
+    Ok(())
+}
+
+/// An operator bound to its site kernels: everything the shared dslash
+/// drivers need from it.
+pub(crate) trait Stencil<R: Real>: Sync {
+    /// The per-site object of the fields the stencil acts on.
+    type Site: SiteObject<R>;
+
+    /// The operator's subvolume.
+    fn sub(&self) -> &SubLattice;
+
+    /// The operator's face geometry.
+    fn faces(&self) -> &FaceGeometry;
+
+    /// The operator's pipeline state.
+    fn state(&self) -> &Mutex<OverlapPipeline<R>>;
+
+    /// Interior hops of sites `lo_site ..` written to `out_chunk`; each
+    /// site is computed independently, so chunking never changes bits.
+    fn interior(
+        &self,
+        out_chunk: &mut [R],
+        lo_site: usize,
+        src: BodyView<'_, R, Self::Site>,
+        out_parity: Parity,
+        src_parity: Parity,
+    );
+
+    /// Ghost hops across dimension `mu`, added to the face sites of `out`.
+    fn exterior(
+        &self,
+        out: &mut LatticeField<R, Self::Site>,
+        src: &LatticeField<R, Self::Site>,
+        mu: usize,
+    );
+}
+
+/// The stencil `out = D src`, pipelined as in the paper's Fig. 4: face
+/// gathers are packed and posted as nonblocking exchanges, the interior
+/// kernel runs while they are in flight (optionally on worker threads —
+/// see [`OverlapHost::set_interior_policy`]), each dimension's ghosts
+/// are completed as they land (in the policy's completion order), and
+/// the exterior kernels run last. Output is bit-identical to
+/// [`dslash_sequential`] for every policy.
+///
+/// When tracing, the apply records an `interior` span, an
+/// `exchange_inflight` span (`Full` mode) and one `exterior` span per
+/// partitioned dimension.
+pub(crate) fn dslash<R: Real, St: Stencil<R>, C: Communicator>(
+    st: &St,
+    out: &mut LatticeField<R, St::Site>,
+    src: &mut LatticeField<R, St::Site>,
+    comm: &mut C,
+    mode: BoundaryMode,
+) -> Result<()> {
+    let (sub, faces) = (st.sub(), st.faces());
+    check_dslash_pair(out, src, sub, faces)?;
+    let traced = trace::is_enabled();
+    let apply_t = Instant::now();
+    let mut guard = st.state().lock().unwrap();
+    let OverlapPipeline { bufs, counters, policy } = &mut *guard;
+    let exchange = mode == BoundaryMode::Full;
+
+    // Stage 1: gather faces, pack to wire precision, post sends.
+    let gather_t = Instant::now();
+    let mut pending =
+        if exchange { post_ghost_sends(src, faces, comm, bufs)? } else { Default::default() };
+    let gather_ns = gather_t.elapsed().as_nanos() as u64;
+
+    // Stage 2: interior kernel concurrent with ghost completion. The
+    // block scopes the split borrow of `src` (body view + ghost zones)
+    // so the exterior kernels can reborrow it whole below.
+    let out_parity = out.parity();
+    let src_parity = src.parity();
+    let post_end_ns = if traced { trace::now_ns() } else { 0 };
+    let mut comm_done_ns = post_end_ns;
+    let (interior_ns, wall_ns) = {
+        let (src_view, mut zones) = src.body_and_ghosts_mut();
+        let kernel = |chunk: &mut [R], lo_site: usize| {
+            st.interior(chunk, lo_site, src_view, out_parity, src_parity);
+        };
+        run_overlapped(policy.threads, out.body_mut(), St::Site::REALS, &kernel, || {
+            if exchange {
+                for &mu in &policy.ghost_order {
+                    if sub.partitioned[mu] {
+                        complete_ghost_dim(&mut pending, mu, &mut zones, comm, bufs)?;
+                    }
+                }
+                if traced {
+                    comm_done_ns = trace::now_ns();
+                }
+            }
+            Ok(())
+        })?
+    };
+    if traced {
+        // The interior kernel ran on worker threads between the post and
+        // now; reconstruct its span retroactively so the trace shows it
+        // overlapping the in-flight exchange.
+        trace::span_at(
+            trace::Track::Interior,
+            "interior",
+            post_end_ns,
+            post_end_ns + interior_ns,
+            policy.threads as i64,
+        );
+        if exchange {
+            trace::span_at(trace::Track::Comm, "exchange_inflight", post_end_ns, comm_done_ns, 0);
+        }
+    }
+
+    // Stage 3: exterior kernels, fixed ascending-µ order (corner sites
+    // accumulate across dimensions — §6.2).
+    let ext_t = Instant::now();
+    if exchange {
+        for mu in 0..NDIM {
+            if sub.partitioned[mu] {
+                let _sp = trace::span_arg(trace::Track::Exterior, "exterior", mu as i64);
+                st.exterior(out, src, mu);
+            }
+        }
+    }
+    counters.applies += 1;
+    counters.gather_ns += gather_ns;
+    counters.interior_ns += interior_ns;
+    counters.exterior_ns += ext_t.elapsed().as_nanos() as u64;
+    counters.exposed_comm_ns += wall_ns.saturating_sub(interior_ns);
+    counters.total_ns += apply_t.elapsed().as_nanos() as u64;
+    Ok(())
+}
+
+/// The same stencil with blocking communication: exchange every ghost
+/// zone up front, then the interior (boundary sites are *partially*
+/// updated, with all their interior hops, as §6.2 describes), then the
+/// exteriors. The baseline [`dslash`] is measured and bit-compared
+/// against.
+pub(crate) fn dslash_sequential<R: Real, St: Stencil<R>, C: Communicator>(
+    st: &St,
+    out: &mut LatticeField<R, St::Site>,
+    src: &mut LatticeField<R, St::Site>,
+    comm: &mut C,
+    mode: BoundaryMode,
+) -> Result<()> {
+    let (sub, faces) = (st.sub(), st.faces());
+    check_dslash_pair(out, src, sub, faces)?;
+    if mode == BoundaryMode::Full {
+        let bufs = &mut st.state().lock().unwrap().bufs;
+        exchange_ghosts_with(src, faces, comm, bufs)?;
+    }
+    let (out_parity, src_parity) = (out.parity(), src.parity());
+    st.interior(out.body_mut(), 0, src.body_view(), out_parity, src_parity);
+    if mode == BoundaryMode::Full {
+        for mu in 0..NDIM {
+            if sub.partitioned[mu] {
+                st.exterior(out, src, mu);
+            }
         }
     }
     Ok(())

@@ -15,18 +15,27 @@
 //! ([`STAGGERED_DEPTH`]), which is what makes single-dimension partitioning
 //! scale so poorly for asqtad (§5, end) and multi-dimensional partitioning
 //! essential.
+//!
+//! The sixteen hops and the phases of every site come from a depth-3
+//! [`NeighborTable`] built once per operator. The per-site work runs
+//! through `kernels::SiteKernels`: on x86_64 an f64 operator takes
+//! bit-identical SSE2 colour hops (chosen by a safe `Any` downcast, so
+//! every signature stays generic over `R: Real`); everything else takes
+//! the generic per-site code.
 
-use crate::exchange::{complete_ghost_dim, exchange_ghosts_with, post_ghost_sends};
-use crate::overlap::{check_dslash_pair, run_overlapped, OverlapHost, OverlapPipeline};
+mod kernels;
+
+use crate::dispatch::with_kernels;
+use crate::overlap::{self, OverlapHost, OverlapPipeline, Stencil};
 use crate::BoundaryMode;
+use kernels::SiteKernels;
 use lqcd_comms::Communicator;
-use lqcd_field::{blas, BodyView, LatticeField, SiteObject};
+use lqcd_field::{blas, BodyView, LatticeField};
 use lqcd_gauge::GaugeField;
-use lqcd_lattice::{FaceGeometry, Neighbor, Parity, SubLattice, NDIM};
+use lqcd_lattice::{FaceGeometry, NeighborTable, Parity, SubLattice};
 use lqcd_su3::ColorVector;
 use lqcd_util::{Error, Real, Result};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Ghost-zone depth of the asqtad stencil (the 3-hop Naik term).
 pub const STAGGERED_DEPTH: usize = 3;
@@ -44,6 +53,8 @@ pub struct StaggeredOp<R: Real> {
     pub mass: f64,
     sub: Arc<SubLattice>,
     faces: FaceGeometry,
+    /// The sixteen hops and the staggered phases of every site.
+    nbrs: Arc<NeighborTable>,
     /// Exchange buffers, apply counters, scheduling policy.
     overlap: Mutex<OverlapPipeline<R>>,
 }
@@ -57,6 +68,7 @@ impl<R: Real> Clone for StaggeredOp<R> {
             mass: self.mass,
             sub: self.sub.clone(),
             faces: self.faces.clone(),
+            nbrs: self.nbrs.clone(),
             overlap: Mutex::new(OverlapPipeline::with_policy(policy)),
         }
     }
@@ -81,7 +93,16 @@ impl<R: Real> StaggeredOp<R> {
             ));
         }
         let faces = FaceGeometry::new(&sub, STAGGERED_DEPTH)?;
-        Ok(Self { fat, long, mass, sub, faces, overlap: Mutex::new(OverlapPipeline::default()) })
+        let nbrs = Arc::new(NeighborTable::new(&sub, STAGGERED_DEPTH)?);
+        Ok(Self {
+            fat,
+            long,
+            mass,
+            sub,
+            faces,
+            nbrs,
+            overlap: Mutex::new(OverlapPipeline::default()),
+        })
     }
 
     /// The subvolume the operator acts on.
@@ -99,57 +120,6 @@ impl<R: Real> StaggeredOp<R> {
         LatticeField::zeros(self.sub.clone(), &self.faces, parity, 0)
     }
 
-    /// Staggered phase `η_µ(x)` at *global* coordinates.
-    #[inline(always)]
-    fn eta(&self, c: [usize; NDIM], mu: usize) -> R {
-        let mut s = 0usize;
-        for d in 0..mu {
-            s += c[d] + self.sub.origin[d];
-        }
-        if s.is_multiple_of(2) {
-            R::ONE
-        } else {
-            -R::ONE
-        }
-    }
-
-    /// One signed boundary hop of dimension `dim`: crosses the rank cut
-    /// into a ghost zone, or returns `None` (interior hops belong to
-    /// [`StaggeredOp::hop_interior`]).
-    #[inline(always)]
-    fn hop_ghost(
-        &self,
-        links: &GaugeField<R>,
-        src: &StaggeredField<R>,
-        c: [usize; NDIM],
-        idx: usize,
-        mu: usize,
-        step: isize,
-        dim: usize,
-    ) -> Option<ColorVector<R>> {
-        let out_parity = src.parity().other();
-        let hop = self.sub.neighbor(c, mu, step, STAGGERED_DEPTH);
-        match hop {
-            g @ Neighbor::Ghost { mu: gmu, forward, offset } if gmu == dim => {
-                let v = src.ghost(gmu, forward, offset);
-                Some(if step > 0 {
-                    links.link(mu, out_parity, idx).mul_vec(&v)
-                } else {
-                    links.link_resolved(mu, src.parity(), g).adj_mul_vec(&v).scale(-R::ONE)
-                })
-            }
-            _ => None,
-        }
-    }
-
-    /// Geometry validation for a dslash apply (see
-    /// [`overlap::check_dslash_pair`]).
-    ///
-    /// [`overlap::check_dslash_pair`]: crate::overlap::check_dslash_pair
-    fn check_geometry(&self, out: &StaggeredField<R>, src: &StaggeredField<R>) -> Result<()> {
-        check_dslash_pair(out, src, &self.sub, &self.faces)
-    }
-
     /// The raw anti-Hermitian stencil `out = D src`, pipelined as in the
     /// paper's Fig. 4: face gathers are packed and posted as nonblocking
     /// exchanges, the interior kernel runs while they are in flight
@@ -164,62 +134,20 @@ impl<R: Real> StaggeredOp<R> {
         comm: &mut C,
         mode: BoundaryMode,
     ) -> Result<()> {
-        self.check_geometry(out, src)?;
-        let apply_t = Instant::now();
-        let mut guard = self.overlap.lock().unwrap();
-        let OverlapPipeline { bufs, counters, policy } = &mut *guard;
-        let exchange = mode == BoundaryMode::Full;
+        with_kernels!(self as StaggeredOp<f64>, |op, k| [out, src] op
+            .dslash_with(k, out, src, comm, mode))
+    }
 
-        let gather_t = Instant::now();
-        let mut pending = if exchange {
-            post_ghost_sends(src, &self.faces, comm, bufs)?
-        } else {
-            Default::default()
-        };
-        let gather_ns = gather_t.elapsed().as_nanos() as u64;
-
-        // The block scopes the split borrow of `src` (body view + ghost
-        // zones) so the exterior kernels can reborrow it whole below.
-        let out_parity = out.parity();
-        let src_parity = src.parity();
-        let (interior_ns, wall_ns) = {
-            let (src_view, mut zones) = src.body_and_ghosts_mut();
-            let kernel = |chunk: &mut [R], lo_site: usize| {
-                self.interior_range(chunk, lo_site, src_view, out_parity, src_parity);
-            };
-            run_overlapped(
-                policy.threads,
-                out.body_mut(),
-                <ColorVector<R> as SiteObject<R>>::REALS,
-                &kernel,
-                || {
-                    if exchange {
-                        for &mu in &policy.ghost_order {
-                            if self.sub.partitioned[mu] {
-                                complete_ghost_dim(&mut pending, mu, &mut zones, comm, bufs)?;
-                            }
-                        }
-                    }
-                    Ok(())
-                },
-            )?
-        };
-
-        let ext_t = Instant::now();
-        if exchange {
-            for mu in 0..NDIM {
-                if self.sub.partitioned[mu] {
-                    self.dslash_exterior(out, src, mu);
-                }
-            }
-        }
-        counters.applies += 1;
-        counters.gather_ns += gather_ns;
-        counters.interior_ns += interior_ns;
-        counters.exterior_ns += ext_t.elapsed().as_nanos() as u64;
-        counters.exposed_comm_ns += wall_ns.saturating_sub(interior_ns);
-        counters.total_ns += apply_t.elapsed().as_nanos() as u64;
-        Ok(())
+    /// [`StaggeredOp::dslash`] with the given site kernels.
+    fn dslash_with<K: SiteKernels<R>, C: Communicator>(
+        &self,
+        k: K,
+        out: &mut StaggeredField<R>,
+        src: &mut StaggeredField<R>,
+        comm: &mut C,
+        mode: BoundaryMode,
+    ) -> Result<()> {
+        overlap::dslash(&Bound(self, k), out, src, comm, mode)
     }
 
     /// The same stencil with blocking communication: exchange every
@@ -233,128 +161,13 @@ impl<R: Real> StaggeredOp<R> {
         comm: &mut C,
         mode: BoundaryMode,
     ) -> Result<()> {
-        self.check_geometry(out, src)?;
-        if mode == BoundaryMode::Full {
-            let bufs = &mut self.overlap.lock().unwrap().bufs;
-            exchange_ghosts_with(src, &self.faces, comm, bufs)?;
-        }
-        self.dslash_interior(out, src);
-        if mode == BoundaryMode::Full {
-            for mu in 0..NDIM {
-                if self.sub.partitioned[mu] {
-                    self.dslash_exterior(out, src, mu);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// One signed interior hop against a body-only view (ghost hops
-    /// return `None`; the exterior kernels pick them up).
-    #[inline(always)]
-    fn hop_interior(
-        &self,
-        links: &GaugeField<R>,
-        src: BodyView<'_, R, ColorVector<R>>,
-        c: [usize; NDIM],
-        idx: usize,
-        mu: usize,
-        step: isize,
-        out_parity: Parity,
-        src_parity: Parity,
-    ) -> Option<ColorVector<R>> {
-        if let Neighbor::Interior { idx: nidx } = self.sub.neighbor(c, mu, step, STAGGERED_DEPTH) {
-            let v = src.site(nidx);
-            Some(if step > 0 {
-                links.link(mu, out_parity, idx).mul_vec(&v)
-            } else {
-                // Link at the displaced site x + step·µ̂ (parity: step
-                // is odd, so the source parity).
-                links.link(mu, src_parity, nidx).adj_mul_vec(&v).scale(-R::ONE)
-            })
-        } else {
-            None
-        }
-    }
-
-    /// Interior kernel (all non-ghost hops).
-    fn dslash_interior(&self, out: &mut StaggeredField<R>, src: &StaggeredField<R>) {
-        let out_parity = out.parity();
-        let src_parity = src.parity();
-        let view = src.body_view();
-        self.interior_range(out.body_mut(), 0, view, out_parity, src_parity);
-    }
-
-    /// Interior kernel over a contiguous site range: `out_chunk` holds
-    /// the flat reals of sites `lo_site ..`, each computed independently
-    /// (this is what makes chunked parallel execution bit-identical to
-    /// the single pass).
-    fn interior_range(
-        &self,
-        out_chunk: &mut [R],
-        lo_site: usize,
-        src: BodyView<'_, R, ColorVector<R>>,
-        out_parity: Parity,
-        src_parity: Parity,
-    ) {
-        let reals = <ColorVector<R> as SiteObject<R>>::REALS;
-        for (k, slot) in out_chunk.chunks_exact_mut(reals).enumerate() {
-            let idx = lo_site + k;
-            let c = self.sub.cb_coords(out_parity, idx);
-            let mut acc = ColorVector::zero();
-            for mu in 0..NDIM {
-                let eta = self.eta(c, mu);
-                for (links, dist) in [(&self.fat, 1isize), (&self.long, 3)] {
-                    for step in [dist, -dist] {
-                        if let Some(v) =
-                            self.hop_interior(links, src, c, idx, mu, step, out_parity, src_parity)
-                        {
-                            acc = acc.add(&v.scale(eta));
-                        }
-                    }
-                }
-            }
-            acc.write(slot);
-        }
-    }
-
-    /// Exterior kernel for dimension `mu`: boundary (ghost) hops only.
-    /// The depth-3 face tables cover every site whose 1- or 3-hop
-    /// neighbour crosses the cut.
-    fn dslash_exterior(&self, out: &mut StaggeredField<R>, src: &StaggeredField<R>, mu: usize) {
-        let out_parity = out.parity();
-        let mut update = |cb: u32| {
-            let idx = cb as usize;
-            let c = self.sub.cb_coords(out_parity, idx);
-            let eta = self.eta(c, mu);
-            let mut acc = out.site(idx);
-            let mut touched = false;
-            for (links, dist) in [(&self.fat, 1isize), (&self.long, 3)] {
-                for step in [dist, -dist] {
-                    if let Some(v) = self.hop_ghost(links, src, c, idx, mu, step, mu) {
-                        acc = acc.add(&v.scale(eta));
-                        touched = true;
-                    }
-                }
-            }
-            if touched {
-                out.set_site(idx, acc);
-            }
-        };
-        for &cb in self.faces.low_face(mu, out_parity) {
-            update(cb);
-        }
-        // On thin ranks (L < 2·depth) the low and high face tables
-        // overlap; one `update` already handles every ghost hop of a
-        // site, so skip sites the low-face pass visited.
-        let depth = self.faces.depth;
-        for &cb in self.faces.high_face(mu, out_parity) {
-            let c = self.sub.cb_coords(out_parity, cb as usize);
-            if c[mu] < depth {
-                continue;
-            }
-            update(cb);
-        }
+        with_kernels!(self as StaggeredOp<f64>, |op, k| [out, src] overlap::dslash_sequential(
+            &Bound(op, k),
+            out,
+            src,
+            comm,
+            mode
+        ))
     }
 
     /// Full operator: `out = M src = m·src − (1/2) D src` (two parities).
@@ -368,14 +181,29 @@ impl<R: Real> StaggeredOp<R> {
         comm: &mut C,
         mode: BoundaryMode,
     ) -> Result<()> {
-        self.dslash(out_e, src_o, comm, mode)?;
-        self.dslash(out_o, src_e, comm, mode)?;
+        with_kernels!(self as StaggeredOp<f64>, |op, k| [out_e, out_o, src_e, src_o] op
+            .apply_full_with(k, out_e, out_o, src_e, src_o, comm, mode))
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn apply_full_with<K: SiteKernels<R>, C: Communicator>(
+        &self,
+        k: K,
+        out_e: &mut StaggeredField<R>,
+        out_o: &mut StaggeredField<R>,
+        src_e: &mut StaggeredField<R>,
+        src_o: &mut StaggeredField<R>,
+        comm: &mut C,
+        mode: BoundaryMode,
+    ) -> Result<()> {
+        self.dslash_with(k, out_e, src_o, comm, mode)?;
+        self.dslash_with(k, out_o, src_e, comm, mode)?;
+        // One in-place pass per parity, `out = m·src + (−1/2)·out`: the
+        // products and the (commutative) sum of `scale` then `axpy`.
         let m = R::from_f64(self.mass);
         let half = -R::from_f64(0.5);
-        blas::scale(out_e, half);
-        blas::axpy(m, src_e, out_e);
-        blas::scale(out_o, half);
-        blas::axpy(m, src_o, out_o);
+        blas::axpby(m, src_e, half, out_e);
+        blas::axpby(m, src_o, half, out_o);
         Ok(())
     }
 
@@ -391,14 +219,65 @@ impl<R: Real> StaggeredOp<R> {
         comm: &mut C,
         mode: BoundaryMode,
     ) -> Result<()> {
-        self.dslash(scratch, src, comm, mode)?;
-        self.dslash(out, scratch, comm, mode)?;
+        with_kernels!(self as StaggeredOp<f64>, |op, k| [out, src, scratch] op
+            .apply_normal_with(k, out, src, scratch, comm, mode))
+    }
+
+    fn apply_normal_with<K: SiteKernels<R>, C: Communicator>(
+        &self,
+        k: K,
+        out: &mut StaggeredField<R>,
+        src: &mut StaggeredField<R>,
+        scratch: &mut StaggeredField<R>,
+        comm: &mut C,
+        mode: BoundaryMode,
+    ) -> Result<()> {
+        self.dslash_with(k, scratch, src, comm, mode)?;
+        self.dslash_with(k, out, scratch, comm, mode)?;
+        // One in-place pass, `out = m²·src + (−1/4)·out` (see apply_full).
         let m2 = R::from_f64(self.mass * self.mass);
-        blas::scale(out, -R::from_f64(0.25));
-        blas::axpy(m2, src, out);
+        blas::axpby(m2, src, -R::from_f64(0.25), out);
         Ok(())
     }
 }
+
+/// The operator bound to site kernels `K`, as the dslash drivers see it.
+struct Bound<'a, R: Real, K>(&'a StaggeredOp<R>, K);
+
+impl<R: Real, K: SiteKernels<R>> Stencil<R> for Bound<'_, R, K> {
+    type Site = ColorVector<R>;
+
+    fn sub(&self) -> &SubLattice {
+        &self.0.sub
+    }
+
+    fn faces(&self) -> &FaceGeometry {
+        &self.0.faces
+    }
+
+    fn state(&self) -> &Mutex<OverlapPipeline<R>> {
+        &self.0.overlap
+    }
+
+    fn interior(
+        &self,
+        out_chunk: &mut [R],
+        lo_site: usize,
+        src: BodyView<'_, R, ColorVector<R>>,
+        out_parity: Parity,
+        src_parity: Parity,
+    ) {
+        self.1.interior(self.0, out_chunk, lo_site, src, out_parity, src_parity);
+    }
+
+    fn exterior(&self, out: &mut StaggeredField<R>, src: &StaggeredField<R>, mu: usize) {
+        self.1.exterior(self.0, out, src, mu);
+    }
+}
+
+// After the operator: `with_kernels!` resolves `kernels` here.
+#[cfg(test)]
+mod kernel_equality;
 
 #[cfg(test)]
 mod tests {

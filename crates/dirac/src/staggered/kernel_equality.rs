@@ -1,0 +1,297 @@
+//! Operator-level bit identity of the table-driven asqtad kernels.
+//!
+//! The oracle is the per-site code the tables replaced: it decodes each
+//! site's coordinates, resolves every hop through
+//! [`SubLattice::neighbor`], forms `η_µ` from global coordinates, and
+//! ends `apply_full`/`apply_normal` with separate `blas::scale` and
+//! `blas::axpy` passes. Every entry point — `dslash` (Full and
+//! Dirichlet), `dslash_sequential`, `apply_normal` and `apply_full` —
+//! must match it bit for bit in f32 and f64, on one rank, on two ranks
+//! split along T (`L_t = 4`, so the depth-3 face lists overlap), and on a
+//! 1×2×1×2 grid, with one and two interior threads.
+
+use super::kernels::SiteKernels;
+use super::*;
+use lqcd_comms::{run_on_grid, SingleComm};
+use lqcd_field::SiteObject;
+use lqcd_gauge::field::GaugeStart;
+use lqcd_lattice::{Dims, Neighbor, ProcessGrid, NDIM};
+use lqcd_util::rng::SeedTree;
+
+const GLOBAL: Dims = Dims([4, 8, 4, 8]);
+
+fn type_name_of<K>(_: K) -> &'static str {
+    std::any::type_name::<K>()
+}
+
+impl<R: Real> StaggeredOp<R> {
+    /// The site kernels the dispatching entry points pick.
+    fn kernels_name(&self) -> &'static str {
+        with_kernels!(self as StaggeredOp<f64>, |_op, k| [] type_name_of(k))
+    }
+}
+
+/// The per-site interior and exterior code the tables replaced.
+#[derive(Clone, Copy)]
+struct Oracle;
+
+/// Staggered phase `η_µ(x)` at *global* coordinates.
+fn eta<R: Real>(sub: &SubLattice, c: [usize; NDIM], mu: usize) -> R {
+    let s: usize = (0..mu).map(|d| c[d] + sub.origin[d]).sum();
+    if s.is_multiple_of(2) {
+        R::ONE
+    } else {
+        -R::ONE
+    }
+}
+
+impl<R: Real> SiteKernels<R> for Oracle {
+    fn interior(
+        self,
+        op: &StaggeredOp<R>,
+        out_chunk: &mut [R],
+        lo_site: usize,
+        src: BodyView<'_, R, ColorVector<R>>,
+        out_parity: Parity,
+        src_parity: Parity,
+    ) {
+        for (k, slot) in out_chunk.chunks_exact_mut(6).enumerate() {
+            let idx = lo_site + k;
+            let c = op.sub.cb_coords(out_parity, idx);
+            let mut acc = ColorVector::zero();
+            for mu in 0..NDIM {
+                let eta = eta::<R>(&op.sub, c, mu);
+                for (links, dist) in [(&op.fat, 1isize), (&op.long, 3)] {
+                    for step in [dist, -dist] {
+                        let hop = op.sub.neighbor(c, mu, step, STAGGERED_DEPTH);
+                        let Neighbor::Interior { idx: nidx } = hop else { continue };
+                        let v = src.site(nidx);
+                        let v = if step > 0 {
+                            links.link(mu, out_parity, idx).mul_vec(&v)
+                        } else {
+                            links.link(mu, src_parity, nidx).adj_mul_vec(&v).scale(-R::ONE)
+                        };
+                        acc = acc.add(&v.scale(eta));
+                    }
+                }
+            }
+            acc.write(slot);
+        }
+    }
+
+    fn exterior(
+        self,
+        op: &StaggeredOp<R>,
+        out: &mut StaggeredField<R>,
+        src: &StaggeredField<R>,
+        mu: usize,
+    ) {
+        let out_parity = out.parity();
+        let mut update = |cb: u32| {
+            let idx = cb as usize;
+            let c = op.sub.cb_coords(out_parity, idx);
+            let eta = eta::<R>(&op.sub, c, mu);
+            let mut acc = out.site(idx);
+            let mut touched = false;
+            for (links, dist) in [(&op.fat, 1isize), (&op.long, 3)] {
+                for step in [dist, -dist] {
+                    let hop = op.sub.neighbor(c, mu, step, STAGGERED_DEPTH);
+                    let g @ Neighbor::Ghost { forward, offset, .. } = hop else { continue };
+                    let v = src.ghost(mu, forward, offset);
+                    let v = if step > 0 {
+                        links.link(mu, out_parity, idx).mul_vec(&v)
+                    } else {
+                        links.link_resolved(mu, src.parity(), g).adj_mul_vec(&v).scale(-R::ONE)
+                    };
+                    acc = acc.add(&v.scale(eta));
+                    touched = true;
+                }
+            }
+            if touched {
+                out.set_site(idx, acc);
+            }
+        };
+        for &cb in op.faces.low_face(mu, out_parity) {
+            update(cb);
+        }
+        // Thin ranks: skip high-face sites the low-face pass visited.
+        for &cb in op.faces.high_face(mu, out_parity) {
+            if op.sub.cb_coords(out_parity, cb as usize)[mu] >= op.faces.depth {
+                update(cb);
+            }
+        }
+    }
+}
+
+/// One rank's f64 operator on random (non-physical) fat and long links
+/// with exchanged ghosts; random links suffice for bit identity.
+fn build_op<C: Communicator>(comm: &mut C, grid: &ProcessGrid) -> StaggeredOp<f64> {
+    let sub = Arc::new(SubLattice::for_rank(grid, comm.rank()));
+    let faces = FaceGeometry::new(&sub, STAGGERED_DEPTH).unwrap();
+    let seed = SeedTree::new(2027);
+    let mut links = [("fat", 0.25), ("long", 0.15)].map(|(name, spread)| {
+        let start = GaugeStart::Disordered(spread);
+        GaugeField::<f64>::generate(sub.clone(), &faces, GLOBAL, &seed.child(name), start)
+    });
+    for l in &mut links {
+        l.exchange_ghosts(comm, &faces).unwrap();
+    }
+    let [fat, long] = links;
+    StaggeredOp::new(fat, long, 0.1).unwrap()
+}
+
+fn bits<R: Real>(f: &StaggeredField<R>) -> Vec<u64> {
+    assert!(f.body().iter().any(|&x| x != R::ZERO), "an all-zero output proves nothing");
+    f.body().iter().map(|x| x.to_f64().to_bits()).collect()
+}
+
+/// Run every entry point against the oracle; returns the names of those
+/// whose outputs differ in any bit.
+fn mismatches<R: Real, C: Communicator>(op: &StaggeredOp<R>, comm: &mut C) -> Vec<String> {
+    let mut rng = SeedTree::new(9).child("src").stream(comm.rank() as u64);
+    let mut random = |p: Parity| {
+        let mut f = op.alloc(p);
+        f.fill(|_| ColorVector::<f64>::random(&mut rng).cast());
+        f
+    };
+    let (mut se, mut so) = (random(Parity::Even), random(Parity::Odd));
+    let mut bad = Vec::new();
+    let mut check = |name: String, a: &StaggeredField<R>, b: &StaggeredField<R>| {
+        if bits(a) != bits(b) {
+            bad.push(name);
+        }
+    };
+    let even = || op.alloc(Parity::Even);
+    let odd = || op.alloc(Parity::Odd);
+    let oracle = Bound(op, Oracle);
+
+    for mode in [BoundaryMode::Full, BoundaryMode::Dirichlet] {
+        let mut want = even();
+        overlap::dslash_sequential(&oracle, &mut want, &mut so, comm, mode).unwrap();
+        let mut got = even();
+        op.dslash(&mut got, &mut so, comm, mode).unwrap();
+        check(format!("dslash {mode:?}"), &got, &want);
+        let mut got = even();
+        op.dslash_sequential(&mut got, &mut so, comm, mode).unwrap();
+        check(format!("dslash_sequential {mode:?}"), &got, &want);
+
+        // M†M: two oracle dslashes, then scale and axpy.
+        let (mut got, mut scratch) = (even(), odd());
+        op.apply_normal(&mut got, &mut se, &mut scratch, comm, mode).unwrap();
+        let mut want = even();
+        overlap::dslash_sequential(&oracle, &mut scratch, &mut se, comm, mode).unwrap();
+        overlap::dslash_sequential(&oracle, &mut want, &mut scratch, comm, mode).unwrap();
+        blas::scale(&mut want, -R::from_f64(0.25));
+        blas::axpy(R::from_f64(op.mass * op.mass), &se, &mut want);
+        check(format!("apply_normal {mode:?}"), &got, &want);
+    }
+
+    let (mut ge, mut go) = (even(), odd());
+    op.apply_full(&mut ge, &mut go, &mut se, &mut so, comm, BoundaryMode::Full).unwrap();
+    for (got, out_parity) in [(&ge, Parity::Even), (&go, Parity::Odd)] {
+        let (src, hop_src) =
+            if out_parity == Parity::Even { (&se, &mut so) } else { (&so, &mut se) };
+        let mut want = op.alloc(out_parity);
+        overlap::dslash_sequential(&oracle, &mut want, hop_src, comm, BoundaryMode::Full).unwrap();
+        blas::scale(&mut want, -R::from_f64(0.5));
+        blas::axpy(R::from_f64(op.mass), src, &mut want);
+        check(format!("apply_full {out_parity:?}"), got, &want);
+    }
+    bad
+}
+
+/// The rank's operator in both precisions, at 1 and 2 interior threads.
+fn all_mismatches<C: Communicator>(comm: &mut C, grid: &ProcessGrid) -> Vec<String> {
+    let op64 = build_op(comm, grid);
+    let op32 =
+        StaggeredOp::new(op64.fat.cast::<f32>(), op64.long.cast::<f32>(), op64.mass).unwrap();
+    let mut bad = Vec::new();
+    for threads in [1, 2] {
+        op64.set_interior_threads(threads);
+        op32.set_interior_threads(threads);
+        let rank = comm.rank();
+        let tag = |name| format!("rank {rank}, {threads} threads: {name}");
+        bad.extend(mismatches(&op64, comm).into_iter().map(|n| tag(format!("f64 {n}"))));
+        bad.extend(mismatches(&op32, comm).into_iter().map(|n| tag(format!("f32 {n}"))));
+    }
+    bad
+}
+
+#[test]
+fn dispatch_picks_sse2_for_f64_only() {
+    let grid = ProcessGrid::new(Dims([1, 1, 1, 1]), GLOBAL).unwrap();
+    let mut comm = SingleComm::new(GLOBAL).unwrap();
+    let op = build_op(&mut comm, &grid);
+    let want = if cfg!(target_arch = "x86_64") { "Sse2" } else { "Generic" };
+    assert!(op.kernels_name().ends_with(want), "{}", op.kernels_name());
+    let op32 = StaggeredOp::new(op.fat.cast::<f32>(), op.long.cast::<f32>(), 0.1).unwrap();
+    assert!(op32.kernels_name().ends_with("Generic"), "{}", op32.kernels_name());
+}
+
+#[test]
+fn unpartitioned_entry_points_match_oracle_bitwise() {
+    let grid = ProcessGrid::new(Dims([1, 1, 1, 1]), GLOBAL).unwrap();
+    let mut comm = SingleComm::new(GLOBAL).unwrap();
+    let bad = all_mismatches(&mut comm, &grid);
+    assert!(bad.is_empty(), "{bad:?}");
+}
+
+#[test]
+fn partitioned_entry_points_match_oracle_bitwise() {
+    // Two ranks along T (L_t = 4 < 2·3: overlapping face lists), then a
+    // 1×2×1×2 grid (thin in Y and T, corner sites in both).
+    for shape in [Dims([1, 1, 1, 2]), Dims([1, 2, 1, 2])] {
+        let grid = ProcessGrid::new(shape, GLOBAL).unwrap();
+        let g = grid.clone();
+        let bad = run_on_grid(grid, move |mut comm| all_mismatches(&mut comm, &g));
+        assert!(bad.iter().all(Vec::is_empty), "{shape:?}: {bad:?}");
+    }
+}
+
+/// The in-place passes of `apply_normal` and `apply_full` against the
+/// scale-then-axpy composition they fold, through the dispatching
+/// dslash, bit for bit.
+fn fused_matches_composition<R: Real>(op: &StaggeredOp<R>) {
+    let mut comm = SingleComm::new(GLOBAL).unwrap();
+    let comm = &mut comm;
+    let mut rng = SeedTree::new(10).rng();
+    let mut random = |p: Parity| {
+        let mut f = op.alloc(p);
+        f.fill(|_| ColorVector::<f64>::random(&mut rng).cast());
+        f
+    };
+    let (mut se, mut so) = (random(Parity::Even), random(Parity::Odd));
+    let full = BoundaryMode::Full;
+
+    let (mut got, mut scratch) = (op.alloc(Parity::Even), op.alloc(Parity::Odd));
+    op.apply_normal(&mut got, &mut se, &mut scratch, comm, full).unwrap();
+    let mut want = op.alloc(Parity::Even);
+    op.dslash(&mut scratch, &mut se, comm, full).unwrap();
+    op.dslash(&mut want, &mut scratch, comm, full).unwrap();
+    blas::scale(&mut want, -R::from_f64(0.25));
+    blas::axpy(R::from_f64(op.mass * op.mass), &se, &mut want);
+    assert_eq!(bits(&got), bits(&want), "apply_normal");
+
+    let (mut ge, mut go) = (op.alloc(Parity::Even), op.alloc(Parity::Odd));
+    op.apply_full(&mut ge, &mut go, &mut se, &mut so, comm, full).unwrap();
+    for (got, out_parity) in [(&ge, Parity::Even), (&go, Parity::Odd)] {
+        let (src, hop_src) =
+            if out_parity == Parity::Even { (&se, &mut so) } else { (&so, &mut se) };
+        let mut want = op.alloc(out_parity);
+        op.dslash(&mut want, hop_src, comm, full).unwrap();
+        blas::scale(&mut want, -R::from_f64(0.5));
+        blas::axpy(R::from_f64(op.mass), src, &mut want);
+        assert_eq!(bits(got), bits(&want), "apply_full {out_parity:?}");
+    }
+}
+
+#[test]
+fn in_place_passes_match_the_unfused_composition() {
+    let grid = ProcessGrid::new(Dims([1, 1, 1, 1]), GLOBAL).unwrap();
+    let mut comm = SingleComm::new(GLOBAL).unwrap();
+    let op = build_op(&mut comm, &grid);
+    fused_matches_composition(&op);
+    fused_matches_composition(
+        &StaggeredOp::new(op.fat.cast::<f32>(), op.long.cast::<f32>(), op.mass).unwrap(),
+    );
+}

@@ -19,20 +19,17 @@
 
 mod kernels;
 
-use crate::exchange::{complete_ghost_dim, exchange_ghosts_with, post_ghost_sends};
-use crate::overlap::{check_dslash_pair, run_overlapped, OverlapHost, OverlapPipeline};
+use crate::dispatch::{site, site_mut, with_kernels};
+use crate::overlap::{self, OverlapHost, OverlapPipeline, Stencil};
 use crate::BoundaryMode;
-use kernels::{site, site_mut, SiteKernels};
+use kernels::SiteKernels;
 use lqcd_comms::Communicator;
-use lqcd_field::{LatticeField, SiteObject};
+use lqcd_field::{BodyView, LatticeField};
 use lqcd_gauge::GaugeField;
-use lqcd_lattice::{FaceGeometry, NeighborTable, Parity, SubLattice, NDIM};
+use lqcd_lattice::{FaceGeometry, NeighborTable, Parity, SubLattice};
 use lqcd_su3::{CloverSite, WilsonSpinor};
-use lqcd_util::{trace, Error, Real, Result};
-#[cfg(target_arch = "x86_64")]
-use std::any::Any;
+use lqcd_util::{Error, Real, Result};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Ghost-zone depth of the Wilson stencil (nearest neighbour).
 pub const WILSON_DEPTH: usize = 1;
@@ -42,50 +39,6 @@ pub type SpinorField<R> = LatticeField<R, WilsonSpinor<R>>;
 
 /// Reals of one Wilson spinor.
 const SPINOR: usize = 24;
-
-/// Run `$body` with `$op` the operator and `$k` its site kernels. On
-/// x86_64 an `f32` operator takes [`kernels::Sse2`], with the fields
-/// listed in `[..]` re-bound at their concrete `f32` type (the body
-/// `return`s from the enclosing method); everything else takes
-/// [`kernels::Generic`].
-macro_rules! with_kernels {
-    ($self:ident, |$op:ident, $k:ident| [$($field:ident),*] $body:expr) => {{
-        #[cfg(target_arch = "x86_64")]
-        if let Some($op) = ($self as &dyn Any).downcast_ref::<WilsonCloverOp<f32>>() {
-            $(let $field = IntoF32::into_f32($field);)*
-            let $k = kernels::Sse2;
-            return $body;
-        }
-        let ($op, $k) = ($self, kernels::Generic);
-        $body
-    }};
-}
-
-/// A spinor field of an operator whose `R` is `f32`, at that type.
-#[cfg(target_arch = "x86_64")]
-trait IntoF32 {
-    type F32;
-    fn into_f32(self) -> Self::F32;
-}
-
-#[cfg(target_arch = "x86_64")]
-const F32_FIELDS: &str = "an f32 operator applies to f32 fields";
-
-#[cfg(target_arch = "x86_64")]
-impl<'a, R: Real> IntoF32 for &'a mut SpinorField<R> {
-    type F32 = &'a mut SpinorField<f32>;
-    fn into_f32(self) -> Self::F32 {
-        (self as &mut dyn Any).downcast_mut().expect(F32_FIELDS)
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-impl<'a, R: Real> IntoF32 for &'a SpinorField<R> {
-    type F32 = &'a SpinorField<f32>;
-    fn into_f32(self) -> Self::F32 {
-        (self as &dyn Any).downcast_ref().expect(F32_FIELDS)
-    }
-}
 
 /// A site-diagonal pass over one parity, `T = 4 + m + A`.
 #[derive(Clone, Copy)]
@@ -158,7 +111,7 @@ impl<R: Real> WilsonCloverOp<R> {
                 "gauge field ghost depth too small for the Wilson stencil".into(),
             ));
         }
-        let nbrs = Arc::new(NeighborTable::new(&sub)?);
+        let nbrs = Arc::new(NeighborTable::new(&sub, WILSON_DEPTH)?);
         Ok(Self {
             gauge,
             clover,
@@ -213,14 +166,6 @@ impl<R: Real> WilsonCloverOp<R> {
         Ok(())
     }
 
-    /// Geometry validation for a dslash apply (see
-    /// [`overlap::check_dslash_pair`]).
-    ///
-    /// [`overlap::check_dslash_pair`]: crate::overlap::check_dslash_pair
-    fn check_geometry(&self, out: &SpinorField<R>, src: &SpinorField<R>) -> Result<()> {
-        check_dslash_pair(out, src, &self.sub, &self.faces)
-    }
-
     /// The doubled hopping stencil `out = D̂ src` (`D̂ = 2D`), pipelined
     /// as in the paper's Fig. 4: face gathers are packed and posted as
     /// nonblocking exchanges, the interior kernel runs while they are in
@@ -240,7 +185,8 @@ impl<R: Real> WilsonCloverOp<R> {
         comm: &mut C,
         mode: BoundaryMode,
     ) -> Result<()> {
-        with_kernels!(self, |op, k| [out, src] op.dslash_with(k, out, src, comm, mode))
+        with_kernels!(self as WilsonCloverOp<f32>, |op, k| [out, src] op
+            .dslash_with(k, out, src, comm, mode))
     }
 
     /// [`WilsonCloverOp::dslash`] with the given site kernels.
@@ -252,94 +198,7 @@ impl<R: Real> WilsonCloverOp<R> {
         comm: &mut C,
         mode: BoundaryMode,
     ) -> Result<()> {
-        self.check_geometry(out, src)?;
-        let traced = trace::is_enabled();
-        let apply_t = Instant::now();
-        let mut guard = self.overlap.lock().unwrap();
-        let OverlapPipeline { bufs, counters, policy } = &mut *guard;
-        let exchange = mode == BoundaryMode::Full;
-
-        // Stage 1: gather faces, pack to wire precision, post sends.
-        let gather_t = Instant::now();
-        let mut pending = if exchange {
-            post_ghost_sends(src, &self.faces, comm, bufs)?
-        } else {
-            Default::default()
-        };
-        let gather_ns = gather_t.elapsed().as_nanos() as u64;
-
-        // Stage 2: interior kernel concurrent with ghost completion.
-        // The block scopes the split borrow of `src` (body view + ghost
-        // zones) so the exterior kernels can reborrow it whole below.
-        let out_parity = out.parity();
-        let src_parity = src.parity();
-        let post_end_ns = if traced { trace::now_ns() } else { 0 };
-        let mut comm_done_ns = post_end_ns;
-        let (interior_ns, wall_ns) = {
-            let (src_view, mut zones) = src.body_and_ghosts_mut();
-            let kernel = |chunk: &mut [R], lo_site: usize| {
-                k.interior(self, chunk, lo_site, src_view, out_parity, src_parity);
-            };
-            run_overlapped(
-                policy.threads,
-                out.body_mut(),
-                <WilsonSpinor<R> as SiteObject<R>>::REALS,
-                &kernel,
-                || {
-                    if exchange {
-                        for &mu in &policy.ghost_order {
-                            if self.sub.partitioned[mu] {
-                                complete_ghost_dim(&mut pending, mu, &mut zones, comm, bufs)?;
-                            }
-                        }
-                        if traced {
-                            comm_done_ns = trace::now_ns();
-                        }
-                    }
-                    Ok(())
-                },
-            )?
-        };
-        if traced {
-            // The interior kernel ran on worker threads between the post
-            // and now; reconstruct its span retroactively so the trace
-            // shows it overlapping the in-flight exchange.
-            trace::span_at(
-                trace::Track::Interior,
-                "interior",
-                post_end_ns,
-                post_end_ns + interior_ns,
-                policy.threads as i64,
-            );
-            if exchange {
-                trace::span_at(
-                    trace::Track::Comm,
-                    "exchange_inflight",
-                    post_end_ns,
-                    comm_done_ns,
-                    0,
-                );
-            }
-        }
-
-        // Stage 3: exterior kernels, fixed ascending-µ order (corner
-        // sites accumulate across dimensions — §6.2).
-        let ext_t = Instant::now();
-        if exchange {
-            for mu in 0..NDIM {
-                if self.sub.partitioned[mu] {
-                    let _sp = trace::span_arg(trace::Track::Exterior, "exterior", mu as i64);
-                    k.exterior(self, out, src, mu);
-                }
-            }
-        }
-        counters.applies += 1;
-        counters.gather_ns += gather_ns;
-        counters.interior_ns += interior_ns;
-        counters.exterior_ns += ext_t.elapsed().as_nanos() as u64;
-        counters.exposed_comm_ns += wall_ns.saturating_sub(interior_ns);
-        counters.total_ns += apply_t.elapsed().as_nanos() as u64;
-        Ok(())
+        overlap::dslash(&Bound(self, k), out, src, comm, mode)
     }
 
     /// The same stencil with blocking communication: exchange every
@@ -353,40 +212,18 @@ impl<R: Real> WilsonCloverOp<R> {
         comm: &mut C,
         mode: BoundaryMode,
     ) -> Result<()> {
-        with_kernels!(self, |op, k| [out, src] op.dslash_sequential_with(k, out, src, comm, mode))
-    }
-
-    fn dslash_sequential_with<K: SiteKernels<R>, C: Communicator>(
-        &self,
-        k: K,
-        out: &mut SpinorField<R>,
-        src: &mut SpinorField<R>,
-        comm: &mut C,
-        mode: BoundaryMode,
-    ) -> Result<()> {
-        self.check_geometry(out, src)?;
-        if mode == BoundaryMode::Full {
-            let bufs = &mut self.overlap.lock().unwrap().bufs;
-            exchange_ghosts_with(src, &self.faces, comm, bufs)?;
-        }
-        // Interior: every contribution that resolves inside the body.
-        // Boundary sites are *partially* updated (all their interior
-        // hops), exactly as §6.2 describes.
-        let (out_parity, src_parity) = (out.parity(), src.parity());
-        k.interior(self, out.body_mut(), 0, src.body_view(), out_parity, src_parity);
-        if mode == BoundaryMode::Full {
-            for mu in 0..NDIM {
-                if self.sub.partitioned[mu] {
-                    k.exterior(self, out, src, mu);
-                }
-            }
-        }
-        Ok(())
+        with_kernels!(self as WilsonCloverOp<f32>, |op, k| [out, src] overlap::dslash_sequential(
+            &Bound(op, k),
+            out,
+            src,
+            comm,
+            mode
+        ))
     }
 
     /// Site-diagonal term: `out = (4 + m) src + A src`.
     pub fn t_apply(&self, out: &mut SpinorField<R>, src: &SpinorField<R>) {
-        with_kernels!(self, |op, k| [out, src] op
+        with_kernels!(self as WilsonCloverOp<f32>, |op, k| [out, src] op
             .diag_with(k, out, src, Diag::T)
             .expect("T apply: out and src differ in site count"))
     }
@@ -394,7 +231,8 @@ impl<R: Real> WilsonCloverOp<R> {
     /// Apply the precomputed `T⁻¹` (requires
     /// [`WilsonCloverOp::build_t_inverse`]).
     pub fn t_inv_apply(&self, out: &mut SpinorField<R>, src: &SpinorField<R>) -> Result<()> {
-        with_kernels!(self, |op, k| [out, src] op.diag_with(k, out, src, Diag::TInv))
+        with_kernels!(self as WilsonCloverOp<f32>, |op, k| [out, src] op
+            .diag_with(k, out, src, Diag::TInv))
     }
 
     /// The precomputed `T⁻¹` of parity `p`.
@@ -463,7 +301,7 @@ impl<R: Real> WilsonCloverOp<R> {
         comm: &mut C,
         mode: BoundaryMode,
     ) -> Result<()> {
-        with_kernels!(self, |op, k| [out_e, out_o, src_e, src_o] op
+        with_kernels!(self as WilsonCloverOp<f32>, |op, k| [out_e, out_o, src_e, src_o] op
             .apply_full_with(k, out_e, out_o, src_e, src_o, comm, mode))
     }
 
@@ -496,7 +334,7 @@ impl<R: Real> WilsonCloverOp<R> {
         comm: &mut C,
         mode: BoundaryMode,
     ) -> Result<()> {
-        with_kernels!(self, |op, k| [out, src, scratch_e, scratch_e2] op
+        with_kernels!(self as WilsonCloverOp<f32>, |op, k| [out, src, scratch_e, scratch_e2] op
             .apply_eo_prec_with(k, out, src, scratch_e, scratch_e2, comm, mode))
     }
 
@@ -529,7 +367,7 @@ impl<R: Real> WilsonCloverOp<R> {
         comm: &mut C,
         mode: BoundaryMode,
     ) -> Result<()> {
-        with_kernels!(self, |op, k| [x_e, b_e, x_o] op
+        with_kernels!(self as WilsonCloverOp<f32>, |op, k| [x_e, b_e, x_o] op
             .reconstruct_even_with(k, x_e, b_e, x_o, comm, mode))
     }
 
@@ -546,6 +384,40 @@ impl<R: Real> WilsonCloverOp<R> {
         self.t_inv_field(b_e.parity())?;
         self.dslash_with(k, x_e, x_o, comm, mode)?;
         self.diag_with(k, x_e, b_e, Diag::TInvOf(0.25))
+    }
+}
+
+/// The operator bound to site kernels `K`, as the dslash drivers see it.
+struct Bound<'a, R: Real, K>(&'a WilsonCloverOp<R>, K);
+
+impl<R: Real, K: SiteKernels<R>> Stencil<R> for Bound<'_, R, K> {
+    type Site = WilsonSpinor<R>;
+
+    fn sub(&self) -> &SubLattice {
+        &self.0.sub
+    }
+
+    fn faces(&self) -> &FaceGeometry {
+        &self.0.faces
+    }
+
+    fn state(&self) -> &Mutex<OverlapPipeline<R>> {
+        &self.0.overlap
+    }
+
+    fn interior(
+        &self,
+        out_chunk: &mut [R],
+        lo_site: usize,
+        src: BodyView<'_, R, WilsonSpinor<R>>,
+        out_parity: Parity,
+        src_parity: Parity,
+    ) {
+        self.1.interior(self.0, out_chunk, lo_site, src, out_parity, src_parity);
+    }
+
+    fn exterior(&self, out: &mut SpinorField<R>, src: &SpinorField<R>, mu: usize) {
+        self.1.exterior(self.0, out, src, mu);
     }
 }
 

@@ -21,7 +21,7 @@ fn type_name_of<K>(_: K) -> &'static str {
 impl<R: Real> WilsonCloverOp<R> {
     /// The site kernels the dispatching entry points pick.
     fn kernels_name(&self) -> &'static str {
-        with_kernels!(self, |_op, k| [] type_name_of(k))
+        with_kernels!(self as WilsonCloverOp<f32>, |_op, k| [] type_name_of(k))
     }
 }
 

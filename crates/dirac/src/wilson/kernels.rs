@@ -9,6 +9,7 @@
 //! exteriors walk the face lists, whose position `k` is the ghost slot.
 
 use super::{SpinorField, WilsonCloverOp, SPINOR};
+use crate::dispatch::{site, site_mut};
 use lqcd_field::{BodyView, SiteObject};
 use lqcd_lattice::{NeighborTable, Parity, NDIM};
 use lqcd_su3::{CloverSite, Projector, WilsonSpinor};
@@ -43,18 +44,6 @@ pub(super) trait SiteKernels<R: Real>: Copy + Send + Sync {
     fn t_inv(self, t_inv: &[R; 72], psi: &[R; 24], out: &mut [R; 24]);
 }
 
-/// Site `idx` of a flat field of `N` reals per site.
-#[inline(always)]
-pub(super) fn site<R, const N: usize>(reals: &[R], idx: usize) -> &[R; N] {
-    reals[N * idx..].first_chunk().expect("site index inside the field")
-}
-
-/// Mutable site `idx` of a flat field of `N` reals per site.
-#[inline(always)]
-pub(super) fn site_mut<R, const N: usize>(reals: &mut [R], idx: usize) -> &mut [R; N] {
-    reals[N * idx..].first_chunk_mut().expect("site index inside the field")
-}
-
 /// The typed per-site code.
 #[derive(Clone, Copy)]
 pub(super) struct Generic;
@@ -71,27 +60,22 @@ impl<R: Real> SiteKernels<R> for Generic {
     ) {
         for (k, slot) in out_chunk.chunks_exact_mut(SPINOR).enumerate() {
             let idx = lo_site + k;
-            let hops = op.nbrs.hops(out_parity, idx);
+            let hops = op.nbrs.hops::<{ 2 * NDIM }>(out_parity, idx);
             let mut acc = WilsonSpinor::zero();
             for mu in 0..NDIM {
                 // Forward hop: U_µ(x) (1 − γµ) ψ(x + µ̂).
-                let fwd = hops[2 * mu];
-                if fwd != NeighborTable::GHOST {
+                if let Some(fwd) = NeighborTable::interior(hops[2 * mu]) {
                     let proj = Projector { mu, plus: false };
-                    let h = proj
-                        .project(&src.site(fwd as usize))
-                        .color_mul(&op.gauge.link(mu, out_parity, idx));
+                    let h =
+                        proj.project(&src.site(fwd)).color_mul(&op.gauge.link(mu, out_parity, idx));
                     proj.accumulate(&mut acc, &h);
                 }
                 // Backward hop: U†_µ(x − µ̂) (1 + γµ) ψ(x − µ̂).
-                let bwd = hops[2 * mu + 1];
-                if bwd != NeighborTable::GHOST {
+                if let Some(bwd) = NeighborTable::interior(hops[2 * mu + 1]) {
                     let proj = Projector { mu, plus: true };
-                    let h = proj.project(&src.site(bwd as usize)).color_adj_mul(&op.gauge.link(
-                        mu,
-                        src_parity,
-                        bwd as usize,
-                    ));
+                    let h = proj
+                        .project(&src.site(bwd))
+                        .color_adj_mul(&op.gauge.link(mu, src_parity, bwd));
                     proj.accumulate(&mut acc, &h);
                 }
             }
@@ -171,17 +155,15 @@ impl SiteKernels<f32> for Sse2 {
             std::array::from_fn(|mu| op.gauge.links[mu][src_parity.index()].body());
         for (k, slot) in out_chunk.chunks_exact_mut(SPINOR).enumerate() {
             let idx = lo_site + k;
-            let hops = op.nbrs.hops(out_parity, idx);
+            let hops = op.nbrs.hops::<{ 2 * NDIM }>(out_parity, idx);
             let mut acc = SpinorAcc::zero();
             for mu in 0..NDIM {
-                let fwd = hops[2 * mu];
-                if fwd != NeighborTable::GHOST {
-                    let (n, u) = (site(psi, fwd as usize), site(links_out[mu], idx));
+                if let Some(fwd) = NeighborTable::interior(hops[2 * mu]) {
+                    let (n, u) = (site(psi, fwd), site(links_out[mu], idx));
                     acc.hop(Projector { mu, plus: false }, false, n, u);
                 }
-                let bwd = hops[2 * mu + 1];
-                if bwd != NeighborTable::GHOST {
-                    let (n, u) = (site(psi, bwd as usize), site(links_src[mu], bwd as usize));
+                if let Some(bwd) = NeighborTable::interior(hops[2 * mu + 1]) {
+                    let (n, u) = (site(psi, bwd), site(links_src[mu], bwd));
                     acc.hop(Projector { mu, plus: true }, true, n, u);
                 }
             }

@@ -14,8 +14,8 @@
 //! * [`FaceGeometry`] — gather tables and ghost-slot indexing for the
 //!   boundary faces, at arbitrary stencil depth (1 for Wilson, 3 for the
 //!   improved-staggered Naik term);
-//! * [`NeighborTable`] — the eight nearest-neighbour hops of every site,
-//!   resolved once for the Wilson stencil.
+//! * [`NeighborTable`] — the stencil hops (8 at depth 1, 16 at depth 3) and
+//!   staggered phases of every site, resolved once per operator.
 //!
 //! The invariant the whole workspace rests on: **the sender's gather order
 //! and the receiver's ghost-slot arithmetic are derived from the same

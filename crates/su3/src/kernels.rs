@@ -1,6 +1,7 @@
-//! Single-precision SSE2 site kernels for the Wilson-clover operator.
+//! SSE2 site kernels, each bit-identical to the scalar code it stands in
+//! for.
 //!
-//! Two kernels, each bit-identical to the scalar code it stands in for:
+//! Single precision, for the Wilson-clover operator:
 //!
 //! * [`SpinorAcc::hop`] — one fused stencil hop: project `(1 ± γµ)ψ` to
 //!   its two independent spins, rotate them by `U` or `U†`, and
@@ -11,15 +12,23 @@
 //!   chiral blocks of one packed clover site. Reference:
 //!   [`CloverSite::apply`], plus `ψ·shift` for the Wilson diagonal.
 //!
-//! Vectorisation is *within a site*: one `__m128` holds two complex
-//! numbers as `[re, im, re, im]` — the two projected spins of one colour
-//! in the hop kernel, the same row of both chiral blocks in the clover
-//! kernel. Each lane performs the scalar operations in the scalar order:
-//! a complex multiply-accumulate is `acc + ur·h`, then
-//! `+ (ui·swap(h) ^ sign)`, with no FMA and no reassociation. Signs are
-//! applied by flipping sign bits, which is exact (`a − b ≡ a + (−b)`,
-//! `(−u)·h ≡ −(u·h)`), so results agree bit for bit with the scalar code,
-//! signed zeros and subnormals included.
+//! Double precision, for the asqtad operator:
+//!
+//! * [`ColorAcc::hop`] — one colour hop: `U·v` or `U†·v`, added to or
+//!   subtracted from a colour-vector accumulator. Reference:
+//!   [`Su3::mul_vec`] or [`Su3::adj_mul_vec`], then `acc.add(&w.scale(±1))`.
+//!
+//! Vectorisation is *within a site*. In single precision one `__m128`
+//! holds two complex numbers as `[re, im, re, im]` — the two projected
+//! spins of one colour in the hop kernel, the same row of both chiral
+//! blocks in the clover kernel. In double precision one `__m128d` holds
+//! one complex number as `[re, im]`. Each lane performs the scalar
+//! operations in the scalar order: a complex multiply-accumulate is
+//! `acc + ur·h`, then `+ (ui·swap(h) ^ sign)`, with no FMA and no
+//! reassociation. Signs are applied by flipping sign bits or by trading an
+//! add for a subtract, which is exact (`a − b ≡ a + (−b)`,
+//! `(−u)·h ≡ −(u·h)`, `1·h ≡ h`), so results agree bit for bit with the
+//! scalar code, signed zeros and subnormals included.
 //!
 //! SSE2 is part of the x86_64 baseline, so there is no runtime detection
 //! and no build flag: each entry point makes one `unsafe` call into an
@@ -31,6 +40,8 @@
 //! [`HalfSpinor::color_mul`]: crate::HalfSpinor::color_mul
 //! [`HalfSpinor::color_adj_mul`]: crate::HalfSpinor::color_adj_mul
 //! [`CloverSite::apply`]: crate::CloverSite::apply
+//! [`Su3::mul_vec`]: crate::Su3::mul_vec
+//! [`Su3::adj_mul_vec`]: crate::Su3::adj_mul_vec
 
 use crate::clover::tri;
 use crate::gamma::{Phase, GAMMA};
@@ -416,6 +427,100 @@ pub fn clover_apply_shifted(a: &[f32; 72], psi: &[f32; 24], shift: f32, out: &mu
     unsafe { clover::<true>(a, psi, shift, out) }
 }
 
+/// Two lanes of `a` starting at `at`.
+///
+/// # Safety
+/// As for [`load`].
+#[inline(always)]
+unsafe fn load_pd<const N: usize>(a: &[f64; N], at: usize) -> __m128d {
+    assert!(at + 2 <= N);
+    _mm_loadu_pd(a.as_ptr().add(at))
+}
+
+/// Write two lanes to `a` starting at `at`.
+///
+/// # Safety
+/// As for [`load`].
+#[inline(always)]
+unsafe fn store_pd<const N: usize>(a: &mut [f64; N], at: usize, v: __m128d) {
+    assert!(at + 2 <= N);
+    _mm_storeu_pd(a.as_mut_ptr().add(at), v)
+}
+
+/// `acc ± U'·v` with `U' = U†` when `adjoint` and `U` otherwise, one
+/// complex per register.
+///
+/// # Safety
+/// As for [`load`].
+#[inline(always)]
+unsafe fn color_hop(
+    acc: &mut [__m128d; 3],
+    adjoint: bool,
+    negate: bool,
+    v: &[f64; 6],
+    u: &[f64; 18],
+) {
+    let b = [load_pd(v, 0), load_pd(v, 2), load_pd(v, 4)];
+    // The imaginary part of U'_ij meets swap(v_j) with the sign of its
+    // lane: U gives [−im, +re], U† (conjugated entries) [+im, −re].
+    let ui_sign = if adjoint { _mm_setr_pd(0.0, -0.0) } else { _mm_setr_pd(-0.0, 0.0) };
+    let bs = b.map(|x| _mm_xor_pd(_mm_shuffle_pd::<0b01>(x, x), ui_sign));
+    for (i, acc) in acc.iter_mut().enumerate() {
+        let mut r = _mm_setzero_pd();
+        for j in 0..3 {
+            let e = load_pd(u, 2 * if adjoint { 3 * j + i } else { 3 * i + j });
+            r = _mm_add_pd(r, _mm_mul_pd(_mm_unpacklo_pd(e, e), b[j]));
+            r = _mm_add_pd(r, _mm_mul_pd(_mm_unpackhi_pd(e, e), bs[j]));
+        }
+        *acc = if negate { _mm_sub_pd(*acc, r) } else { _mm_add_pd(*acc, r) };
+    }
+}
+
+/// A colour vector while the hops of one site are summed, held in SSE
+/// registers. Flat vectors are the 6 reals of
+/// [`ColorVector`](crate::ColorVector), `[re, im]` per colour.
+#[derive(Clone, Copy)]
+pub struct ColorAcc([__m128d; 3]);
+
+impl ColorAcc {
+    /// The zero vector.
+    #[inline(always)]
+    pub fn zero() -> Self {
+        // SAFETY: SSE2 is part of the x86_64 baseline.
+        ColorAcc([unsafe { _mm_setzero_pd() }; 3])
+    }
+
+    /// Start from an existing vector.
+    #[inline(always)]
+    pub fn load(v: &[f64; 6]) -> Self {
+        // SAFETY: SSE2 is part of the x86_64 baseline; loads stay in `v`.
+        unsafe { ColorAcc([load_pd(v, 0), load_pd(v, 2), load_pd(v, 4)]) }
+    }
+
+    /// Write the sum out.
+    #[inline(always)]
+    pub fn store(&self, out: &mut [f64; 6]) {
+        // SAFETY: SSE2 is part of the x86_64 baseline; stores stay in `out`.
+        unsafe {
+            for (k, &c) in self.0.iter().enumerate() {
+                store_pd(out, 2 * k, c);
+            }
+        }
+    }
+
+    /// Add `U'·v`, or subtract it when `negate`, with `U' = U†` when
+    /// `adjoint` and `U` otherwise; `u` holds the 18 reals of
+    /// [`Su3::to_reals`](crate::Su3::to_reals). Bit-identical to
+    /// `acc.add(&U.mul_vec(v).scale(s))` (or `adj_mul_vec`) with `s = −1`
+    /// when `negate` and `s = 1` otherwise.
+    #[inline(always)]
+    pub fn hop(&mut self, adjoint: bool, negate: bool, v: &[f64; 6], u: &[f64; 18]) {
+        // SAFETY: SSE2 is part of the x86_64 baseline; loads are
+        // bounds-checked against the fixed-size arrays.
+        unsafe { color_hop(&mut self.0, adjoint, negate, v, u) }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -587,5 +692,108 @@ mod tests {
             let want = a.apply(&psi).add(&psi.scale(shift));
             assert_eq!(bits(&got), bits(&flat(&want)), "trial {trial} (shifted)");
         }
+    }
+
+    fn value64<G: Rng>(rng: &mut G, special: bool) -> f64 {
+        let (x, _) = lqcd_util::rng::normal_pair(rng);
+        if !special {
+            return x;
+        }
+        let sign = if rng.gen::<bool>() { -1.0 } else { 1.0 };
+        match rng.gen::<u32>() % 6 {
+            0 => sign * 0.0,
+            1 => sign * f64::from_bits(1 + rng.gen::<u64>() % 0x000f_ffff_ffff_ffff),
+            2 => sign * 1e-160 * (1.0 + x.abs()),
+            _ => x,
+        }
+    }
+
+    fn vector64<G: Rng>(rng: &mut G, special: bool) -> ColorVector<f64> {
+        ColorVector::from_fn(|_| Complex::new(value64(rng, special), value64(rng, special)))
+    }
+
+    fn flat64(v: &ColorVector<f64>) -> [f64; 6] {
+        std::array::from_fn(|k| if k % 2 == 0 { v.c[k / 2].re } else { v.c[k / 2].im })
+    }
+
+    fn bits64(v: &ColorVector<f64>) -> [u64; 6] {
+        flat64(v).map(f64::to_bits)
+    }
+
+    /// The scalar staggered hop: `acc + (U'·v)·s`, `s = ±1`.
+    fn scalar_color_hop(
+        acc: &ColorVector<f64>,
+        adjoint: bool,
+        negate: bool,
+        v: &ColorVector<f64>,
+        u: &Su3<f64>,
+    ) -> ColorVector<f64> {
+        let w = if adjoint { u.adj_mul_vec(v) } else { u.mul_vec(v) };
+        acc.add(&w.scale(if negate { -1.0 } else { 1.0 }))
+    }
+
+    #[test]
+    fn color_hop_matches_scalar_bitwise() {
+        let tree = SeedTree::new(45);
+        let mut rng = tree.rng();
+        for trial in 0..400 {
+            let special = trial % 2 == 1;
+            let v = vector64(&mut rng, special);
+            // A general complex matrix, not unitary (like a fat link).
+            let u = Su3::from_fn(|_, _| {
+                Complex::new(value64(&mut rng, special), value64(&mut rng, special))
+            });
+            let acc0 =
+                if trial % 4 == 0 { ColorVector::zero() } else { vector64(&mut rng, special) };
+            for adjoint in [false, true] {
+                for negate in [false, true] {
+                    let want = scalar_color_hop(&acc0, adjoint, negate, &v, &u);
+                    let mut acc = ColorAcc::load(&flat64(&acc0));
+                    acc.hop(adjoint, negate, &flat64(&v), &u.to_reals());
+                    let mut got = [0.0; 6];
+                    acc.store(&mut got);
+                    assert_eq!(
+                        got.map(f64::to_bits),
+                        bits64(&want),
+                        "trial {trial}, adjoint={adjoint}, negate={negate}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chained_color_hops_from_zero_match_scalar_bitwise() {
+        // The asqtad interior pattern: sixteen signed hops summed into a
+        // zero accumulator, forward with U and backward with U†.
+        let tree = SeedTree::new(46);
+        let mut rng = tree.rng();
+        for trial in 0..50 {
+            let special = trial % 2 == 0;
+            let mut want = ColorVector::zero();
+            let mut acc = ColorAcc::zero();
+            for hop in 0..16 {
+                let (adjoint, negate) = (hop % 2 == 1, rng.gen::<bool>());
+                let v = vector64(&mut rng, special);
+                let u = Su3::from_fn(|_, _| {
+                    Complex::new(value64(&mut rng, special), value64(&mut rng, special))
+                });
+                want = scalar_color_hop(&want, adjoint, negate, &v, &u);
+                acc.hop(adjoint, negate, &flat64(&v), &u.to_reals());
+            }
+            let mut got = [0.0; 6];
+            acc.store(&mut got);
+            assert_eq!(got.map(f64::to_bits), bits64(&want), "trial {trial}");
+        }
+    }
+
+    #[test]
+    fn color_acc_zero_load_store_roundtrip_is_exact() {
+        let mut got = [1.0; 6];
+        ColorAcc::zero().store(&mut got);
+        assert_eq!(got.map(f64::to_bits), [0u64; 6]);
+        let v = flat64(&vector64(&mut SeedTree::new(47).rng(), true));
+        ColorAcc::load(&v).store(&mut got);
+        assert_eq!(got.map(f64::to_bits), v.map(f64::to_bits));
     }
 }
