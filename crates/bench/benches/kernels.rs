@@ -216,21 +216,23 @@ fn half_precision(c: &mut Criterion) {
 }
 
 fn whole_solves(c: &mut Criterion) {
-    use lqcd_core::{run_wilson_bicgstab, run_wilson_gcr_dd, WilsonProblem};
+    use lqcd_core::{solve_wilson, WilsonProblem, WilsonSolve};
     use lqcd_lattice::ProcessGrid;
+    use lqcd_tune::LadderChoice;
     let p = WilsonProblem::small();
     let mut g = c.benchmark_group("solves");
     g.sample_size(10);
     g.bench_function("bicgstab_4ranks_8x8x8x8", |b| {
         b.iter(|| {
             let grid = ProcessGrid::new(Dims([1, 1, 2, 2]), p.global).unwrap();
-            black_box(run_wilson_bicgstab(&p, grid).unwrap())
+            black_box(solve_wilson(&p, grid, WilsonSolve::bicgstab()).into_result().unwrap())
         })
     });
     g.bench_function("gcr_dd_4ranks_8x8x8x8", |b| {
         b.iter(|| {
             let grid = ProcessGrid::new(Dims([1, 1, 2, 2]), p.global).unwrap();
-            black_box(run_wilson_gcr_dd(&p, grid.clone(), false).unwrap())
+            let request = WilsonSolve::gcr_dd(LadderChoice::Double);
+            black_box(solve_wilson(&p, grid.clone(), request).into_result().unwrap())
         })
     });
     g.finish();

@@ -15,8 +15,9 @@
 
 use lqcd_bench::{artifact_dir, BenchArgs};
 use lqcd_core::problem::WilsonProblem;
-use lqcd_core::tuning::{self, run_wilson_gcr_dd_tuned};
-use lqcd_tune::{TuneCache, TunePolicy, TuneReport};
+use lqcd_core::tuning;
+use lqcd_core::{solve_wilson, WilsonSolve, WilsonSolveOutcome};
+use lqcd_tune::{LadderChoice, TuneCache, TunePolicy, TuneReport};
 use lqcd_util::trace::{self, MetricsRegistry};
 use serde::Serialize;
 use std::time::Instant;
@@ -75,6 +76,15 @@ fn phase(report: &TuneReport) -> PhaseSummary {
         tuned_us: report.decision.tuned_us,
         speedup: report.decision.speedup(),
     }
+}
+
+/// Solve `p` on `RANKS` ranks under `policy`, resolved for the GCR-DD
+/// solver key.
+fn solve_under(p: &WilsonProblem, policy: &TunePolicy) -> Vec<WilsonSolveOutcome> {
+    let (grid, param) =
+        tuning::resolve(policy, &tuning::wilson_solver_key(p, RANKS)).expect("resolve policy");
+    let request = param.map_or(WilsonSolve::gcr_dd(LadderChoice::Double), WilsonSolve::tuned);
+    solve_wilson(p, grid, request).into_result().expect("verification solve")
 }
 
 fn main() {
@@ -138,11 +148,10 @@ fn main() {
 
     // Verification solves: defaults vs the tuned configuration.
     let t = Instant::now();
-    let default_out = run_wilson_gcr_dd_tuned(&p, RANKS, &TunePolicy::Off).expect("default solve");
+    let default_out = solve_under(&p, &TunePolicy::Off);
     let verify_default_s = t.elapsed().as_secs_f64();
     let t = Instant::now();
-    let tuned_out =
-        run_wilson_gcr_dd_tuned(&p, RANKS, &TunePolicy::Fixed(best)).expect("tuned solve");
+    let tuned_out = solve_under(&p, &TunePolicy::Fixed(best));
     let verify_tuned_s = t.elapsed().as_secs_f64();
     let converged = tuned_out.iter().all(|o| o.stats.converged)
         && default_out.iter().all(|o| o.stats.converged);

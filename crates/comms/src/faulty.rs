@@ -96,6 +96,7 @@ pub struct FaultRule {
     peer: Option<usize>,
     mu: Option<usize>,
     class: Option<MsgClass>,
+    reduction: Option<u64>,
     probability: f64,
     after: u64,
     max_hits: Option<u64>,
@@ -111,6 +112,7 @@ impl FaultRule {
             peer: None,
             mu: None,
             class: None,
+            reduction: None,
             probability: 1.0,
             after: 0,
             max_hits: None,
@@ -177,6 +179,16 @@ impl FaultRule {
         self.for_class(MsgClass::Exchange)
     }
 
+    /// Restrict wire faults to one logical reduction: the traffic of the
+    /// communicator's `seq`-th reduction (0-based), every copy of it. A
+    /// retransmitted contribution carries the same sequence number, so
+    /// the fault follows the reduction rather than a wire-message count
+    /// that a retransmit of an earlier reduction could take.
+    pub fn for_reduction(mut self, seq: u64) -> Self {
+        self.reduction = Some(seq);
+        self
+    }
+
     /// Fire with probability `p` per eligible event instead of always.
     pub fn with_probability(mut self, p: f64) -> Self {
         self.probability = p.clamp(0.0, 1.0);
@@ -203,6 +215,9 @@ impl FaultRule {
             && self
                 .mu
                 .is_none_or(|m| classify(tag) != MsgClass::Reduce && m == threaded::tag_mu(tag))
+            && self
+                .reduction
+                .is_none_or(|s| classify(tag) == MsgClass::Reduce && s == threaded::tag_seq(tag))
     }
 
     fn matches_rank(&self, rank: usize) -> bool {
@@ -456,6 +471,24 @@ mod tests {
         assert!(s.matches_rank(3));
         assert!(!s.matches_rank(2));
         assert!(!s.matches_wire(3, 0, exchange_tag));
+    }
+
+    #[test]
+    fn reduction_scope_matches_every_copy_of_one_reduction() {
+        let up = |seq: u64| threaded::TAG_REDUCE_UP | seq;
+        let down = |seq: u64| threaded::TAG_REDUCE_DOWN | seq;
+        let r = FaultRule::corrupt_payload().on_rank(1).for_reduction(4);
+        assert!(r.matches_wire(1, 0, up(4)));
+        assert!(r.matches_wire(1, 0, down(4)), "both legs belong to the reduction");
+        assert!(!r.matches_wire(1, 0, up(3)), "an earlier reduction's retransmit");
+        assert!(!r.matches_wire(1, 0, up(5)));
+        assert!(!r.matches_wire(1, 0, 4), "exchange data with sequence 4");
+        // Every copy of the reduction fires: a retransmit carries the
+        // same tag as the original.
+        let state = FaultState::new(FaultPlan::new(1).with_rule(r));
+        assert!(state.wire_action(1, 0, up(4)).is_some());
+        assert!(state.wire_action(1, 0, up(4)).is_some());
+        assert_eq!(state.hits(), 2);
     }
 
     #[test]

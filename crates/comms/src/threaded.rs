@@ -62,7 +62,7 @@ fn tag_dir(tag: u64) -> usize {
     ((tag >> TAG_DIR_SHIFT) & 1) as usize
 }
 
-fn tag_seq(tag: u64) -> u64 {
+pub(crate) fn tag_seq(tag: u64) -> u64 {
     tag & TAG_SEQ_MASK
 }
 

@@ -1,25 +1,37 @@
-//! SPMD solver drivers: one call runs a full distributed solve.
+//! SPMD solve entry points: one request-driven call per operator runs a
+//! whole distributed solve.
 //!
-//! Besides the plain launchers, this module hosts the
-//! graceful-degradation ladder ([`run_wilson_gcr_dd_resilient`]): a
-//! GCR-DD solve started at a reduced precision that automatically
-//! restarts one rung higher (half → single → double) when the solver
-//! reports a breakdown or fails to converge — the recovery story for
-//! corrupted data or an overly aggressive precision choice. See
-//! DESIGN.md, "Fault model & recovery".
+//! [`solve_wilson`] is the one Wilson-clover path. A [`WilsonSolve`]
+//! request names the method (BiCGstab, or GCR-DD from a start rung of
+//! the precision ladder), the comms policy, a fault plan per world
+//! launch, an optional [`SupervisorConfig`] and an optional resolved
+//! [`TuneParam`]. Every GCR-DD request climbs the graceful-degradation
+//! ladder: when an attempt breaks down or fails to converge it restarts
+//! one rung higher (half → single → double) — the recovery story for
+//! corrupted data or an overly aggressive precision choice. A request
+//! without a supervisor is one world launch with no checkpoints; with
+//! one, a failed world is rebuilt and resumed from the newest common
+//! checkpoint. See DESIGN.md, "Fault model & recovery".
+//!
+//! [`solve_staggered`] is the asqtad multi-shift entry point.
 
 use crate::problem::{StaggeredProblem, WilsonProblem};
+use crate::supervise::{common_generation, CheckpointingMonitor, SupervisorConfig};
 use lqcd_comms::{
     run_on_grid, run_world_fallible, CommConfig, Communicator, FaultPlan, FaultyComm, SharedComm,
-    ThreadedComm,
+    ThreadedComm, WorldComm,
 };
-use lqcd_dirac::{OverlapHost, WilsonCloverOp};
+use lqcd_dirac::wilson::SpinorField;
+use lqcd_dirac::{DslashCounters, InteriorPolicy, OverlapHost, WilsonCloverOp};
+use lqcd_field::half::Quantize;
 use lqcd_lattice::ProcessGrid;
 use lqcd_solvers::spaces::{cast_wilson_op, EoWilsonSpace, StaggeredNormalSpace};
 use lqcd_solvers::{
-    bicgstab, gcr, gcr_monitored, multishift_cg, SchwarzMR, SolveStats, SolveWatchdog, SolverSpace,
+    bicgstab, gcr_monitored, multishift_cg, SchwarzMR, SolveMonitor, SolveStats, SolverSpace,
 };
-use lqcd_util::{Error, Result};
+use lqcd_su3::WilsonSpinor;
+use lqcd_tune::{LadderChoice, TuneParam};
+use lqcd_util::{trace, Error, Real, Result};
 use std::time::{Duration, Instant};
 
 /// Per-rank outcome of a Wilson solve.
@@ -35,101 +47,353 @@ pub struct WilsonSolveOutcome {
     pub dirichlet_matvecs: usize,
 }
 
-/// Run a distributed mixed-workflow BiCGstab solve of the even-odd
-/// preconditioned Wilson-clover system over `grid`. Returns one outcome
-/// per rank (rank order).
-pub fn run_wilson_bicgstab(
-    problem: &WilsonProblem,
-    grid: ProcessGrid,
-) -> Result<Vec<WilsonSolveOutcome>> {
-    let p = problem.clone();
-    let g = grid.clone();
-    let results = run_on_grid(grid, move |mut comm| -> Result<WilsonSolveOutcome> {
-        let op = p.build_operator(&mut comm, &g)?;
-        let mut space = EoWilsonSpace::new(op, comm)?;
-        let b = p.rhs(&space.op);
-        let mut x = space.alloc();
-        let mut stats = bicgstab(&mut space, &mut x, &b, p.tol, p.maxiter)?;
-        record_dslash(&mut stats, space.op.dslash_counters());
-        let n2 = space.norm2(&x)?;
-        Ok(WilsonSolveOutcome {
-            stats,
-            solution_norm2: n2,
-            matvecs: space.matvec_count(),
-            dirichlet_matvecs: space.dirichlet_matvecs(),
-        })
-    });
-    results.into_iter().collect()
+/// The Krylov method a Wilson request runs on the even-odd
+/// preconditioned system.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum WilsonMethod {
+    /// BiCGstab at f64 (Fig. 8's baseline): no ladder, no checkpoints.
+    BiCgStab,
+    /// Additive-Schwarz preconditioned flexible GCR (Algorithm 1),
+    /// climbing the precision ladder from the given rung.
+    GcrDd(LadderChoice),
 }
 
-/// Run a distributed GCR-DD solve (additive-Schwarz preconditioned
-/// flexible GCR, Algorithm 1) over `grid`.
-pub fn run_wilson_gcr_dd(
-    problem: &WilsonProblem,
-    grid: ProcessGrid,
-    half_precision: bool,
-) -> Result<Vec<WilsonSolveOutcome>> {
-    let p = problem.clone();
-    let g = grid.clone();
-    let results = run_on_grid(grid, move |mut comm| -> Result<WilsonSolveOutcome> {
-        let op = p.build_operator(&mut comm, &g)?;
-        if half_precision {
-            // Single-half-half: cast the operator to f32, quantized
-            // storage for the Krylov space and the block solves.
-            let op32 = lqcd_solvers::spaces::cast_wilson_op::<f32>(&op)?;
-            let mut space = EoWilsonSpace::new(op32, comm)?.with_half_storage();
-            let b = p.rhs(&space.op);
-            let mut x = space.alloc();
-            let mut precond = SchwarzMR::new(p.mr_steps).quantized();
-            let mut params = p.gcr;
-            params.quantize_krylov = true;
-            let mut stats = gcr(&mut space, &mut precond, &mut x, &b, &params)?;
-            record_dslash(&mut stats, space.op.dslash_counters());
-            let n2 = space.norm2(&x)?;
-            Ok(WilsonSolveOutcome {
-                stats,
-                solution_norm2: n2,
-                matvecs: space.matvec_count(),
-                dirichlet_matvecs: space.dirichlet_matvecs(),
-            })
-        } else {
-            let mut space = EoWilsonSpace::new(op, comm)?;
-            let b = p.rhs(&space.op);
-            let mut x = space.alloc();
-            let mut precond = SchwarzMR::new(p.mr_steps);
-            let mut stats = gcr(&mut space, &mut precond, &mut x, &b, &p.gcr)?;
-            record_dslash(&mut stats, space.op.dslash_counters());
-            let n2 = space.norm2(&x)?;
-            Ok(WilsonSolveOutcome {
-                stats,
-                solution_norm2: n2,
-                matvecs: space.matvec_count(),
-                dirichlet_matvecs: space.dirichlet_matvecs(),
-            })
+/// One Wilson-clover solve request for [`solve_wilson`].
+pub struct WilsonSolve {
+    method: WilsonMethod,
+    comm: CommConfig,
+    faults: Box<dyn FnMut(usize) -> Option<FaultPlan>>,
+    supervisor: Option<SupervisorConfig>,
+    tune: Option<TuneParam>,
+}
+
+impl WilsonSolve {
+    /// `method` with default comms, no faults, no supervisor, untuned.
+    fn new(method: WilsonMethod) -> Self {
+        WilsonSolve {
+            method,
+            comm: CommConfig::default(),
+            faults: Box::new(|_| None),
+            supervisor: None,
+            tune: None,
         }
-    });
-    results.into_iter().collect()
+    }
+
+    /// BiCGstab at f64.
+    pub fn bicgstab() -> Self {
+        Self::new(WilsonMethod::BiCgStab)
+    }
+
+    /// GCR-DD starting on rung `start` of the precision ladder.
+    pub fn gcr_dd(start: LadderChoice) -> Self {
+        Self::new(WilsonMethod::GcrDd(start))
+    }
+
+    /// GCR-DD under a resolved tuned configuration: it starts on
+    /// `param.ladder`, applies `param`'s interior policy to every rung's
+    /// operator and its `mr_steps` and `n_kv` (GCR `kmax`) to the
+    /// problem, and stamps `SolveStats::tuned_config` with
+    /// `param.fingerprint()`. The partition scheme is the caller's grid
+    /// (see [`tuning::resolve`](crate::tuning::resolve)).
+    pub fn tuned(param: TuneParam) -> Self {
+        WilsonSolve { tune: Some(param), ..Self::gcr_dd(param.ladder) }
+    }
+
+    /// Deadline/retry policy of every world launch.
+    pub fn with_comm(mut self, config: CommConfig) -> Self {
+        self.comm = config;
+        self
+    }
+
+    /// `plan_for_launch(i)` supplies the fault plan of world launch `i`
+    /// (0-based). This is a closure rather than a single plan because
+    /// [`FaultPlan`] counters are per-world: rebuilding from the same
+    /// plan would re-fire a `die_rank` rule on every launch and a
+    /// supervised run could never recover. Chaos tests inject on launch
+    /// 0 and return `None` afterwards.
+    pub fn with_faults(
+        mut self,
+        plan_for_launch: impl FnMut(usize) -> Option<FaultPlan> + 'static,
+    ) -> Self {
+        self.faults = Box::new(plan_for_launch);
+        self
+    }
+
+    /// Checkpoint at GCR restart boundaries and rebuild a failed world,
+    /// resuming from the newest checkpoint common to all ranks.
+    pub fn supervised(mut self, sup: SupervisorConfig) -> Self {
+        self.supervisor = Some(sup);
+        self
+    }
 }
 
-/// One rung of the precision ladder the resilient driver climbs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrecisionRung {
-    /// f32 operator with 16-bit Krylov/block storage (the paper's
-    /// single-half-half configuration).
-    Half,
-    /// f32 operator, full single-precision storage.
-    Single,
-    /// f64 operator — the last resort; a breakdown here is final.
-    Double,
+/// What a Wilson solve request reports.
+#[derive(Debug)]
+pub struct WilsonRun {
+    /// Final per-rank results (rank order), from the last world launch.
+    /// A rank that dies, stalls past the deadline, or breaks down beyond
+    /// recovery reports a structured error ([`Error::RankFailure`],
+    /// [`Error::Timeout`], [`Error::Breakdown`], …) in its own slot.
+    pub outcomes: Vec<Result<WilsonSolveOutcome>>,
+    /// World launches performed (1 = no supervised restart needed).
+    pub attempts: usize,
+    /// Per launch: the checkpoint generation it resumed from (`None` =
+    /// fresh start).
+    pub resumed_generations: Vec<Option<u64>>,
 }
 
-impl PrecisionRung {
-    /// The next-higher rung, if any.
-    pub fn escalate(self) -> Option<PrecisionRung> {
-        match self {
-            PrecisionRung::Half => Some(PrecisionRung::Single),
-            PrecisionRung::Single => Some(PrecisionRung::Double),
-            PrecisionRung::Double => None,
+impl WilsonRun {
+    /// Every rank's outcome, or the first rank's error.
+    pub fn into_result(self) -> Result<Vec<WilsonSolveOutcome>> {
+        self.outcomes.into_iter().collect()
+    }
+}
+
+/// Run a distributed Wilson-clover solve of `problem` over `grid` as
+/// `request` says. It never panics and never hangs: each rank's slot
+/// carries its own result, and peers of a failed rank unwind cleanly.
+pub fn solve_wilson(problem: &WilsonProblem, grid: ProcessGrid, request: WilsonSolve) -> WilsonRun {
+    let WilsonSolve { method, comm, mut faults, supervisor, tune } = request;
+    let sup = supervisor.as_ref();
+    let mut p = problem.clone();
+    if let Some(t) = &tune {
+        p.mr_steps = t.mr_steps;
+        p.gcr.kmax = t.n_kv;
+    }
+    let mut resumed_generations = Vec::new();
+    let mut attempt = 0usize;
+    // Wall time earlier world launches spent solving (backoff sleeps
+    // excluded): the watchdog's wall-clock budget covers the logical
+    // solve, so a supervised restart must not reset the clock.
+    let mut consumed = Duration::ZERO;
+    // Control-plane events (launches, failures, backoffs) land on their
+    // own pseudo-rank track; rank threads install their own scopes.
+    let _ctl = trace::rank_scope(trace::CONTROL_RANK);
+    loop {
+        let resumed = sup.and_then(|s| common_generation(&s.dir, grid.num_ranks(), s.keep));
+        resumed_generations.push(resumed);
+        trace::instant(
+            trace::Track::Supervisor,
+            if resumed.is_some() { "world_launch_resumed" } else { "world_launch_fresh" },
+            attempt as i64,
+        );
+        let launch = Launch { p: &p, grid: &grid, method, sup, tune, resumed, prior: consumed };
+        let launched = Instant::now();
+        let mut outcomes = match faults(attempt) {
+            Some(plan) => launch.run(FaultyComm::world(grid.clone(), comm, plan)),
+            None => launch.run(ThreadedComm::world_with(grid.clone(), comm)),
+        };
+        consumed += launched.elapsed();
+        let all_ok = outcomes.iter().all(|r| r.is_ok());
+        if all_ok || attempt >= sup.map_or(0, |s| s.max_restarts) {
+            trace::instant(
+                trace::Track::Supervisor,
+                if all_ok { "supervision_converged" } else { "supervision_exhausted" },
+                attempt as i64,
+            );
+            for out in outcomes.iter_mut().flatten() {
+                out.stats.supervisor_restarts = attempt;
+            }
+            return WilsonRun { outcomes, attempts: attempt + 1, resumed_generations };
+        }
+        attempt += 1;
+        trace::instant(trace::Track::Supervisor, "world_failed", attempt as i64);
+        let doubling = 1u32 << (attempt - 1).min(16) as u32;
+        let delay =
+            sup.map_or(Duration::ZERO, |s| s.backoff.saturating_mul(doubling).min(s.backoff_max));
+        let _backoff = trace::span_arg(trace::Track::Supervisor, "backoff", attempt as i64);
+        std::thread::sleep(delay);
+    }
+}
+
+/// One world launch of a Wilson request: what every rank body needs.
+struct Launch<'a> {
+    p: &'a WilsonProblem,
+    grid: &'a ProcessGrid,
+    method: WilsonMethod,
+    sup: Option<&'a SupervisorConfig>,
+    tune: Option<TuneParam>,
+    /// Checkpoint generation this launch resumes from.
+    resumed: Option<u64>,
+    /// Wall time earlier launches of the same logical solve consumed.
+    prior: Duration,
+}
+
+/// Outcome of one ladder attempt: success, or the error paired with the
+/// salvaged partial stats of the failed rung (what the ladder folds into
+/// the final record instead of discarding).
+type AttemptResult = std::result::Result<WilsonSolveOutcome, (Error, SolveStats)>;
+
+/// Errors worth retrying at a higher precision: numerical breakdowns
+/// (NaN from corruption, quantization overflow) and convergence stalls.
+/// Communication failures (timeout, dead rank) are not — more precision
+/// will not resurrect a peer.
+fn recoverable(e: &Error) -> bool {
+    matches!(e, Error::Breakdown { .. } | Error::NoConvergence { .. })
+}
+
+impl Launch<'_> {
+    fn run<C: WorldComm + Send>(&self, comms: Vec<C>) -> Vec<Result<WilsonSolveOutcome>> {
+        run_world_fallible(comms, |comm| self.rank_solve(comm))
+            .into_iter()
+            .map(|r| r.and_then(|inner| inner))
+            .collect()
+    }
+
+    /// The per-rank body: build the operator, restore the common
+    /// checkpoint (when resuming), then climb the precision ladder from
+    /// the start rung until an attempt converges or the ladder (or the
+    /// error class) runs out.
+    fn rank_solve<C: Communicator>(&self, comm: C) -> Result<WilsonSolveOutcome> {
+        let started = Instant::now();
+        // One endpoint, shared across attempts (and across the operator
+        // build): the mixed-precision stack multiplexes it.
+        let shared = SharedComm::new(comm);
+        let op64 = self.p.build_operator(&mut shared.clone(), self.grid)?;
+        let (mut monitor, resume) = CheckpointingMonitor::for_rank(
+            self.p,
+            self.grid,
+            &op64,
+            shared.rank(),
+            self.sup,
+            self.resumed,
+        )?;
+        let mut rung = match self.method {
+            WilsonMethod::BiCgStab => LadderChoice::Double,
+            WilsonMethod::GcrDd(start) => start,
+        };
+        let mut fallbacks = 0usize;
+        // Work the failed rungs performed, folded into the final record —
+        // each attempt drains its counters as deltas, so absorbing here
+        // counts every apply exactly once.
+        let mut carried = SolveStats::new();
+        loop {
+            let prior = self.prior + started.elapsed();
+            match self.attempt(rung, prior, &op64, shared.clone(), &mut monitor, resume.as_ref()) {
+                Ok(mut out) => {
+                    out.stats.absorb(&carried);
+                    out.stats.precision_fallbacks = fallbacks;
+                    out.stats.exchange_retries = shared.exchange_retries();
+                    out.stats.faults_survived = shared.faults_survived();
+                    out.stats.checkpoints_written = monitor.written();
+                    out.stats.resumed_from_checkpoint = resume.is_some();
+                    out.stats.tuned_config = self.tune.map_or(0, |t| t.fingerprint());
+                    return Ok(out);
+                }
+                Err((e, partial)) if recoverable(&e) => match rung.escalate() {
+                    Some(next) => {
+                        carried.absorb(&partial);
+                        fallbacks += 1;
+                        rung = next;
+                    }
+                    None => return Err(e),
+                },
+                Err((e, _)) => return Err(e),
+            }
+        }
+    }
+
+    /// One attempt on `rung`: the rung's operator precision and storage,
+    /// cast from the f64 operator, which later rungs reuse.
+    // The Err payload deliberately carries the salvaged SolveStats of the
+    // failed attempt; boxing it would add an allocation to an error path
+    // the ladder unwraps immediately.
+    #[allow(clippy::result_large_err)]
+    fn attempt<C: Communicator>(
+        &self,
+        rung: LadderChoice,
+        prior: Duration,
+        op64: &WilsonCloverOp<f64>,
+        comm: SharedComm<C>,
+        monitor: &mut CheckpointingMonitor,
+        resume: Option<&SpinorField<f64>>,
+    ) -> AttemptResult {
+        let fail = |e| (e, SolveStats::new());
+        match rung {
+            LadderChoice::Double => {
+                let space = EoWilsonSpace::new(cast_wilson_op::<f64>(op64).map_err(fail)?, comm);
+                self.solve_on(space.map_err(fail)?, rung, prior, monitor, resume)
+            }
+            LadderChoice::Single | LadderChoice::Half => {
+                let op = cast_wilson_op::<f32>(op64).map_err(fail)?;
+                let space = EoWilsonSpace::new(op, comm).map_err(fail)?;
+                let space =
+                    if rung == LadderChoice::Half { space.with_half_storage() } else { space };
+                self.solve_on(space, rung, prior, monitor, resume)
+            }
+        }
+    }
+
+    /// Solve on one rung's space. Every rank makes the same decisions:
+    /// the breakdown/convergence tests all hang off *global* reductions,
+    /// so either every rank succeeds or every rank sees the same
+    /// recoverable error and climbs the ladder in lockstep. A failed
+    /// attempt returns the work it *did* perform alongside the error,
+    /// with dslash counters drained as deltas against the operator's
+    /// state at attempt start.
+    #[allow(clippy::result_large_err)]
+    fn solve_on<R: Real, C: Communicator>(
+        &self,
+        mut space: EoWilsonSpace<R, SharedComm<C>>,
+        rung: LadderChoice,
+        prior: Duration,
+        monitor: &mut CheckpointingMonitor,
+        resume: Option<&SpinorField<f64>>,
+    ) -> AttemptResult
+    where
+        WilsonSpinor<R>: Quantize<R>,
+        CheckpointingMonitor: SolveMonitor<EoWilsonSpace<R, SharedComm<C>>>,
+    {
+        let fail = |e| (e, SolveStats::new());
+        // Set on the rung's own operator: a cast operator does not
+        // inherit the f64 operator's policy.
+        if let Some(t) = &self.tune {
+            let policy = InteriorPolicy::new(t.interior_threads, t.ghost_order).map_err(fail)?;
+            space.op.set_interior_policy(policy);
+        }
+        let mut baseline = space.op.dslash_counters();
+        let b = self.p.rhs(&space.op);
+        let mut x = space.alloc();
+        if let Some(x64) = resume {
+            for (xi, &v) in x.body_mut().iter_mut().zip(x64.body()) {
+                *xi = R::from_f64(v);
+            }
+        }
+        let result = match self.method {
+            WilsonMethod::BiCgStab => bicgstab(&mut space, &mut x, &b, self.p.tol, self.p.maxiter),
+            WilsonMethod::GcrDd(_) => {
+                // Half: 16-bit Krylov storage and half-precision blocks.
+                let half = rung == LadderChoice::Half;
+                let mut params = self.p.gcr;
+                params.quantize_krylov |= half;
+                let precond = SchwarzMR::new(self.p.mr_steps);
+                let mut precond = if half { precond.quantized() } else { precond };
+                // The watchdog rides every rung: a NaN or a stagnating
+                // attempt becomes a structured breakdown the ladder can
+                // escalate instead of a burned iteration budget.
+                monitor.start_rung(rung, prior);
+                gcr_monitored(&mut space, &mut precond, &mut x, &b, &params, monitor)
+            }
+        };
+        match result {
+            Ok(mut stats) => {
+                drain_dslash(&mut stats, space.op.dslash_counters(), &mut baseline);
+                let n2 = space.norm2(&x).map_err(|e| (e, stats))?;
+                Ok(WilsonSolveOutcome {
+                    stats,
+                    solution_norm2: n2,
+                    matvecs: space.matvec_count(),
+                    dirichlet_matvecs: space.dirichlet_matvecs(),
+                })
+            }
+            Err(e) => {
+                // Salvage what the failed rung actually did.
+                let mut partial = SolveStats::new();
+                partial.matvecs = space.matvec_count();
+                partial.precond_matvecs = space.dirichlet_matvecs();
+                drain_dslash(&mut partial, space.op.dslash_counters(), &mut baseline);
+                Err((e, partial))
+            }
         }
     }
 }
@@ -143,196 +407,12 @@ impl PrecisionRung {
 /// every apply the previous read already claimed when the ladder folds
 /// rungs drained from the same shared operator. Threading the baseline
 /// through makes the drain delta-by-construction.
-pub(crate) fn drain_dslash(
-    stats: &mut SolveStats,
-    now: lqcd_dirac::DslashCounters,
-    baseline: &mut lqcd_dirac::DslashCounters,
-) {
+fn drain_dslash(stats: &mut SolveStats, now: DslashCounters, baseline: &mut DslashCounters) {
     stats.dslash_applies = now.applies.saturating_sub(baseline.applies);
     stats.dslash_total_ns = now.total_ns.saturating_sub(baseline.total_ns);
     stats.dslash_interior_ns = now.interior_ns.saturating_sub(baseline.interior_ns);
     stats.dslash_exposed_comm_ns = now.exposed_comm_ns.saturating_sub(baseline.exposed_comm_ns);
     *baseline = now;
-}
-
-/// Drain against a zero baseline — for the single-attempt drivers whose
-/// operator is freshly built for exactly one solve.
-pub(crate) fn record_dslash(stats: &mut SolveStats, d: lqcd_dirac::DslashCounters) {
-    let mut zero = lqcd_dirac::DslashCounters::default();
-    drain_dslash(stats, d, &mut zero);
-}
-
-/// Outcome of one ladder attempt: success, or the error paired with the
-/// salvaged partial stats of the failed rung (what the ladder folds into
-/// the final record instead of discarding).
-pub(crate) type AttemptResult = std::result::Result<WilsonSolveOutcome, (Error, SolveStats)>;
-
-/// Errors worth retrying at a higher precision: numerical breakdowns
-/// (NaN from corruption, quantization overflow) and convergence stalls.
-/// Communication failures (timeout, dead rank) are not — more precision
-/// will not resurrect a peer.
-pub(crate) fn recoverable(e: &Error) -> bool {
-    matches!(e, Error::Breakdown { .. } | Error::NoConvergence { .. })
-}
-
-/// One GCR-DD attempt at a fixed rung. Every rank makes the same
-/// decisions: the breakdown/convergence tests all hang off *global*
-/// reductions, so either every rank succeeds or every rank sees the
-/// same recoverable error and climbs the ladder in lockstep.
-///
-/// `prior` is wall time earlier attempts of the same logical solve
-/// already consumed; the watchdog counts it against the wall-clock
-/// budget. A failed attempt returns the work it *did* perform alongside
-/// the error (dslash counters drained as deltas against the operator's
-/// state at attempt start) so the ladder can fold it into the final
-/// record instead of silently dropping it.
-// The Err payload deliberately carries the salvaged SolveStats of the
-// failed attempt; boxing it would add an allocation to an error path
-// the ladder unwraps immediately.
-#[allow(clippy::result_large_err)]
-fn gcr_dd_attempt<C: Communicator>(
-    p: &WilsonProblem,
-    op64: &WilsonCloverOp<f64>,
-    comm: SharedComm<C>,
-    rung: PrecisionRung,
-    prior: Duration,
-) -> AttemptResult {
-    fn fail(e: Error) -> (Error, SolveStats) {
-        (e, SolveStats::new())
-    }
-    macro_rules! attempt {
-        ($space:expr, $precond:expr, $params:expr) => {{
-            let mut space = $space.map_err(fail)?;
-            let mut baseline = space.op.dslash_counters();
-            let b = p.rhs(&space.op);
-            let mut x = space.alloc();
-            // The watchdog rides every rung of the ladder: a NaN or a
-            // stagnating attempt becomes a structured breakdown the
-            // ladder can escalate instead of a burned iteration budget.
-            // Its budget covers the logical solve, so earlier attempts'
-            // elapsed time carries in.
-            let mut dog = SolveWatchdog::resumed("gcr-dd", p.watchdog, prior);
-            match gcr_monitored(&mut space, &mut $precond, &mut x, &b, &$params, &mut dog) {
-                Ok(mut stats) => {
-                    drain_dslash(&mut stats, space.op.dslash_counters(), &mut baseline);
-                    let n2 = space.norm2(&x).map_err(|e| (e, stats))?;
-                    Ok(WilsonSolveOutcome {
-                        stats,
-                        solution_norm2: n2,
-                        matvecs: space.matvec_count(),
-                        dirichlet_matvecs: space.dirichlet_matvecs(),
-                    })
-                }
-                Err(e) => {
-                    // Salvage what the failed rung actually did.
-                    let mut partial = SolveStats::new();
-                    partial.matvecs = space.matvec_count();
-                    partial.precond_matvecs = space.dirichlet_matvecs();
-                    drain_dslash(&mut partial, space.op.dslash_counters(), &mut baseline);
-                    Err((e, partial))
-                }
-            }
-        }};
-    }
-    match rung {
-        PrecisionRung::Double => {
-            let op = cast_wilson_op::<f64>(op64).map_err(fail)?;
-            attempt!(EoWilsonSpace::new(op, comm), SchwarzMR::new(p.mr_steps), p.gcr)
-        }
-        PrecisionRung::Single => {
-            let op = cast_wilson_op::<f32>(op64).map_err(fail)?;
-            attempt!(EoWilsonSpace::new(op, comm), SchwarzMR::new(p.mr_steps), p.gcr)
-        }
-        PrecisionRung::Half => {
-            let op = cast_wilson_op::<f32>(op64).map_err(fail)?;
-            let mut params = p.gcr;
-            params.quantize_krylov = true;
-            attempt!(
-                EoWilsonSpace::new(op, comm).map(|s| s.with_half_storage()),
-                SchwarzMR::new(p.mr_steps).quantized(),
-                params
-            )
-        }
-    }
-}
-
-/// The per-rank body of the resilient driver: climb the precision
-/// ladder from `start` until an attempt converges or the ladder (or the
-/// error class) runs out.
-fn resilient_solve<C: Communicator>(
-    p: &WilsonProblem,
-    g: &ProcessGrid,
-    comm: C,
-    start: PrecisionRung,
-) -> Result<WilsonSolveOutcome> {
-    // One endpoint, shared across attempts (and across the operator
-    // build): the mixed-precision stack multiplexes it.
-    let shared = SharedComm::new(comm);
-    let op64 = p.build_operator(&mut shared.clone(), g)?;
-    let ladder_started = Instant::now();
-    let mut rung = start;
-    let mut fallbacks = 0usize;
-    // Work the failed rungs performed, folded into the final record —
-    // each attempt drains its counters as deltas, so absorbing here
-    // counts every apply exactly once.
-    let mut carried = SolveStats::new();
-    loop {
-        match gcr_dd_attempt(p, &op64, shared.clone(), rung, ladder_started.elapsed()) {
-            Ok(mut out) => {
-                out.stats.absorb(&carried);
-                out.stats.precision_fallbacks = fallbacks;
-                out.stats.exchange_retries = shared.exchange_retries();
-                out.stats.faults_survived = shared.faults_survived();
-                return Ok(out);
-            }
-            Err((e, partial)) if recoverable(&e) => match rung.escalate() {
-                Some(next) => {
-                    carried.absorb(&partial);
-                    fallbacks += 1;
-                    rung = next;
-                }
-                None => return Err(e),
-            },
-            Err((e, _)) => return Err(e),
-        }
-    }
-}
-
-/// Run a distributed GCR-DD solve with the graceful-degradation ladder,
-/// starting at `start` precision, under the given deadline/retry policy
-/// and an optional fault-injection plan (chaos testing).
-///
-/// Unlike [`run_wilson_gcr_dd`] this never panics and never hangs: each
-/// rank's slot carries its own result, and a rank that dies, stalls
-/// past the deadline, or breaks down beyond recovery reports a
-/// structured error ([`Error::RankFailure`], [`Error::Timeout`],
-/// [`Error::Breakdown`], …) while its peers unwind cleanly.
-pub fn run_wilson_gcr_dd_resilient(
-    problem: &WilsonProblem,
-    grid: ProcessGrid,
-    start: PrecisionRung,
-    config: CommConfig,
-    plan: Option<FaultPlan>,
-) -> Vec<Result<WilsonSolveOutcome>> {
-    let p = problem.clone();
-    let g = grid.clone();
-    let flatten = |r: Result<Result<WilsonSolveOutcome>>| r.and_then(|inner| inner);
-    match plan {
-        Some(plan) => {
-            let comms = FaultyComm::world(grid, config, plan);
-            run_world_fallible(comms, move |comm| resilient_solve(&p, &g, comm, start))
-                .into_iter()
-                .map(flatten)
-                .collect()
-        }
-        None => {
-            let comms = ThreadedComm::world_with(grid, config);
-            run_world_fallible(comms, move |comm| resilient_solve(&p, &g, comm, start))
-                .into_iter()
-                .map(flatten)
-                .collect()
-        }
-    }
 }
 
 /// Per-rank outcome of a staggered multi-shift solve.
@@ -347,29 +427,30 @@ pub struct StaggeredSolveOutcome {
 }
 
 /// Run a distributed multi-shift CG solve of `(M†M + σ_i) x_i = b` over
-/// `grid`.
-pub fn run_staggered_multishift(
+/// `grid`. A resolved `tune` applies its interior policy and stamps
+/// `SolveStats::tuned_config`; multi-shift CG has no Schwarz/GCR knobs.
+pub fn solve_staggered(
     problem: &StaggeredProblem,
     grid: ProcessGrid,
+    tune: Option<TuneParam>,
 ) -> Result<Vec<StaggeredSolveOutcome>> {
-    let p = problem.clone();
+    let policy = match &tune {
+        Some(t) => Some(InteriorPolicy::new(t.interior_threads, t.ghost_order)?),
+        None => None,
+    };
     let g = grid.clone();
-    let results = run_on_grid(grid, move |comm| -> Result<StaggeredSolveOutcome> {
-        let rank = comm.rank();
-        let op = p.build_operator(&g, rank)?;
-        let mut space = StaggeredNormalSpace::new(op, comm);
-        let b = p.rhs(&space.op);
-        let mut ms = multishift_cg(&mut space, &p.shifts, &b, p.tol, p.maxiter)?;
-        record_dslash(&mut ms.stats, space.op.dslash_counters());
-        let mut norms = Vec::with_capacity(ms.solutions.len());
-        for s in &ms.solutions {
-            norms.push(space.norm2(s)?);
+    let results = run_on_grid(grid, |comm| -> Result<StaggeredSolveOutcome> {
+        let op = problem.build_operator(&g, comm.rank())?;
+        if let Some(policy) = policy {
+            op.set_interior_policy(policy);
         }
-        Ok(StaggeredSolveOutcome {
-            stats: ms.stats,
-            converged_at: ms.converged_at,
-            solution_norms: norms,
-        })
+        let mut space = StaggeredNormalSpace::new(op, comm);
+        let b = problem.rhs(&space.op);
+        let mut ms = multishift_cg(&mut space, &problem.shifts, &b, problem.tol, problem.maxiter)?;
+        drain_dslash(&mut ms.stats, space.op.dslash_counters(), &mut DslashCounters::default());
+        ms.stats.tuned_config = tune.map_or(0, |t| t.fingerprint());
+        let solution_norms = ms.solutions.iter().map(|s| space.norm2(s)).collect::<Result<_>>()?;
+        Ok(StaggeredSolveOutcome { stats: ms.stats, converged_at: ms.converged_at, solution_norms })
     });
     results.into_iter().collect()
 }
@@ -383,8 +464,10 @@ mod tests {
     fn bicgstab_and_gcr_dd_agree_on_solution_norm() {
         let p = WilsonProblem::small();
         let grid = ProcessGrid::new(Dims([1, 1, 2, 2]), p.global).unwrap();
-        let b = run_wilson_bicgstab(&p, grid.clone()).unwrap();
-        let g = run_wilson_gcr_dd(&p, grid, false).unwrap();
+        let b = solve_wilson(&p, grid.clone(), WilsonSolve::bicgstab()).into_result().unwrap();
+        let g = solve_wilson(&p, grid, WilsonSolve::gcr_dd(LadderChoice::Double))
+            .into_result()
+            .unwrap();
         assert!(b[0].stats.converged && g[0].stats.converged);
         let rel = (b[0].solution_norm2 - g[0].solution_norm2).abs() / b[0].solution_norm2;
         assert!(rel < 1e-6, "solvers disagree: {rel}");
@@ -403,7 +486,8 @@ mod tests {
         p.tol = 3e-5;
         p.gcr.tol = 3e-5;
         let grid = ProcessGrid::new(Dims([1, 1, 2, 2]), p.global).unwrap();
-        let out = run_wilson_gcr_dd(&p, grid, true).unwrap();
+        let out =
+            solve_wilson(&p, grid, WilsonSolve::gcr_dd(LadderChoice::Half)).into_result().unwrap();
         assert!(out.iter().all(|o| o.stats.converged));
         assert!(out[0].stats.residual <= 3e-5);
     }
@@ -412,7 +496,7 @@ mod tests {
     fn multishift_driver_distributed() {
         let p = StaggeredProblem::small();
         let grid = ProcessGrid::new(Dims([1, 1, 2, 2]), p.global).unwrap();
-        let out = run_staggered_multishift(&p, grid).unwrap();
+        let out = solve_staggered(&p, grid, None).unwrap();
         assert!(out[0].stats.converged);
         // Shift ordering: larger shifts converge no later.
         let ca = &out[0].converged_at;
@@ -439,7 +523,7 @@ mod failure_tests {
         p.maxiter = 1;
         p.tol = 1e-14;
         let grid = ProcessGrid::new(Dims([1, 1, 1, 2]), p.global).unwrap();
-        match run_wilson_bicgstab(&p, grid) {
+        match solve_wilson(&p, grid, WilsonSolve::bicgstab()).into_result() {
             Err(Error::NoConvergence { solver: "bicgstab", iterations, .. }) => {
                 assert_eq!(iterations, 1);
             }
@@ -454,7 +538,7 @@ mod failure_tests {
         p.gcr.tol = 1e-14;
         let grid = ProcessGrid::new(Dims([1, 1, 1, 2]), p.global).unwrap();
         assert!(matches!(
-            run_wilson_gcr_dd(&p, grid, false),
+            solve_wilson(&p, grid, WilsonSolve::gcr_dd(LadderChoice::Double)).into_result(),
             Err(Error::NoConvergence { solver: "gcr", .. })
         ));
     }
@@ -481,8 +565,10 @@ mod failure_tests {
 #[cfg(test)]
 mod resilient_tests {
     use super::*;
+    use crate::tuning;
     use lqcd_comms::{FaultRule, MsgClass};
     use lqcd_lattice::Dims;
+    use lqcd_tune::TunePolicy;
     use std::time::Duration;
 
     fn small_problem() -> (WilsonProblem, ProcessGrid) {
@@ -493,18 +579,71 @@ mod resilient_tests {
         (p, grid)
     }
 
+    /// The fault-free request every comparison below is made against.
+    fn fault_free(p: &WilsonProblem, grid: &ProcessGrid) -> Vec<WilsonSolveOutcome> {
+        solve_wilson(p, grid.clone(), WilsonSolve::gcr_dd(LadderChoice::Double))
+            .into_result()
+            .unwrap()
+    }
+
+    /// The exact bits of the solve this module's problem pins: every
+    /// way of running it — with or without a supervisor, untuned or
+    /// under the baseline tuned configuration — gives these on every
+    /// rank, so folding the drivers into one path moved nothing.
+    #[test]
+    fn one_path_pins_the_solution_bits_on_every_rank() {
+        let (p, grid) = small_problem();
+        let dir = std::env::temp_dir().join(format!("lqcd-pin-bits-{}", std::process::id()));
+        for (rung, bits) in [
+            (LadderChoice::Double, 0x40a8ae9c841b9661u64),
+            (LadderChoice::Half, 0x40a8ae9c6ee348d2),
+        ] {
+            let _ = std::fs::remove_dir_all(&dir);
+            let plain = solve_wilson(&p, grid.clone(), WilsonSolve::gcr_dd(rung));
+            let sup = solve_wilson(
+                &p,
+                grid.clone(),
+                WilsonSolve::gcr_dd(rung).supervised(SupervisorConfig::new(&dir)),
+            );
+            assert_eq!(sup.attempts, 1);
+            for run in [plain, sup] {
+                for (slot, r) in run.outcomes.iter().enumerate() {
+                    let o = r.as_ref().unwrap_or_else(|e| panic!("{rung:?} rank {slot}: {e}"));
+                    assert_eq!(o.solution_norm2.to_bits(), bits, "{rung:?} rank {slot}");
+                    assert_eq!(o.stats.iterations, 4, "{rung:?} rank {slot}");
+                    assert_eq!(o.matvecs, 9, "{rung:?} rank {slot}");
+                    assert_eq!(o.dirichlet_matvecs, 36, "{rung:?} rank {slot}");
+                    assert_eq!(o.stats.precision_fallbacks, 0);
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        // A Fixed baseline configuration on ZT is the untuned solve bit
+        // for bit, stamped with its fingerprint.
+        let param = TuneParam::baseline(1);
+        let (zt, resolved) =
+            tuning::resolve(&TunePolicy::Fixed(param), &tuning::wilson_solver_key(&p, 4)).unwrap();
+        assert_eq!(resolved, Some(param));
+        let untuned = fault_free(&p, &zt);
+        let tuned = solve_wilson(&p, zt, WilsonSolve::tuned(param)).into_result().unwrap();
+        for (a, b) in untuned.iter().zip(&tuned) {
+            assert_eq!(a.solution_norm2.to_bits(), 0x40a8ae9c841b9661);
+            assert_eq!(b.solution_norm2.to_bits(), a.solution_norm2.to_bits());
+            assert_eq!(b.stats.tuned_config, param.fingerprint());
+            assert_eq!(a.stats.tuned_config, 0);
+        }
+    }
+
     #[test]
     fn fault_free_resilient_solve_matches_plain_driver() {
         let (p, grid) = small_problem();
-        let plain = run_wilson_gcr_dd(&p, grid.clone(), false).unwrap();
-        let res = run_wilson_gcr_dd_resilient(
+        let plain = fault_free(&p, &grid);
+        let res = solve_wilson(
             &p,
             grid,
-            PrecisionRung::Double,
-            CommConfig::default(),
-            None,
+            WilsonSolve::gcr_dd(LadderChoice::Double).with_comm(CommConfig::default()),
         );
-        for (slot, r) in res.iter().enumerate() {
+        for (slot, r) in res.outcomes.iter().enumerate() {
             let out = r.as_ref().unwrap_or_else(|e| panic!("rank {slot}: {e}"));
             assert!(out.stats.converged);
             assert_eq!(out.stats.precision_fallbacks, 0);
@@ -524,14 +663,14 @@ mod resilient_tests {
         let plan = FaultPlan::new(11).with_rule(
             FaultRule::corrupt_payload().on_rank(1).for_class(MsgClass::Reduce).times(1),
         );
-        let res = run_wilson_gcr_dd_resilient(
+        let res = solve_wilson(
             &p,
             grid,
-            PrecisionRung::Half,
-            CommConfig::resilient(),
-            Some(plan),
+            WilsonSolve::gcr_dd(LadderChoice::Half)
+                .with_comm(CommConfig::resilient())
+                .with_faults(move |_| Some(plan.clone())),
         );
-        for (slot, r) in res.iter().enumerate() {
+        for (slot, r) in res.outcomes.iter().enumerate() {
             let out = r.as_ref().unwrap_or_else(|e| panic!("rank {slot}: {e}"));
             assert!(out.stats.converged);
             assert!(out.stats.residual <= 3e-5);
@@ -541,7 +680,7 @@ mod resilient_tests {
             );
         }
         // The fault plan actually fired somewhere.
-        assert!(res.iter().flatten().any(|o| o.stats.faults_survived > 0));
+        assert!(res.outcomes.iter().flatten().any(|o| o.stats.faults_survived > 0));
     }
 
     /// Regression for the absorb double-count bug: after the ladder
@@ -561,18 +700,21 @@ mod resilient_tests {
         // half-precision rung (not the very first, which would break the
         // rung before it performs any matvec): the rung does real work,
         // breaks down, the ladder climbs, and the final record folds two
-        // rungs' worth of counters.
-        let plan = FaultPlan::new(11).with_rule(
-            FaultRule::corrupt_payload().on_rank(1).for_class(MsgClass::Reduce).after(4).times(1),
-        );
-        let res = run_wilson_gcr_dd_resilient(
+        // rungs' worth of counters. The fault is scoped to rank 1's part
+        // of the fifth logical reduction, so every copy of it — a
+        // retransmit included — carries the NaN; a count of wire
+        // messages could instead land on a stale retransmit of an
+        // earlier reduction, which the root drops.
+        let plan =
+            FaultPlan::new(11).with_rule(FaultRule::corrupt_payload().on_rank(1).for_reduction(4));
+        let res = solve_wilson(
             &p,
             grid,
-            PrecisionRung::Half,
-            CommConfig::resilient(),
-            Some(plan),
+            WilsonSolve::gcr_dd(LadderChoice::Half)
+                .with_comm(CommConfig::resilient())
+                .with_faults(move |_| Some(plan.clone())),
         );
-        for (slot, r) in res.iter().enumerate() {
+        for (slot, r) in res.outcomes.iter().enumerate() {
             let out = r.as_ref().unwrap_or_else(|e| panic!("rank {slot}: {e}"));
             assert!(out.stats.converged);
             assert!(
@@ -602,22 +744,23 @@ mod resilient_tests {
     #[test]
     fn drop_dup_delay_stall_are_invisible_to_the_resilient_solve() {
         let (p, grid) = small_problem();
-        let plain = run_wilson_gcr_dd(&p, grid.clone(), false).unwrap();
+        let plain = fault_free(&p, &grid);
         for (name, rule) in [
             ("drop", FaultRule::drop_message().on_rank(1).data_only().times(3)),
             ("dup", FaultRule::duplicate_message().on_rank(2).times(4)),
             ("delay", FaultRule::delay_message(Duration::from_millis(30)).on_rank(0).times(3)),
             ("stall", FaultRule::stall_rank(Duration::from_millis(40)).on_rank(3).times(2)),
         ] {
-            let res = run_wilson_gcr_dd_resilient(
+            let plan = FaultPlan::new(23).with_rule(rule);
+            let res = solve_wilson(
                 &p,
                 grid.clone(),
-                PrecisionRung::Double,
-                CommConfig::resilient(),
-                Some(FaultPlan::new(23).with_rule(rule)),
+                WilsonSolve::gcr_dd(LadderChoice::Double)
+                    .with_comm(CommConfig::resilient())
+                    .with_faults(move |_| Some(plan.clone())),
             );
             let mut survived = 0;
-            for (slot, r) in res.iter().enumerate() {
+            for (slot, r) in res.outcomes.iter().enumerate() {
                 let out = r.as_ref().unwrap_or_else(|e| panic!("[{name}] rank {slot}: {e}"));
                 assert!(out.stats.converged, "[{name}] rank {slot}: {:?}", out.stats);
                 assert_eq!(out.stats.precision_fallbacks, 0, "[{name}] rank {slot}");
@@ -639,7 +782,14 @@ mod resilient_tests {
         let config = CommConfig::resilient().with_timeout(Duration::from_secs(2));
         let plan = FaultPlan::new(31).with_rule(FaultRule::die_rank().on_rank(2).after(6).times(1));
         let started = std::time::Instant::now();
-        let res = run_wilson_gcr_dd_resilient(&p, grid, PrecisionRung::Double, config, Some(plan));
+        let res = solve_wilson(
+            &p,
+            grid,
+            WilsonSolve::gcr_dd(LadderChoice::Double)
+                .with_comm(config)
+                .with_faults(move |_| Some(plan.clone())),
+        )
+        .outcomes;
         assert!(started.elapsed() < Duration::from_secs(30), "death must not hang the solve");
         match &res[2] {
             Err(Error::RankFailure { rank: 2, detail }) => {

@@ -6,15 +6,18 @@
 //! * [`WilsonProblem`] / [`StaggeredProblem`] — declarative descriptions
 //!   of a solve (volume, process grid, gauge disorder, mass, solver
 //!   parameters) that any rank can instantiate;
-//! * [`drivers`] — SPMD entry points: run a whole distributed solve over
-//!   a process grid with one call, returning per-rank statistics;
-//!   [`drivers::run_wilson_gcr_dd_resilient`] adds the fault-tolerant
-//!   variant (deadline/retry comms, panic-safe launch, precision-fallback
-//!   ladder);
+//! * [`drivers`] — one SPMD entry point per operator:
+//!   [`solve_wilson`] runs a [`WilsonSolve`] request (BiCGstab, or GCR-DD
+//!   climbing the precision ladder from a start rung, under any comms
+//!   policy, fault plan, supervisor and tuned configuration), and
+//!   [`solve_staggered`] runs asqtad multi-shift CG; both return per-rank
+//!   statistics;
 //! * [`supervise`] — checkpoint/restart for long solves: periodic field
-//!   snapshots at GCR restart boundaries, watchdog monitoring, and
-//!   [`supervise::run_wilson_gcr_dd_supervised`], which rebuilds a dead
-//!   world and resumes from the newest common checkpoint;
+//!   snapshots at GCR restart boundaries and watchdog monitoring, which
+//!   let a supervised request rebuild a dead world and resume from the
+//!   newest common checkpoint;
+//! * [`tuning`] — autotuner micro-trials and the policy resolution a
+//!   tuned request takes;
 //! * [`calibration`] — measured-iteration experiments linking the real
 //!   solvers to the performance model's iteration inputs (the
 //!   EXPERIMENTS.md data).
@@ -28,14 +31,9 @@ pub mod supervise;
 pub mod tuning;
 
 pub use drivers::{
-    run_staggered_multishift, run_wilson_bicgstab, run_wilson_gcr_dd, run_wilson_gcr_dd_resilient,
-    PrecisionRung, StaggeredSolveOutcome, WilsonSolveOutcome,
+    solve_staggered, solve_wilson, StaggeredSolveOutcome, WilsonRun, WilsonSolve,
+    WilsonSolveOutcome,
 };
 pub use problem::{StaggeredProblem, WilsonProblem};
-pub use supervise::{
-    run_wilson_gcr_dd_supervised, CheckpointingMonitor, SolveCheckpointMeta, SupervisedOutcome,
-    SupervisorConfig,
-};
-pub use tuning::{
-    run_staggered_multishift_tuned, run_wilson_gcr_dd_tuned, tune_wilson, WilsonTuneOutcome,
-};
+pub use supervise::{CheckpointingMonitor, SolveCheckpointMeta, SupervisorConfig};
+pub use tuning::{tune_wilson, WilsonTuneOutcome};

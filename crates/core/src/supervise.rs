@@ -2,23 +2,27 @@
 //!
 //! A production propagator solve runs for hours across hundreds of ranks;
 //! §9's scaling argument only pays off if a single rank death does not
-//! discard the accumulated Krylov progress. This module closes that loop:
+//! discard the accumulated Krylov progress. This module holds the pieces
+//! [`solve_wilson`](crate::solve_wilson) threads through a request that
+//! carries a [`SupervisorConfig`]:
 //!
 //! * [`CheckpointingMonitor`] rides the [`SolveMonitor`] hooks of
-//!   [`gcr_monitored`]: at every high-precision restart boundary — the
-//!   only points where the implicit solution update has been applied and
-//!   the true residual recomputed, i.e. the only *consistent* states — it
-//!   snapshots the current solution (always stored in double precision,
-//!   whatever rung produced it) plus a [`SolveCheckpointMeta`] record into
-//!   a per-rank [`CheckpointStore`]. The same monitor runs the
-//!   [`SolveWatchdog`] health checks each outer iteration.
-//! * [`run_wilson_gcr_dd_supervised`] is the supervisor: it launches the
-//!   world, and when any rank fails — watchdog trip, injected rank death,
-//!   deadline timeout — it tears the world down (the panic-safe
-//!   [`run_world_fallible`] path already guarantees every peer unwinds),
-//!   waits out an exponential backoff, rebuilds the world, restores the
-//!   newest checkpoint generation *common to all ranks*, and resumes the
-//!   solve from that guess. Restart attempts are bounded by
+//!   [`gcr_monitored`](lqcd_solvers::gcr_monitored): at every
+//!   high-precision restart boundary — the only points where the implicit
+//!   solution update has been applied and the true residual recomputed,
+//!   i.e. the only *consistent* states — it snapshots the current
+//!   solution (always stored in double precision, whatever rung produced
+//!   it) plus a [`SolveCheckpointMeta`] record into a per-rank
+//!   [`CheckpointStore`]. The same monitor runs the [`SolveWatchdog`]
+//!   health checks each outer iteration, and without a store it is
+//!   watchdog-only.
+//! * The supervisor loop in `solve_wilson`: when any rank fails —
+//!   watchdog trip, injected rank death, deadline timeout — it tears the
+//!   world down (the panic-safe `run_world_fallible` path already
+//!   guarantees every peer unwinds), waits out an exponential backoff,
+//!   rebuilds the world, restores the newest checkpoint generation
+//!   *common to all ranks* ([`common_generation`]), and resumes the solve
+//!   from that guess. Restart attempts are bounded by
 //!   [`SupervisorConfig::max_restarts`].
 //!
 //! Consistency note: checkpoint generations align across ranks because
@@ -33,23 +37,19 @@
 //! convergence optimisation and a determinism aid, not a correctness
 //! requirement.
 
-use crate::drivers::{PrecisionRung, WilsonSolveOutcome};
 use crate::problem::WilsonProblem;
-use lqcd_comms::{
-    run_world_fallible, CommConfig, Communicator, FaultPlan, FaultyComm, SharedComm, ThreadedComm,
-};
+use lqcd_comms::{Communicator, SharedComm};
 use lqcd_dirac::wilson::SpinorField;
-use lqcd_dirac::{OverlapHost, WilsonCloverOp};
+use lqcd_dirac::WilsonCloverOp;
 use lqcd_field::snapshot::{decode_field_into, encode_field};
 use lqcd_lattice::{Parity, ProcessGrid};
-use lqcd_solvers::spaces::{cast_wilson_op, EoWilsonSpace};
-use lqcd_solvers::{
-    gcr_monitored, SchwarzMR, SolveMonitor, SolveStats, SolveWatchdog, SolverSpace, WatchdogConfig,
-};
+use lqcd_solvers::spaces::EoWilsonSpace;
+use lqcd_solvers::{SolveMonitor, SolveStats, SolveWatchdog, WatchdogConfig};
+use lqcd_tune::LadderChoice;
 use lqcd_util::checkpoint::{ByteReader, Checkpoint, CheckpointStore};
 use lqcd_util::{trace, Error, Result};
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Format version of the solve-checkpoint metadata record.
 const META_VERSION: u8 = 1;
@@ -79,16 +79,32 @@ pub struct SolveCheckpointMeta {
     pub grid: [u32; 4],
 }
 
-/// Stable wire encoding of a [`PrecisionRung`].
-pub fn rung_code(rung: PrecisionRung) -> u8 {
+/// Stable wire encoding of a precision rung.
+pub fn rung_code(rung: LadderChoice) -> u8 {
     match rung {
-        PrecisionRung::Half => 2,
-        PrecisionRung::Single => 4,
-        PrecisionRung::Double => 8,
+        LadderChoice::Half => 2,
+        LadderChoice::Single => 4,
+        LadderChoice::Double => 8,
     }
 }
 
 impl SolveCheckpointMeta {
+    /// The identity of `rank`'s part of a run, before any checkpoint:
+    /// generation, progress and rung are filled in at each write.
+    fn template(problem: &WilsonProblem, grid: &ProcessGrid, rank: usize) -> Self {
+        SolveCheckpointMeta {
+            generation: 0,
+            rank: rank as u32,
+            rung: 0,
+            iterations: 0,
+            restarts: 0,
+            residual: f64::NAN,
+            seed: problem.seed,
+            global: problem.global.0.map(|d| d as u32),
+            grid: grid.shape.0.map(|d| d as u32),
+        }
+    }
+
     /// Serialize to the little-endian wire format.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(1 + 8 + 4 + 1 + 8 + 8 + 8 + 8 + 16 + 16);
@@ -195,12 +211,13 @@ pub const META_SECTION: &str = "meta";
 /// Solution-vector section (always a double-precision field snapshot).
 pub const SOLUTION_SECTION: &str = "solution";
 
-/// The monitor a supervised solve threads through [`gcr_monitored`]:
+/// The monitor every GCR-DD rung threads through `gcr_monitored`:
 /// watchdog health checks every outer iteration, a checkpoint every
 /// `every`-th high-precision restart. The solution is stored in double
 /// precision regardless of the rung that produced it, so a resume can
 /// seed any rung.
 pub struct CheckpointingMonitor {
+    config: WatchdogConfig,
     watchdog: SolveWatchdog,
     store: Option<CheckpointStore>,
     every: usize,
@@ -210,27 +227,55 @@ pub struct CheckpointingMonitor {
 }
 
 impl CheckpointingMonitor {
-    /// A monitor writing into `store` (or watchdog-only when `None`).
-    /// `every` = 0 disables checkpointing; `next_generation` numbers the
-    /// first checkpoint this monitor will write.
-    pub fn new(
-        watchdog: SolveWatchdog,
-        store: Option<CheckpointStore>,
-        every: usize,
-        template: SolveCheckpointMeta,
-        next_generation: u64,
-    ) -> Self {
-        CheckpointingMonitor { watchdog, store, every, template, next_generation, written: 0 }
+    /// The monitor of `rank`'s part of a solve, and the solution it
+    /// resumes from. Checkpoints go to the supervisor's per-rank store
+    /// (none without a supervisor); a `resumed` generation is restored
+    /// from that store, and numbering continues after it.
+    pub(crate) fn for_rank(
+        problem: &WilsonProblem,
+        grid: &ProcessGrid,
+        op: &WilsonCloverOp<f64>,
+        rank: usize,
+        sup: Option<&SupervisorConfig>,
+        resumed: Option<u64>,
+    ) -> Result<(Self, Option<SpinorField<f64>>)> {
+        let store = sup.map(|s| rank_store(&s.dir, rank, s.keep)).transpose()?;
+        let resume = match (&store, resumed) {
+            (Some(store), Some(generation)) => {
+                Some(restore(store, generation, problem, grid, rank, op)?)
+            }
+            _ => None,
+        };
+        let monitor = CheckpointingMonitor {
+            config: problem.watchdog,
+            watchdog: SolveWatchdog::new("gcr-dd", problem.watchdog),
+            store,
+            every: sup.map_or(0, |s| s.checkpoint_every),
+            template: SolveCheckpointMeta::template(problem, grid, rank),
+            next_generation: resumed.map_or(1, |g| g + 1),
+            written: 0,
+        };
+        Ok((monitor, resume))
     }
 
-    /// Generation the *next* checkpoint would get.
-    pub fn next_generation(&self) -> u64 {
-        self.next_generation
+    /// Arm the monitor for one rung of the ladder: checkpoints record
+    /// `rung`, and a fresh watchdog counts `prior` — wall time earlier
+    /// rungs and world launches of the same logical solve consumed —
+    /// against its wall-clock budget. Checkpoint numbering carries over,
+    /// so a later rung never overwrites an earlier rung's generations.
+    pub(crate) fn start_rung(&mut self, rung: LadderChoice, prior: Duration) {
+        self.watchdog = SolveWatchdog::resumed("gcr-dd", self.config, prior);
+        self.template.rung = rung_code(rung);
     }
 
     /// Checkpoints written so far.
-    pub fn written(&self) -> usize {
+    pub(crate) fn written(&self) -> usize {
         self.written
+    }
+
+    /// Whether the restart boundary `stats` stands at cuts a checkpoint.
+    fn due(&self, stats: &SolveStats) -> bool {
+        self.store.is_some() && self.every != 0 && stats.restarts.is_multiple_of(self.every)
     }
 
     fn write_checkpoint(
@@ -239,9 +284,6 @@ impl CheckpointingMonitor {
         stats: &SolveStats,
         rel_residual: f64,
     ) -> Result<()> {
-        if self.every == 0 || !stats.restarts.is_multiple_of(self.every) {
-            return Ok(());
-        }
         let Some(store) = &self.store else {
             return Ok(());
         };
@@ -269,7 +311,7 @@ impl CheckpointingMonitor {
 
 /// The monitor is precision-agnostic on the outside but must convert the
 /// rung's solution vector to f64 for storage, so it is implemented per
-/// concrete rung precision (mirroring the drivers' per-rung dispatch).
+/// concrete rung precision (the f64 and f32 operators of the ladder).
 macro_rules! impl_checkpointing_monitor {
     ($real:ty) => {
         impl<C: Communicator> SolveMonitor<EoWilsonSpace<$real, SharedComm<C>>>
@@ -286,6 +328,9 @@ macro_rules! impl_checkpointing_monitor {
                 stats: &SolveStats,
                 rel_residual: f64,
             ) -> Result<()> {
+                if !self.due(stats) {
+                    return Ok(());
+                }
                 self.write_checkpoint(&x.cast_body::<f64>(), stats, rel_residual)
             }
         }
@@ -296,7 +341,8 @@ impl_checkpointing_monitor!(f64);
 impl_checkpointing_monitor!(f32);
 
 /// Supervisor policy: where checkpoints live, how often they are cut,
-/// how many restarts to attempt, and how the watchdog is tuned.
+/// and how many restarts to attempt. The watchdog is the problem's own
+/// ([`WilsonProblem::watchdog`]), supervised or not.
 #[derive(Clone, Debug)]
 pub struct SupervisorConfig {
     /// Checkpoint root; each rank writes under `dir/rankNNN/`.
@@ -311,8 +357,6 @@ pub struct SupervisorConfig {
     pub checkpoint_every: usize,
     /// Checkpoint generations retained per rank.
     pub keep: usize,
-    /// Watchdog tuning threaded into every attempt.
-    pub watchdog: WatchdogConfig,
 }
 
 impl SupervisorConfig {
@@ -326,21 +370,8 @@ impl SupervisorConfig {
             backoff_max: Duration::from_secs(2),
             checkpoint_every: 1,
             keep: 3,
-            watchdog: WatchdogConfig::default(),
         }
     }
-}
-
-/// What a supervised run reports beyond the per-rank outcomes.
-#[derive(Debug)]
-pub struct SupervisedOutcome {
-    /// Final per-rank results (rank order), from the last attempt.
-    pub outcomes: Vec<Result<WilsonSolveOutcome>>,
-    /// World launches performed (1 = no supervised restart needed).
-    pub attempts: usize,
-    /// Per attempt: the checkpoint generation it resumed from (`None` =
-    /// fresh start).
-    pub resumed_generations: Vec<Option<u64>>,
 }
 
 /// This rank's checkpoint store under the supervisor root.
@@ -365,292 +396,23 @@ pub fn common_generation(dir: &Path, num_ranks: usize, keep: usize) -> Option<u6
     common.and_then(|gens| gens.into_iter().max())
 }
 
-/// One monitored GCR-DD attempt at a fixed rung, optionally seeded from a
-/// restored double-precision solution. Checkpoint numbering continues
-/// from `*next_generation`; both counters survive a failed attempt so the
-/// ladder's next rung does not overwrite earlier generations.
-///
-/// `prior` is wall time the logical solve consumed before this attempt
-/// (earlier rungs *and* earlier supervised world launches); the watchdog
-/// budget covers the whole solve, not each attempt. Failure returns the
-/// salvaged partial stats alongside the error, with dslash counters
-/// drained as deltas against the operator's state at attempt start.
-#[allow(clippy::too_many_arguments)]
-// The Err payload deliberately carries the salvaged SolveStats of the
-// failed attempt; boxing it would add an allocation to an error path
-// the ladder unwraps immediately.
-#[allow(clippy::result_large_err)]
-fn supervised_attempt<C: Communicator>(
-    p: &WilsonProblem,
-    op64: &WilsonCloverOp<f64>,
-    comm: SharedComm<C>,
-    rung: PrecisionRung,
-    resume: Option<&SpinorField<f64>>,
+/// Restore `rank`'s solution from checkpoint `generation` of `store`,
+/// after checking the checkpoint belongs to this run.
+fn restore(
     store: &CheckpointStore,
-    sup: &SupervisorConfig,
-    template: SolveCheckpointMeta,
-    next_generation: &mut u64,
-    written: &mut usize,
-    prior: Duration,
-) -> crate::drivers::AttemptResult {
-    fn fail(e: Error) -> (Error, SolveStats) {
-        (e, SolveStats::new())
-    }
-    macro_rules! attempt {
-        ($space:expr, $precond:expr, $params:expr) => {{
-            let mut space = $space.map_err(fail)?;
-            let mut baseline = space.op.dslash_counters();
-            let b = p.rhs(&space.op);
-            let mut x = space.alloc();
-            if let Some(x64) = resume {
-                x64.convert_body_into(&mut x);
-            }
-            let mut precond = $precond;
-            let mut monitor = CheckpointingMonitor::new(
-                SolveWatchdog::resumed("gcr-dd", sup.watchdog, prior),
-                Some(store.clone()),
-                sup.checkpoint_every,
-                SolveCheckpointMeta { rung: rung_code(rung), ..template },
-                *next_generation,
-            );
-            let result =
-                gcr_monitored(&mut space, &mut precond, &mut x, &b, &$params, &mut monitor);
-            *next_generation = monitor.next_generation();
-            *written += monitor.written();
-            match result {
-                Ok(mut stats) => {
-                    crate::drivers::drain_dslash(
-                        &mut stats,
-                        space.op.dslash_counters(),
-                        &mut baseline,
-                    );
-                    let n2 = space.norm2(&x).map_err(|e| (e, stats))?;
-                    Ok(WilsonSolveOutcome {
-                        stats,
-                        solution_norm2: n2,
-                        matvecs: space.matvec_count(),
-                        dirichlet_matvecs: space.dirichlet_matvecs(),
-                    })
-                }
-                Err(e) => {
-                    // Salvage what the failed rung actually did.
-                    let mut partial = SolveStats::new();
-                    partial.matvecs = space.matvec_count();
-                    partial.precond_matvecs = space.dirichlet_matvecs();
-                    crate::drivers::drain_dslash(
-                        &mut partial,
-                        space.op.dslash_counters(),
-                        &mut baseline,
-                    );
-                    Err((e, partial))
-                }
-            }
-        }};
-    }
-    match rung {
-        PrecisionRung::Double => {
-            let op = cast_wilson_op::<f64>(op64).map_err(fail)?;
-            attempt!(EoWilsonSpace::new(op, comm), SchwarzMR::new(p.mr_steps), p.gcr)
-        }
-        PrecisionRung::Single => {
-            let op = cast_wilson_op::<f32>(op64).map_err(fail)?;
-            attempt!(EoWilsonSpace::new(op, comm), SchwarzMR::new(p.mr_steps), p.gcr)
-        }
-        PrecisionRung::Half => {
-            let op = cast_wilson_op::<f32>(op64).map_err(fail)?;
-            let mut params = p.gcr;
-            params.quantize_krylov = true;
-            attempt!(
-                EoWilsonSpace::new(op, comm).map(|s| s.with_half_storage()),
-                SchwarzMR::new(p.mr_steps).quantized(),
-                params
-            )
-        }
-    }
-}
-
-/// The per-rank body of one supervised world launch: restore the common
-/// checkpoint (when there is one), then climb the precision ladder with
-/// checkpointing and watchdog monitoring threaded through every attempt.
-fn supervised_body<C: Communicator>(
-    p: &WilsonProblem,
-    g: &ProcessGrid,
-    comm: C,
-    start: PrecisionRung,
-    sup: &SupervisorConfig,
-    resume_gen: Option<u64>,
-    prior: Duration,
-) -> Result<WilsonSolveOutcome> {
-    let body_started = Instant::now();
-    let shared = SharedComm::new(comm);
-    let rank = shared.rank();
-    let op64 = p.build_operator(&mut shared.clone(), g)?;
-    let store = rank_store(&sup.dir, rank, sup.keep)?;
-
-    let mut resume64: Option<SpinorField<f64>> = None;
-    if let Some(generation) = resume_gen {
-        let what = store.path_for(generation).display().to_string();
-        let ckpt = store.load(generation)?;
-        let meta = SolveCheckpointMeta::decode(ckpt.require(META_SECTION)?, &what)?;
-        meta.validate(p, g, rank as u32, &what)?;
-        let mut x64 = op64.alloc(Parity::Odd);
-        decode_field_into(ckpt.require(SOLUTION_SECTION)?, &mut x64, &what)?;
-        resume64 = Some(x64);
-    }
-
-    let template = SolveCheckpointMeta {
-        generation: 0,
-        rank: rank as u32,
-        rung: rung_code(start),
-        iterations: 0,
-        restarts: 0,
-        residual: f64::NAN,
-        seed: p.seed,
-        global: {
-            let mut d = [0u32; 4];
-            for (o, &i) in d.iter_mut().zip(p.global.0.iter()) {
-                *o = i as u32;
-            }
-            d
-        },
-        grid: {
-            let mut d = [0u32; 4];
-            for (o, &i) in d.iter_mut().zip(g.shape.0.iter()) {
-                *o = i as u32;
-            }
-            d
-        },
-    };
-
-    let mut next_generation = resume_gen.map_or(1, |g| g + 1);
-    let mut written = 0usize;
-    let mut rung = start;
-    let mut fallbacks = 0usize;
-    // Salvaged work of failed rungs, folded into the final record (the
-    // attempts drain their counters as deltas, so each apply is counted
-    // exactly once).
-    let mut carried = SolveStats::new();
-    loop {
-        match supervised_attempt(
-            p,
-            &op64,
-            shared.clone(),
-            rung,
-            resume64.as_ref(),
-            &store,
-            sup,
-            template,
-            &mut next_generation,
-            &mut written,
-            prior + body_started.elapsed(),
-        ) {
-            Ok(mut out) => {
-                out.stats.absorb(&carried);
-                out.stats.precision_fallbacks = fallbacks;
-                out.stats.exchange_retries = shared.exchange_retries();
-                out.stats.faults_survived = shared.faults_survived();
-                out.stats.checkpoints_written = written;
-                out.stats.resumed_from_checkpoint = resume64.is_some();
-                return Ok(out);
-            }
-            Err((e, partial)) if crate::drivers::recoverable(&e) => match rung.escalate() {
-                Some(next) => {
-                    carried.absorb(&partial);
-                    fallbacks += 1;
-                    rung = next;
-                }
-                None => return Err(e),
-            },
-            Err((e, _)) => return Err(e),
-        }
-    }
-}
-
-/// Run a supervised distributed GCR-DD solve: fault-tolerant comms,
-/// watchdog monitoring, periodic checkpoints, and bounded
-/// teardown/rebuild/resume when any rank fails.
-///
-/// `plan_for_attempt(i)` supplies the fault plan for world launch `i`
-/// (0-based). This is a closure rather than a single plan because
-/// [`FaultPlan`] counters are per-world: rebuilding from the same plan
-/// would re-fire a `die_rank` rule on every attempt and the run could
-/// never recover. Chaos tests inject on attempt 0 and return `None`
-/// afterwards; production callers return `None` throughout.
-pub fn run_wilson_gcr_dd_supervised<F>(
+    generation: u64,
     problem: &WilsonProblem,
-    grid: ProcessGrid,
-    start: PrecisionRung,
-    config: CommConfig,
-    sup: &SupervisorConfig,
-    mut plan_for_attempt: F,
-) -> SupervisedOutcome
-where
-    F: FnMut(usize) -> Option<FaultPlan>,
-{
-    let num_ranks = grid.num_ranks();
-    let flatten = |r: Result<Result<WilsonSolveOutcome>>| r.and_then(|inner| inner);
-    let mut resumed_generations = Vec::new();
-    let mut attempt = 0usize;
-    // Wall time earlier world launches spent solving (backoff sleeps
-    // excluded): the watchdog's wall-clock budget covers the logical
-    // solve, so a supervised restart must not reset the clock.
-    let mut consumed = Duration::ZERO;
-    // Control-plane events (launches, failures, backoffs) land on their
-    // own pseudo-rank track; rank threads install their own scopes.
-    let _ctl = trace::rank_scope(trace::CONTROL_RANK);
-    loop {
-        let resume_gen = common_generation(&sup.dir, num_ranks, sup.keep);
-        resumed_generations.push(resume_gen);
-        trace::instant(
-            trace::Track::Supervisor,
-            if resume_gen.is_some() { "world_launch_resumed" } else { "world_launch_fresh" },
-            attempt as i64,
-        );
-        let p = problem.clone();
-        let g = grid.clone();
-        let prior = consumed;
-        let launched = Instant::now();
-        let outcomes: Vec<Result<WilsonSolveOutcome>> = match plan_for_attempt(attempt) {
-            Some(plan) => {
-                let comms = FaultyComm::world(grid.clone(), config, plan);
-                run_world_fallible(comms, |comm| {
-                    supervised_body(&p, &g, comm, start, sup, resume_gen, prior)
-                })
-                .into_iter()
-                .map(flatten)
-                .collect()
-            }
-            None => {
-                let comms = ThreadedComm::world_with(grid.clone(), config);
-                run_world_fallible(comms, |comm| {
-                    supervised_body(&p, &g, comm, start, sup, resume_gen, prior)
-                })
-                .into_iter()
-                .map(flatten)
-                .collect()
-            }
-        };
-        consumed += launched.elapsed();
-        let all_ok = outcomes.iter().all(|r| r.is_ok());
-        if all_ok || attempt >= sup.max_restarts {
-            trace::instant(
-                trace::Track::Supervisor,
-                if all_ok { "supervision_converged" } else { "supervision_exhausted" },
-                attempt as i64,
-            );
-            let mut outcomes = outcomes;
-            for out in outcomes.iter_mut().flatten() {
-                out.stats.supervisor_restarts = attempt;
-            }
-            return SupervisedOutcome { outcomes, attempts: attempt + 1, resumed_generations };
-        }
-        attempt += 1;
-        trace::instant(trace::Track::Supervisor, "world_failed", attempt as i64);
-        let doubling = 1u32 << (attempt - 1).min(16) as u32;
-        let delay = sup.backoff.saturating_mul(doubling).min(sup.backoff_max);
-        let _backoff = trace::span_arg(trace::Track::Supervisor, "backoff", attempt as i64);
-        std::thread::sleep(delay);
-    }
+    grid: &ProcessGrid,
+    rank: usize,
+    op: &WilsonCloverOp<f64>,
+) -> Result<SpinorField<f64>> {
+    let what = store.path_for(generation).display().to_string();
+    let ckpt = store.load(generation)?;
+    let meta = SolveCheckpointMeta::decode(ckpt.require(META_SECTION)?, &what)?;
+    meta.validate(problem, grid, rank as u32, &what)?;
+    let mut x = op.alloc(Parity::Odd);
+    decode_field_into(ckpt.require(SOLUTION_SECTION)?, &mut x, &what)?;
+    Ok(x)
 }
 
 #[cfg(test)]
@@ -662,7 +424,7 @@ mod tests {
         SolveCheckpointMeta {
             generation: 7,
             rank: 3,
-            rung: rung_code(PrecisionRung::Single),
+            rung: rung_code(LadderChoice::Single),
             iterations: 120,
             restarts: 4,
             residual: 3.25e-6,

@@ -1,5 +1,5 @@
 //! Autotuning glue: real micro-trial runners for `lqcd-tune` and the
-//! tuned solver drivers.
+//! policy resolution the solve entry points take.
 //!
 //! `lqcd-tune`'s [`Tuner`] is closure-based — it knows nothing about
 //! operators or communicators. This module supplies the closures: a
@@ -8,23 +8,22 @@
 //! the real overlapped pipeline (min-of-rounds behind barriers, max
 //! over ranks), and bit-compares one apply against the blocking
 //! reference path; and a GCR-DD trial that times whole preconditioned
-//! solves under candidate `mr_steps`/`n_kv`. On top sit
-//! [`tune_wilson`] (the two-phase dslash-then-solver search) and
-//! [`run_wilson_gcr_dd_tuned`] / [`run_staggered_multishift_tuned`],
-//! the drivers that accept a [`TunePolicy`] and stamp
-//! `SolveStats::tuned_config` with the fingerprint of whatever
-//! configuration actually ran. See DESIGN.md, "Autotuning".
+//! solves under candidate `mr_steps`/`n_kv`. On top sit [`tune_wilson`]
+//! (the two-phase dslash-then-solver search) and [`resolve`], which
+//! turns a [`TunePolicy`] into the grid and the [`TuneParam`] a
+//! [`WilsonSolve::tuned`] request or [`solve_staggered`] applies. See
+//! DESIGN.md, "Autotuning".
+//!
+//! [`solve_staggered`]: crate::solve_staggered
 
-use crate::drivers::{record_dslash, StaggeredSolveOutcome, WilsonSolveOutcome};
+use crate::drivers::{solve_wilson, WilsonSolve};
 use crate::problem::{StaggeredProblem, WilsonProblem};
-use lqcd_comms::{run_on_grid, Communicator};
-use lqcd_dirac::{BoundaryMode, InteriorPolicy, OverlapHost};
-use lqcd_lattice::{PartitionScheme, ProcessGrid};
-use lqcd_solvers::spaces::{cast_wilson_op, EoWilsonSpace, StaggeredNormalSpace};
-use lqcd_solvers::{gcr, multishift_cg, SchwarzMR, SolverSpace};
-use lqcd_tune::{
-    LadderChoice, TrialOutcome, TuneCache, TuneKey, TuneParam, TunePolicy, TuneReport, Tuner,
-};
+use lqcd_comms::{run_on_grid, Communicator, ThreadedComm};
+use lqcd_dirac::{BoundaryMode, InteriorPolicy, OverlapHost, StaggeredOp, WilsonCloverOp};
+use lqcd_field::{LatticeField, SiteObject};
+use lqcd_lattice::{Dims, PartitionScheme, ProcessGrid};
+use lqcd_su3::{ColorVector, WilsonSpinor};
+use lqcd_tune::{TrialOutcome, TuneCache, TuneKey, TuneParam, TunePolicy, TuneReport, Tuner};
 use lqcd_util::trace::MetricsRegistry;
 use lqcd_util::Result;
 use std::time::Instant;
@@ -44,106 +43,137 @@ pub fn staggered_dslash_key(problem: &StaggeredProblem, ranks: usize) -> TuneKey
     TuneKey::new("asqtad/dslash", problem.global, ranks)
 }
 
-/// `problem` with the solver axes of `param` applied (`mr_steps`,
-/// GCR restart length `kmax`).
-fn tuned_problem(problem: &WilsonProblem, param: &TuneParam) -> WilsonProblem {
-    let mut p = problem.clone();
-    p.mr_steps = param.mr_steps;
-    p.gcr.kmax = param.n_kv;
-    p
+/// Resolve `policy` for the solve `key` names: the process grid to run
+/// on and the tuned configuration to apply. `Off` (or a cache miss under
+/// `Tuned`) gives the hardcoded defaults — ZT partitioning and no
+/// [`TuneParam`], so the problem's own solver parameters run with
+/// `tuned_config` left 0; `Fixed` and a `Tuned` hit give the
+/// parameter's own scheme.
+pub fn resolve(policy: &TunePolicy, key: &TuneKey) -> Result<(ProcessGrid, Option<TuneParam>)> {
+    let param = policy.resolve(key)?;
+    let scheme = param.map_or(PartitionScheme::ZT, |p| p.scheme);
+    Ok((scheme.grid(key.global_dims(), key.ranks)?, param))
 }
 
-/// One dslash micro-trial: launch `param.scheme`'s world, apply the
-/// candidate interior policy, and measure the real overlapped pipeline.
-/// The trial unit is one dslash apply; the bitwise guard compares one
-/// overlapped apply against `dslash_sequential` on every rank.
+/// The operator surface the dslash micro-trial drives. Both operators
+/// expose the overlapped and the blocking apply under the same names.
+trait TrialOp: OverlapHost<f64> {
+    type Site: SiteObject<f64>;
+
+    /// A zero field of the parity a dslash of `src` writes.
+    fn output(&self, src: &LatticeField<f64, Self::Site>) -> LatticeField<f64, Self::Site>;
+
+    /// One full dslash, overlapped or through the blocking reference.
+    fn apply(
+        &self,
+        out: &mut LatticeField<f64, Self::Site>,
+        src: &mut LatticeField<f64, Self::Site>,
+        comm: &mut ThreadedComm,
+        sequential: bool,
+    ) -> Result<()>;
+}
+
+macro_rules! trial_op {
+    ($op:ty, $site:ty) => {
+        impl TrialOp for $op {
+            type Site = $site;
+
+            fn output(&self, src: &LatticeField<f64, $site>) -> LatticeField<f64, $site> {
+                self.alloc(src.parity().other())
+            }
+
+            fn apply(
+                &self,
+                out: &mut LatticeField<f64, $site>,
+                src: &mut LatticeField<f64, $site>,
+                comm: &mut ThreadedComm,
+                sequential: bool,
+            ) -> Result<()> {
+                if sequential {
+                    self.dslash_sequential(out, src, comm, BoundaryMode::Full)
+                } else {
+                    self.dslash(out, src, comm, BoundaryMode::Full)
+                }
+            }
+        }
+    };
+}
+
+trial_op!(WilsonCloverOp<f64>, WilsonSpinor<f64>);
+trial_op!(StaggeredOp<f64>, ColorVector<f64>);
+
+/// One dslash micro-trial: launch `param.scheme`'s world, build each
+/// rank's operator and source with `setup`, apply the candidate interior
+/// policy, and measure the real overlapped pipeline. The trial unit is
+/// one dslash apply; the bitwise guard compares one overlapped apply
+/// against `dslash_sequential` on every rank.
+fn dslash_trial<Op: TrialOp>(
+    global: Dims,
+    ranks: usize,
+    tuner: &Tuner,
+    param: &TuneParam,
+    setup: impl Fn(&mut ThreadedComm, &ProcessGrid) -> Result<(Op, LatticeField<f64, Op::Site>)> + Sync,
+) -> Result<TrialOutcome> {
+    let grid = param.scheme.grid(global, ranks)?;
+    let policy = InteriorPolicy::new(param.interior_threads, param.ghost_order)?;
+    let (warmup, rounds, applies) = (tuner.warmup, tuner.rounds, tuner.applies);
+    let results = run_on_grid(grid.clone(), |mut comm| -> Result<(f64, bool)> {
+        let (op, mut src) = setup(&mut comm, &grid)?;
+        op.set_interior_policy(policy);
+        let mut out = op.output(&src);
+        let mut reference = op.output(&src);
+        op.apply(&mut reference, &mut src, &mut comm, true)?;
+        op.apply(&mut out, &mut src, &mut comm, false)?;
+        let identical =
+            reference.body().iter().zip(out.body()).all(|(a, b)| a.to_bits() == b.to_bits());
+        for _ in 0..warmup {
+            op.apply(&mut out, &mut src, &mut comm, false)?;
+        }
+        let mut best = f64::INFINITY;
+        for _ in 0..rounds {
+            comm.barrier()?;
+            let t = Instant::now();
+            for _ in 0..applies {
+                op.apply(&mut out, &mut src, &mut comm, false)?;
+            }
+            comm.barrier()?;
+            let mut wall = [t.elapsed().as_secs_f64()];
+            comm.allreduce_max(&mut wall)?;
+            best = best.min(wall[0]);
+        }
+        Ok((best / applies as f64, identical))
+    });
+    let per_rank = results.into_iter().collect::<Result<Vec<_>>>()?;
+    let bit_identical = per_rank.iter().all(|&(_, id)| id);
+    Ok(TrialOutcome { secs_per_unit: per_rank[0].0, bit_identical })
+}
+
+/// The Wilson-clover dslash micro-trial (see [`Tuner`]).
 pub fn wilson_dslash_trial(
     problem: &WilsonProblem,
     ranks: usize,
     tuner: &Tuner,
     param: &TuneParam,
 ) -> Result<TrialOutcome> {
-    let grid = param.scheme.grid(problem.global, ranks)?;
-    let policy = InteriorPolicy::new(param.interior_threads, param.ghost_order)?;
-    let p = problem.clone();
-    let g = grid.clone();
-    let (warmup, rounds, applies) = (tuner.warmup, tuner.rounds, tuner.applies);
-    let results = run_on_grid(grid, move |mut comm| -> Result<(f64, bool)> {
-        let op = p.build_operator(&mut comm, &g)?;
-        op.set_interior_policy(policy);
-        let mut src = p.rhs(&op);
-        let mut out = op.alloc(src.parity().other());
-        let mut reference = op.alloc(src.parity().other());
-        op.dslash_sequential(&mut reference, &mut src, &mut comm, BoundaryMode::Full)?;
-        op.dslash(&mut out, &mut src, &mut comm, BoundaryMode::Full)?;
-        let identical =
-            reference.body().iter().zip(out.body()).all(|(a, b)| a.to_bits() == b.to_bits());
-        for _ in 0..warmup {
-            op.dslash(&mut out, &mut src, &mut comm, BoundaryMode::Full)?;
-        }
-        let mut best = f64::INFINITY;
-        for _ in 0..rounds {
-            comm.barrier()?;
-            let t = Instant::now();
-            for _ in 0..applies {
-                op.dslash(&mut out, &mut src, &mut comm, BoundaryMode::Full)?;
-            }
-            comm.barrier()?;
-            let mut wall = [t.elapsed().as_secs_f64()];
-            comm.allreduce_max(&mut wall)?;
-            best = best.min(wall[0]);
-        }
-        Ok((best / applies as f64, identical))
-    });
-    let per_rank: Result<Vec<_>> = results.into_iter().collect();
-    let per_rank = per_rank?;
-    let bit_identical = per_rank.iter().all(|&(_, id)| id);
-    Ok(TrialOutcome { secs_per_unit: per_rank[0].0, bit_identical })
+    dslash_trial(problem.global, ranks, tuner, param, |comm, grid| {
+        let op = problem.build_operator(comm, grid)?;
+        let src = problem.rhs(&op);
+        Ok((op, src))
+    })
 }
 
-/// The staggered twin of [`wilson_dslash_trial`].
+/// The staggered (asqtad) dslash micro-trial.
 pub fn staggered_dslash_trial(
     problem: &StaggeredProblem,
     ranks: usize,
     tuner: &Tuner,
     param: &TuneParam,
 ) -> Result<TrialOutcome> {
-    let grid = param.scheme.grid(problem.global, ranks)?;
-    let policy = InteriorPolicy::new(param.interior_threads, param.ghost_order)?;
-    let p = problem.clone();
-    let g = grid.clone();
-    let (warmup, rounds, applies) = (tuner.warmup, tuner.rounds, tuner.applies);
-    let results = run_on_grid(grid, move |mut comm| -> Result<(f64, bool)> {
-        let op = p.build_operator(&g, comm.rank())?;
-        op.set_interior_policy(policy);
-        let mut src = p.rhs(&op);
-        let mut out = op.alloc(src.parity().other());
-        let mut reference = op.alloc(src.parity().other());
-        op.dslash_sequential(&mut reference, &mut src, &mut comm, BoundaryMode::Full)?;
-        op.dslash(&mut out, &mut src, &mut comm, BoundaryMode::Full)?;
-        let identical =
-            reference.body().iter().zip(out.body()).all(|(a, b)| a.to_bits() == b.to_bits());
-        for _ in 0..warmup {
-            op.dslash(&mut out, &mut src, &mut comm, BoundaryMode::Full)?;
-        }
-        let mut best = f64::INFINITY;
-        for _ in 0..rounds {
-            comm.barrier()?;
-            let t = Instant::now();
-            for _ in 0..applies {
-                op.dslash(&mut out, &mut src, &mut comm, BoundaryMode::Full)?;
-            }
-            comm.barrier()?;
-            let mut wall = [t.elapsed().as_secs_f64()];
-            comm.allreduce_max(&mut wall)?;
-            best = best.min(wall[0]);
-        }
-        Ok((best / applies as f64, identical))
-    });
-    let per_rank: Result<Vec<_>> = results.into_iter().collect();
-    let per_rank = per_rank?;
-    let bit_identical = per_rank.iter().all(|&(_, id)| id);
-    Ok(TrialOutcome { secs_per_unit: per_rank[0].0, bit_identical })
+    dslash_trial(problem.global, ranks, tuner, param, |comm, grid| {
+        let op = problem.build_operator(grid, comm.rank())?;
+        let src = problem.rhs(&op);
+        Ok((op, src))
+    })
 }
 
 /// One GCR-DD micro-trial: whole preconditioned solves of `problem`
@@ -166,7 +196,7 @@ pub fn wilson_gcr_trial(
     let mut norms: Vec<f64> = Vec::new();
     for i in 0..tuner.warmup + tuner.rounds * tuner.applies {
         let t = Instant::now();
-        let out = solve_with_param(problem, grid.clone(), *param)?;
+        let out = solve_wilson(problem, grid.clone(), WilsonSolve::tuned(*param)).into_result()?;
         let wall = t.elapsed().as_secs_f64();
         sound &= out.iter().all(|o| o.stats.converged);
         let n0 = out[0].solution_norm2;
@@ -178,66 +208,6 @@ pub fn wilson_gcr_trial(
     }
     sound &= norms.windows(2).all(|w| w[0].to_bits() == w[1].to_bits());
     Ok(TrialOutcome { secs_per_unit: best, bit_identical: sound })
-}
-
-/// The GCR-DD solve body under one full tuned configuration: candidate
-/// partition grid, interior policy, solver axes, and precision ladder.
-/// Stamps `stats.tuned_config` with the parameter fingerprint.
-fn solve_with_param(
-    problem: &WilsonProblem,
-    grid: ProcessGrid,
-    param: TuneParam,
-) -> Result<Vec<WilsonSolveOutcome>> {
-    let p = tuned_problem(problem, &param);
-    let g = grid.clone();
-    let policy = InteriorPolicy::new(param.interior_threads, param.ghost_order)?;
-    let fingerprint = param.fingerprint();
-    let ladder = param.ladder;
-    let results = run_on_grid(grid, move |mut comm| -> Result<WilsonSolveOutcome> {
-        let op = p.build_operator(&mut comm, &g)?;
-        // The policy is applied to `space.op` inside the macro: casting
-        // to a lower precision builds a fresh operator that would not
-        // inherit a policy set here.
-        macro_rules! solve {
-            ($space:expr, $precond:expr, $params:expr) => {{
-                let mut space = $space;
-                space.op.set_interior_policy(policy);
-                let b = p.rhs(&space.op);
-                let mut x = space.alloc();
-                let mut precond = $precond;
-                let mut stats = gcr(&mut space, &mut precond, &mut x, &b, &$params)?;
-                record_dslash(&mut stats, space.op.dslash_counters());
-                stats.tuned_config = fingerprint;
-                let n2 = space.norm2(&x)?;
-                Ok(WilsonSolveOutcome {
-                    stats,
-                    solution_norm2: n2,
-                    matvecs: space.matvec_count(),
-                    dirichlet_matvecs: space.dirichlet_matvecs(),
-                })
-            }};
-        }
-        match ladder {
-            LadderChoice::Double => {
-                solve!(EoWilsonSpace::new(op, comm)?, SchwarzMR::new(p.mr_steps), p.gcr)
-            }
-            LadderChoice::Single => {
-                let op32 = cast_wilson_op::<f32>(&op)?;
-                solve!(EoWilsonSpace::new(op32, comm)?, SchwarzMR::new(p.mr_steps), p.gcr)
-            }
-            LadderChoice::Half => {
-                let op32 = cast_wilson_op::<f32>(&op)?;
-                let mut params = p.gcr;
-                params.quantize_krylov = true;
-                solve!(
-                    EoWilsonSpace::new(op32, comm)?.with_half_storage(),
-                    SchwarzMR::new(p.mr_steps).quantized(),
-                    params
-                )
-            }
-        }
-    });
-    results.into_iter().collect()
 }
 
 /// Everything the two-phase Wilson tune produced.
@@ -283,75 +253,10 @@ pub fn tune_wilson(
     Ok(WilsonTuneOutcome { dslash, solver })
 }
 
-/// Run a GCR-DD solve under a tuning policy. `Off` (or a cache miss
-/// under `Tuned`) runs the hardcoded defaults — ZT partitioning, the
-/// problem's own solver parameters — with `tuned_config` left 0;
-/// `Fixed`/`Tuned` apply the resolved [`TuneParam`] end to end.
-pub fn run_wilson_gcr_dd_tuned(
-    problem: &WilsonProblem,
-    ranks: usize,
-    policy: &TunePolicy,
-) -> Result<Vec<WilsonSolveOutcome>> {
-    let key = wilson_solver_key(problem, ranks);
-    match policy.resolve(&key)? {
-        Some(param) => {
-            let grid = param.scheme.grid(problem.global, ranks)?;
-            solve_with_param(problem, grid, param)
-        }
-        None => {
-            let grid = PartitionScheme::ZT.grid(problem.global, ranks)?;
-            crate::drivers::run_wilson_gcr_dd(problem, grid, false)
-        }
-    }
-}
-
-/// Run a staggered multi-shift solve under a tuning policy. Only the
-/// dslash axes apply (multishift CG has no Schwarz/GCR knobs), so the
-/// policy is resolved against the staggered *dslash* key.
-pub fn run_staggered_multishift_tuned(
-    problem: &StaggeredProblem,
-    ranks: usize,
-    policy: &TunePolicy,
-) -> Result<Vec<StaggeredSolveOutcome>> {
-    let key = staggered_dslash_key(problem, ranks);
-    let param = policy.resolve(&key)?;
-    let (scheme, fingerprint) = match &param {
-        Some(p) => (p.scheme, p.fingerprint()),
-        None => (PartitionScheme::ZT, 0),
-    };
-    let grid = scheme.grid(problem.global, ranks)?;
-    let policy = match &param {
-        Some(p) => InteriorPolicy::new(p.interior_threads, p.ghost_order)?,
-        None => InteriorPolicy::default(),
-    };
-    let p = problem.clone();
-    let g = grid.clone();
-    let results = run_on_grid(grid, move |comm| -> Result<StaggeredSolveOutcome> {
-        let rank = comm.rank();
-        let op = p.build_operator(&g, rank)?;
-        op.set_interior_policy(policy);
-        let mut space = StaggeredNormalSpace::new(op, comm);
-        let b = p.rhs(&space.op);
-        let mut ms = multishift_cg(&mut space, &p.shifts, &b, p.tol, p.maxiter)?;
-        record_dslash(&mut ms.stats, space.op.dslash_counters());
-        ms.stats.tuned_config = fingerprint;
-        let mut norms = Vec::with_capacity(ms.solutions.len());
-        for s in &ms.solutions {
-            norms.push(space.norm2(s)?);
-        }
-        Ok(StaggeredSolveOutcome {
-            stats: ms.stats,
-            converged_at: ms.converged_at,
-            solution_norms: norms,
-        })
-    });
-    results.into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lqcd_tune::host_fingerprint;
+    use lqcd_tune::{host_fingerprint, LadderChoice};
 
     fn quick_problem() -> WilsonProblem {
         let mut p = WilsonProblem::small();
@@ -360,12 +265,23 @@ mod tests {
         p
     }
 
+    /// The request a policy resolves to, solved on 4 ranks.
+    fn solve_under(p: &WilsonProblem, policy: &TunePolicy) -> Vec<crate::WilsonSolveOutcome> {
+        let (grid, param) = resolve(policy, &wilson_solver_key(p, 4)).unwrap();
+        let request = param.map_or(WilsonSolve::gcr_dd(LadderChoice::Double), WilsonSolve::tuned);
+        solve_wilson(p, grid, request).into_result().unwrap()
+    }
+
+    fn plain(p: &WilsonProblem, grid: ProcessGrid) -> Vec<crate::WilsonSolveOutcome> {
+        solve_wilson(p, grid, WilsonSolve::gcr_dd(LadderChoice::Double)).into_result().unwrap()
+    }
+
     #[test]
     fn off_policy_matches_the_plain_driver_bitwise() {
         let p = quick_problem();
         let grid = PartitionScheme::ZT.grid(p.global, 4).unwrap();
-        let plain = crate::drivers::run_wilson_gcr_dd(&p, grid, false).unwrap();
-        let tuned = run_wilson_gcr_dd_tuned(&p, 4, &TunePolicy::Off).unwrap();
+        let plain = plain(&p, grid);
+        let tuned = solve_under(&p, &TunePolicy::Off);
         for (a, b) in plain.iter().zip(&tuned) {
             assert_eq!(a.solution_norm2.to_bits(), b.solution_norm2.to_bits());
             assert_eq!(b.stats.tuned_config, 0);
@@ -381,8 +297,8 @@ mod tests {
         // driver bit for bit while stamping the fingerprint.
         let param = TuneParam::baseline(2);
         let grid = param.scheme.grid(p.global, 4).unwrap();
-        let plain = crate::drivers::run_wilson_gcr_dd(&p, grid, false).unwrap();
-        let tuned = run_wilson_gcr_dd_tuned(&p, 4, &TunePolicy::Fixed(param)).unwrap();
+        let plain = plain(&p, grid);
+        let tuned = solve_under(&p, &TunePolicy::Fixed(param));
         for (a, b) in plain.iter().zip(&tuned) {
             assert!(b.stats.converged);
             assert_eq!(a.solution_norm2.to_bits(), b.solution_norm2.to_bits());
@@ -399,9 +315,12 @@ mod tests {
         tuner.rounds = 2;
         tuner.applies = 3;
         let param = TuneParam::baseline(2);
-        let out = wilson_dslash_trial(&p, 4, &tuner, &param).unwrap();
-        assert!(out.bit_identical, "overlap must stay bit-identical to the reference");
-        assert!(out.secs_per_unit > 0.0 && out.secs_per_unit.is_finite());
+        let wilson = wilson_dslash_trial(&p, 4, &tuner, &param).unwrap();
+        let asqtad = staggered_dslash_trial(&StaggeredProblem::small(), 4, &tuner, &param).unwrap();
+        for out in [wilson, asqtad] {
+            assert!(out.bit_identical, "overlap must stay bit-identical to the reference");
+            assert!(out.secs_per_unit > 0.0 && out.secs_per_unit.is_finite());
+        }
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! resume to the same tolerance an undisturbed solve reaches.
 
 use lqcd_comms::{CommConfig, FaultPlan, FaultRule};
-use lqcd_core::drivers::{run_wilson_gcr_dd, PrecisionRung};
-use lqcd_core::supervise::{run_wilson_gcr_dd_supervised, SupervisorConfig};
-use lqcd_core::WilsonProblem;
+use lqcd_core::supervise::SupervisorConfig;
+use lqcd_core::{solve_wilson, WilsonProblem, WilsonSolve};
 use lqcd_lattice::{Dims, ProcessGrid};
+use lqcd_tune::LadderChoice;
 use lqcd_util::{BreakdownKind, Error};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -35,15 +35,16 @@ fn ckpt_dir(name: &str) -> PathBuf {
 fn fault_free_supervised_solve_matches_plain_driver() {
     let (p, grid) = chaos_problem();
     let dir = ckpt_dir("fault-free");
-    let plain = run_wilson_gcr_dd(&p, grid.clone(), false).unwrap();
+    let plain = solve_wilson(&p, grid.clone(), WilsonSolve::gcr_dd(LadderChoice::Double))
+        .into_result()
+        .unwrap();
     let sup = SupervisorConfig::new(&dir);
-    let out = run_wilson_gcr_dd_supervised(
+    let out = solve_wilson(
         &p,
         grid,
-        PrecisionRung::Double,
-        CommConfig::resilient(),
-        &sup,
-        |_| None,
+        WilsonSolve::gcr_dd(LadderChoice::Double)
+            .with_comm(CommConfig::resilient())
+            .supervised(sup),
     );
     assert_eq!(out.attempts, 1, "an undisturbed solve needs exactly one world launch");
     assert_eq!(out.resumed_generations, vec![None]);
@@ -79,12 +80,18 @@ fn rank_death_mid_solve_is_supervised_back_to_convergence() {
     // on the first launch only: FaultPlan counters are per-world, so the
     // supervisor must be handed a fresh, fault-free plan for the retry.
     let started = std::time::Instant::now();
-    let out =
-        run_wilson_gcr_dd_supervised(&p, grid, PrecisionRung::Double, config, &sup, |attempt| {
-            (attempt == 0).then(|| {
-                FaultPlan::new(47).with_rule(FaultRule::die_rank().on_rank(2).after(62).times(1))
-            })
-        });
+    let out = solve_wilson(
+        &p,
+        grid,
+        WilsonSolve::gcr_dd(LadderChoice::Double).with_comm(config).supervised(sup).with_faults(
+            |attempt| {
+                (attempt == 0).then(|| {
+                    FaultPlan::new(47)
+                        .with_rule(FaultRule::die_rank().on_rank(2).after(62).times(1))
+                })
+            },
+        ),
+    );
     assert!(started.elapsed() < Duration::from_secs(120), "supervision must not hang");
     assert_eq!(out.attempts, 2, "one death, one supervised restart");
     assert_eq!(out.resumed_generations[0], None);
@@ -114,12 +121,17 @@ fn death_before_any_checkpoint_restarts_from_scratch() {
     let dir = ckpt_dir("early-death");
     let config = CommConfig::resilient().with_timeout(Duration::from_secs(2));
     let sup = SupervisorConfig::new(&dir);
-    let out =
-        run_wilson_gcr_dd_supervised(&p, grid, PrecisionRung::Double, config, &sup, |attempt| {
-            (attempt == 0).then(|| {
-                FaultPlan::new(53).with_rule(FaultRule::die_rank().on_rank(1).after(2).times(1))
-            })
-        });
+    let out = solve_wilson(
+        &p,
+        grid,
+        WilsonSolve::gcr_dd(LadderChoice::Double).with_comm(config).supervised(sup).with_faults(
+            |attempt| {
+                (attempt == 0).then(|| {
+                    FaultPlan::new(53).with_rule(FaultRule::die_rank().on_rank(1).after(2).times(1))
+                })
+            },
+        ),
+    );
     assert_eq!(out.attempts, 2);
     assert_eq!(out.resumed_generations, vec![None, None]);
     for (slot, r) in out.outcomes.iter().enumerate() {
@@ -140,19 +152,28 @@ fn death_before_any_checkpoint_restarts_from_scratch() {
 /// their very first observation, deterministically.
 #[test]
 fn wall_clock_budget_spans_supervised_attempts() {
-    let (p, grid) = chaos_problem();
+    let (mut p, grid) = chaos_problem();
     let dir = ckpt_dir("wall-clock-carry");
     let config = CommConfig::resilient().with_timeout(Duration::from_secs(2));
     let mut sup = SupervisorConfig::new(&dir);
     sup.max_restarts = 1;
-    sup.watchdog.wall_clock = Some(Duration::from_millis(200));
-    let out = run_wilson_gcr_dd_supervised(&p, grid, PrecisionRung::Double, config, &sup, |a| {
-        (a == 0).then(|| {
-            FaultPlan::new(77).with_rule(
-                FaultRule::stall_rank(Duration::from_millis(500)).on_rank(2).after(10).times(1),
-            )
-        })
-    });
+    p.watchdog.wall_clock = Some(Duration::from_millis(200));
+    let out = solve_wilson(
+        &p,
+        grid,
+        WilsonSolve::gcr_dd(LadderChoice::Double).with_comm(config).supervised(sup).with_faults(
+            |a| {
+                (a == 0).then(|| {
+                    FaultPlan::new(77).with_rule(
+                        FaultRule::stall_rank(Duration::from_millis(500))
+                            .on_rank(2)
+                            .after(10)
+                            .times(1),
+                    )
+                })
+            },
+        ),
+    );
     assert_eq!(out.attempts, 2, "attempt 0 trips the budget, attempt 1 inherits it");
     for (slot, r) in out.outcomes.iter().enumerate() {
         match r {
@@ -171,18 +192,17 @@ fn wall_clock_budget_spans_supervised_attempts() {
 /// breakdown from its own watchdog.
 #[test]
 fn watchdog_trip_with_no_restart_budget_is_a_structured_failure() {
-    let (p, grid) = chaos_problem();
+    let (mut p, grid) = chaos_problem();
     let dir = ckpt_dir("watchdog-trip");
     let mut sup = SupervisorConfig::new(&dir);
     sup.max_restarts = 0;
-    sup.watchdog.wall_clock = Some(Duration::ZERO);
-    let out = run_wilson_gcr_dd_supervised(
+    p.watchdog.wall_clock = Some(Duration::ZERO);
+    let out = solve_wilson(
         &p,
         grid,
-        PrecisionRung::Double,
-        CommConfig::resilient(),
-        &sup,
-        |_| None,
+        WilsonSolve::gcr_dd(LadderChoice::Double)
+            .with_comm(CommConfig::resilient())
+            .supervised(sup),
     );
     assert_eq!(out.attempts, 1);
     for (slot, r) in out.outcomes.iter().enumerate() {

@@ -4,12 +4,12 @@ use lqcd_lattice::{PartitionScheme, NDIM};
 use lqcd_util::checksum::crc64;
 use serde::{Deserialize, Serialize};
 
-/// Which precision ladder a solve starts on (the reliable-update /
+/// Which rung of the precision ladder a solve starts on (the
 /// graceful-degradation choice): lower rungs are faster per iteration
 /// but may pay fallback restarts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum LadderChoice {
-    /// Full double precision throughout.
+    /// f64 operator — the last resort; a breakdown here is final.
     Double,
     /// f32 operator, single-precision Krylov storage.
     Single,
@@ -19,6 +19,15 @@ pub enum LadderChoice {
 }
 
 impl LadderChoice {
+    /// The next-higher rung, if any.
+    pub fn escalate(self) -> Option<LadderChoice> {
+        match self {
+            LadderChoice::Half => Some(LadderChoice::Single),
+            LadderChoice::Single => Some(LadderChoice::Double),
+            LadderChoice::Double => None,
+        }
+    }
+
     /// Every choice, cheapest storage last.
     pub const ALL: [LadderChoice; 3] =
         [LadderChoice::Double, LadderChoice::Single, LadderChoice::Half];
@@ -208,5 +217,12 @@ mod tests {
             assert_eq!(LadderChoice::from_label(l.label()), Some(l));
         }
         assert_eq!(LadderChoice::from_label("quad"), None);
+    }
+
+    #[test]
+    fn ladder_escalates_half_single_double() {
+        assert_eq!(LadderChoice::Half.escalate(), Some(LadderChoice::Single));
+        assert_eq!(LadderChoice::Single.escalate(), Some(LadderChoice::Double));
+        assert_eq!(LadderChoice::Double.escalate(), None);
     }
 }

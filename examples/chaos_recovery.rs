@@ -39,13 +39,14 @@ fn main() {
         .with_rule(FaultRule::drop_message().on_rank(0).data_only().times(3))
         .with_rule(FaultRule::corrupt_payload().on_rank(1).for_class(MsgClass::Reduce).times(1));
     let t = Instant::now();
-    let outcomes = run_wilson_gcr_dd_resilient(
+    let outcomes = solve_wilson(
         &problem,
         grid(),
-        PrecisionRung::Half,
-        CommConfig::resilient(),
-        Some(plan),
-    );
+        WilsonSolve::gcr_dd(LadderChoice::Half)
+            .with_comm(CommConfig::resilient())
+            .with_faults(move |_| Some(plan.clone())),
+    )
+    .outcomes;
     report("drop + corrupt: recovered via the precision ladder", &outcomes, t.elapsed());
     assert!(outcomes.iter().all(|r| r.as_ref().is_ok_and(|o| o.stats.converged)));
 
@@ -54,13 +55,14 @@ fn main() {
     //    error within the deadline — nobody hangs.
     let plan = FaultPlan::new(31).with_rule(FaultRule::die_rank().on_rank(2).after(6).times(1));
     let t = Instant::now();
-    let outcomes = run_wilson_gcr_dd_resilient(
+    let outcomes = solve_wilson(
         &problem,
         grid(),
-        PrecisionRung::Double,
-        CommConfig::resilient().with_timeout(Duration::from_secs(2)),
-        Some(plan),
-    );
+        WilsonSolve::gcr_dd(LadderChoice::Double)
+            .with_comm(CommConfig::resilient().with_timeout(Duration::from_secs(2)))
+            .with_faults(move |_| Some(plan.clone())),
+    )
+    .outcomes;
     report("rank death: structured unwind, no hang", &outcomes, t.elapsed());
     assert!(outcomes.iter().all(|r| r.is_err()), "every rank must surface an error");
 }

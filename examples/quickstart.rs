@@ -24,7 +24,7 @@ fn main() -> Result<()> {
     );
 
     // 1. The production baseline: even-odd preconditioned BiCGstab.
-    let bicg = run_wilson_bicgstab(&problem, grid.clone())?;
+    let bicg = solve_wilson(&problem, grid.clone(), WilsonSolve::bicgstab()).into_result()?;
     let b0 = &bicg[0];
     println!(
         "\nBiCGstab     : {:4} iterations, {:5} matvecs, |r|/|b| = {:.2e}",
@@ -34,7 +34,8 @@ fn main() -> Result<()> {
     // 2. GCR-DD: flexible GCR with the non-overlapping additive-Schwarz
     //    preconditioner (each rank's domain solved with a few MR steps,
     //    communication switched off — paper §8.1).
-    let gcr = run_wilson_gcr_dd(&problem, grid.clone(), false)?;
+    let gcr = solve_wilson(&problem, grid.clone(), WilsonSolve::gcr_dd(LadderChoice::Double))
+        .into_result()?;
     let g0 = &gcr[0];
     println!(
         "GCR-DD       : {:4} outer iters, {:5} comm matvecs + {:5} block matvecs, |r|/|b| = {:.2e}",
@@ -47,7 +48,8 @@ fn main() -> Result<()> {
     let mut half_problem = problem.clone();
     half_problem.tol = 3e-5; // single-precision accuracy suffices (§8.1)
     half_problem.gcr.tol = 3e-5;
-    let half = run_wilson_gcr_dd(&half_problem, grid, true)?;
+    let half =
+        solve_wilson(&half_problem, grid, WilsonSolve::gcr_dd(LadderChoice::Half)).into_result()?;
     let h0 = &half[0];
     println!(
         "GCR-DD (S/H/H): {:4} outer iters, |r|/|b| = {:.2e} (single-precision target)",

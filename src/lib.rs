@@ -17,7 +17,8 @@
 //! // simulated "GPUs" (threads).
 //! let problem = WilsonProblem::small();
 //! let grid = ProcessGrid::new(Dims([1, 1, 2, 2]), problem.global).unwrap();
-//! let outcomes = run_wilson_gcr_dd(&problem, grid, false).unwrap();
+//! let run = solve_wilson(&problem, grid, WilsonSolve::gcr_dd(LadderChoice::Double));
+//! let outcomes = run.into_result().unwrap();
 //! assert!(outcomes.iter().all(|o| o.stats.converged));
 //! ```
 //!
@@ -44,10 +45,8 @@ pub mod prelude {
         FaultRule, FaultyComm, MsgClass, SharedComm, SingleComm, ThreadedComm,
     };
     pub use lqcd_core::{
-        run_staggered_multishift, run_staggered_multishift_tuned, run_wilson_bicgstab,
-        run_wilson_gcr_dd, run_wilson_gcr_dd_resilient, run_wilson_gcr_dd_supervised,
-        run_wilson_gcr_dd_tuned, tune_wilson, PrecisionRung, StaggeredProblem, SupervisedOutcome,
-        SupervisorConfig, WilsonProblem,
+        solve_staggered, solve_wilson, tune_wilson, StaggeredProblem, SupervisorConfig,
+        WilsonProblem, WilsonRun, WilsonSolve,
     };
     pub use lqcd_dirac::{BoundaryMode, StaggeredOp, WilsonCloverOp};
     pub use lqcd_gauge::{average_plaquette, AsqtadLinks, GaugeField};
@@ -58,7 +57,7 @@ pub mod prelude {
         SchwarzMR, SolveStats, SolverSpace, Spectrum,
     };
     pub use lqcd_su3::{ColorVector, Su3, WilsonSpinor};
-    pub use lqcd_tune::{TuneCache, TuneParam, TunePolicy};
+    pub use lqcd_tune::{LadderChoice, TuneCache, TuneParam, TunePolicy};
     pub use lqcd_util::rng::SeedTree;
     pub use lqcd_util::{Complex, Error, Real, Result};
 }

@@ -13,7 +13,9 @@ fn gcr_dd_solution_is_partition_invariant() {
     let mut norms = Vec::new();
     for shape in [Dims([1, 1, 1, 1]), Dims([1, 1, 1, 2]), Dims([1, 1, 2, 2]), Dims([1, 2, 2, 2])] {
         let grid = ProcessGrid::new(shape, problem.global).unwrap();
-        let out = run_wilson_gcr_dd(&problem, grid, false).unwrap();
+        let out = solve_wilson(&problem, grid, WilsonSolve::gcr_dd(LadderChoice::Double))
+            .into_result()
+            .unwrap();
         assert!(out.iter().all(|o| o.stats.converged), "{shape:?} failed to converge");
         norms.push(out[0].solution_norm2);
     }
@@ -27,8 +29,10 @@ fn gcr_dd_solution_is_partition_invariant() {
 fn bicgstab_matches_gcr_dd_distributed() {
     let problem = WilsonProblem::small();
     let grid = ProcessGrid::new(Dims([1, 1, 2, 2]), problem.global).unwrap();
-    let b = run_wilson_bicgstab(&problem, grid.clone()).unwrap();
-    let g = run_wilson_gcr_dd(&problem, grid, false).unwrap();
+    let b = solve_wilson(&problem, grid.clone(), WilsonSolve::bicgstab()).into_result().unwrap();
+    let g = solve_wilson(&problem, grid, WilsonSolve::gcr_dd(LadderChoice::Double))
+        .into_result()
+        .unwrap();
     let rel = (b[0].solution_norm2 - g[0].solution_norm2).abs() / b[0].solution_norm2;
     assert!(rel < 1e-6, "different solvers, different answers: {rel}");
 }
@@ -41,7 +45,9 @@ fn single_half_half_production_configuration() {
     problem.tol = 3e-5;
     problem.gcr.tol = 3e-5;
     let grid = ProcessGrid::new(Dims([1, 1, 2, 2]), problem.global).unwrap();
-    let out = run_wilson_gcr_dd(&problem, grid, true).unwrap();
+    let out = solve_wilson(&problem, grid, WilsonSolve::gcr_dd(LadderChoice::Half))
+        .into_result()
+        .unwrap();
     for (rank, o) in out.iter().enumerate() {
         assert!(o.stats.converged, "rank {rank}: {:?}", o.stats);
         assert!(o.stats.residual <= 3e-5);
@@ -53,7 +59,7 @@ fn single_half_half_production_configuration() {
 fn staggered_multishift_full_pipeline() {
     let problem = StaggeredProblem::small();
     let grid = ProcessGrid::new(Dims([1, 1, 2, 2]), problem.global).unwrap();
-    let out = run_staggered_multishift(&problem, grid).unwrap();
+    let out = solve_staggered(&problem, grid, None).unwrap();
     let o = &out[0];
     assert!(o.stats.converged);
     assert_eq!(o.solution_norms.len(), problem.shifts.len());
