@@ -45,6 +45,32 @@ fn su3_algebra(c: &mut Criterion) {
             })
         });
     }
+    // One Wilson backward hop on flat reals: `acc + (1 + γ_t) ⊗ U†`
+    // applied to ψ (SSE2).
+    #[cfg(target_arch = "x86_64")]
+    {
+        use lqcd_su3::kernels::SpinorAcc;
+        use lqcd_su3::Projector;
+        let u = a.to_reals();
+        let psi = WilsonSpinor::<f64>::random(&mut rng);
+        let psi: [f64; 24] = std::array::from_fn(|k| {
+            let z = psi.s[k / 6].c[k % 6 / 2];
+            if k % 2 == 0 {
+                z.re
+            } else {
+                z.im
+            }
+        });
+        g.bench_function("wilson_hop_f64", |bch| {
+            bch.iter(|| {
+                let mut acc = SpinorAcc::zero();
+                acc.hop(Projector { mu: 3, plus: true }, true, black_box(&psi), black_box(&u));
+                let mut out = [0.0; 24];
+                acc.store(&mut out);
+                black_box(out)
+            })
+        });
+    }
     g.finish();
 }
 
@@ -131,6 +157,36 @@ fn wilson_dslash(c: &mut Criterion) {
                 BoundaryMode::Dirichlet,
             )
             .unwrap()
+        })
+    });
+
+    // Double precision on one rank's volume of the BiCGstab workload
+    // (8×8×8×8 on two ranks along T): the f64 SSE2 site kernels.
+    let global = Dims([8, 8, 8, 4]);
+    let sub = Arc::new(SubLattice::single(global).unwrap());
+    let faces = FaceGeometry::new(&sub, WILSON_DEPTH).unwrap();
+    let gauge = GaugeField::<f64>::generate(
+        sub.clone(),
+        &faces,
+        global,
+        &seed,
+        GaugeStart::Disordered(0.3),
+    );
+    let clover = build_clover_field(&gauge, global, 1.0);
+    let mut op = WilsonCloverOp::new(gauge, Some(clover), 0.1).unwrap();
+    op.build_t_inverse().unwrap();
+    let mut comm = SingleComm::new(global).unwrap();
+    let mut src = op.alloc(Parity::Odd);
+    src.fill(|_| WilsonSpinor::random(&mut rng));
+    let (mut out, mut out_o) = (op.alloc(Parity::Even), op.alloc(Parity::Odd));
+    let (mut s1, mut s2) = (op.alloc(Parity::Even), op.alloc(Parity::Even));
+    op.dslash(&mut out, &mut src, &mut comm, BoundaryMode::Full).unwrap();
+    g.throughput(Throughput::Elements(sub.volume_cb() as u64));
+    g.bench_function("t_inv_apply_f64", |bch| bch.iter(|| op.t_inv_apply(&mut s1, &out).unwrap()));
+    g.bench_function("eo_prec_f64_8x8x8x4", |bch| {
+        bch.iter(|| {
+            op.apply_eo_prec(&mut out_o, &mut src, &mut s1, &mut s2, &mut comm, BoundaryMode::Full)
+                .unwrap()
         })
     });
     g.finish();

@@ -634,6 +634,22 @@ mod resilient_tests {
         }
     }
 
+    /// The exact bits of the f64 BiCGstab solve (Fig. 8's baseline) of
+    /// this module's problem, on every rank.
+    #[test]
+    fn bicgstab_pins_the_solution_bits_on_every_rank() {
+        let (p, grid) = small_problem();
+        let run = solve_wilson(&p, grid, WilsonSolve::bicgstab());
+        for (slot, r) in run.outcomes.iter().enumerate() {
+            let o = r.as_ref().unwrap_or_else(|e| panic!("rank {slot}: {e}"));
+            assert_eq!(o.solution_norm2.to_bits(), 0x40a8ae9a4d2a1d2c, "rank {slot}");
+            assert_eq!(o.stats.iterations, 5, "rank {slot}");
+            assert_eq!(o.matvecs, 11, "rank {slot}");
+            assert_eq!(o.dirichlet_matvecs, 0, "rank {slot}");
+            assert!(o.stats.converged, "rank {slot}");
+        }
+    }
+
     #[test]
     fn fault_free_resilient_solve_matches_plain_driver() {
         let (p, grid) = small_problem();

@@ -1,13 +1,14 @@
 //! Safe selection of an operator's SIMD site kernels, and flat site
 //! access for them.
 //!
-//! The operators are generic over `R: Real`, but each SSE2 kernel set
-//! serves one precision: f32 for Wilson-clover, f64 for asqtad. Every
-//! public entry point runs its body through [`with_kernels!`]: when the
-//! operator is the concrete type the fast kernels serve, an `Any`
-//! downcast re-binds the operator and the listed fields at that type and
-//! the body runs with `kernels::Sse2`; otherwise it runs with
-//! `kernels::Generic`. No signature changes and no `unsafe`.
+//! The operators are generic over `R: Real`, but the SSE2 kernel sets
+//! serve fixed precisions: f32 and f64 for Wilson-clover, f64 for
+//! asqtad. Every public entry point runs its body through
+//! [`with_kernels!`]: when the operator is one of the concrete types the
+//! fast kernels serve, an `Any` downcast re-binds the operator and the
+//! listed fields at that type and the body runs with `kernels::Sse2`;
+//! otherwise it runs with `kernels::Generic`. No signature changes and no
+//! `unsafe`.
 
 /// A reference re-bound at the concrete type it is known to have.
 #[cfg(target_arch = "x86_64")]
@@ -34,19 +35,22 @@ impl<'a, X: std::any::Any, T: std::any::Any> Retype<&'a T> for &'a X {
 }
 
 /// Run `$body` with `$op` the operator and `$k` its site kernels. On
-/// x86_64 an operator of type `$fast` takes `kernels::Sse2`, with the
-/// fields listed in `[..]` re-bound at their concrete types (the body
-/// `return`s from the enclosing method); everything else takes
-/// `kernels::Generic`. Both paths name the `kernels` module in scope at
-/// the call site.
+/// x86_64 an operator of one of the types `$fast` (separated by `|`)
+/// takes `kernels::Sse2`, with the fields listed in `[..]` re-bound at
+/// their concrete types (the body `return`s from the enclosing method);
+/// everything else takes `kernels::Generic`. Both paths name the
+/// `kernels` module in scope at the call site.
 macro_rules! with_kernels {
-    ($self:ident as $fast:ty, |$op:ident, $k:ident| [$($field:ident),*] $body:expr) => {{
+    (@sse2 $self:ident as $fast:ty, |$op:ident, $k:ident| [$($field:ident),*] $body:expr) => {
         #[cfg(target_arch = "x86_64")]
         if let Some($op) = ($self as &dyn std::any::Any).downcast_ref::<$fast>() {
             $(let $field = $crate::dispatch::Retype::retype($field);)*
             let $k = kernels::Sse2;
             return $body;
         }
+    };
+    ($self:ident as $($fast:ty)|+, |$op:ident, $k:ident| $fields:tt $body:expr) => {{
+        $(with_kernels!(@sse2 $self as $fast, |$op, $k| $fields $body);)+
         let ($op, $k) = ($self, kernels::Generic);
         $body
     }};

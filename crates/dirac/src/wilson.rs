@@ -11,7 +11,7 @@
 //! `M̂_oo = T_oo − (1/16) D̂_oe T_ee⁻¹ D̂_eo` (§3.1).
 //!
 //! The per-site work runs through `kernels::SiteKernels`: on x86_64 an
-//! f32 operator takes bit-identical SSE2 kernels (chosen by a safe
+//! f32 or f64 operator takes bit-identical SSE2 kernels (chosen by a safe
 //! `Any` downcast of the operator and its fields, so every signature
 //! stays generic over `R: Real`); everything else takes the generic
 //! per-site code, which is also the oracle the kernels are tested
@@ -185,7 +185,7 @@ impl<R: Real> WilsonCloverOp<R> {
         comm: &mut C,
         mode: BoundaryMode,
     ) -> Result<()> {
-        with_kernels!(self as WilsonCloverOp<f32>, |op, k| [out, src] op
+        with_kernels!(self as WilsonCloverOp<f32> | WilsonCloverOp<f64>, |op, k| [out, src] op
             .dslash_with(k, out, src, comm, mode))
     }
 
@@ -212,7 +212,7 @@ impl<R: Real> WilsonCloverOp<R> {
         comm: &mut C,
         mode: BoundaryMode,
     ) -> Result<()> {
-        with_kernels!(self as WilsonCloverOp<f32>, |op, k| [out, src] overlap::dslash_sequential(
+        with_kernels!(self as WilsonCloverOp<f32> | WilsonCloverOp<f64>, |op, k| [out, src] overlap::dslash_sequential(
             &Bound(op, k),
             out,
             src,
@@ -223,7 +223,7 @@ impl<R: Real> WilsonCloverOp<R> {
 
     /// Site-diagonal term: `out = (4 + m) src + A src`.
     pub fn t_apply(&self, out: &mut SpinorField<R>, src: &SpinorField<R>) {
-        with_kernels!(self as WilsonCloverOp<f32>, |op, k| [out, src] op
+        with_kernels!(self as WilsonCloverOp<f32> | WilsonCloverOp<f64>, |op, k| [out, src] op
             .diag_with(k, out, src, Diag::T)
             .expect("T apply: out and src differ in site count"))
     }
@@ -231,7 +231,7 @@ impl<R: Real> WilsonCloverOp<R> {
     /// Apply the precomputed `T⁻¹` (requires
     /// [`WilsonCloverOp::build_t_inverse`]).
     pub fn t_inv_apply(&self, out: &mut SpinorField<R>, src: &SpinorField<R>) -> Result<()> {
-        with_kernels!(self as WilsonCloverOp<f32>, |op, k| [out, src] op
+        with_kernels!(self as WilsonCloverOp<f32> | WilsonCloverOp<f64>, |op, k| [out, src] op
             .diag_with(k, out, src, Diag::TInv))
     }
 
@@ -301,7 +301,7 @@ impl<R: Real> WilsonCloverOp<R> {
         comm: &mut C,
         mode: BoundaryMode,
     ) -> Result<()> {
-        with_kernels!(self as WilsonCloverOp<f32>, |op, k| [out_e, out_o, src_e, src_o] op
+        with_kernels!(self as WilsonCloverOp<f32> | WilsonCloverOp<f64>, |op, k| [out_e, out_o, src_e, src_o] op
             .apply_full_with(k, out_e, out_o, src_e, src_o, comm, mode))
     }
 
@@ -334,7 +334,7 @@ impl<R: Real> WilsonCloverOp<R> {
         comm: &mut C,
         mode: BoundaryMode,
     ) -> Result<()> {
-        with_kernels!(self as WilsonCloverOp<f32>, |op, k| [out, src, scratch_e, scratch_e2] op
+        with_kernels!(self as WilsonCloverOp<f32> | WilsonCloverOp<f64>, |op, k| [out, src, scratch_e, scratch_e2] op
             .apply_eo_prec_with(k, out, src, scratch_e, scratch_e2, comm, mode))
     }
 
@@ -367,7 +367,7 @@ impl<R: Real> WilsonCloverOp<R> {
         comm: &mut C,
         mode: BoundaryMode,
     ) -> Result<()> {
-        with_kernels!(self as WilsonCloverOp<f32>, |op, k| [x_e, b_e, x_o] op
+        with_kernels!(self as WilsonCloverOp<f32> | WilsonCloverOp<f64>, |op, k| [x_e, b_e, x_o] op
             .reconstruct_even_with(k, x_e, b_e, x_o, comm, mode))
     }
 

@@ -1,8 +1,10 @@
-//! Operator-level bit identity of the SSE2 site kernels: every f32 entry
-//! point — `dslash` (Full and Dirichlet), `apply_eo_prec`, `apply_full`
-//! and `reconstruct_even` — against the same pass run through the
-//! generic per-site kernels, on an unpartitioned lattice and on two
-//! ranks split along T, with one and two interior threads.
+//! Operator-level bit identity of the SSE2 site kernels: every entry
+//! point — `dslash` and `dslash_sequential` (Full and Dirichlet),
+//! `t_apply`, `t_inv_apply`, `apply_eo_prec`, `apply_full` and
+//! `reconstruct_even` — in f32 and f64 against the same pass run through
+//! the generic per-site kernels, with and without clover, on an
+//! unpartitioned lattice, on two ranks split along T and on a 1×1×2×2
+//! grid, with one and two interior threads.
 
 use super::kernels::Generic;
 use super::*;
@@ -14,34 +16,26 @@ use lqcd_util::rng::SeedTree;
 
 const GLOBAL: Dims = Dims([4, 4, 4, 8]);
 
-fn type_name_of<K>(_: K) -> &'static str {
-    std::any::type_name::<K>()
-}
-
 impl<R: Real> WilsonCloverOp<R> {
     /// The site kernels the dispatching entry points pick.
     fn kernels_name(&self) -> &'static str {
-        with_kernels!(self as WilsonCloverOp<f32>, |_op, k| [] type_name_of(k))
+        use std::any::type_name_of_val as name;
+        with_kernels!(self as WilsonCloverOp<f32> | WilsonCloverOp<f64>, |_op, k| [] name(&k))
     }
 }
 
-/// One rank's f32 operator: disordered links with exchanged ghosts,
-/// random positive-definite clover sites when `clover`, and `T⁻¹`.
-fn build_op<C: Communicator>(
+/// One rank's operator: disordered links with exchanged ghosts, random
+/// positive-definite clover sites when `clover`, and `T⁻¹`.
+fn build_op<R: Real, C: Communicator>(
     comm: &mut C,
     grid: &ProcessGrid,
     clover: bool,
-) -> WilsonCloverOp<f32> {
+) -> WilsonCloverOp<R> {
     let sub = Arc::new(SubLattice::for_rank(grid, comm.rank()));
     let faces = FaceGeometry::new(&sub, WILSON_DEPTH).unwrap();
     let seed = SeedTree::new(2026);
-    let mut gauge = GaugeField::<f32>::generate(
-        sub.clone(),
-        &faces,
-        GLOBAL,
-        &seed,
-        GaugeStart::Disordered(0.3),
-    );
+    let mut gauge =
+        GaugeField::<R>::generate(sub.clone(), &faces, GLOBAL, &seed, GaugeStart::Disordered(0.3));
     gauge.exchange_ghosts(comm, &faces).unwrap();
     let clover = clover.then(|| {
         let mut rng = seed.child("clover").stream(comm.rank() as u64);
@@ -56,23 +50,23 @@ fn build_op<C: Communicator>(
     op
 }
 
-fn bits(f: &SpinorField<f32>) -> Vec<u32> {
-    assert!(f.body().iter().any(|&x| x != 0.0), "an all-zero output proves nothing");
-    f.body().iter().map(|x| x.to_bits()).collect()
+fn bits<R: Real>(f: &SpinorField<R>) -> Vec<u64> {
+    assert!(f.body().iter().any(|&x| x != R::ZERO), "an all-zero output proves nothing");
+    f.body().iter().map(|x| x.to_f64().to_bits()).collect()
 }
 
 /// Run every entry point both ways; returns the names of those whose
 /// outputs differ in any bit.
-fn mismatches<C: Communicator>(op: &WilsonCloverOp<f32>, comm: &mut C) -> Vec<String> {
+fn mismatches<R: Real, C: Communicator>(op: &WilsonCloverOp<R>, comm: &mut C) -> Vec<String> {
     let mut rng = SeedTree::new(7).child("src").stream(comm.rank() as u64);
     let mut random = |p: Parity| {
         let mut f = op.alloc(p);
-        f.fill(|_| WilsonSpinor::random(&mut rng));
+        f.fill(|_| WilsonSpinor::<f64>::random(&mut rng).cast());
         f
     };
     let (mut se, mut so) = (random(Parity::Even), random(Parity::Odd));
     let mut bad = Vec::new();
-    let mut check = |name: String, a: &SpinorField<f32>, b: &SpinorField<f32>| {
+    let mut check = |name: String, a: &SpinorField<R>, b: &SpinorField<R>| {
         if bits(a) != bits(b) {
             bad.push(name);
         }
@@ -86,12 +80,27 @@ fn mismatches<C: Communicator>(op: &WilsonCloverOp<f32>, comm: &mut C) -> Vec<St
         op.dslash_with(Generic, &mut b, &mut so, comm, mode).unwrap();
         check(format!("dslash {mode:?}"), &a, &b);
 
+        let (mut a, mut b) = (even(), even());
+        op.dslash_sequential(&mut a, &mut so, comm, mode).unwrap();
+        overlap::dslash_sequential(&Bound(op, Generic), &mut b, &mut so, comm, mode).unwrap();
+        check(format!("dslash_sequential {mode:?}"), &a, &b);
+
         let (mut a, mut b) = (odd(), odd());
         let (mut s1, mut s2) = (even(), even());
         op.apply_eo_prec(&mut a, &mut so, &mut s1, &mut s2, comm, mode).unwrap();
         op.apply_eo_prec_with(Generic, &mut b, &mut so, &mut s1, &mut s2, comm, mode).unwrap();
         check(format!("apply_eo_prec {mode:?}"), &a, &b);
     }
+
+    let (mut a, mut b) = (even(), even());
+    op.t_apply(&mut a, &se);
+    op.diag_with(Generic, &mut b, &se, Diag::T).unwrap();
+    check("t_apply".into(), &a, &b);
+
+    let (mut a, mut b) = (odd(), odd());
+    op.t_inv_apply(&mut a, &so).unwrap();
+    op.diag_with(Generic, &mut b, &so, Diag::TInv).unwrap();
+    check("t_inv_apply".into(), &a, &b);
 
     let (mut ae, mut ao, mut be, mut bo) = (even(), odd(), even(), odd());
     op.apply_full(&mut ae, &mut ao, &mut se, &mut so, comm, BoundaryMode::Full).unwrap();
@@ -107,43 +116,21 @@ fn mismatches<C: Communicator>(op: &WilsonCloverOp<f32>, comm: &mut C) -> Vec<St
     bad
 }
 
-#[test]
-fn dispatch_picks_sse2_for_f32_only() {
-    let grid = ProcessGrid::new(Dims([1, 1, 1, 1]), GLOBAL).unwrap();
-    let mut comm = SingleComm::new(GLOBAL).unwrap();
-    let op = build_op(&mut comm, &grid, true);
-    let want = if cfg!(target_arch = "x86_64") { "Sse2" } else { "Generic" };
-    assert!(op.kernels_name().ends_with(want), "{}", op.kernels_name());
-    let op64 = WilsonCloverOp::new(op.gauge.cast::<f64>(), None, 0.1).unwrap();
-    assert!(op64.kernels_name().ends_with("Generic"), "{}", op64.kernels_name());
-}
-
-#[test]
-fn unpartitioned_f32_entry_points_match_generic_bitwise() {
-    let grid = ProcessGrid::new(Dims([1, 1, 1, 1]), GLOBAL).unwrap();
-    let mut comm = SingleComm::new(GLOBAL).unwrap();
-    for clover in [true, false] {
-        let op = build_op(&mut comm, &grid, clover);
-        for threads in [1, 2] {
-            op.set_interior_threads(threads);
-            let bad = mismatches(&op, &mut comm);
-            assert!(bad.is_empty(), "clover {clover}, {threads} threads: {bad:?}");
-        }
-    }
-}
-
-#[test]
-fn two_rank_f32_entry_points_match_generic_bitwise() {
-    let grid = ProcessGrid::new(Dims([1, 1, 1, 2]), GLOBAL).unwrap();
-    let bad = run_on_grid(grid.clone(), move |mut comm| {
+/// Every entry point in precision `R` on process grid `dims`, with and
+/// without clover, with 1 and 2 interior threads; returns the mismatches
+/// of every rank.
+fn grid_mismatches<R: Real>(dims: [usize; 4]) -> Vec<String> {
+    let grid = ProcessGrid::new(Dims(dims), GLOBAL).unwrap();
+    let per_rank = run_on_grid(grid.clone(), move |mut comm| {
         let mut bad = Vec::new();
         for clover in [true, false] {
-            let op = build_op(&mut comm, &grid, clover);
+            let op = build_op::<R, _>(&mut comm, &grid, clover);
             for threads in [1, 2] {
                 op.set_interior_threads(threads);
                 for name in mismatches(&op, &mut comm) {
                     bad.push(format!(
-                        "rank {}: clover {clover}, {threads} threads: {name}",
+                        "{}, rank {}: clover {clover}, {threads} threads: {name}",
+                        R::NAME,
                         comm.rank()
                     ));
                 }
@@ -151,7 +138,51 @@ fn two_rank_f32_entry_points_match_generic_bitwise() {
         }
         bad
     });
-    assert!(bad.iter().all(Vec::is_empty), "{bad:?}");
+    per_rank.concat()
+}
+
+#[test]
+fn dispatch_picks_sse2_for_both_precisions() {
+    let grid = ProcessGrid::new(Dims([1, 1, 1, 1]), GLOBAL).unwrap();
+    let mut comm = SingleComm::new(GLOBAL).unwrap();
+    let want = if cfg!(target_arch = "x86_64") { "Sse2" } else { "Generic" };
+    for clover in [true, false] {
+        let op = build_op::<f32, _>(&mut comm, &grid, clover);
+        assert!(op.kernels_name().ends_with(want), "{}", op.kernels_name());
+        let op64 = build_op::<f64, _>(&mut comm, &grid, clover);
+        assert!(op64.kernels_name().ends_with(want), "{}", op64.kernels_name());
+    }
+}
+
+#[test]
+fn unpartitioned_f32_entry_points_match_generic_bitwise() {
+    let bad = grid_mismatches::<f32>([1, 1, 1, 1]);
+    assert!(bad.is_empty(), "{bad:?}");
+}
+
+#[test]
+fn two_rank_f32_entry_points_match_generic_bitwise() {
+    let bad = grid_mismatches::<f32>([1, 1, 1, 2]);
+    assert!(bad.is_empty(), "{bad:?}");
+}
+
+#[test]
+fn unpartitioned_f64_entry_points_match_generic_bitwise() {
+    let bad = grid_mismatches::<f64>([1, 1, 1, 1]);
+    assert!(bad.is_empty(), "{bad:?}");
+}
+
+#[test]
+fn two_rank_f64_entry_points_match_generic_bitwise() {
+    let bad = grid_mismatches::<f64>([1, 1, 1, 2]);
+    assert!(bad.is_empty(), "{bad:?}");
+}
+
+#[test]
+fn four_rank_entry_points_match_generic_bitwise_in_both_precisions() {
+    let mut bad = grid_mismatches::<f32>([1, 1, 2, 2]);
+    bad.extend(grid_mismatches::<f64>([1, 1, 2, 2]));
+    assert!(bad.is_empty(), "{bad:?}");
 }
 
 /// The in-place passes of `apply_eo_prec`, `apply_full` and
@@ -214,15 +245,7 @@ fn in_place_passes_match_the_unfused_composition() {
     let grid = ProcessGrid::new(Dims([1, 1, 1, 1]), GLOBAL).unwrap();
     let mut comm = SingleComm::new(GLOBAL).unwrap();
     for clover in [true, false] {
-        let op = build_op(&mut comm, &grid, clover);
-        fused_matches_composition(&op);
-        let mut op64 = WilsonCloverOp::new(
-            op.gauge.cast::<f64>(),
-            op.clover.as_ref().map(|c| [c[0].cast_all::<f64>(), c[1].cast_all::<f64>()]),
-            0.1,
-        )
-        .unwrap();
-        op64.build_t_inverse().unwrap();
-        fused_matches_composition(&op64);
+        fused_matches_composition(&build_op::<f32, _>(&mut comm, &grid, clover));
+        fused_matches_composition(&build_op::<f64, _>(&mut comm, &grid, clover));
     }
 }

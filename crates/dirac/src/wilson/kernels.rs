@@ -3,8 +3,9 @@
 //! The operator's passes (interior, exteriors, the site-diagonal `T`
 //! and `T⁻¹`) are written once over [`SiteKernels`]. [`Generic`] is the
 //! typed per-site code: every precision and architecture, and the oracle
-//! the SIMD kernels are tested against. [`Sse2`] (x86_64, f32) runs the
-//! bit-identical SSE2 kernels of `lqcd_su3::kernels` on flat reals.
+//! the SIMD kernels are tested against. [`Sse2`] (x86_64, f32 and f64)
+//! runs the bit-identical SSE2 kernels of `lqcd_su3::kernels` on flat
+//! reals; its loops exist once, over the precision's `WilsonLanes`.
 //! Both read hops from the operator's [`NeighborTable`], and the
 //! exteriors walk the face lists, whose position `k` is the ghost slot.
 
@@ -12,6 +13,8 @@ use super::{SpinorField, WilsonCloverOp, SPINOR};
 use crate::dispatch::{site, site_mut};
 use lqcd_field::{BodyView, SiteObject};
 use lqcd_lattice::{NeighborTable, Parity, NDIM};
+#[cfg(target_arch = "x86_64")]
+use lqcd_su3::kernels::{clover_apply, clover_apply_shifted, SpinorAcc, WilsonLanes};
 use lqcd_su3::{CloverSite, Projector, WilsonSpinor};
 use lqcd_util::Real;
 
@@ -131,27 +134,27 @@ impl<R: Real> SiteKernels<R> for Generic {
     }
 }
 
-/// The SSE2 kernels, f32 only.
+/// The SSE2 kernels, written once over both precisions: the
+/// [`WilsonLanes`] of `R` supply the accumulator and the clover block.
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
 pub(super) struct Sse2;
 
 #[cfg(target_arch = "x86_64")]
-impl SiteKernels<f32> for Sse2 {
+impl<R: Real + WilsonLanes> SiteKernels<R> for Sse2 {
     fn interior(
         self,
-        op: &WilsonCloverOp<f32>,
-        out_chunk: &mut [f32],
+        op: &WilsonCloverOp<R>,
+        out_chunk: &mut [R],
         lo_site: usize,
-        src: BodyView<'_, f32, WilsonSpinor<f32>>,
+        src: BodyView<'_, R, WilsonSpinor<R>>,
         out_parity: Parity,
         src_parity: Parity,
     ) {
-        use lqcd_su3::kernels::SpinorAcc;
         let psi = src.reals();
-        let links_out: [&[f32]; NDIM] =
+        let links_out: [&[R]; NDIM] =
             std::array::from_fn(|mu| op.gauge.links[mu][out_parity.index()].body());
-        let links_src: [&[f32]; NDIM] =
+        let links_src: [&[R]; NDIM] =
             std::array::from_fn(|mu| op.gauge.links[mu][src_parity.index()].body());
         for (k, slot) in out_chunk.chunks_exact_mut(SPINOR).enumerate() {
             let idx = lo_site + k;
@@ -173,12 +176,11 @@ impl SiteKernels<f32> for Sse2 {
 
     fn exterior(
         self,
-        op: &WilsonCloverOp<f32>,
-        out: &mut SpinorField<f32>,
-        src: &SpinorField<f32>,
+        op: &WilsonCloverOp<R>,
+        out: &mut SpinorField<R>,
+        src: &SpinorField<R>,
         mu: usize,
     ) {
-        use lqcd_su3::kernels::SpinorAcc;
         let (out_parity, src_parity) = (out.parity(), src.parity());
         let body = out.body_mut();
         let mut add_hop = |idx: usize, proj, adjoint, psi, u| {
@@ -208,26 +210,16 @@ impl SiteKernels<f32> for Sse2 {
         }
     }
 
-    fn t(
-        self,
-        op: &WilsonCloverOp<f32>,
-        p: Parity,
-        idx: usize,
-        psi: &[f32; 24],
-        out: &mut [f32; 24],
-    ) {
+    fn t(self, op: &WilsonCloverOp<R>, p: Parity, idx: usize, psi: &[R; 24], out: &mut [R; 24]) {
         match &op.clover {
-            Some(cl) => lqcd_su3::kernels::clover_apply_shifted(
-                site(cl[p.index()].body(), idx),
-                psi,
-                op.diag_shift(),
-                out,
-            ),
+            Some(cl) => {
+                clover_apply_shifted(site(cl[p.index()].body(), idx), psi, op.diag_shift(), out)
+            }
             None => Generic.t(op, p, idx, psi, out),
         }
     }
 
-    fn t_inv(self, t_inv: &[f32; 72], psi: &[f32; 24], out: &mut [f32; 24]) {
-        lqcd_su3::kernels::clover_apply(t_inv, psi, out);
+    fn t_inv(self, t_inv: &[R; 72], psi: &[R; 24], out: &mut [R; 24]) {
+        clover_apply(t_inv, psi, out);
     }
 }

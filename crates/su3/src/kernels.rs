@@ -1,7 +1,8 @@
 //! SSE2 site kernels, each bit-identical to the scalar code it stands in
 //! for.
 //!
-//! Single precision, for the Wilson-clover operator:
+//! For the Wilson-clover operator, in both precisions (`R` = f32 or f64,
+//! the [`WilsonLanes`]):
 //!
 //! * [`SpinorAcc::hop`] — one fused stencil hop: project `(1 ± γµ)ψ` to
 //!   its two independent spins, rotate them by `U` or `U†`, and
@@ -12,7 +13,7 @@
 //!   chiral blocks of one packed clover site. Reference:
 //!   [`CloverSite::apply`], plus `ψ·shift` for the Wilson diagonal.
 //!
-//! Double precision, for the asqtad operator:
+//! For the asqtad operator, in double precision:
 //!
 //! * [`ColorAcc::hop`] — one colour hop: `U·v` or `U†·v`, added to or
 //!   subtracted from a colour-vector accumulator. Reference:
@@ -22,7 +23,9 @@
 //! holds two complex numbers as `[re, im, re, im]` — the two projected
 //! spins of one colour in the hop kernel, the same row of both chiral
 //! blocks in the clover kernel. In double precision one `__m128d` holds
-//! one complex number as `[re, im]`. Each lane performs the scalar
+//! one complex number as `[re, im]`, and the colour rotation of the
+//! Wilson hop and of the asqtad hop is one from-zero complex
+//! multiply-accumulate body. Each lane performs the scalar
 //! operations in the scalar order: a complex multiply-accumulate is
 //! `acc + ur·h`, then `+ (ui·swap(h) ^ sign)`, with no FMA and no
 //! reassociation. Signs are applied by flipping sign bits or by trading an
@@ -46,6 +49,7 @@
 use crate::clover::tri;
 use crate::gamma::{Phase, GAMMA};
 use crate::Projector;
+use regs::{Complexes, Pairs};
 use std::arch::x86_64::*;
 
 /// `_mm_shuffle_ps` immediate selecting lanes `[a[l0], a[l1], b[h0], b[h1]]`.
@@ -111,7 +115,8 @@ struct RowPair {
     cross: bool,
     /// The phases are `±i`: swap real and imaginary parts.
     imaginary: bool,
-    /// Lanes negated afterwards (phase signs, and the overall `−`).
+    /// Lanes negated afterwards (phase signs, and the overall `−`):
+    /// `[re, im]` of row `r`, then of row `r + 1`.
     neg: [bool; 4],
 }
 
@@ -150,12 +155,26 @@ unsafe fn apply_rows(rp: RowPair, x: __m128) -> __m128 {
     _mm_xor_ps(x, signs(rp.neg))
 }
 
-/// A 4-spinor as colour-pair vectors: `up[c] = [ψ₀c, ψ₁c]`,
-/// `lo[c] = [ψ₂c, ψ₃c]`.
-#[derive(Clone, Copy)]
-struct Pairs {
-    up: [__m128; 3],
-    lo: [__m128; 3],
+/// The register forms of one 4-spinor, and the seal of [`WilsonLanes`]:
+/// public types in a private module, so no caller can name them.
+mod regs {
+    use std::arch::x86_64::{__m128, __m128d};
+
+    /// f32, as colour-pair vectors: `up[c] = [ψ₀c, ψ₁c]`,
+    /// `lo[c] = [ψ₂c, ψ₃c]`.
+    #[derive(Clone, Copy)]
+    pub struct Pairs {
+        pub up: [__m128; 3],
+        pub lo: [__m128; 3],
+    }
+
+    /// f64, one complex per register: `[spin][colour]`.
+    #[derive(Clone, Copy)]
+    pub struct Complexes(pub [[__m128d; 3]; 4]);
+
+    pub trait Sealed {}
+    impl Sealed for f32 {}
+    impl Sealed for f64 {}
 }
 
 /// Spins `s, s + 1` (flat reals `[v0 v1 v2]`, spin-major) as colour pairs.
@@ -230,7 +249,7 @@ unsafe fn link_entry(l: &[__m128; 5], k: usize) -> (__m128, __m128) {
     }
 }
 
-/// One hop in direction `MU`.
+/// One f32 hop in direction `MU`.
 ///
 /// # Safety
 /// As for [`load`].
@@ -268,71 +287,7 @@ unsafe fn hop_mu<const MU: usize>(
     }
 }
 
-/// # Safety
-/// As for [`load`].
-#[inline(always)]
-unsafe fn hop(
-    acc: &mut Pairs,
-    mu: usize,
-    plus: bool,
-    adjoint: bool,
-    psi: &[f32; 24],
-    u: &[f32; 18],
-) {
-    match mu {
-        0 => hop_mu::<0>(acc, plus, adjoint, psi, u),
-        1 => hop_mu::<1>(acc, plus, adjoint, psi, u),
-        2 => hop_mu::<2>(acc, plus, adjoint, psi, u),
-        3 => hop_mu::<3>(acc, plus, adjoint, psi, u),
-        _ => panic!("direction {mu} out of range"),
-    }
-}
-
-/// The output spinor of one site while its hops are summed, held in
-/// SSE registers. Flat spinors are the 24 reals of
-/// [`WilsonSpinor`](crate::WilsonSpinor), spin-major, `[re, im]` per
-/// colour.
-#[derive(Clone, Copy)]
-pub struct SpinorAcc(Pairs);
-
-impl SpinorAcc {
-    /// The zero spinor.
-    #[inline(always)]
-    pub fn zero() -> Self {
-        // SAFETY: SSE2 is part of the x86_64 baseline.
-        let z = unsafe { _mm_setzero_ps() };
-        SpinorAcc(Pairs { up: [z; 3], lo: [z; 3] })
-    }
-
-    /// Start from an existing spinor.
-    #[inline(always)]
-    pub fn load(s: &[f32; 24]) -> Self {
-        // SAFETY: SSE2 is part of the x86_64 baseline; loads stay in `s`.
-        unsafe { SpinorAcc(load_pairs(s)) }
-    }
-
-    /// Write the sum out.
-    #[inline(always)]
-    pub fn store(&self, out: &mut [f32; 24]) {
-        // SAFETY: SSE2 is part of the x86_64 baseline; stores stay in `out`.
-        unsafe { store_pairs(&self.0, out) }
-    }
-
-    /// Add one hop, `(1 ± γµ) ⊗ U'` applied to `psi` with `U' = U†` when
-    /// `adjoint` (the backward hop) and `U` otherwise; `u` holds the 18
-    /// reals of [`Su3::to_reals`](crate::Su3::to_reals). Bit-identical
-    /// to `proj.accumulate(acc, &proj.project(ψ).color_mul(U))` (or
-    /// `color_adj_mul`).
-    #[inline(always)]
-    pub fn hop(&mut self, proj: Projector, adjoint: bool, psi: &[f32; 24], u: &[f32; 18]) {
-        // SAFETY: SSE2 is part of the x86_64 baseline; loads and stores
-        // are bounds-checked against the fixed-size arrays.
-        unsafe { hop(&mut self.0, proj.mu, proj.plus, adjoint, psi, u) }
-    }
-}
-
-/// Row `I` of both chiral blocks of a packed clover site (the 72 reals
-/// of [`CloverSite::to_reals`](crate::CloverSite::to_reals)) applied to
+/// Row `I` of both chiral blocks of a packed f32 clover site applied to
 /// `v[j] = [ψ⁰_j, ψ¹_j]`, element `j` of the chirality-0 (spins 0, 1) and
 /// chirality-1 (spins 2, 3) 6-vectors; `vs[j] = swap(v[j])`. The scalar
 /// order: the diagonal term, then every `j ≠ I` ascending.
@@ -366,18 +321,13 @@ unsafe fn clover_row<const I: usize>(a: &[f32; 72], v: &[__m128; 6], vs: &[__m12
     acc
 }
 
-/// Both chiral blocks of a packed clover site applied to a flat spinor,
-/// plus `shift·ψ` when `SHIFTED`.
+/// Both chiral blocks of a packed f32 clover site applied to a flat
+/// spinor, plus `shift·ψ` when `shift` is given.
 ///
 /// # Safety
 /// As for [`load`].
 #[inline(always)]
-unsafe fn clover<const SHIFTED: bool>(
-    a: &[f32; 72],
-    psi: &[f32; 24],
-    shift: f32,
-    out: &mut [f32; 24],
-) {
+unsafe fn clover(a: &[f32; 72], psi: &[f32; 24], shift: Option<f32>, out: &mut [f32; 24]) {
     let (x0, x4, x8) = (load(psi, 0), load(psi, 4), load(psi, 8));
     let (y0, y4, y8) = (load(psi, 12), load(psi, 16), load(psi, 20));
     let v = [
@@ -397,7 +347,7 @@ unsafe fn clover<const SHIFTED: bool>(
         clover_row::<4>(a, &v, &vs),
         clover_row::<5>(a, &v, &vs),
     ];
-    if SHIFTED {
+    if let Some(shift) = shift {
         let s = _mm_set1_ps(shift);
         for (w, v) in w.iter_mut().zip(v) {
             *w = _mm_add_ps(*w, _mm_mul_ps(v, s));
@@ -407,24 +357,6 @@ unsafe fn clover<const SHIFTED: bool>(
         store(out, 4 * k, _mm_movelh_ps(w[2 * k], w[2 * k + 1]));
         store(out, 12 + 4 * k, _mm_movehl_ps(w[2 * k + 1], w[2 * k]));
     }
-}
-
-/// `out = A ψ` for one packed clover site `a`; bit-identical to
-/// [`CloverSite::apply`](crate::CloverSite::apply).
-#[inline(always)]
-pub fn clover_apply(a: &[f32; 72], psi: &[f32; 24], out: &mut [f32; 24]) {
-    // SAFETY: SSE2 is part of the x86_64 baseline; loads and stores are
-    // bounds-checked against the fixed-size arrays.
-    unsafe { clover::<false>(a, psi, 0.0, out) }
-}
-
-/// `out = A ψ + shift·ψ`; bit-identical to
-/// `a.apply(ψ).add(&ψ.scale(shift))`.
-#[inline(always)]
-pub fn clover_apply_shifted(a: &[f32; 72], psi: &[f32; 24], shift: f32, out: &mut [f32; 24]) {
-    // SAFETY: SSE2 is part of the x86_64 baseline; loads and stores are
-    // bounds-checked against the fixed-size arrays.
-    unsafe { clover::<true>(a, psi, shift, out) }
 }
 
 /// Two lanes of `a` starting at `at`.
@@ -447,6 +379,69 @@ unsafe fn store_pd<const N: usize>(a: &mut [f64; N], at: usize, v: __m128d) {
     _mm_storeu_pd(a.as_mut_ptr().add(at), v)
 }
 
+/// Sign-bit mask `[re, im]`: a lane is `−0.0` where negated, else `+0.0`.
+///
+/// # Safety
+/// As for [`load`].
+#[inline(always)]
+unsafe fn signs_pd(re: bool, im: bool) -> __m128d {
+    let s = |n: bool| if n { -0.0 } else { 0.0 };
+    _mm_setr_pd(s(re), s(im))
+}
+
+/// `[re, im]` → `[im, re]`.
+///
+/// # Safety
+/// As for [`load`].
+#[inline(always)]
+unsafe fn swap_pd(x: __m128d) -> __m128d {
+    _mm_shuffle_pd::<0b01>(x, x)
+}
+
+/// Row `r + k` of a row-pair recipe applied to the one complex it reads
+/// (spin `cross ^ k` of the pair).
+///
+/// # Safety
+/// As for [`load`].
+#[inline(always)]
+unsafe fn apply_row_pd(rp: RowPair, k: usize, x: __m128d) -> __m128d {
+    let x = if rp.imaginary { swap_pd(x) } else { x };
+    _mm_xor_pd(x, signs_pd(rp.neg[2 * k], rp.neg[2 * k + 1]))
+}
+
+/// `U'·b` for `N` colour vectors, with `U' = U†` when `adjoint` and `U`
+/// otherwise, one complex per register: every output starts from `+0.0`
+/// and takes `j` ascending, the real part of `U'_ij` before the imaginary
+/// one — the order of [`Su3::mul_vec`](crate::Su3::mul_vec) and
+/// [`Su3::adj_mul_vec`](crate::Su3::adj_mul_vec). Each link entry is
+/// loaded once for all `N` vectors.
+///
+/// # Safety
+/// As for [`load`].
+#[inline(always)]
+unsafe fn color_rotate<const N: usize>(
+    adjoint: bool,
+    b: &[[__m128d; 3]; N],
+    u: &[f64; 18],
+) -> [[__m128d; 3]; N] {
+    // The imaginary part of U'_ij meets swap(b_j) with the sign of its
+    // lane: U gives [−im, +re], U† (conjugated entries) [+im, −re].
+    let ui_sign = signs_pd(!adjoint, adjoint);
+    let bs = b.map(|v| v.map(|x| _mm_xor_pd(swap_pd(x), ui_sign)));
+    let mut r = [[_mm_setzero_pd(); 3]; N];
+    for i in 0..3 {
+        for j in 0..3 {
+            let e = load_pd(u, 2 * if adjoint { 3 * j + i } else { 3 * i + j });
+            let (er, ei) = (_mm_unpacklo_pd(e, e), _mm_unpackhi_pd(e, e));
+            for n in 0..N {
+                r[n][i] = _mm_add_pd(r[n][i], _mm_mul_pd(er, b[n][j]));
+                r[n][i] = _mm_add_pd(r[n][i], _mm_mul_pd(ei, bs[n][j]));
+            }
+        }
+    }
+    r
+}
+
 /// `acc ± U'·v` with `U' = U†` when `adjoint` and `U` otherwise, one
 /// complex per register.
 ///
@@ -460,20 +455,312 @@ unsafe fn color_hop(
     v: &[f64; 6],
     u: &[f64; 18],
 ) {
-    let b = [load_pd(v, 0), load_pd(v, 2), load_pd(v, 4)];
-    // The imaginary part of U'_ij meets swap(v_j) with the sign of its
-    // lane: U gives [−im, +re], U† (conjugated entries) [+im, −re].
-    let ui_sign = if adjoint { _mm_setr_pd(0.0, -0.0) } else { _mm_setr_pd(-0.0, 0.0) };
-    let bs = b.map(|x| _mm_xor_pd(_mm_shuffle_pd::<0b01>(x, x), ui_sign));
-    for (i, acc) in acc.iter_mut().enumerate() {
-        let mut r = _mm_setzero_pd();
-        for j in 0..3 {
-            let e = load_pd(u, 2 * if adjoint { 3 * j + i } else { 3 * i + j });
-            r = _mm_add_pd(r, _mm_mul_pd(_mm_unpacklo_pd(e, e), b[j]));
-            r = _mm_add_pd(r, _mm_mul_pd(_mm_unpackhi_pd(e, e), bs[j]));
-        }
+    let [r] = color_rotate(adjoint, &[[load_pd(v, 0), load_pd(v, 2), load_pd(v, 4)]], u);
+    for (acc, r) in acc.iter_mut().zip(r) {
         *acc = if negate { _mm_sub_pd(*acc, r) } else { _mm_add_pd(*acc, r) };
     }
+}
+
+/// # Safety
+/// As for [`load`].
+#[inline(always)]
+unsafe fn load_complexes(p: &[f64; 24]) -> Complexes {
+    let mut out = [[_mm_setzero_pd(); 3]; 4];
+    for (s, spin) in out.iter_mut().enumerate() {
+        for (c, z) in spin.iter_mut().enumerate() {
+            *z = load_pd(p, 6 * s + 2 * c);
+        }
+    }
+    Complexes(out)
+}
+
+/// # Safety
+/// As for [`load`].
+#[inline(always)]
+unsafe fn store_complexes(spinor: &Complexes, out: &mut [f64; 24]) {
+    for (s, spin) in spinor.0.iter().enumerate() {
+        for (c, &z) in spin.iter().enumerate() {
+            store_pd(out, 6 * s + 2 * c, z);
+        }
+    }
+}
+
+/// One f64 hop in direction `MU`.
+///
+/// # Safety
+/// As for [`load`].
+#[inline(always)]
+unsafe fn hop_mu_pd<const MU: usize>(
+    acc: &mut Complexes,
+    plus: bool,
+    adjoint: bool,
+    psi: &[f64; 24],
+    u: &[f64; 18],
+) {
+    let p = load_complexes(psi).0;
+    // Project: h_k = ψ_k ± γ-row(k) ψ_lo for the upper spins k = 0, 1.
+    let proj = row_pair(MU, 0, !plus);
+    let mut h = [[_mm_setzero_pd(); 3]; 2];
+    for (k, h) in h.iter_mut().enumerate() {
+        let lo = &p[2 + (proj.cross as usize ^ k)];
+        for c in 0..3 {
+            h[c] = _mm_add_pd(p[k][c], apply_row_pd(proj, k, lo[c]));
+        }
+    }
+    let r = color_rotate(adjoint, &h, u);
+    // Accumulate: upper spins take r, lower spins ±γ-rows(2, 3) r.
+    let recon = row_pair(MU, 2, !plus);
+    let acc = &mut acc.0;
+    for k in 0..2 {
+        let from = &r[recon.cross as usize ^ k];
+        for c in 0..3 {
+            acc[k][c] = _mm_add_pd(acc[k][c], r[k][c]);
+            acc[2 + k][c] = _mm_add_pd(acc[2 + k][c], apply_row_pd(recon, k, from[c]));
+        }
+    }
+}
+
+/// Row `I` of chiral block `B` of a packed f64 clover site applied to
+/// that block's 6-vector `v` (`vs[j] = swap(v[j])`). The scalar order: the
+/// diagonal term, then every `j ≠ I` ascending.
+///
+/// # Safety
+/// As for [`load`].
+#[inline(always)]
+unsafe fn clover_row_pd<const B: usize, const I: usize>(
+    a: &[f64; 72],
+    v: &[__m128d; 6],
+    vs: &[__m128d; 6],
+) -> __m128d {
+    // As in `clover_row`: lower-triangle entries negate the real lane of
+    // the im·swap(v) product, upper (conjugated) ones the imaginary lane.
+    let (lower, upper) = (signs_pd(true, false), signs_pd(false, true));
+    // Block B's diagonal sits at reals 36B.., its off-diagonals at 36B + 6...
+    let mut acc = _mm_mul_pd(v[I], _mm_set1_pd(a[36 * B + I]));
+    let mut mac = |t: usize, j: usize, sign: __m128d| {
+        let e = load_pd(a, 36 * B + 6 + 2 * t);
+        acc = _mm_add_pd(acc, _mm_mul_pd(_mm_unpacklo_pd(e, e), v[j]));
+        acc = _mm_add_pd(acc, _mm_xor_pd(_mm_mul_pd(_mm_unpackhi_pd(e, e), vs[j]), sign));
+    };
+    for j in 0..I {
+        mac(tri(I, j), j, lower);
+    }
+    for j in I + 1..6 {
+        mac(tri(j, I), j, upper);
+    }
+    acc
+}
+
+/// Chiral block `B` (spins 2B, 2B + 1: element `j` at reals 12B + 2j) of
+/// a packed f64 clover site applied to a flat spinor, plus `shift·ψ` when
+/// `shift` is given.
+///
+/// # Safety
+/// As for [`load`].
+#[inline(always)]
+unsafe fn clover_block_pd<const B: usize>(
+    a: &[f64; 72],
+    psi: &[f64; 24],
+    shift: Option<f64>,
+    out: &mut [f64; 24],
+) {
+    let mut v = [_mm_setzero_pd(); 6];
+    for (j, v) in v.iter_mut().enumerate() {
+        *v = load_pd(psi, 12 * B + 2 * j);
+    }
+    let vs = v.map(|x| swap_pd(x));
+    let mut w = [
+        clover_row_pd::<B, 0>(a, &v, &vs),
+        clover_row_pd::<B, 1>(a, &v, &vs),
+        clover_row_pd::<B, 2>(a, &v, &vs),
+        clover_row_pd::<B, 3>(a, &v, &vs),
+        clover_row_pd::<B, 4>(a, &v, &vs),
+        clover_row_pd::<B, 5>(a, &v, &vs),
+    ];
+    if let Some(shift) = shift {
+        let s = _mm_set1_pd(shift);
+        for (w, v) in w.iter_mut().zip(v) {
+            *w = _mm_add_pd(*w, _mm_mul_pd(v, s));
+        }
+    }
+    for (i, w) in w.into_iter().enumerate() {
+        store_pd(out, 12 * B + 2 * i, w);
+    }
+}
+
+/// A precision with SSE2 Wilson-clover kernels: `f32` (two complex
+/// numbers per `__m128`) and `f64` (one per `__m128d`). The trait is
+/// sealed; its items are the per-precision bodies behind [`SpinorAcc`],
+/// [`clover_apply`] and [`clover_apply_shifted`].
+pub trait WilsonLanes: Copy + regs::Sealed {
+    #[doc(hidden)]
+    type Spinor: Copy;
+    #[doc(hidden)]
+    fn zero() -> Self::Spinor;
+    #[doc(hidden)]
+    fn load(s: &[Self; 24]) -> Self::Spinor;
+    #[doc(hidden)]
+    fn store(s: &Self::Spinor, out: &mut [Self; 24]);
+    #[doc(hidden)]
+    fn hop(
+        acc: &mut Self::Spinor,
+        proj: Projector,
+        adjoint: bool,
+        psi: &[Self; 24],
+        u: &[Self; 18],
+    );
+    #[doc(hidden)]
+    fn clover(a: &[Self; 72], psi: &[Self; 24], shift: Option<Self>, out: &mut [Self; 24]);
+}
+
+/// Run `$hop::<µ>` with the direction as a constant.
+macro_rules! by_direction {
+    ($hop:ident, $proj:expr, $($arg:expr),*) => {
+        match $proj.mu {
+            0 => $hop::<0>($($arg),*),
+            1 => $hop::<1>($($arg),*),
+            2 => $hop::<2>($($arg),*),
+            3 => $hop::<3>($($arg),*),
+            mu => panic!("direction {mu} out of range"),
+        }
+    };
+}
+
+impl WilsonLanes for f32 {
+    type Spinor = Pairs;
+
+    #[inline(always)]
+    fn zero() -> Pairs {
+        // SAFETY: SSE2 is part of the x86_64 baseline.
+        let z = unsafe { _mm_setzero_ps() };
+        Pairs { up: [z; 3], lo: [z; 3] }
+    }
+
+    #[inline(always)]
+    fn load(s: &[f32; 24]) -> Pairs {
+        // SAFETY: SSE2 is part of the x86_64 baseline; loads and stores are
+        // bounds-checked against the fixed-size arrays.
+        unsafe { load_pairs(s) }
+    }
+
+    #[inline(always)]
+    fn store(s: &Pairs, out: &mut [f32; 24]) {
+        // SAFETY: SSE2 is part of the x86_64 baseline; loads and stores are
+        // bounds-checked against the fixed-size arrays.
+        unsafe { store_pairs(s, out) }
+    }
+
+    #[inline(always)]
+    fn hop(acc: &mut Pairs, proj: Projector, adjoint: bool, psi: &[f32; 24], u: &[f32; 18]) {
+        // SAFETY: SSE2 is part of the x86_64 baseline; loads and stores are
+        // bounds-checked against the fixed-size arrays.
+        unsafe { by_direction!(hop_mu, proj, acc, proj.plus, adjoint, psi, u) }
+    }
+
+    #[inline(always)]
+    fn clover(a: &[f32; 72], psi: &[f32; 24], shift: Option<f32>, out: &mut [f32; 24]) {
+        // SAFETY: SSE2 is part of the x86_64 baseline; loads and stores are
+        // bounds-checked against the fixed-size arrays.
+        unsafe { clover(a, psi, shift, out) }
+    }
+}
+
+impl WilsonLanes for f64 {
+    type Spinor = Complexes;
+
+    #[inline(always)]
+    fn zero() -> Complexes {
+        // SAFETY: SSE2 is part of the x86_64 baseline.
+        Complexes([[unsafe { _mm_setzero_pd() }; 3]; 4])
+    }
+
+    #[inline(always)]
+    fn load(s: &[f64; 24]) -> Complexes {
+        // SAFETY: SSE2 is part of the x86_64 baseline; loads and stores are
+        // bounds-checked against the fixed-size arrays.
+        unsafe { load_complexes(s) }
+    }
+
+    #[inline(always)]
+    fn store(s: &Complexes, out: &mut [f64; 24]) {
+        // SAFETY: SSE2 is part of the x86_64 baseline; loads and stores are
+        // bounds-checked against the fixed-size arrays.
+        unsafe { store_complexes(s, out) }
+    }
+
+    #[inline(always)]
+    fn hop(acc: &mut Complexes, proj: Projector, adjoint: bool, psi: &[f64; 24], u: &[f64; 18]) {
+        // SAFETY: SSE2 is part of the x86_64 baseline; loads and stores are
+        // bounds-checked against the fixed-size arrays.
+        unsafe { by_direction!(hop_mu_pd, proj, acc, proj.plus, adjoint, psi, u) }
+    }
+
+    #[inline(always)]
+    fn clover(a: &[f64; 72], psi: &[f64; 24], shift: Option<f64>, out: &mut [f64; 24]) {
+        // SAFETY: SSE2 is part of the x86_64 baseline; loads and stores are
+        // bounds-checked against the fixed-size arrays.
+        unsafe {
+            clover_block_pd::<0>(a, psi, shift, out);
+            clover_block_pd::<1>(a, psi, shift, out);
+        }
+    }
+}
+
+/// The output spinor of one site while its hops are summed, held in
+/// SSE registers. Flat spinors are the 24 reals of
+/// [`WilsonSpinor`](crate::WilsonSpinor), spin-major, `[re, im]` per
+/// colour.
+#[derive(Clone, Copy)]
+pub struct SpinorAcc<R: WilsonLanes>(R::Spinor);
+
+impl<R: WilsonLanes> SpinorAcc<R> {
+    /// The zero spinor.
+    #[inline(always)]
+    pub fn zero() -> Self {
+        SpinorAcc(R::zero())
+    }
+
+    /// Start from an existing spinor.
+    #[inline(always)]
+    pub fn load(s: &[R; 24]) -> Self {
+        SpinorAcc(R::load(s))
+    }
+
+    /// Write the sum out.
+    #[inline(always)]
+    pub fn store(&self, out: &mut [R; 24]) {
+        R::store(&self.0, out)
+    }
+
+    /// Add one hop, `(1 ± γµ) ⊗ U'` applied to `psi` with `U' = U†` when
+    /// `adjoint` (the backward hop) and `U` otherwise; `u` holds the 18
+    /// reals of [`Su3::to_reals`](crate::Su3::to_reals). Bit-identical
+    /// to `proj.accumulate(acc, &proj.project(ψ).color_mul(U))` (or
+    /// `color_adj_mul`).
+    #[inline(always)]
+    pub fn hop(&mut self, proj: Projector, adjoint: bool, psi: &[R; 24], u: &[R; 18]) {
+        R::hop(&mut self.0, proj, adjoint, psi, u)
+    }
+}
+
+/// `out = A ψ` for one packed clover site `a` (the 72 reals of
+/// [`CloverSite::to_reals`](crate::CloverSite::to_reals)); bit-identical
+/// to [`CloverSite::apply`](crate::CloverSite::apply).
+#[inline(always)]
+pub fn clover_apply<R: WilsonLanes>(a: &[R; 72], psi: &[R; 24], out: &mut [R; 24]) {
+    R::clover(a, psi, None, out)
+}
+
+/// `out = A ψ + shift·ψ`; bit-identical to
+/// `a.apply(ψ).add(&ψ.scale(shift))`.
+#[inline(always)]
+pub fn clover_apply_shifted<R: WilsonLanes>(
+    a: &[R; 72],
+    psi: &[R; 24],
+    shift: R,
+    out: &mut [R; 24],
+) {
+    R::clover(a, psi, Some(shift), out)
 }
 
 /// A colour vector while the hops of one site are summed, held in SSE
@@ -527,59 +814,82 @@ mod tests {
     use crate::gamma::HalfSpinor;
     use crate::{CloverSite, ColorVector, Su3, WilsonSpinor};
     use lqcd_util::rng::SeedTree;
-    use lqcd_util::Complex;
+    use lqcd_util::{Complex, Real};
     use rand::Rng;
 
-    fn flat(s: &WilsonSpinor<f32>) -> [f32; 24] {
-        let mut out = [0.0; 24];
-        for sp in 0..4 {
-            for c in 0..3 {
-                out[6 * sp + 2 * c] = s.s[sp].c[c].re;
-                out[6 * sp + 2 * c + 1] = s.s[sp].c[c].im;
-            }
-        }
-        out
+    /// A precision under test, with its own subnormals and a magnitude
+    /// whose products underflow.
+    trait Lane: Real + WilsonLanes {
+        const TINY: f64;
+        fn subnormal<G: Rng>(rng: &mut G) -> Self;
     }
 
-    fn bits<const N: usize>(a: &[f32; N]) -> [u32; N] {
-        a.map(f32::to_bits)
+    impl Lane for f32 {
+        const TINY: f64 = 1e-20;
+        fn subnormal<G: Rng>(rng: &mut G) -> f32 {
+            f32::from_bits(1 + rng.gen::<u32>() % 0x007f_ffff)
+        }
+    }
+
+    impl Lane for f64 {
+        const TINY: f64 = 1e-160;
+        fn subnormal<G: Rng>(rng: &mut G) -> f64 {
+            f64::from_bits(1 + rng.gen::<u64>() % 0x000f_ffff_ffff_ffff)
+        }
+    }
+
+    fn flat<R: Real>(s: &WilsonSpinor<R>) -> [R; 24] {
+        std::array::from_fn(|k| {
+            let z = s.s[k / 6].c[k % 6 / 2];
+            if k % 2 == 0 {
+                z.re
+            } else {
+                z.im
+            }
+        })
+    }
+
+    /// Bits through the exact widening to f64, which keeps signed zeros
+    /// and subnormals apart.
+    fn bits<R: Real, const N: usize>(a: &[R; N]) -> [u64; N] {
+        a.map(|x| x.to_f64().to_bits())
     }
 
     /// Gaussian values, or with `special` a mix that also draws ±0.0,
     /// subnormals and magnitudes whose products underflow.
-    fn value<G: Rng>(rng: &mut G, special: bool) -> f32 {
+    fn value<R: Lane, G: Rng>(rng: &mut G, special: bool) -> R {
         let (x, _) = lqcd_util::rng::normal_pair(rng);
         if !special {
-            return x as f32;
+            return R::from_f64(x);
         }
-        let sign = if rng.gen::<bool>() { -1.0f32 } else { 1.0 };
+        let sign = if rng.gen::<bool>() { -R::ONE } else { R::ONE };
         match rng.gen::<u32>() % 6 {
-            0 => sign * 0.0,
-            1 => sign * f32::from_bits(1 + rng.gen::<u32>() % 0x007f_ffff),
-            2 => sign * 1e-20 * (1.0 + x.abs() as f32),
-            _ => x as f32,
+            0 => sign * R::ZERO,
+            1 => sign * R::subnormal(rng),
+            2 => sign * R::from_f64(R::TINY * (1.0 + x.abs())),
+            _ => R::from_f64(x),
         }
     }
 
-    fn spinor<G: Rng>(rng: &mut G, special: bool) -> WilsonSpinor<f32> {
+    fn spinor<R: Lane, G: Rng>(rng: &mut G, special: bool) -> WilsonSpinor<R> {
         WilsonSpinor::from_fn(|_| {
             ColorVector::from_fn(|_| Complex::new(value(rng, special), value(rng, special)))
         })
     }
 
     /// A general complex matrix (not unitary, like a fat link).
-    fn matrix<G: Rng>(rng: &mut G, special: bool) -> Su3<f32> {
+    fn matrix<R: Lane, G: Rng>(rng: &mut G, special: bool) -> Su3<R> {
         Su3::from_fn(|_, _| Complex::new(value(rng, special), value(rng, special)))
     }
 
-    fn scalar_hop(
-        acc: &WilsonSpinor<f32>,
+    fn scalar_hop<R: Real>(
+        acc: &WilsonSpinor<R>,
         proj: Projector,
         adjoint: bool,
-        psi: &WilsonSpinor<f32>,
-        u: &Su3<f32>,
-    ) -> WilsonSpinor<f32> {
-        let h: HalfSpinor<f32> = proj.project(psi);
+        psi: &WilsonSpinor<R>,
+        u: &Su3<R>,
+    ) -> WilsonSpinor<R> {
+        let h: HalfSpinor<R> = proj.project(psi);
         let h = if adjoint { h.color_adj_mul(u) } else { h.color_mul(u) };
         let mut out = *acc;
         proj.accumulate(&mut out, &h);
@@ -599,13 +909,14 @@ mod tests {
         }
     }
 
-    #[test]
-    fn hop_matches_scalar_bitwise() {
-        let tree = SeedTree::new(41);
+    /// Every (µ, ±) in both the `U` and `U†` forms, from zero and from a
+    /// random accumulator.
+    fn hop_matches_scalar<R: Lane>(seed: u64) {
+        let tree = SeedTree::new(seed);
         let mut rng = tree.rng();
         for trial in 0..400 {
             let special = trial % 2 == 1;
-            let psi = spinor(&mut rng, special);
+            let psi = spinor::<R, _>(&mut rng, special);
             let u = matrix(&mut rng, special);
             let acc0 =
                 if trial % 4 == 0 { WilsonSpinor::zero() } else { spinor(&mut rng, special) };
@@ -616,12 +927,13 @@ mod tests {
                         let want = scalar_hop(&acc0, proj, adjoint, &psi, &u);
                         let mut acc = SpinorAcc::load(&flat(&acc0));
                         acc.hop(proj, adjoint, &flat(&psi), &u.to_reals());
-                        let mut got = [0.0f32; 24];
+                        let mut got = [R::ZERO; 24];
                         acc.store(&mut got);
                         assert_eq!(
                             bits(&got),
                             bits(&flat(&want)),
-                            "trial {trial}, µ={mu}, plus={plus}, adjoint={adjoint}"
+                            "{}: trial {trial}, µ={mu}, plus={plus}, adjoint={adjoint}",
+                            R::NAME
                         );
                     }
                 }
@@ -630,10 +942,15 @@ mod tests {
     }
 
     #[test]
-    fn chained_hops_from_zero_match_scalar_bitwise() {
-        // The interior-kernel pattern: eight hops summed into a zero
-        // accumulator, forward with U and backward with U†.
-        let tree = SeedTree::new(42);
+    fn hop_matches_scalar_bitwise() {
+        hop_matches_scalar::<f32>(41);
+        hop_matches_scalar::<f64>(48);
+    }
+
+    /// The interior-kernel pattern: eight hops summed into a zero
+    /// accumulator, forward with U and backward with U†.
+    fn chained_hops_match_scalar<R: Lane>(seed: u64) {
+        let tree = SeedTree::new(seed);
         let mut rng = tree.rng();
         for trial in 0..50 {
             let special = trial % 2 == 0;
@@ -641,75 +958,71 @@ mod tests {
             let mut acc = SpinorAcc::zero();
             for mu in 0..4 {
                 for (plus, adjoint) in [(false, false), (true, true)] {
-                    let psi = spinor(&mut rng, special);
+                    let psi = spinor::<R, _>(&mut rng, special);
                     let u = matrix(&mut rng, special);
                     let proj = Projector { mu, plus };
                     want = scalar_hop(&want, proj, adjoint, &psi, &u);
                     acc.hop(proj, adjoint, &flat(&psi), &u.to_reals());
                 }
             }
-            let mut got = [0.0f32; 24];
+            let mut got = [R::ZERO; 24];
             acc.store(&mut got);
-            assert_eq!(bits(&got), bits(&flat(&want)), "trial {trial}");
+            assert_eq!(bits(&got), bits(&flat(&want)), "{}: trial {trial}", R::NAME);
         }
+    }
+
+    #[test]
+    fn chained_hops_from_zero_match_scalar_bitwise() {
+        chained_hops_match_scalar::<f32>(42);
+        chained_hops_match_scalar::<f64>(49);
+    }
+
+    fn zero_load_store_roundtrip<R: Lane>(seed: u64) {
+        let mut got = [R::ONE; 24];
+        SpinorAcc::zero().store(&mut got);
+        assert_eq!(bits(&got), [0u64; 24], "{}", R::NAME);
+        let s = flat(&spinor::<R, _>(&mut SeedTree::new(seed).rng(), true));
+        SpinorAcc::load(&s).store(&mut got);
+        assert_eq!(bits(&got), bits(&s), "{}", R::NAME);
     }
 
     #[test]
     fn zero_load_store_roundtrip_is_exact() {
-        let mut got = [1.0f32; 24];
-        SpinorAcc::zero().store(&mut got);
-        assert_eq!(bits(&got), [0u32; 24]);
-        let s = flat(&spinor(&mut SeedTree::new(43).rng(), true));
-        SpinorAcc::load(&s).store(&mut got);
-        assert_eq!(bits(&got), bits(&s));
+        zero_load_store_roundtrip::<f32>(43);
+        zero_load_store_roundtrip::<f64>(50);
     }
 
-    fn clover_site<G: Rng>(rng: &mut G, special: bool) -> CloverSite<f32> {
-        let mut reals = [0.0f32; 72];
-        for r in &mut reals {
-            *r = value(rng, special);
-        }
-        CloverSite::from_reals(&reals)
-    }
-
-    #[test]
-    fn clover_matches_scalar_bitwise() {
-        let tree = SeedTree::new(44);
+    /// The plain and the shifted block, on positive-definite sites and on
+    /// general packed reals (special values included).
+    fn clover_matches_scalar<R: Lane>(seed: u64) {
+        let tree = SeedTree::new(seed);
         let mut rng = tree.rng();
         for trial in 0..400 {
             let special = trial % 2 == 1;
             let a = if trial % 3 == 0 {
-                CloverSite::<f64>::random_spd(&mut rng).cast()
+                CloverSite::<f64>::random_spd(&mut rng).cast::<R>()
             } else {
-                clover_site(&mut rng, special)
+                CloverSite::from_reals(&std::array::from_fn(|_| value(&mut rng, special)))
             };
             let psi = spinor(&mut rng, special);
-            let mut got = [0.0f32; 24];
+            let mut got = [R::ZERO; 24];
             clover_apply(&a.to_reals(), &flat(&psi), &mut got);
-            assert_eq!(bits(&got), bits(&flat(&a.apply(&psi))), "trial {trial}");
+            assert_eq!(bits(&got), bits(&flat(&a.apply(&psi))), "{}: trial {trial}", R::NAME);
             let shift = value(&mut rng, special);
             clover_apply_shifted(&a.to_reals(), &flat(&psi), shift, &mut got);
             let want = a.apply(&psi).add(&psi.scale(shift));
-            assert_eq!(bits(&got), bits(&flat(&want)), "trial {trial} (shifted)");
+            assert_eq!(bits(&got), bits(&flat(&want)), "{}: trial {trial} (shifted)", R::NAME);
         }
     }
 
-    fn value64<G: Rng>(rng: &mut G, special: bool) -> f64 {
-        let (x, _) = lqcd_util::rng::normal_pair(rng);
-        if !special {
-            return x;
-        }
-        let sign = if rng.gen::<bool>() { -1.0 } else { 1.0 };
-        match rng.gen::<u32>() % 6 {
-            0 => sign * 0.0,
-            1 => sign * f64::from_bits(1 + rng.gen::<u64>() % 0x000f_ffff_ffff_ffff),
-            2 => sign * 1e-160 * (1.0 + x.abs()),
-            _ => x,
-        }
+    #[test]
+    fn clover_matches_scalar_bitwise() {
+        clover_matches_scalar::<f32>(44);
+        clover_matches_scalar::<f64>(51);
     }
 
     fn vector64<G: Rng>(rng: &mut G, special: bool) -> ColorVector<f64> {
-        ColorVector::from_fn(|_| Complex::new(value64(rng, special), value64(rng, special)))
+        ColorVector::from_fn(|_| Complex::new(value(rng, special), value(rng, special)))
     }
 
     fn flat64(v: &ColorVector<f64>) -> [f64; 6] {
@@ -739,10 +1052,7 @@ mod tests {
         for trial in 0..400 {
             let special = trial % 2 == 1;
             let v = vector64(&mut rng, special);
-            // A general complex matrix, not unitary (like a fat link).
-            let u = Su3::from_fn(|_, _| {
-                Complex::new(value64(&mut rng, special), value64(&mut rng, special))
-            });
+            let u = matrix(&mut rng, special);
             let acc0 =
                 if trial % 4 == 0 { ColorVector::zero() } else { vector64(&mut rng, special) };
             for adjoint in [false, true] {
@@ -775,9 +1085,7 @@ mod tests {
             for hop in 0..16 {
                 let (adjoint, negate) = (hop % 2 == 1, rng.gen::<bool>());
                 let v = vector64(&mut rng, special);
-                let u = Su3::from_fn(|_, _| {
-                    Complex::new(value64(&mut rng, special), value64(&mut rng, special))
-                });
+                let u = matrix(&mut rng, special);
                 want = scalar_color_hop(&want, adjoint, negate, &v, &u);
                 acc.hop(adjoint, negate, &flat64(&v), &u.to_reals());
             }
