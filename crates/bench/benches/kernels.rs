@@ -3,14 +3,14 @@
 //! precision machinery.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use lqcd_comms::SingleComm;
+use lqcd_comms::{run_on_grid, Communicator, SingleComm};
 use lqcd_dirac::{BoundaryMode, StaggeredOp, WilsonCloverOp, STAGGERED_DEPTH, WILSON_DEPTH};
 use lqcd_field::{blas, HalfField, LatticeField};
 use lqcd_gauge::asqtad::{AsqtadCoeffs, AsqtadLinks};
-use lqcd_gauge::clover_build::build_clover_field;
+use lqcd_gauge::clover_build::{build_clover, build_clover_field};
 use lqcd_gauge::field::GaugeStart;
 use lqcd_gauge::GaugeField;
-use lqcd_lattice::{Dims, FaceGeometry, Parity, SubLattice};
+use lqcd_lattice::{Dims, FaceGeometry, Parity, ProcessGrid, SubLattice};
 use lqcd_su3::{gamma, ColorVector, Su3, WilsonSpinor};
 use lqcd_util::rng::SeedTree;
 use std::sync::Arc;
@@ -235,6 +235,21 @@ fn setup_kernels(c: &mut Criterion) {
     g.bench_function("clover_build_8x8x8x8", |bch| {
         bch.iter(|| black_box(build_clover_field(black_box(&thin), GLOBAL, 1.0)))
     });
+    // One rank of `gcrdd_half`'s 1×1×1×2 split: the rank-local clover
+    // build on its 16×8×8×8 body from the exchanged halo box.
+    let global = Dims([16, 8, 8, 16]);
+    let grid = ProcessGrid::new(Dims([1, 1, 1, 2]), global).unwrap();
+    let mut boxes = run_on_grid(grid.clone(), |mut comm| {
+        let sub = Arc::new(SubLattice::for_rank(&grid, comm.rank()));
+        let faces = FaceGeometry::new(&sub, WILSON_DEPTH).unwrap();
+        let start = GaugeStart::Disordered(0.2);
+        let mut gauge = GaugeField::<f64>::generate(sub, &faces, global, &seed, start);
+        gauge.exchange_halo(&mut comm).unwrap()
+    });
+    let links = boxes.swap_remove(0);
+    g.bench_function("clover_build_local_16x8x8x8", |bch| {
+        bch.iter(|| black_box(build_clover(black_box(&links), 1.0)))
+    });
     g.finish();
 }
 
@@ -273,7 +288,6 @@ fn half_precision(c: &mut Criterion) {
 
 fn whole_solves(c: &mut Criterion) {
     use lqcd_core::{solve_wilson, WilsonProblem, WilsonSolve};
-    use lqcd_lattice::ProcessGrid;
     use lqcd_tune::LadderChoice;
     let p = WilsonProblem::small();
     let mut g = c.benchmark_group("solves");

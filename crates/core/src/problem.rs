@@ -11,7 +11,7 @@ use lqcd_comms::Communicator;
 use lqcd_dirac::wilson::SpinorField;
 use lqcd_dirac::{StaggeredOp, WilsonCloverOp, STAGGERED_DEPTH, WILSON_DEPTH};
 use lqcd_gauge::asqtad::{AsqtadCoeffs, AsqtadLinks};
-use lqcd_gauge::clover_build::{build_clover_field, restrict_clover};
+use lqcd_gauge::clover_build::build_clover;
 use lqcd_gauge::field::GaugeStart;
 use lqcd_gauge::GaugeField;
 use lqcd_lattice::{Dims, FaceGeometry, Parity, ProcessGrid, SubLattice};
@@ -71,8 +71,10 @@ impl WilsonProblem {
         }
     }
 
-    /// Build this rank's operator (gauge ghosts exchanged, clover built
-    /// globally and restricted, `T⁻¹` tables ready).
+    /// Build this rank's operator from the rank's own sites: gauge links
+    /// generated on the body, one extended gauge-halo exchange that fills
+    /// the backward gauge ghosts and feeds the rank-local clover build,
+    /// and the `T⁻¹` tables.
     pub fn build_operator<C: Communicator>(
         &self,
         comm: &mut C,
@@ -82,31 +84,16 @@ impl WilsonProblem {
         let sub = Arc::new(SubLattice::for_rank(grid, comm.rank()));
         let faces = FaceGeometry::new(&sub, WILSON_DEPTH)?;
         let mut gauge = GaugeField::<f64>::generate(
-            sub.clone(),
+            sub,
             &faces,
             self.global,
             &seed,
             GaugeStart::Disordered(self.disorder),
         );
-        gauge.exchange_ghosts(comm, &faces)?;
-        let clover = match self.csw {
-            Some(csw) => {
-                // Clover term is site-diagonal: build on the global lattice
-                // (deterministic, identical on every rank) and restrict.
-                let gsub = Arc::new(SubLattice::single(self.global)?);
-                let gfaces = FaceGeometry::new(&gsub, WILSON_DEPTH)?;
-                let ggauge = GaugeField::<f64>::generate(
-                    gsub,
-                    &gfaces,
-                    self.global,
-                    &seed,
-                    GaugeStart::Disordered(self.disorder),
-                );
-                let whole = build_clover_field(&ggauge, self.global, csw);
-                Some(restrict_clover(&whole, sub.clone(), &faces))
-            }
-            None => None,
-        };
+        let links = gauge.exchange_halo(comm)?;
+        let clover = self.csw.map(|csw| build_clover(&links, csw));
+        // Only the clover build reads the box: free it before `T⁻¹` allocates.
+        drop(links);
         let mut op = WilsonCloverOp::new(gauge, clover, self.mass)?;
         op.build_t_inverse()?;
         Ok(op)
@@ -261,6 +248,95 @@ mod tests {
             let v2 = b2.site(idx2);
             let v1 = b1.site(sub1.cb_index(c));
             assert_eq!(v1, v2, "rhs differs at {c:?}");
+        }
+    }
+
+    /// Oracle: the global build this crate used before the rank-local one.
+    /// Every rank regenerates the whole gauge field, builds the clover
+    /// term on every site and keeps its own; the gauge ghosts come from
+    /// `exchange_ghosts`.
+    fn global_build_operator<C: Communicator>(
+        p: &WilsonProblem,
+        comm: &mut C,
+        grid: &ProcessGrid,
+    ) -> Result<WilsonCloverOp<f64>> {
+        use lqcd_gauge::clover_build::{build_clover_field, restrict_clover};
+        let seed = SeedTree::new(p.seed);
+        let start = GaugeStart::Disordered(p.disorder);
+        let sub = Arc::new(SubLattice::for_rank(grid, comm.rank()));
+        let faces = FaceGeometry::new(&sub, WILSON_DEPTH)?;
+        let mut gauge = GaugeField::<f64>::generate(sub.clone(), &faces, p.global, &seed, start);
+        gauge.exchange_ghosts(comm, &faces)?;
+        let clover = p.csw.map(|csw| -> Result<_> {
+            let gsub = Arc::new(SubLattice::single(p.global)?);
+            let gfaces = FaceGeometry::new(&gsub, WILSON_DEPTH)?;
+            let ggauge = GaugeField::<f64>::generate(gsub, &gfaces, p.global, &seed, start);
+            Ok(restrict_clover(&build_clover_field(&ggauge, p.global, csw), sub.clone(), &faces))
+        });
+        let mut op = WilsonCloverOp::new(gauge, clover.transpose()?, p.mass)?;
+        op.build_t_inverse()?;
+        Ok(op)
+    }
+
+    #[test]
+    fn rank_local_build_equals_the_global_build_bitwise() {
+        use lqcd_comms::{run_on_grid, FaultPlan, FaultRule, FaultyComm, SharedComm};
+        use lqcd_field::LatticeField;
+        use lqcd_su3::clover::CloverSite;
+        type Clover = Option<[LatticeField<f64, CloverSite<f64>>; 2]>;
+        fn same(a: &Clover, b: &Clover) -> bool {
+            match (a, b) {
+                (Some(a), Some(b)) => (0..2).all(|q| a[q].body() == b[q].body()),
+                (a, b) => a.is_none() && b.is_none(),
+            }
+        }
+        // A zero-length stall on every operation counts the rank's messages.
+        let counted = |comm: &SharedComm<_>| {
+            FaultyComm::wrap(
+                comm.clone(),
+                FaultPlan::new(1).with_rule(FaultRule::stall_rank(std::time::Duration::ZERO)),
+            )
+        };
+        let grids = [
+            ([1, 1, 1, 1], [4, 4, 4, 8]),
+            ([1, 1, 1, 2], [4, 4, 4, 8]),
+            ([1, 1, 2, 2], [4, 4, 8, 8]),
+            ([2, 1, 2, 2], [8, 4, 8, 8]),
+            ([2, 2, 2, 2], [4, 4, 4, 4]),
+        ];
+        for (dims, global) in grids {
+            for csw in [Some(1.3), None] {
+                let p = WilsonProblem { global: Dims(global), csw, ..WilsonProblem::small() };
+                let grid = ProcessGrid::new(Dims(dims), p.global).unwrap();
+                // Two data messages per partitioned dimension.
+                let messages = 2 * grid.shape.0.iter().filter(|&&n| n > 1).count() as u64;
+                run_on_grid(grid.clone(), |comm| {
+                    let comm = SharedComm::new(comm);
+                    let mut c = counted(&comm);
+                    let local = p.build_operator(&mut c, &grid).unwrap();
+                    assert_eq!(c.fault_hits(), messages, "{dims:?}: messages of a build");
+                    let mut c = counted(&comm);
+                    let want = global_build_operator(&p, &mut c, &grid).unwrap();
+                    assert_eq!(c.fault_hits(), messages, "{dims:?}: messages of the global build");
+                    assert!(same(&local.clover, &want.clover), "{dims:?} {csw:?}: clover");
+                    assert!(same(&local.t_inv, &want.t_inv), "{dims:?} {csw:?}: T⁻¹");
+                    for mu in 0..4 {
+                        for q in 0..2 {
+                            let (a, b) = (&local.gauge.links[mu][q], &want.gauge.links[mu][q]);
+                            assert!(a.body() == b.body(), "{dims:?}: gauge links µ={mu}");
+                            if grid.is_partitioned(mu) {
+                                for fwd in [false, true] {
+                                    assert_eq!(
+                                        a.ghost_zone(mu, fwd),
+                                        b.ghost_zone(mu, fwd),
+                                        "{dims:?}: gauge ghosts µ={mu}"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                });
+            }
         }
     }
 }

@@ -7,8 +7,12 @@
 //! (paper §2.2). In our chiral basis σ_µν is block diagonal, so `A_x`
 //! packs into two 6×6 Hermitian blocks — the 72-real [`CloverSite`].
 //!
-//! Like the asqtad links, the clover field is precomputed on the global
-//! lattice (it is site-diagonal, so per-rank restriction is a plain copy).
+//! A rank builds the clover term of its own sites only, from its
+//! [`LexLinks`] box: the body links plus the one-site halo that
+//! [`GaugeField::exchange_halo`] receives. The global build is the same
+//! leaf loop on a box without halo, and [`restrict_clover`] cuts a rank's
+//! sites out of it; together they are the test oracle of the rank-local
+//! build.
 
 use crate::field::GaugeField;
 use crate::paths::LexLinks;
@@ -83,18 +87,25 @@ pub fn build_clover_field<R: Real>(
     global: Dims,
     c_sw: f64,
 ) -> [LatticeField<R, CloverSite<R>>; 2] {
-    let l = LexLinks::new(g, global);
-    let sub = g.sublattice().clone();
+    build_clover(&LexLinks::new(g, global), c_sw)
+}
+
+/// Construct the packed clover term on the body sites of a links box
+/// (one rank's sites, or every site of a global box), as
+/// [`build_clover_field`] does. Each leaf reads the box's halo where it
+/// crosses a partitioned boundary, so every site is bit-identical to the
+/// restricted global build.
+pub fn build_clover<R: Real>(l: &LexLinks<R>, c_sw: f64) -> [LatticeField<R, CloverSite<R>>; 2] {
+    let sub = l.sublattice().clone();
     let sigma = sigma_blocks::<R>();
     let faces = FaceGeometry::new(&sub, 1).expect("face geometry");
     let mut out = [
         LatticeField::zeros(sub.clone(), &faces, Parity::Even, 0),
-        LatticeField::zeros(sub, &faces, Parity::Odd, 0),
+        LatticeField::zeros(sub.clone(), &faces, Parity::Odd, 0),
     ];
-    for i in 0..l.volume() {
-        let (p, idx) = l.cb_site(i);
-        let site = pack_clover(|mu, nu| clover_average(&leaf_sum(&l, i, mu, nu)), &sigma, c_sw);
-        out[p.index()].set_site(idx, site);
+    for (i, c) in l.body() {
+        let site = pack_clover(|mu, nu| clover_average(&leaf_sum(l, i, mu, nu)), &sigma, c_sw);
+        out[sub.parity(c).index()].set_site(sub.cb_index(c), site);
     }
     out
 }
@@ -347,6 +358,43 @@ mod tests {
                     let want = whole[gsub.parity(gc).index()].site(gsub.cb_index(gc));
                     assert_eq!(local[p.index()].site(idx), want);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn rank_local_clover_equals_restricted_global_exactly() {
+        use crate::paths::tests::GRIDS;
+        use lqcd_comms::{run_on_grid, Communicator};
+        use lqcd_lattice::ProcessGrid;
+        for (dims, global) in GRIDS {
+            let global = Dims(global);
+            for (start, seed) in [(GaugeStart::Disordered(0.3), 12), (GaugeStart::Hot, 13)] {
+                let whole = build_clover_field(&field(global, start, seed), global, 1.3);
+                let whole = &whole;
+                run_on_grid(ProcessGrid::new(Dims(dims), global).unwrap(), |mut comm| {
+                    let sub = Arc::new(SubLattice::for_rank(comm.grid(), comm.rank()));
+                    let faces = FaceGeometry::new(&sub, 1).unwrap();
+                    let mut g = GaugeField::generate(
+                        sub.clone(),
+                        &faces,
+                        global,
+                        &SeedTree::new(seed),
+                        start,
+                    );
+                    let local = build_clover(&g.exchange_halo(&mut comm).unwrap(), 1.3);
+                    let want = restrict_clover(whole, sub.clone(), &faces);
+                    for p in Parity::BOTH {
+                        for (idx, c) in sub.sites(p) {
+                            assert_eq!(
+                                local[p.index()].site(idx),
+                                want[p.index()].site(idx),
+                                "{dims:?} {start:?} rank {} at {c:?}",
+                                comm.rank()
+                            );
+                        }
+                    }
+                });
             }
         }
     }

@@ -1,5 +1,6 @@
 //! The 4-direction gauge (link) field.
 
+use crate::paths::LexLinks;
 use lqcd_comms::Communicator;
 use lqcd_field::{LatticeField, SiteObject};
 use lqcd_lattice::{Dims, FaceGeometry, Neighbor, Parity, SubLattice, NDIM};
@@ -142,6 +143,19 @@ impl<R: Real> GaugeField<R> {
             }
         }
         Ok(())
+    }
+
+    /// Exchange the depth-1 extended halo with the neighbouring ranks and
+    /// return the rank's [`LexLinks`] box, the input of the rank-local
+    /// clover build. The same two messages per partitioned dimension also
+    /// fill this field's backward ghosts, bit-identical to
+    /// [`GaugeField::exchange_ghosts`]. Panics unless the field has
+    /// depth-1 ghost zones.
+    pub fn exchange_halo<C: Communicator>(&mut self, comm: &mut C) -> Result<LexLinks<R>> {
+        let mut links = LexLinks::with_body(self);
+        links.exchange(comm)?;
+        links.fill_backward_ghosts(self);
+        Ok(links)
     }
 
     /// Convert the whole field (bodies and ghost zones) to another

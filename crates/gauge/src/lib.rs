@@ -20,7 +20,8 @@
 //!   we compute them globally and restrict per rank, as MILC does for
 //!   QUDA).
 //! * [`clover_build`] — clover-leaf field strength and the packed clover
-//!   term for the Wilson-clover operator.
+//!   term for the Wilson-clover operator, built by each rank on its own
+//!   sites from the extended gauge halo of [`GaugeField::exchange_halo`].
 
 pub mod asqtad;
 pub mod clover_build;
