@@ -5,6 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use lqcd_comms::{run_on_grid, Communicator, SingleComm};
 use lqcd_dirac::{BoundaryMode, StaggeredOp, WilsonCloverOp, STAGGERED_DEPTH, WILSON_DEPTH};
+use lqcd_field::half::Quantize;
 use lqcd_field::{blas, HalfField, LatticeField};
 use lqcd_gauge::asqtad::{AsqtadCoeffs, AsqtadLinks};
 use lqcd_gauge::clover_build::{build_clover, build_clover_field};
@@ -283,6 +284,16 @@ fn half_precision(c: &mut Criterion) {
     let h = HalfField::encode(&x);
     let mut back = LatticeField::zeros_like(&x);
     g.bench_function("decode", |bch| bch.iter(|| h.decode_into(&mut back)));
+    // The half-precision store of one `gcrdd_half` rank: its 16×8×8×8
+    // odd-parity body (4096 sites of 24 reals), quantized in place.
+    let sub = Arc::new(SubLattice::single(Dims([16, 8, 8, 8])).unwrap());
+    let faces = FaceGeometry::new(&sub, 1).unwrap();
+    let mut q: LatticeField<f32, WilsonSpinor<f32>> =
+        LatticeField::zeros(sub, &faces, Parity::Odd, 0);
+    q.fill(|_| WilsonSpinor::random(&mut rng));
+    g.bench_function("quantize_f32_16x8x8x8", |bch| {
+        bch.iter(|| WilsonSpinor::quantize_in_place(black_box(&mut q)))
+    });
     g.finish();
 }
 

@@ -612,7 +612,7 @@ mod resilient_tests {
                     assert_eq!(o.solution_norm2.to_bits(), bits, "{rung:?} rank {slot}");
                     assert_eq!(o.stats.iterations, 4, "{rung:?} rank {slot}");
                     assert_eq!(o.matvecs, 9, "{rung:?} rank {slot}");
-                    assert_eq!(o.dirichlet_matvecs, 36, "{rung:?} rank {slot}");
+                    assert_eq!(o.dirichlet_matvecs, 32, "{rung:?} rank {slot}");
                     assert_eq!(o.stats.precision_fallbacks, 0);
                 }
             }

@@ -142,7 +142,6 @@ impl<'a, S: DirichletMatvec> SolverSpace for DirichletView<'a, S> {
 impl<S: DirichletMatvec> Preconditioner<S> for SchwarzMR {
     fn apply(&mut self, space: &mut S, out: &mut S::V, r: &S::V) -> Result<()> {
         let _sp = trace::span_arg(trace::Track::Precond, "schwarz_mr", self.steps as i64);
-        space.zero(out);
         let mut view = DirichletView(space);
         if self.quantize {
             // Block solve in half precision: quantize the incoming
@@ -229,9 +228,10 @@ pub fn gcr_monitored<S: SolverSpace, P: Preconditioner<S>, M: SolveMonitor<S>>(
     check_finite(r0_norm, "initial residual")?;
     monitor.observe(0, r0_norm / bnorm)?;
 
-    // Krylov storage.
-    let mut p: Vec<S::V> = (0..kmax).map(|_| space.alloc()).collect();
-    let mut z: Vec<S::V> = (0..kmax).map(|_| space.alloc()).collect();
+    // Krylov storage, allocated when a cycle first reaches each index:
+    // with early restarts a cycle rarely fills kmax.
+    let mut p: Vec<S::V> = Vec::with_capacity(kmax);
+    let mut z: Vec<S::V> = Vec::with_capacity(kmax);
     let mut beta = vec![vec![Complex::<f64>::zero(); kmax]; kmax];
     let mut gamma = vec![0.0f64; kmax];
     let mut alpha = vec![Complex::<f64>::zero(); kmax];
@@ -247,6 +247,10 @@ pub fn gcr_monitored<S: SolverSpace, P: Preconditioner<S>, M: SolveMonitor<S>>(
             break;
         }
         let _iter_sp = trace::span_arg(trace::Track::Solver, "gcr_iter", stats.iterations as i64);
+        if k == p.len() {
+            p.push(space.alloc());
+            z.push(space.alloc());
+        }
         // p̂_k = K r̂_k ; ẑ_k = A p̂_k.
         precond.apply(space, &mut p[k], &r_hat)?;
         if params.quantize_krylov {
@@ -273,9 +277,6 @@ pub fn gcr_monitored<S: SolverSpace, P: Preconditioner<S>, M: SolveMonitor<S>>(
         }
         if params.quantize_krylov {
             space.quantize(&mut z[k]);
-            // Re-measure projections after quantization? The paper's
-            // half-precision basis tolerates this; the δ-restart guards
-            // drift.
         }
         let gk = space.norm2(&z[k])?.sqrt();
         if !gk.is_finite() {
@@ -457,6 +458,52 @@ mod tests {
         s.xpay(&r, -1.0, &mut adkr); // r − A_D K r
         let rel = (s.norm2(&adkr).unwrap() / s.norm2(&r).unwrap()).sqrt();
         assert!(rel < 1e-6, "Schwarz application is not the block inverse: {rel}");
+    }
+
+    #[test]
+    fn zero_start_block_solve_equals_the_matvec_start_on_a_quantized_wilson_view() {
+        use crate::mr::mr_from_matvec;
+        use crate::spaces::{cast_wilson_op, EoWilsonSpace};
+        use lqcd_comms::{run_on_grid, Communicator};
+        use lqcd_dirac::{WilsonCloverOp, WILSON_DEPTH};
+        use lqcd_gauge::{clover_build::build_clover, field::GaugeStart, GaugeField};
+        use lqcd_lattice::{Dims, FaceGeometry, ProcessGrid, SubLattice};
+        use lqcd_su3::WilsonSpinor;
+        use lqcd_util::rng::SeedTree;
+        use std::sync::Arc;
+
+        // Two ranks, so the Dirichlet operator really cuts the T links.
+        let global = Dims([4, 4, 4, 8]);
+        let grid = ProcessGrid::new(Dims([1, 1, 1, 2]), global).unwrap();
+        run_on_grid(grid.clone(), |mut comm| {
+            let rank = comm.rank();
+            let sub = Arc::new(SubLattice::for_rank(&grid, rank));
+            let faces = FaceGeometry::new(&sub, WILSON_DEPTH).unwrap();
+            let start = GaugeStart::Disordered(0.3);
+            let mut gauge = GaugeField::generate(sub, &faces, global, &SeedTree::new(21), start);
+            let clover = build_clover(&gauge.exchange_halo(&mut comm).unwrap(), 1.0);
+            let op = WilsonCloverOp::new(gauge, Some(clover), 0.1).unwrap();
+            let op = cast_wilson_op::<f32>(&op).unwrap();
+            let mut space = EoWilsonSpace::new(op, comm).unwrap().with_half_storage();
+            let mut view = DirichletView(&mut space);
+            // A half-precision right-hand side, as `SchwarzMR` passes it.
+            let mut b = view.alloc();
+            let mut rng = SeedTree::new(40 + rank as u64).rng();
+            b.fill(|_| WilsonSpinor::random(&mut rng));
+            view.quantize(&mut b);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for steps in [1, 3, 8] {
+                let mut x = view.alloc();
+                view.copy(&mut x, &b); // overwritten by the zero start
+                let st = mr_steps(&mut view, &mut x, &b, steps, 1.0).unwrap();
+                let mut want = view.alloc();
+                let oracle = mr_from_matvec(&mut view, &mut want, &b, steps, 1.0).unwrap();
+                assert_eq!(bits(x.body()), bits(want.body()), "rank {rank}, {steps} steps");
+                assert_eq!(st.iterations, steps, "rank {rank}");
+                assert_eq!(st.matvecs + 1, oracle.matvecs, "rank {rank}");
+            }
+            assert_eq!(space.dirichlet_matvecs(), 2 * (1 + 3 + 8) + 3, "rank {rank}");
+        });
     }
 
     #[test]
