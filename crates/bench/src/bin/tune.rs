@@ -48,8 +48,7 @@ struct BenchTune {
     trials_run: usize,
     /// The fully tuned configuration.
     tuned: String,
-    /// `TuneParam::fingerprint()` of the tuned configuration, hex
-    /// (`SolveStats::tuned_config` of the verification solve).
+    /// `TuneParam::fingerprint()` of the tuned configuration, hex.
     tuned_config: String,
     /// Combined measured speedup of the tuned configuration over the
     /// hardcoded defaults (product of the per-phase min-of-N measured
@@ -160,7 +159,6 @@ fn main() {
         tuned_out.iter().all(|o| o.solution_norm2.to_bits() == n2.to_bits()),
         "ranks disagree on the tuned solution norm"
     );
-    assert_eq!(tuned_out[0].stats.tuned_config, best.fingerprint());
 
     println!("tuned configuration : {} (fingerprint {:016x})", best.label(), best.fingerprint());
     println!("measured speedup    : {speedup:.2}x vs hardcoded defaults (min-of-N trials)");

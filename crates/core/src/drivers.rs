@@ -22,7 +22,7 @@ use lqcd_comms::{
     ThreadedComm, WorldComm,
 };
 use lqcd_dirac::wilson::SpinorField;
-use lqcd_dirac::{DslashCounters, InteriorPolicy, OverlapHost, WilsonCloverOp};
+use lqcd_dirac::{InteriorPolicy, OverlapHost, WilsonCloverOp};
 use lqcd_field::half::Quantize;
 use lqcd_lattice::ProcessGrid;
 use lqcd_solvers::spaces::{cast_wilson_op, EoWilsonSpace, StaggeredNormalSpace};
@@ -45,6 +45,17 @@ pub struct WilsonSolveOutcome {
     pub matvecs: usize,
     /// Dirichlet (Schwarz-block) matvecs this rank performed.
     pub dirichlet_matvecs: usize,
+    /// Times the solve restarted one rung higher on the precision ladder
+    /// after a breakdown or a stall.
+    pub precision_fallbacks: usize,
+    /// Ghost-exchange retransmissions the communicator performed under
+    /// the deadline/retry protocol.
+    pub exchange_retries: u64,
+    /// Injected faults the communication world absorbed (nonzero only
+    /// under a fault plan).
+    pub faults_survived: u64,
+    /// Checkpoints this rank wrote in the final world launch.
+    pub checkpoints_written: usize,
 }
 
 /// The Krylov method a Wilson request runs on the even-odd
@@ -92,9 +103,8 @@ impl WilsonSolve {
     /// GCR-DD under a resolved tuned configuration: it starts on
     /// `param.ladder`, applies `param`'s interior policy to every rung's
     /// operator and its `mr_steps` and `n_kv` (GCR `kmax`) to the
-    /// problem, and stamps `SolveStats::tuned_config` with
-    /// `param.fingerprint()`. The partition scheme is the caller's grid
-    /// (see [`tuning::resolve`](crate::tuning::resolve)).
+    /// problem. The partition scheme is the caller's grid (see
+    /// [`tuning::resolve`](crate::tuning::resolve)).
     pub fn tuned(param: TuneParam) -> Self {
         WilsonSolve { tune: Some(param), ..Self::gcr_dd(param.ladder) }
     }
@@ -179,7 +189,7 @@ pub fn solve_wilson(problem: &WilsonProblem, grid: ProcessGrid, request: WilsonS
         );
         let launch = Launch { p: &p, grid: &grid, method, sup, tune, resumed, prior: consumed };
         let launched = Instant::now();
-        let mut outcomes = match faults(attempt) {
+        let outcomes = match faults(attempt) {
             Some(plan) => launch.run(FaultyComm::world(grid.clone(), comm, plan)),
             None => launch.run(ThreadedComm::world_with(grid.clone(), comm)),
         };
@@ -191,9 +201,6 @@ pub fn solve_wilson(problem: &WilsonProblem, grid: ProcessGrid, request: WilsonS
                 if all_ok { "supervision_converged" } else { "supervision_exhausted" },
                 attempt as i64,
             );
-            for out in outcomes.iter_mut().flatten() {
-                out.stats.supervisor_restarts = attempt;
-            }
             return WilsonRun { outcomes, attempts: attempt + 1, resumed_generations };
         }
         attempt += 1;
@@ -263,21 +270,17 @@ impl Launch<'_> {
             WilsonMethod::GcrDd(start) => start,
         };
         let mut fallbacks = 0usize;
-        // Work the failed rungs performed, folded into the final record —
-        // each attempt drains its counters as deltas, so absorbing here
-        // counts every apply exactly once.
+        // Work the failed rungs performed, folded into the final record.
         let mut carried = SolveStats::new();
         loop {
             let prior = self.prior + started.elapsed();
             match self.attempt(rung, prior, &op64, shared.clone(), &mut monitor, resume.as_ref()) {
                 Ok(mut out) => {
                     out.stats.absorb(&carried);
-                    out.stats.precision_fallbacks = fallbacks;
-                    out.stats.exchange_retries = shared.exchange_retries();
-                    out.stats.faults_survived = shared.faults_survived();
-                    out.stats.checkpoints_written = monitor.written();
-                    out.stats.resumed_from_checkpoint = resume.is_some();
-                    out.stats.tuned_config = self.tune.map_or(0, |t| t.fingerprint());
+                    out.precision_fallbacks = fallbacks;
+                    out.exchange_retries = shared.exchange_retries();
+                    out.faults_survived = shared.faults_survived();
+                    out.checkpoints_written = monitor.written();
                     return Ok(out);
                 }
                 Err((e, partial)) if recoverable(&e) => match rung.escalate() {
@@ -295,10 +298,6 @@ impl Launch<'_> {
 
     /// One attempt on `rung`: the rung's operator precision and storage,
     /// cast from the f64 operator, which later rungs reuse.
-    // The Err payload deliberately carries the salvaged SolveStats of the
-    // failed attempt; boxing it would add an allocation to an error path
-    // the ladder unwraps immediately.
-    #[allow(clippy::result_large_err)]
     fn attempt<C: Communicator>(
         &self,
         rung: LadderChoice,
@@ -328,10 +327,7 @@ impl Launch<'_> {
     /// the breakdown/convergence tests all hang off *global* reductions,
     /// so either every rank succeeds or every rank sees the same
     /// recoverable error and climbs the ladder in lockstep. A failed
-    /// attempt returns the work it *did* perform alongside the error,
-    /// with dslash counters drained as deltas against the operator's
-    /// state at attempt start.
-    #[allow(clippy::result_large_err)]
+    /// attempt returns the work it *did* perform alongside the error.
     fn solve_on<R: Real, C: Communicator>(
         &self,
         mut space: EoWilsonSpace<R, SharedComm<C>>,
@@ -351,7 +347,6 @@ impl Launch<'_> {
             let policy = InteriorPolicy::new(t.interior_threads, t.ghost_order).map_err(fail)?;
             space.op.set_interior_policy(policy);
         }
-        let mut baseline = space.op.dslash_counters();
         let b = self.p.rhs(&space.op);
         let mut x = space.alloc();
         if let Some(x64) = resume {
@@ -376,43 +371,36 @@ impl Launch<'_> {
             }
         };
         match result {
-            Ok(mut stats) => {
-                drain_dslash(&mut stats, space.op.dslash_counters(), &mut baseline);
+            Ok(stats) => {
                 let n2 = space.norm2(&x).map_err(|e| (e, stats))?;
                 Ok(WilsonSolveOutcome {
                     stats,
                     solution_norm2: n2,
                     matvecs: space.matvec_count(),
                     dirichlet_matvecs: space.dirichlet_matvecs(),
+                    // Request-level facts: `rank_solve` sets them.
+                    precision_fallbacks: 0,
+                    exchange_retries: 0,
+                    faults_survived: 0,
+                    checkpoints_written: 0,
                 })
             }
             Err(e) => {
-                // Salvage what the failed rung actually did.
-                let mut partial = SolveStats::new();
-                partial.matvecs = space.matvec_count();
-                partial.precond_matvecs = space.dirichlet_matvecs();
-                drain_dslash(&mut partial, space.op.dslash_counters(), &mut baseline);
+                // Salvage what the failed rung actually did: the space
+                // counts its matvecs, the monitor saw every completed
+                // iteration and restart.
+                let (iterations, restarts) = monitor.rung_progress();
+                let partial = SolveStats {
+                    iterations,
+                    matvecs: space.matvec_count(),
+                    precond_matvecs: space.dirichlet_matvecs(),
+                    restarts,
+                    ..SolveStats::new()
+                };
                 Err((e, partial))
             }
         }
     }
-}
-
-/// Record the dslash work done since `baseline` into a solve's stats and
-/// advance the baseline to `now`.
-///
-/// Operator counters are *cumulative over the operator's lifetime*, so
-/// any stats record destined for [`SolveStats::absorb`] must be a delta
-/// between two reads — reading totals at rung boundaries double-counts
-/// every apply the previous read already claimed when the ladder folds
-/// rungs drained from the same shared operator. Threading the baseline
-/// through makes the drain delta-by-construction.
-fn drain_dslash(stats: &mut SolveStats, now: DslashCounters, baseline: &mut DslashCounters) {
-    stats.dslash_applies = now.applies.saturating_sub(baseline.applies);
-    stats.dslash_total_ns = now.total_ns.saturating_sub(baseline.total_ns);
-    stats.dslash_interior_ns = now.interior_ns.saturating_sub(baseline.interior_ns);
-    stats.dslash_exposed_comm_ns = now.exposed_comm_ns.saturating_sub(baseline.exposed_comm_ns);
-    *baseline = now;
 }
 
 /// Per-rank outcome of a staggered multi-shift solve.
@@ -427,8 +415,8 @@ pub struct StaggeredSolveOutcome {
 }
 
 /// Run a distributed multi-shift CG solve of `(M†M + σ_i) x_i = b` over
-/// `grid`. A resolved `tune` applies its interior policy and stamps
-/// `SolveStats::tuned_config`; multi-shift CG has no Schwarz/GCR knobs.
+/// `grid`. A resolved `tune` applies its interior policy; multi-shift CG
+/// has no Schwarz/GCR knobs.
 pub fn solve_staggered(
     problem: &StaggeredProblem,
     grid: ProcessGrid,
@@ -446,9 +434,7 @@ pub fn solve_staggered(
         }
         let mut space = StaggeredNormalSpace::new(op, comm);
         let b = problem.rhs(&space.op);
-        let mut ms = multishift_cg(&mut space, &problem.shifts, &b, problem.tol, problem.maxiter)?;
-        drain_dslash(&mut ms.stats, space.op.dslash_counters(), &mut DslashCounters::default());
-        ms.stats.tuned_config = tune.map_or(0, |t| t.fingerprint());
+        let ms = multishift_cg(&mut space, &problem.shifts, &b, problem.tol, problem.maxiter)?;
         let solution_norms = ms.solutions.iter().map(|s| space.norm2(s)).collect::<Result<_>>()?;
         Ok(StaggeredSolveOutcome { stats: ms.stats, converged_at: ms.converged_at, solution_norms })
     });
@@ -613,13 +599,13 @@ mod resilient_tests {
                     assert_eq!(o.stats.iterations, 4, "{rung:?} rank {slot}");
                     assert_eq!(o.matvecs, 9, "{rung:?} rank {slot}");
                     assert_eq!(o.dirichlet_matvecs, 32, "{rung:?} rank {slot}");
-                    assert_eq!(o.stats.precision_fallbacks, 0);
+                    assert_eq!(o.precision_fallbacks, 0);
                 }
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
         // A Fixed baseline configuration on ZT is the untuned solve bit
-        // for bit, stamped with its fingerprint.
+        // for bit.
         let param = TuneParam::baseline(1);
         let (zt, resolved) =
             tuning::resolve(&TunePolicy::Fixed(param), &tuning::wilson_solver_key(&p, 4)).unwrap();
@@ -629,8 +615,6 @@ mod resilient_tests {
         for (a, b) in untuned.iter().zip(&tuned) {
             assert_eq!(a.solution_norm2.to_bits(), 0x40a8ae9c841b9661);
             assert_eq!(b.solution_norm2.to_bits(), a.solution_norm2.to_bits());
-            assert_eq!(b.stats.tuned_config, param.fingerprint());
-            assert_eq!(a.stats.tuned_config, 0);
         }
     }
 
@@ -662,7 +646,7 @@ mod resilient_tests {
         for (slot, r) in res.outcomes.iter().enumerate() {
             let out = r.as_ref().unwrap_or_else(|e| panic!("rank {slot}: {e}"));
             assert!(out.stats.converged);
-            assert_eq!(out.stats.precision_fallbacks, 0);
+            assert_eq!(out.precision_fallbacks, 0);
             let rel = (out.solution_norm2 - plain[slot].solution_norm2).abs()
                 / plain[slot].solution_norm2;
             assert!(rel < 1e-10, "resilient driver diverged from plain: {rel}");
@@ -690,67 +674,65 @@ mod resilient_tests {
             let out = r.as_ref().unwrap_or_else(|e| panic!("rank {slot}: {e}"));
             assert!(out.stats.converged);
             assert!(out.stats.residual <= 3e-5);
-            assert!(
-                out.stats.precision_fallbacks >= 1,
-                "rank {slot} should have climbed the ladder"
-            );
+            assert!(out.precision_fallbacks >= 1, "rank {slot} should have climbed the ladder");
         }
         // The fault plan actually fired somewhere.
-        assert!(res.outcomes.iter().flatten().any(|o| o.stats.faults_survived > 0));
+        assert!(res.outcomes.iter().flatten().any(|o| o.faults_survived > 0));
     }
 
-    /// Regression for the absorb double-count bug: after the ladder
-    /// folds a failed rung's salvaged stats into the successful rung's,
-    /// `dslash_applies` must equal the operators' true apply count.
-    /// Every apply comes from `apply_eo_prec` (exactly two dslash calls),
-    /// invoked once per communicating matvec and once per Dirichlet
-    /// (Schwarz-block) matvec — and nothing else applies the operator —
-    /// so the folded record must satisfy
-    /// `dslash_applies == 2 · (matvecs + precond_matvecs)` exactly.
-    /// Reading totals instead of deltas at a rung boundary breaks this
-    /// the moment more than one rung contributes.
+    /// The ladder folds every rung's work into the final record exactly
+    /// once. Corrupted reductions break the lower rungs; the ladder
+    /// climbs to a rung that then runs exactly the solve a request
+    /// starting there runs. So the final rung's own counts and bits equal
+    /// that request's, and every folded count is that request's plus the
+    /// failed rungs' pinned work.
     #[test]
-    fn ladder_dslash_accounting_matches_true_apply_counts() {
+    fn ladder_fold_counts_every_rung_exactly_once() {
         let (p, grid) = small_problem();
-        // Corrupt a reduction a few outer iterations into the
-        // half-precision rung (not the very first, which would break the
-        // rung before it performs any matvec): the rung does real work,
-        // breaks down, the ladder climbs, and the final record folds two
-        // rungs' worth of counters. The fault is scoped to rank 1's part
-        // of the fifth logical reduction, so every copy of it — a
-        // retransmit included — carries the NaN; a count of wire
-        // messages could instead land on a stale retransmit of an
-        // earlier reduction, which the root drops.
-        let plan =
-            FaultPlan::new(11).with_rule(FaultRule::corrupt_payload().on_rank(1).for_reduction(4));
-        let res = solve_wilson(
-            &p,
-            grid,
-            WilsonSolve::gcr_dd(LadderChoice::Half)
-                .with_comm(CommConfig::resilient())
-                .with_faults(move |_| Some(plan.clone())),
-        );
-        for (slot, r) in res.outcomes.iter().enumerate() {
-            let out = r.as_ref().unwrap_or_else(|e| panic!("rank {slot}: {e}"));
-            assert!(out.stats.converged);
-            assert!(
-                out.stats.precision_fallbacks >= 1,
-                "rank {slot}: the test needs at least one folded rung"
-            );
-            let true_applies = 2 * (out.stats.matvecs + out.stats.precond_matvecs) as u64;
-            assert_eq!(
-                out.stats.dslash_applies, true_applies,
-                "rank {slot}: dslash_applies {} != 2·(matvecs {} + precond {})",
-                out.stats.dslash_applies, out.stats.matvecs, out.stats.precond_matvecs
-            );
-            // The fold added the failed rung's work on top of the final
-            // attempt's own counts.
-            assert!(
-                out.stats.matvecs > out.matvecs,
-                "rank {slot}: folded matvecs {} should exceed the final attempt's {}",
-                out.stats.matvecs,
-                out.matvecs
-            );
+        let counts = |st: &SolveStats| (st.iterations, st.matvecs, st.precond_matvecs, st.restarts);
+        // Logical reductions count on across rungs. Reduction 10 is the
+        // Half rung's ‖z‖² in its third iteration: two iterations and
+        // two restarts completed, and the third iteration's block solve
+        // (8 Dirichlet matvecs) and matvec ran. Reduction 12 is the
+        // Single rung's initial ‖r‖², after one matvec and before any
+        // iteration — the record must not carry the Half rung's counts
+        // over into it.
+        for (reductions, reference, bits, failed) in [
+            (&[10][..], LadderChoice::Single, 0x40a8ae9c6f2bd7b7u64, (2, 6, 24, 2)),
+            (&[10, 12][..], LadderChoice::Double, 0x40a8ae9c841b9661, (2, 7, 24, 2)),
+        ] {
+            let plain = solve_wilson(&p, grid.clone(), WilsonSolve::gcr_dd(reference))
+                .into_result()
+                .unwrap();
+            // Each fault is scoped to rank 1's part of one logical
+            // reduction, so every copy — a retransmit included — carries
+            // the NaN; a count of wire messages could instead land on a
+            // stale retransmit of an earlier reduction, which the root
+            // drops.
+            let plan = reductions.iter().fold(FaultPlan::new(11), |plan, &seq| {
+                plan.with_rule(FaultRule::corrupt_payload().on_rank(1).for_reduction(seq))
+            });
+            let res = solve_wilson(
+                &p,
+                grid.clone(),
+                WilsonSolve::gcr_dd(LadderChoice::Half)
+                    .with_comm(CommConfig::resilient())
+                    .with_faults(move |_| Some(plan.clone())),
+            )
+            .into_result()
+            .unwrap();
+            for (slot, (out, s)) in res.iter().zip(&plain).enumerate() {
+                let case = format!("{reference:?} rank {slot}");
+                assert_eq!(s.solution_norm2.to_bits(), bits, "{case}");
+                assert!(out.stats.converged, "{case}");
+                assert_eq!(out.precision_fallbacks, reductions.len(), "{case}");
+                assert_eq!(out.solution_norm2.to_bits(), bits, "{case}");
+                assert_eq!(out.matvecs, s.matvecs, "{case}");
+                assert_eq!(out.dirichlet_matvecs, s.dirichlet_matvecs, "{case}");
+                let (it, mv, pm, rs) = counts(&s.stats);
+                let want = (it + failed.0, mv + failed.1, pm + failed.2, rs + failed.3);
+                assert_eq!(counts(&out.stats), want, "{case}");
+            }
         }
     }
 
@@ -779,11 +761,11 @@ mod resilient_tests {
             for (slot, r) in res.outcomes.iter().enumerate() {
                 let out = r.as_ref().unwrap_or_else(|e| panic!("[{name}] rank {slot}: {e}"));
                 assert!(out.stats.converged, "[{name}] rank {slot}: {:?}", out.stats);
-                assert_eq!(out.stats.precision_fallbacks, 0, "[{name}] rank {slot}");
+                assert_eq!(out.precision_fallbacks, 0, "[{name}] rank {slot}");
                 let rel = (out.solution_norm2 - plain[slot].solution_norm2).abs()
                     / plain[slot].solution_norm2;
                 assert!(rel < 1e-10, "[{name}] rank {slot} diverged from plain: {rel}");
-                survived = survived.max(out.stats.faults_survived);
+                survived = survived.max(out.faults_survived);
             }
             assert!(survived > 0, "[{name}] fault plan never fired");
         }

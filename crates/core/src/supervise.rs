@@ -224,6 +224,10 @@ pub struct CheckpointingMonitor {
     template: SolveCheckpointMeta,
     next_generation: u64,
     written: usize,
+    /// The current rung's last observed iteration and restart count: a
+    /// failed rung's progress, which its error does not carry.
+    iterations: usize,
+    restarts: usize,
 }
 
 impl CheckpointingMonitor {
@@ -254,6 +258,8 @@ impl CheckpointingMonitor {
             template: SolveCheckpointMeta::template(problem, grid, rank),
             next_generation: resumed.map_or(1, |g| g + 1),
             written: 0,
+            iterations: 0,
+            restarts: 0,
         };
         Ok((monitor, resume))
     }
@@ -266,6 +272,14 @@ impl CheckpointingMonitor {
     pub(crate) fn start_rung(&mut self, rung: LadderChoice, prior: Duration) {
         self.watchdog = SolveWatchdog::resumed("gcr-dd", self.config, prior);
         self.template.rung = rung_code(rung);
+        self.iterations = 0;
+        self.restarts = 0;
+    }
+
+    /// Outer iterations and restarts the current rung completed, as
+    /// last reported to the monitor hooks.
+    pub(crate) fn rung_progress(&self) -> (usize, usize) {
+        (self.iterations, self.restarts)
     }
 
     /// Checkpoints written so far.
@@ -318,6 +332,7 @@ macro_rules! impl_checkpointing_monitor {
             for CheckpointingMonitor
         {
             fn observe(&mut self, iteration: usize, rel_residual: f64) -> Result<()> {
+                self.iterations = iteration;
                 self.watchdog.check(iteration, rel_residual)
             }
 
@@ -328,6 +343,7 @@ macro_rules! impl_checkpointing_monitor {
                 stats: &SolveStats,
                 rel_residual: f64,
             ) -> Result<()> {
+                self.restarts = stats.restarts;
                 if !self.due(stats) {
                     return Ok(());
                 }

@@ -44,22 +44,12 @@ pub struct DslashCounters {
 
 impl DslashCounters {
     /// Fraction of wall time *not* lost to exposed communication, or
-    /// `None` before any apply. Clamped to `[0, 1]`: counters absorbed
-    /// from sequential (non-overlapped) applies can carry more exposed
-    /// comm time than the overlapped wall time they are folded into.
+    /// `None` before any apply. Clamped to `[0, 1]`, so a record a caller
+    /// assembles from several snapshots can never report a negative
+    /// efficiency or one above 1.
     pub fn overlap_efficiency(&self) -> Option<f64> {
         (self.applies > 0 && self.total_ns > 0)
             .then(|| (1.0 - self.exposed_comm_ns as f64 / self.total_ns as f64).clamp(0.0, 1.0))
-    }
-
-    /// Merge another counter set into this one.
-    pub fn absorb(&mut self, other: &DslashCounters) {
-        self.applies += other.applies;
-        self.total_ns += other.total_ns;
-        self.gather_ns += other.gather_ns;
-        self.interior_ns += other.interior_ns;
-        self.exterior_ns += other.exterior_ns;
-        self.exposed_comm_ns += other.exposed_comm_ns;
     }
 }
 
@@ -455,4 +445,28 @@ pub(crate) fn dslash_sequential<R: Real, St: Stencil<R>, C: Communicator>(
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn overlap_efficiency_is_clamped_and_gated_on_applies() {
+        // No applies → no meaningful efficiency, even with stray
+        // nanoseconds on the record.
+        let none = DslashCounters { total_ns: 500, ..Default::default() };
+        assert_eq!(DslashCounters::default().overlap_efficiency(), None);
+        assert_eq!(none.overlap_efficiency(), None, "zero applies must yield None");
+        let eff = |applies, exposed_comm_ns| {
+            DslashCounters { applies, total_ns: 1_000, exposed_comm_ns, ..Default::default() }
+                .overlap_efficiency()
+        };
+        // More exposed time than wall time clamps to 0, never negative.
+        assert_eq!(eff(4, 3_000), Some(0.0));
+        // Fully hidden comm stays exactly 1.
+        assert_eq!(eff(2, 0), Some(1.0));
+        // A partial overlap is reported untouched.
+        assert_eq!(eff(1, 250), Some(0.75));
+    }
 }

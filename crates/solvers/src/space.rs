@@ -17,37 +17,6 @@ pub struct SolveStats {
     pub residual: f64,
     /// Whether the target tolerance was reached.
     pub converged: bool,
-    /// Times the solve restarted at a higher floating-point precision
-    /// after a breakdown (the graceful-degradation ladder).
-    pub precision_fallbacks: usize,
-    /// Ghost-exchange retransmissions the communicator performed under
-    /// the deadline/retry protocol during the solve.
-    pub exchange_retries: u64,
-    /// Injected faults the communication world absorbed during the
-    /// solve (nonzero only in chaos tests).
-    pub faults_survived: u64,
-    /// Checkpoints a checkpointing monitor wrote during the solve.
-    pub checkpoints_written: usize,
-    /// True when the solve started from a restored checkpoint instead of
-    /// a zero guess.
-    pub resumed_from_checkpoint: bool,
-    /// Supervised world teardown/rebuild cycles that preceded this
-    /// result (0 for an undisturbed solve).
-    pub supervisor_restarts: usize,
-    /// Dslash applications counted by the overlapped operator pipeline.
-    pub dslash_applies: u64,
-    /// Wall time of those applies, nanoseconds.
-    pub dslash_total_ns: u64,
-    /// Interior-kernel time inside those applies (max over workers when
-    /// the interior runs parallel), nanoseconds.
-    pub dslash_interior_ns: u64,
-    /// Communication-completion time *not* hidden behind the interior
-    /// kernel, nanoseconds — the quantity overlap drives toward zero.
-    pub dslash_exposed_comm_ns: u64,
-    /// Fingerprint of the autotuned configuration the solve ran under
-    /// (`lqcd-tune`'s `TuneParam::fingerprint()`), or 0 when the solve
-    /// used hardcoded defaults.
-    pub tuned_config: u64,
 }
 
 impl SolveStats {
@@ -60,17 +29,6 @@ impl SolveStats {
             restarts: 0,
             residual: f64::INFINITY,
             converged: false,
-            precision_fallbacks: 0,
-            exchange_retries: 0,
-            faults_survived: 0,
-            checkpoints_written: 0,
-            resumed_from_checkpoint: false,
-            supervisor_restarts: 0,
-            dslash_applies: 0,
-            dslash_total_ns: 0,
-            dslash_interior_ns: 0,
-            dslash_exposed_comm_ns: 0,
-            tuned_config: 0,
         }
     }
 
@@ -80,63 +38,6 @@ impl SolveStats {
         self.matvecs += inner.matvecs;
         self.precond_matvecs += inner.precond_matvecs;
         self.restarts += inner.restarts;
-        self.precision_fallbacks += inner.precision_fallbacks;
-        self.exchange_retries += inner.exchange_retries;
-        self.faults_survived += inner.faults_survived;
-        self.checkpoints_written += inner.checkpoints_written;
-        self.resumed_from_checkpoint |= inner.resumed_from_checkpoint;
-        self.supervisor_restarts += inner.supervisor_restarts;
-        self.dslash_applies += inner.dslash_applies;
-        self.dslash_total_ns += inner.dslash_total_ns;
-        self.dslash_interior_ns += inner.dslash_interior_ns;
-        self.dslash_exposed_comm_ns += inner.dslash_exposed_comm_ns;
-        if self.tuned_config == 0 {
-            self.tuned_config = inner.tuned_config;
-        }
-    }
-
-    /// Fraction of dslash wall time *not* lost to exposed communication
-    /// (`1 − exposed/total`), or `None` if no overlapped applies
-    /// contributed. Clamped to `[0, 1]`: records folded via [`absorb`]
-    /// can interleave sequential applies (full comm time, no overlap
-    /// credit) with overlapped ones, pushing the raw ratio outside the
-    /// meaningful range.
-    ///
-    /// [`absorb`]: SolveStats::absorb
-    pub fn overlap_efficiency(&self) -> Option<f64> {
-        (self.dslash_applies > 0 && self.dslash_total_ns > 0).then(|| {
-            (1.0 - self.dslash_exposed_comm_ns as f64 / self.dslash_total_ns as f64).clamp(0.0, 1.0)
-        })
-    }
-
-    /// Publish this record into a named-metric registry — the facade
-    /// that maps the legacy scalar plumbing onto `lqcd_util::trace`'s
-    /// [`MetricsRegistry`]. Counters are cumulative adds (so absorbing
-    /// many rank records into one registry aggregates); ratios land as
-    /// histogram samples.
-    ///
-    /// [`MetricsRegistry`]: lqcd_util::trace::MetricsRegistry
-    pub fn publish(&self, reg: &mut lqcd_util::trace::MetricsRegistry) {
-        reg.add("solve.iterations", self.iterations as u64);
-        reg.add("solve.matvecs", self.matvecs as u64);
-        reg.add("solve.precond_matvecs", self.precond_matvecs as u64);
-        reg.add("solve.restarts", self.restarts as u64);
-        reg.add("solve.converged", self.converged as u64);
-        reg.add("solve.precision_fallbacks", self.precision_fallbacks as u64);
-        reg.add("comm.exchange_retries", self.exchange_retries);
-        reg.add("comm.faults_survived", self.faults_survived);
-        reg.add("checkpoint.written", self.checkpoints_written as u64);
-        reg.add("checkpoint.resumed", self.resumed_from_checkpoint as u64);
-        reg.add("supervisor.restarts", self.supervisor_restarts as u64);
-        reg.add("dslash.applies", self.dslash_applies);
-        reg.add("dslash.total_ns", self.dslash_total_ns);
-        reg.add("dslash.interior_ns", self.dslash_interior_ns);
-        reg.add("dslash.exposed_comm_ns", self.dslash_exposed_comm_ns);
-        reg.add("solve.tuned", (self.tuned_config != 0) as u64);
-        reg.record("solve.residual", self.residual);
-        if let Some(eff) = self.overlap_efficiency() {
-            reg.record("dslash.overlap_efficiency", eff);
-        }
     }
 }
 
@@ -446,45 +347,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn overlap_efficiency_is_clamped_and_gated_on_applies() {
-        // No applies at all → no meaningful efficiency, even if stray
-        // nanoseconds were absorbed from somewhere.
-        let mut s = SolveStats::new();
-        assert_eq!(s.overlap_efficiency(), None);
-        s.dslash_total_ns = 500;
-        assert_eq!(s.overlap_efficiency(), None, "zero applies must yield None");
-
-        // Regression: a record absorbing sequential applies can carry
-        // exposed_comm_ns > total_ns; the ratio must clamp to 0, never
-        // go negative.
-        let mut seq = SolveStats::new();
-        seq.dslash_applies = 4;
-        seq.dslash_total_ns = 1_000;
-        seq.dslash_exposed_comm_ns = 3_000;
-        assert_eq!(seq.overlap_efficiency(), Some(0.0));
-
-        // Fully hidden comm stays exactly 1.
-        let mut hidden = SolveStats::new();
-        hidden.dslash_applies = 2;
-        hidden.dslash_total_ns = 1_000;
-        hidden.dslash_exposed_comm_ns = 0;
-        assert_eq!(hidden.overlap_efficiency(), Some(1.0));
-
-        // A partial overlap is reported untouched.
-        let mut partial = SolveStats::new();
-        partial.dslash_applies = 1;
-        partial.dslash_total_ns = 1_000;
-        partial.dslash_exposed_comm_ns = 250;
-        assert_eq!(partial.overlap_efficiency(), Some(0.75));
-
-        // Absorbing the pathological record into the healthy one keeps
-        // the folded efficiency in range.
-        hidden.absorb(&seq);
-        let eff = hidden.overlap_efficiency().unwrap();
-        assert!((0.0..=1.0).contains(&eff), "folded efficiency {eff} out of range");
-    }
-
-    #[test]
     fn absorb_sums_restarts() {
         let mut outer = SolveStats::new();
         outer.restarts = 2;
@@ -495,28 +357,6 @@ mod tests {
         outer.absorb(&inner);
         assert_eq!(outer.restarts, 8);
         assert_eq!(outer.iterations, 14);
-    }
-
-    #[test]
-    fn solve_stats_publish_lands_in_registry() {
-        let mut s = SolveStats::new();
-        s.iterations = 12;
-        s.matvecs = 13;
-        s.dslash_applies = 26;
-        s.dslash_total_ns = 1_000;
-        s.dslash_exposed_comm_ns = 100;
-        s.converged = true;
-        s.residual = 1e-9;
-        let mut reg = lqcd_util::trace::MetricsRegistry::new();
-        s.publish(&mut reg);
-        s.publish(&mut reg); // counters aggregate across publishes
-        assert_eq!(reg.counter("solve.iterations"), 24);
-        assert_eq!(reg.counter("dslash.applies"), 52);
-        assert_eq!(reg.counter("solve.converged"), 2);
-        let h = reg.histogram("dslash.overlap_efficiency").unwrap();
-        assert_eq!(h.count, 2);
-        assert!((h.mean() - 0.9).abs() < 1e-12);
-        assert!(reg.text_report().contains("solve.matvecs"));
     }
 
     #[test]

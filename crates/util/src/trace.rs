@@ -2,8 +2,8 @@
 //!
 //! The paper's argument is a *timeline* argument — Fig. 4 is nine streams
 //! of interior compute overlapped with staged ghost traffic, Fig. 7
-//! attributes solver time to kernels vs. exposed communication. The four
-//! scalar `dslash_*` counters the overlap pipeline keeps are too coarse
+//! attributes solver time to kernels vs. exposed communication. The
+//! cumulative per-stage totals the overlap pipeline keeps are too coarse
 //! to validate that stage mapping, so this module records the stages
 //! themselves:
 //!
@@ -21,10 +21,8 @@
 //!   ([`export_chrome_json`]: one *process* per rank, one *thread* track
 //!   per pipeline stage — load the file in `chrome://tracing` or
 //!   Perfetto) or aggregate into a text report ([`summarize`]);
-//! * [`MetricsRegistry`] is the named counter/histogram registry that
-//!   the ad-hoc scalar plumbing (`SolveStats` and friends) publishes
-//!   into, so reports are driven off one mergeable structure instead of
-//!   hand-carried struct fields.
+//! * [`MetricsRegistry`] is a registry of named counters; the autotuner
+//!   counts its trials, cache hits and decisions there.
 //!
 //! Instrumentation sites pick a [`Track`] matching the Fig. 4 stream the
 //! work belongs to; see DESIGN.md, "Observability".
@@ -490,81 +488,11 @@ pub fn summarize(ranks: &[(usize, TraceBuffer)]) -> String {
     out
 }
 
-/// A log₂-bucketed histogram of nonnegative samples.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    /// Samples recorded.
-    pub count: u64,
-    /// Sum of samples.
-    pub sum: f64,
-    /// Smallest sample.
-    pub min: f64,
-    /// Largest sample.
-    pub max: f64,
-    buckets: [u64; 64],
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            buckets: [0; 64],
-        }
-    }
-}
-
-impl Histogram {
-    fn bucket_of(value: f64) -> usize {
-        if value <= 1.0 {
-            0
-        } else {
-            (value.log2().ceil() as usize).min(63)
-        }
-    }
-
-    /// Record one sample.
-    pub fn record(&mut self, value: f64) {
-        self.count += 1;
-        self.sum += value;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-        self.buckets[Self::bucket_of(value)] += 1;
-    }
-
-    /// Mean of the samples (`NaN` before any sample).
-    pub fn mean(&self) -> f64 {
-        self.sum / self.count as f64
-    }
-
-    /// Samples with value ≤ 2^`bucket` (bucket 0 covers ≤ 1).
-    pub fn bucket(&self, bucket: usize) -> u64 {
-        self.buckets[bucket.min(63)]
-    }
-
-    /// Merge another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-    }
-}
-
-/// A registry of named counters and histograms — the structured home for
-/// what used to travel as ad-hoc struct scalars. `SolveStats::publish`
-/// is the facade that maps the legacy record into it; reports and
-/// cross-rank aggregation go through [`MetricsRegistry::merge`] instead
-/// of hand-summing fields.
+/// A registry of named counters. The autotuner counts its decisions
+/// here (`tune.*`), and the `tune` bench bin prints the report.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsRegistry {
     counters: BTreeMap<&'static str, u64>,
-    histograms: BTreeMap<&'static str, Histogram>,
 }
 
 impl MetricsRegistry {
@@ -578,67 +506,18 @@ impl MetricsRegistry {
         *self.counters.entry(name).or_insert(0) += delta;
     }
 
-    /// Record one sample into the named histogram.
-    pub fn record(&mut self, name: &'static str, value: f64) {
-        self.histograms.entry(name).or_default().record(value);
-    }
-
     /// Current value of a counter (0 if never touched).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// The named histogram, if any samples were recorded.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// Iterate counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(k, v)| (*k, *v))
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.histograms.is_empty()
-    }
-
-    /// Fold another registry into this one (counters add, histograms
-    /// merge) — cross-rank aggregation.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, v) in &other.counters {
-            *self.counters.entry(name).or_insert(0) += v;
-        }
-        for (name, h) in &other.histograms {
-            self.histograms.entry(name).or_default().merge(h);
-        }
-    }
-
-    /// Aligned text report of every counter and histogram.
+    /// Aligned text report of every counter.
     pub fn text_report(&self) -> String {
         let mut out = String::new();
         if !self.counters.is_empty() {
             let _ = writeln!(out, "{:<36} {:>14}", "counter", "value");
             for (name, v) in &self.counters {
                 let _ = writeln!(out, "{name:<36} {v:>14}");
-            }
-        }
-        if !self.histograms.is_empty() {
-            let _ = writeln!(
-                out,
-                "{:<36} {:>8} {:>12} {:>12} {:>12}",
-                "histogram", "count", "mean", "min", "max"
-            );
-            for (name, h) in &self.histograms {
-                let _ = writeln!(
-                    out,
-                    "{:<36} {:>8} {:>12.4} {:>12.4} {:>12.4}",
-                    name,
-                    h.count,
-                    h.mean(),
-                    h.min,
-                    h.max
-                );
             }
         }
         out
@@ -812,33 +691,12 @@ mod tests {
         let mut a = MetricsRegistry::new();
         a.add("solve.iterations", 10);
         a.add("solve.iterations", 5);
-        a.record("dslash.apply_us", 12.0);
-        a.record("dslash.apply_us", 4.0);
-        let mut b = MetricsRegistry::new();
-        b.add("solve.iterations", 3);
-        b.record("dslash.apply_us", 100.0);
-        a.merge(&b);
+        a.add("solve.iterations", 3);
         assert_eq!(a.counter("solve.iterations"), 18);
-        let h = a.histogram("dslash.apply_us").unwrap();
-        assert_eq!(h.count, 3);
-        assert_eq!(h.min, 4.0);
-        assert_eq!(h.max, 100.0);
-        assert!((h.mean() - 116.0 / 3.0).abs() < 1e-12);
         let report = a.text_report();
         assert!(report.contains("solve.iterations"));
-        assert!(report.contains("dslash.apply_us"));
+        assert!(report.contains("18"));
         assert_eq!(a.counter("never.touched"), 0);
-    }
-
-    #[test]
-    fn histogram_buckets_are_log2() {
-        let mut h = Histogram::default();
-        for v in [0.5, 1.0, 2.0, 3.0, 1000.0] {
-            h.record(v);
-        }
-        assert_eq!(h.bucket(0), 2); // ≤ 1
-        assert_eq!(h.bucket(1), 1); // ≤ 2
-        assert_eq!(h.bucket(2), 1); // ≤ 4
-        assert_eq!(h.bucket(10), 1); // ≤ 1024
+        assert!(MetricsRegistry::new().text_report().is_empty());
     }
 }

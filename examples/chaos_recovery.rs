@@ -16,9 +16,9 @@ fn report(label: &str, outcomes: &[Result<lqcd::core::WilsonSolveOutcome>], elap
                 out.stats.converged,
                 out.stats.iterations,
                 out.stats.residual,
-                out.stats.precision_fallbacks,
-                out.stats.exchange_retries,
-                out.stats.faults_survived,
+                out.precision_fallbacks,
+                out.exchange_retries,
+                out.faults_survived,
             ),
             Err(e) => println!("  rank {rank}: ERROR {e}"),
         }
