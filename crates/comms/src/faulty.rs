@@ -1,14 +1,16 @@
 //! Deterministic fault injection for the threaded comms world.
 //!
-//! A [`FaultPlan`] is a declarative, seeded list of [`FaultRule`]s.
-//! Wire-level faults (drop, duplicate, delay, corrupt) are applied by
-//! the world's message-post path; rank-level faults (stall, death) are
-//! injected by the [`FaultyComm`] wrapper before communicator
-//! operations. All randomness comes from the plan's seed, so a chaos
-//! test replays identically on every run.
+//! A [`FaultPlan`] is a declarative, seeded list of [`FaultRule`]s,
+//! attached to a world by
+//! [`ThreadedComm::world_with`](crate::ThreadedComm::world_with). Wire-level
+//! faults (drop, duplicate, delay, corrupt) are applied by the world's
+//! message-post path; rank-level faults (stall, death) fire once per
+//! posted exchange (blocking or not) and once per reduction, before any
+//! of its traffic. All randomness comes from the plan's seed, so a
+//! chaos test replays identically on every run.
 //!
 //! ```
-//! use lqcd_comms::{CommConfig, Communicator, FaultPlan, FaultRule, FaultyComm,
+//! use lqcd_comms::{CommConfig, Communicator, FaultPlan, FaultRule, ThreadedComm,
 //!                  run_world_fallible};
 //! use lqcd_lattice::{Dims, ProcessGrid};
 //!
@@ -16,7 +18,7 @@
 //! // Drop the first data message rank 0 sends; the ARQ layer retransmits.
 //! let plan = FaultPlan::new(7)
 //!     .with_rule(FaultRule::drop_message().on_rank(0).data_only().times(1));
-//! let comms = FaultyComm::world(grid, CommConfig::resilient(), plan);
+//! let comms = ThreadedComm::world_with(grid, CommConfig::resilient(), Some(plan));
 //! let results = run_world_fallible(comms, |mut comm| {
 //!     let me = comm.rank() as f64;
 //!     let mut recv = [0.0f64];
@@ -30,13 +32,8 @@
 //! }
 //! ```
 
-use crate::comm::Communicator;
-use crate::threaded::{
-    self, CommConfig, PoisonHandle, ThreadedComm, WorldComm, TAG_ACK, TAG_EXCHANGE,
-};
-use lqcd_lattice::ProcessGrid;
-use lqcd_util::Result;
-use std::sync::{Arc, Mutex};
+use crate::threaded::{self, TAG_ACK, TAG_EXCHANGE};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// The fault taxonomy. `Drop`/`Duplicate`/`Delay`/`Corrupt` act on
@@ -254,14 +251,14 @@ struct RuleCounter {
 /// Shared runtime state of a plan: rule counters plus the seeded RNG.
 /// One instance is shared by every rank of the world, so `hits()` is a
 /// world-global count of injected faults.
-pub struct FaultState {
+pub(crate) struct FaultState {
     rules: Vec<FaultRule>,
     rng: Mutex<u64>,
     counters: Mutex<Vec<RuleCounter>>,
 }
 
 impl FaultState {
-    fn new(plan: FaultPlan) -> Self {
+    pub(crate) fn new(plan: FaultPlan) -> Self {
         let counters = plan.rules.iter().map(|_| RuleCounter::default()).collect();
         FaultState {
             rules: plan.rules,
@@ -336,119 +333,9 @@ impl FaultState {
     }
 
     /// Total faults injected so far, across all ranks of the world.
-    pub fn hits(&self) -> u64 {
+    pub(crate) fn hits(&self) -> u64 {
         let counters = self.counters.lock().unwrap_or_else(|e| e.into_inner());
         counters.iter().map(|c| c.hits).sum()
-    }
-}
-
-/// A communicator wrapper that injects rank-level faults (stall, death)
-/// before each operation and surfaces the world's fault counters. Use
-/// [`FaultyComm::world`] to build a threaded world whose wire traffic
-/// is also subject to the plan.
-pub struct FaultyComm<C> {
-    inner: C,
-    state: Arc<FaultState>,
-}
-
-impl FaultyComm<ThreadedComm> {
-    /// Build a threaded world under `plan`: wire faults apply inside the
-    /// world's message path, rank faults in the returned wrappers.
-    pub fn world(
-        grid: ProcessGrid,
-        config: CommConfig,
-        plan: FaultPlan,
-    ) -> Vec<FaultyComm<ThreadedComm>> {
-        let state = Arc::new(FaultState::new(plan));
-        ThreadedComm::build_world(grid, config, Some(state.clone()))
-            .into_iter()
-            .map(|inner| FaultyComm { inner, state: state.clone() })
-            .collect()
-    }
-}
-
-impl<C: Communicator> FaultyComm<C> {
-    /// Wrap an existing communicator; only rank-level faults (and
-    /// received-payload corruption) apply, since the wire is not under
-    /// this plan.
-    pub fn wrap(inner: C, plan: FaultPlan) -> Self {
-        FaultyComm { inner, state: Arc::new(FaultState::new(plan)) }
-    }
-
-    /// Total faults injected so far under this plan.
-    pub fn fault_hits(&self) -> u64 {
-        self.state.hits()
-    }
-
-    fn before_op(&mut self) {
-        match self.state.rank_action(self.inner.rank()) {
-            Some(FaultKind::Stall(pause)) => std::thread::sleep(pause),
-            Some(FaultKind::Die) => {
-                panic!("injected fault: rank {} death", self.inner.rank())
-            }
-            _ => {}
-        }
-    }
-}
-
-impl<C: Communicator> Communicator for FaultyComm<C> {
-    fn rank(&self) -> usize {
-        self.inner.rank()
-    }
-    fn size(&self) -> usize {
-        self.inner.size()
-    }
-    fn grid(&self) -> &ProcessGrid {
-        self.inner.grid()
-    }
-    fn send_recv(
-        &mut self,
-        mu: usize,
-        forward: bool,
-        send: &[f64],
-        recv: &mut [f64],
-    ) -> Result<()> {
-        self.before_op();
-        self.inner.send_recv(mu, forward, send, recv)
-    }
-    fn start_send_recv(
-        &mut self,
-        mu: usize,
-        forward: bool,
-        send: &[f64],
-    ) -> Result<crate::comm::ExchangeHandle> {
-        // Rank-level faults fire once per exchange, when it is posted;
-        // completion is plain delegation so a single exchange cannot be
-        // double-injected relative to the blocking path.
-        self.before_op();
-        self.inner.start_send_recv(mu, forward, send)
-    }
-    fn complete_send_recv(
-        &mut self,
-        handle: crate::comm::ExchangeHandle,
-        recv: &mut [f64],
-    ) -> Result<()> {
-        self.inner.complete_send_recv(handle, recv)
-    }
-    fn allreduce_sum(&mut self, vals: &mut [f64]) -> Result<()> {
-        self.before_op();
-        self.inner.allreduce_sum(vals)
-    }
-    fn allreduce_max(&mut self, vals: &mut [f64]) -> Result<()> {
-        self.before_op();
-        self.inner.allreduce_max(vals)
-    }
-    fn exchange_retries(&self) -> u64 {
-        self.inner.exchange_retries()
-    }
-    fn faults_survived(&self) -> u64 {
-        self.state.hits().max(self.inner.faults_survived())
-    }
-}
-
-impl<C: WorldComm> WorldComm for FaultyComm<C> {
-    fn poison_handle(&self) -> PoisonHandle {
-        self.inner.poison_handle()
     }
 }
 

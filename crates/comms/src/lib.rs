@@ -25,9 +25,11 @@
 //!   launchers: a panicking rank poisons the world (waking blocked peers
 //!   with [`lqcd_util::Error::RankFailure`]) and is reported in its
 //!   result slot rather than tearing down the process;
-//! * [`FaultPlan`] / [`FaultRule`] / [`FaultyComm`] — deterministic,
-//!   seeded fault injection (message drop, duplication, delay,
-//!   corruption; rank stall and death) for chaos testing.
+//! * [`FaultPlan`] / [`FaultRule`] — deterministic, seeded fault
+//!   injection (message drop, duplication, delay, corruption; rank
+//!   stall and death) for chaos testing, attached to a world by
+//!   [`ThreadedComm::world_with`], so every message of a world, faulty
+//!   or not, takes the one `ThreadedComm` path.
 //!
 //! Payloads are `f64` slices; fields convert their storage precision at
 //! the boundary. (The *performance model* prices messages at their true
@@ -39,9 +41,8 @@ pub mod single;
 pub mod threaded;
 
 pub use comm::{Communicator, ExchangeHandle, SharedComm};
-pub use faulty::{FaultKind, FaultPlan, FaultRule, FaultyComm, MsgClass};
+pub use faulty::{FaultKind, FaultPlan, FaultRule, MsgClass};
 pub use single::SingleComm;
 pub use threaded::{
-    run_on_grid, run_on_grid_fallible, run_world_fallible, CommConfig, PoisonHandle, ThreadedComm,
-    WorldComm,
+    run_on_grid, run_on_grid_fallible, run_world_fallible, CommConfig, ThreadedComm,
 };

@@ -18,16 +18,17 @@
 //!   duplicated messages are survived transparently (reductions use the
 //!   root's broadcast as the implicit ack and retransmit their upward
 //!   contributions);
-//! * **World poisoning** — when a rank dies, [`PoisonHandle::poison`]
+//! * **World poisoning** — when a rank dies, [`run_world_fallible`]
 //!   marks the shared world; every other rank's receive loop notices
 //!   within one poll slice and returns [`Error::RankFailure`] instead of
 //!   waiting out its deadline;
-//! * **Fault injection** — a [`crate::faulty::FaultPlan`] attached at
-//!   world construction intercepts messages on the wire (drop,
-//!   duplicate, delay, corrupt) deterministically.
+//! * **Fault injection** — a [`FaultPlan`] attached at world
+//!   construction intercepts messages on the wire (drop, duplicate,
+//!   delay, corrupt) and stalls or kills a rank at its next posted
+//!   exchange or reduction, deterministically.
 
 use crate::comm::{Communicator, ExchangeHandle, HandleState};
-use crate::faulty::{FaultKind, FaultState};
+use crate::faulty::{FaultKind, FaultPlan, FaultState};
 use lqcd_lattice::ProcessGrid;
 use lqcd_util::{trace, Error, Result};
 use std::collections::VecDeque;
@@ -161,36 +162,17 @@ struct World {
     config: CommConfig,
     poisoned: AtomicBool,
     dead: Mutex<Vec<(usize, String)>>,
-    faults: Option<Arc<FaultState>>,
+    faults: Option<FaultState>,
 }
 
-/// A cloneable handle that can mark the world as having lost a rank.
-/// Blocked peers observe the flag within one poll slice and fail their
-/// pending operation with [`Error::RankFailure`].
-#[derive(Clone)]
-pub struct PoisonHandle {
-    world: Arc<World>,
-}
-
-impl PoisonHandle {
-    /// Record that `rank` died with `detail` and wake all blocked peers.
-    pub fn poison(&self, rank: usize, detail: String) {
-        self.world.dead.lock().unwrap_or_else(|e| e.into_inner()).push((rank, detail));
-        self.world.poisoned.store(true, Ordering::Release);
+impl World {
+    /// Record that `rank` died with `detail`. Blocked peers observe the
+    /// flag within one poll slice and fail their pending operation with
+    /// [`Error::RankFailure`].
+    fn poison(&self, rank: usize, detail: String) {
+        self.dead.lock().unwrap_or_else(|e| e.into_inner()).push((rank, detail));
+        self.poisoned.store(true, Ordering::Release);
     }
-
-    /// Whether any rank has died.
-    pub fn is_poisoned(&self) -> bool {
-        self.world.poisoned.load(Ordering::Acquire)
-    }
-}
-
-/// A communicator backed by a shared threaded world, from which a
-/// [`PoisonHandle`] can be extracted (used by the fallible launcher to
-/// wake peers when this rank's body panics).
-pub trait WorldComm: Communicator {
-    /// Handle onto this communicator's world poison flag.
-    fn poison_handle(&self) -> PoisonHandle;
 }
 
 /// Per-rank handle to the threaded world.
@@ -219,22 +201,14 @@ pub struct ThreadedComm {
 }
 
 impl ThreadedComm {
-    /// Create communicators for every rank of `grid` with the default
-    /// (no-retry, long-deadline) policy. Index `i` of the returned
-    /// vector belongs to rank `i`; hand each to its own thread.
-    pub fn world(grid: ProcessGrid) -> Vec<ThreadedComm> {
-        Self::build_world(grid, CommConfig::default(), None)
-    }
-
-    /// Create communicators with an explicit deadline/retry policy.
-    pub fn world_with(grid: ProcessGrid, config: CommConfig) -> Vec<ThreadedComm> {
-        Self::build_world(grid, config, None)
-    }
-
-    pub(crate) fn build_world(
+    /// Create communicators for every rank of `grid` under the
+    /// deadline/retry policy `config` and, optionally, a fault plan.
+    /// Index `i` of the returned vector belongs to rank `i`; hand each
+    /// to its own thread (see [`run_world_fallible`]).
+    pub fn world_with(
         grid: ProcessGrid,
         config: CommConfig,
-        faults: Option<Arc<FaultState>>,
+        faults: Option<FaultPlan>,
     ) -> Vec<ThreadedComm> {
         let n = grid.num_ranks();
         let mut senders = Vec::with_capacity(n);
@@ -249,7 +223,7 @@ impl ThreadedComm {
             config,
             poisoned: AtomicBool::new(false),
             dead: Mutex::new(Vec::new()),
-            faults,
+            faults: faults.map(FaultState::new),
         });
         inboxes
             .into_iter()
@@ -283,6 +257,18 @@ impl ThreadedComm {
         Ok(())
     }
 
+    /// Apply the plan's rank fault (stall or death), if one fires. Called
+    /// once per posted exchange and once per reduction, before any of
+    /// its traffic.
+    fn rank_fault(&self) {
+        let Some(faults) = &self.world.faults else { return };
+        match faults.rank_action(self.rank) {
+            Some(FaultKind::Stall(pause)) => std::thread::sleep(pause),
+            Some(FaultKind::Die) => panic!("injected fault: rank {} death", self.rank),
+            _ => {}
+        }
+    }
+
     /// Deliver a message, applying any wire faults the plan injects.
     fn post(&mut self, to: usize, tag: Tag, payload: Vec<f64>) -> Result<()> {
         self.check_poison()?;
@@ -313,8 +299,7 @@ impl ThreadedComm {
                     });
                     return Ok(());
                 }
-                // Rank-level faults are injected by `FaultyComm`, not on
-                // the wire.
+                // Rank-level faults fire in `rank_fault`, not on the wire.
                 Some(FaultKind::Stall(_)) | Some(FaultKind::Die) => {}
             }
         }
@@ -652,6 +637,9 @@ impl Communicator for ThreadedComm {
         forward: bool,
         send: &[f64],
     ) -> Result<ExchangeHandle> {
+        // Blocking `send_recv` posts through here too, so an exchange
+        // meets the rank fault once; its completion never does.
+        self.rank_fault();
         let grid = &self.world.grid;
         let to = grid.neighbor_rank(self.rank, mu, forward);
         let from = grid.neighbor_rank(self.rank, mu, !forward);
@@ -703,10 +691,12 @@ impl Communicator for ThreadedComm {
     }
 
     fn allreduce_sum(&mut self, vals: &mut [f64]) -> Result<()> {
+        self.rank_fault();
         self.reduce(vals, |a, b| a + b)
     }
 
     fn allreduce_max(&mut self, vals: &mut [f64]) -> Result<()> {
+        self.rank_fault();
         self.reduce(vals, f64::max)
     }
 
@@ -716,12 +706,6 @@ impl Communicator for ThreadedComm {
 
     fn faults_survived(&self) -> u64 {
         self.world.faults.as_ref().map_or(0, |f| f.hits())
-    }
-}
-
-impl WorldComm for ThreadedComm {
-    fn poison_handle(&self) -> PoisonHandle {
-        PoisonHandle { world: self.world.clone() }
     }
 }
 
@@ -735,23 +719,21 @@ fn panic_payload(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Panic-safe SPMD launcher over pre-built communicators: run `body`
-/// once per rank, each on its own thread. A panicking rank poisons the
-/// world — so peers blocked on it fail fast with
-/// [`Error::RankFailure`] instead of hanging — and its slot reports the
-/// rank and panic payload.
-pub fn run_world_fallible<C, T, F>(comms: Vec<C>, body: F) -> Vec<Result<T>>
+/// Panic-safe SPMD launcher over a pre-built world: run `body` once per
+/// rank, each on its own thread. A panicking rank poisons the world —
+/// so peers blocked on it fail fast with [`Error::RankFailure`] instead
+/// of hanging — and its slot reports the rank and panic payload.
+pub fn run_world_fallible<T, F>(comms: Vec<ThreadedComm>, body: F) -> Vec<Result<T>>
 where
-    C: WorldComm + Send,
     T: Send,
-    F: Fn(C) -> T + Sync,
+    F: Fn(ThreadedComm) -> T + Sync,
 {
     let mut out: Vec<Result<T>> = Vec::new();
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for (rank, comm) in comms.into_iter().enumerate() {
             let body = &body;
-            let poison = comm.poison_handle();
+            let world = comm.world.clone();
             handles.push(scope.spawn(move || {
                 // Route this rank thread's trace events to its own track
                 // set for the lifetime of the body.
@@ -759,7 +741,7 @@ where
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(comm)));
                 if let Err(payload) = &result {
                     // `comm` died inside the closure; wake everyone else.
-                    poison.poison(rank, format!("panicked: {}", panic_payload(payload.as_ref())));
+                    world.poison(rank, format!("panicked: {}", panic_payload(payload.as_ref())));
                 }
                 result
             }));
@@ -784,7 +766,7 @@ where
     T: Send,
     F: Fn(ThreadedComm) -> T + Sync,
 {
-    run_world_fallible(ThreadedComm::world_with(grid, config), body)
+    run_world_fallible(ThreadedComm::world_with(grid, config, None), body)
 }
 
 /// SPMD launcher: run `body` once per rank of `grid`, each on its own
@@ -963,7 +945,7 @@ mod tests {
         // are injected.
         let config = CommConfig::resilient();
         let grid = ProcessGrid::new(Dims([1, 1, 2, 2]), Dims([4, 4, 8, 8])).unwrap();
-        let results = run_world_fallible(ThreadedComm::world_with(grid, config), |mut comm| {
+        let results = run_on_grid_fallible(grid, config, |mut comm| {
             let me = comm.rank() as f64;
             let mut r1 = [0.0f64];
             let mut r2 = [0.0f64];
@@ -1017,7 +999,7 @@ mod tests {
         // dropped, and a fault-free run performs zero retransmissions.
         let config = CommConfig::resilient();
         let grid = ProcessGrid::new(Dims([1, 1, 2, 2]), Dims([4, 4, 8, 8])).unwrap();
-        let results = run_world_fallible(ThreadedComm::world_with(grid, config), |mut comm| {
+        let results = run_on_grid_fallible(grid, config, |mut comm| {
             let mut seen = Vec::new();
             let me = comm.rank() as f64;
             for round in 0..3 {
@@ -1054,7 +1036,7 @@ mod tests {
         // Drop + duplicate on the wire while exchanges are in flight:
         // the ARQ completion must still deliver every payload exactly
         // once, in order, on every rank.
-        use crate::faulty::{FaultPlan, FaultRule, FaultyComm, MsgClass};
+        use crate::faulty::{FaultRule, MsgClass};
         // Drops are scoped to data and ack traffic: reductions have no
         // retransmit protocol (the perf model prices them separately),
         // so only the ARQ-protected classes may lose messages.
@@ -1064,7 +1046,8 @@ mod tests {
             .with_rule(FaultRule::duplicate_message().data_only().with_probability(0.2));
         let config = CommConfig::resilient();
         let grid = ProcessGrid::new(Dims([1, 1, 2, 2]), Dims([4, 4, 8, 8])).unwrap();
-        let results = run_world_fallible(FaultyComm::world(grid, config, plan), |mut comm| {
+        let comms = ThreadedComm::world_with(grid, config, Some(plan));
+        let results = run_world_fallible(comms, |mut comm| {
             let me = comm.rank() as f64;
             let mut seen = Vec::new();
             for round in 0..4 {
@@ -1090,6 +1073,40 @@ mod tests {
                 assert_eq!(r3, from3 - round as f64, "rank {rank} round {round}");
             }
         }
+    }
+
+    #[test]
+    fn rank_faults_fire_once_per_posted_exchange_and_reduction() {
+        // A zero-length stall on every rank-fault event of rank 0 counts
+        // those events: a blocking exchange, a posted exchange, and each
+        // reduction (barrier and sums included) count once; completing a
+        // posted exchange counts zero times.
+        use crate::faulty::FaultRule;
+        let plan = FaultPlan::new(5).with_rule(FaultRule::stall_rank(Duration::ZERO).on_rank(0));
+        let comms = ThreadedComm::world_with(grid_1d(2), CommConfig::default(), Some(plan));
+        let results = run_world_fallible(comms, |mut comm| {
+            let mut seen = Vec::new();
+            let mut recv = [0.0f64];
+            comm.send_recv(3, true, &[1.0], &mut recv).unwrap();
+            seen.push(comm.faults_survived());
+            let h = comm.start_send_recv(3, false, &[2.0]).unwrap();
+            seen.push(comm.faults_survived());
+            comm.complete_send_recv(h, &mut recv).unwrap();
+            seen.push(comm.faults_survived());
+            comm.allreduce_sum(&mut [1.0]).unwrap();
+            seen.push(comm.faults_survived());
+            comm.allreduce_max(&mut [1.0]).unwrap();
+            seen.push(comm.faults_survived());
+            comm.sum_scalar(1.0).unwrap();
+            seen.push(comm.faults_survived());
+            comm.barrier().unwrap();
+            (seen, comm.faults_survived())
+        });
+        let results: Vec<_> = results.into_iter().map(|r| r.unwrap()).collect();
+        assert_eq!(results[0].0, [1, 2, 2, 3, 4, 5]);
+        // Rank 0's barrier event fires before its broadcast, so every
+        // rank reads the world's six hits after the barrier.
+        assert!(results.iter().all(|(_, hits)| *hits == 6), "{results:?}");
     }
 
     #[test]

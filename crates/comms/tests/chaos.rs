@@ -4,7 +4,7 @@
 //! corrupts an exchange the ARQ layer is responsible for.
 
 use lqcd_comms::{
-    run_world_fallible, CommConfig, Communicator, FaultPlan, FaultRule, FaultyComm, MsgClass,
+    run_world_fallible, CommConfig, Communicator, FaultPlan, FaultRule, MsgClass, ThreadedComm,
 };
 use lqcd_lattice::{Dims, ProcessGrid};
 use lqcd_util::Error;
@@ -23,7 +23,7 @@ fn dropped_message_times_out_cleanly_without_retries() {
     let config = CommConfig::default().with_timeout(Duration::from_millis(250)).with_retries(0);
     let plan =
         FaultPlan::new(3).with_rule(FaultRule::drop_message().on_rank(0).data_only().times(1));
-    let comms = FaultyComm::world(grid, config, plan);
+    let comms = ThreadedComm::world_with(grid, config, Some(plan));
     let started = std::time::Instant::now();
     let results = run_world_fallible(comms, |mut comm| {
         let mut recv = [0.0f64; 2];
@@ -54,8 +54,8 @@ fn drop_dup_delay_are_invisible_under_arq() {
         ("drop-ack", FaultRule::drop_message().on_rank(0).for_class(MsgClass::Ack).times(2)),
     ] {
         let grid = ring(4);
-        let comms =
-            FaultyComm::world(grid, CommConfig::resilient(), FaultPlan::new(17).with_rule(rule));
+        let plan = Some(FaultPlan::new(17).with_rule(rule));
+        let comms = ThreadedComm::world_with(grid, CommConfig::resilient(), plan);
         let results = run_world_fallible(comms, |mut comm| {
             let n = comm.size();
             let mut ghost_sum = 0.0;
@@ -88,7 +88,7 @@ fn corruption_is_delivered_and_counted() {
     let grid = ring(2);
     let plan =
         FaultPlan::new(5).with_rule(FaultRule::corrupt_payload().on_rank(0).data_only().times(1));
-    let comms = FaultyComm::world(grid, CommConfig::default(), plan);
+    let comms = ThreadedComm::world_with(grid, CommConfig::default(), Some(plan));
     let results = run_world_fallible(comms, |mut comm| {
         let mut recv = [0.0f64; 8];
         comm.send_recv(3, true, &[2.5f64; 8], &mut recv).unwrap();
@@ -111,7 +111,7 @@ fn stalls_respect_the_deadline() {
     let grid = ring(2);
     let plan = FaultPlan::new(9)
         .with_rule(FaultRule::stall_rank(Duration::from_millis(50)).on_rank(1).times(1));
-    let comms = FaultyComm::world(grid, CommConfig::resilient(), plan);
+    let comms = ThreadedComm::world_with(grid, CommConfig::resilient(), Some(plan));
     let results = run_world_fallible(comms, |mut comm| {
         let mut recv = [0.0f64];
         comm.send_recv(3, true, &[1.0], &mut recv).unwrap();
@@ -127,7 +127,7 @@ fn stalls_respect_the_deadline() {
     let config = CommConfig::default().with_timeout(Duration::from_millis(200)).with_retries(0);
     let plan = FaultPlan::new(9)
         .with_rule(FaultRule::stall_rank(Duration::from_millis(800)).on_rank(1).times(1));
-    let comms = FaultyComm::world(grid, config, plan);
+    let comms = ThreadedComm::world_with(grid, config, Some(plan));
     let started = std::time::Instant::now();
     let results = run_world_fallible(comms, |mut comm| {
         let mut recv = [0.0f64];
@@ -148,7 +148,7 @@ fn rank_death_is_reported_and_peers_unwind() {
     let grid = ring(4);
     let config = CommConfig::resilient().with_timeout(Duration::from_secs(2));
     let plan = FaultPlan::new(13).with_rule(FaultRule::die_rank().on_rank(2).after(2).times(1));
-    let comms = FaultyComm::world(grid, config, plan);
+    let comms = ThreadedComm::world_with(grid, config, Some(plan));
     let started = std::time::Instant::now();
     let results = run_world_fallible(comms, |mut comm| -> lqcd_util::Result<f64> {
         let mut total = 0.0;

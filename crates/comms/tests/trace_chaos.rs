@@ -1,10 +1,10 @@
-//! Flight-recorder coverage under chaos: a lossy `FaultyComm` world runs
+//! Flight-recorder coverage under chaos: a lossy `ThreadedComm` world runs
 //! traced exchanges and reductions; the collected per-rank buffers must
 //! stay well-formed (every span `Begin` closed by an `End` on its track)
 //! and must record the ARQ retransmissions the fault plan forces.
 
 use lqcd_comms::{
-    run_world_fallible, CommConfig, Communicator, FaultPlan, FaultRule, FaultyComm, MsgClass,
+    run_world_fallible, CommConfig, Communicator, FaultPlan, FaultRule, MsgClass, ThreadedComm,
 };
 use lqcd_lattice::{Dims, ProcessGrid};
 use lqcd_util::trace;
@@ -19,7 +19,8 @@ fn chaos_world_spans_stay_balanced_and_record_retries() {
         .with_rule(FaultRule::drop_message().for_class(MsgClass::Ack).with_probability(0.2));
     let config = CommConfig::resilient();
     let grid = ProcessGrid::new(Dims([1, 1, 2, 2]), Dims([4, 4, 8, 8])).unwrap();
-    let results = run_world_fallible(FaultyComm::world(grid, config, plan), |mut comm| {
+    let comms = ThreadedComm::world_with(grid, config, Some(plan));
+    let results = run_world_fallible(comms, |mut comm| {
         let me = comm.rank() as f64;
         for round in 0..4 {
             let h = comm.start_send_recv(3, true, &[me, round as f64]).unwrap();

@@ -18,11 +18,10 @@
 use crate::problem::{StaggeredProblem, WilsonProblem};
 use crate::supervise::{common_generation, CheckpointingMonitor, SupervisorConfig};
 use lqcd_comms::{
-    run_on_grid, run_world_fallible, CommConfig, Communicator, FaultPlan, FaultyComm, SharedComm,
-    ThreadedComm, WorldComm,
+    run_on_grid, run_world_fallible, CommConfig, Communicator, FaultPlan, SharedComm, ThreadedComm,
 };
 use lqcd_dirac::wilson::SpinorField;
-use lqcd_dirac::{InteriorPolicy, OverlapHost, WilsonCloverOp};
+use lqcd_dirac::{OverlapHost, WilsonCloverOp};
 use lqcd_field::half::Quantize;
 use lqcd_lattice::ProcessGrid;
 use lqcd_solvers::spaces::{cast_wilson_op, EoWilsonSpace, StaggeredNormalSpace};
@@ -31,7 +30,7 @@ use lqcd_solvers::{
 };
 use lqcd_su3::WilsonSpinor;
 use lqcd_tune::{LadderChoice, TuneParam};
-use lqcd_util::{trace, Error, Real, Result};
+use lqcd_util::{trace, BreakdownKind, Error, Real, Result};
 use std::time::{Duration, Instant};
 
 /// Per-rank outcome of a Wilson solve.
@@ -101,8 +100,8 @@ impl WilsonSolve {
     }
 
     /// GCR-DD under a resolved tuned configuration: it starts on
-    /// `param.ladder`, applies `param`'s interior policy to every rung's
-    /// operator and its `mr_steps` and `n_kv` (GCR `kmax`) to the
+    /// `param.ladder`, applies `param`'s interior thread count to every
+    /// rung's operator and its `mr_steps` and `n_kv` (GCR `kmax`) to the
     /// problem. The partition scheme is the caller's grid (see
     /// [`tuning::resolve`](crate::tuning::resolve)).
     pub fn tuned(param: TuneParam) -> Self {
@@ -189,10 +188,7 @@ pub fn solve_wilson(problem: &WilsonProblem, grid: ProcessGrid, request: WilsonS
         );
         let launch = Launch { p: &p, grid: &grid, method, sup, tune, resumed, prior: consumed };
         let launched = Instant::now();
-        let outcomes = match faults(attempt) {
-            Some(plan) => launch.run(FaultyComm::world(grid.clone(), comm, plan)),
-            None => launch.run(ThreadedComm::world_with(grid.clone(), comm)),
-        };
+        let outcomes = launch.run(ThreadedComm::world_with(grid.clone(), comm, faults(attempt)));
         consumed += launched.elapsed();
         let all_ok = outcomes.iter().all(|r| r.is_ok());
         if all_ok || attempt >= sup.map_or(0, |s| s.max_restarts) {
@@ -240,7 +236,7 @@ fn recoverable(e: &Error) -> bool {
 }
 
 impl Launch<'_> {
-    fn run<C: WorldComm + Send>(&self, comms: Vec<C>) -> Vec<Result<WilsonSolveOutcome>> {
+    fn run(&self, comms: Vec<ThreadedComm>) -> Vec<Result<WilsonSolveOutcome>> {
         run_world_fallible(comms, |comm| self.rank_solve(comm))
             .into_iter()
             .map(|r| r.and_then(|inner| inner))
@@ -340,12 +336,10 @@ impl Launch<'_> {
         WilsonSpinor<R>: Quantize<R>,
         CheckpointingMonitor: SolveMonitor<EoWilsonSpace<R, SharedComm<C>>>,
     {
-        let fail = |e| (e, SolveStats::new());
         // Set on the rung's own operator: a cast operator does not
-        // inherit the f64 operator's policy.
+        // inherit the f64 operator's thread count.
         if let Some(t) = &self.tune {
-            let policy = InteriorPolicy::new(t.interior_threads, t.ghost_order).map_err(fail)?;
-            space.op.set_interior_policy(policy);
+            space.op.set_interior_threads(t.interior_threads);
         }
         let b = self.p.rhs(&space.op);
         let mut x = space.alloc();
@@ -373,6 +367,24 @@ impl Launch<'_> {
         match result {
             Ok(stats) => {
                 let n2 = space.norm2(&x).map_err(|e| (e, stats))?;
+                if !n2.is_finite() {
+                    // A corrupted final norm is no converged solve: a
+                    // breakdown the ladder climbs, carrying this rung's
+                    // work.
+                    let partial = SolveStats {
+                        iterations: stats.iterations,
+                        matvecs: space.matvec_count(),
+                        precond_matvecs: space.dirichlet_matvecs(),
+                        restarts: stats.restarts,
+                        ..SolveStats::new()
+                    };
+                    let detail = format!("solution norm² is {n2}");
+                    let kind = BreakdownKind::NonFinite;
+                    return Err((
+                        Error::Breakdown { solver: "solve_wilson", kind, detail },
+                        partial,
+                    ));
+                }
                 Ok(WilsonSolveOutcome {
                     stats,
                     solution_norm2: n2,
@@ -415,22 +427,18 @@ pub struct StaggeredSolveOutcome {
 }
 
 /// Run a distributed multi-shift CG solve of `(M†M + σ_i) x_i = b` over
-/// `grid`. A resolved `tune` applies its interior policy; multi-shift CG
-/// has no Schwarz/GCR knobs.
+/// `grid`. A resolved `tune` applies its interior thread count;
+/// multi-shift CG has no Schwarz/GCR knobs.
 pub fn solve_staggered(
     problem: &StaggeredProblem,
     grid: ProcessGrid,
     tune: Option<TuneParam>,
 ) -> Result<Vec<StaggeredSolveOutcome>> {
-    let policy = match &tune {
-        Some(t) => Some(InteriorPolicy::new(t.interior_threads, t.ghost_order)?),
-        None => None,
-    };
     let g = grid.clone();
     let results = run_on_grid(grid, |comm| -> Result<StaggeredSolveOutcome> {
         let op = problem.build_operator(&g, comm.rank())?;
-        if let Some(policy) = policy {
-            op.set_interior_policy(policy);
+        if let Some(t) = &tune {
+            op.set_interior_threads(t.interior_threads);
         }
         let mut space = StaggeredNormalSpace::new(op, comm);
         let b = problem.rhs(&space.op);
@@ -732,6 +740,59 @@ mod resilient_tests {
                 let (it, mv, pm, rs) = counts(&s.stats);
                 let want = (it + failed.0, mv + failed.1, pm + failed.2, rs + failed.3);
                 assert_eq!(counts(&out.stats), want, "{case}");
+            }
+        }
+    }
+
+    /// A non-finite solution norm is a breakdown, not a converged solve.
+    /// Reduction 18 is the Half rung's final ‖x‖², after its solve
+    /// converged: rank 1's NaN reaches every rank through the broadcast,
+    /// so the ladder climbs to Single, which runs exactly the plain
+    /// Single request's solve, and the record folds in the Half rung's
+    /// whole solve. The same fault one reduction earlier (inside the
+    /// solve) or later (after it) reads as it always did.
+    #[test]
+    fn non_finite_solution_norm_climbs_the_ladder() {
+        let (p, grid) = small_problem();
+        let plain =
+            |rung| solve_wilson(&p, grid.clone(), WilsonSolve::gcr_dd(rung)).into_result().unwrap();
+        let (single, half) = (plain(LadderChoice::Single), plain(LadderChoice::Half));
+        for (seq, fallbacks, bits) in [
+            (17, 1, 0x40a8ae9c6f2bd7b7u64),
+            (18, 1, 0x40a8ae9c6f2bd7b7),
+            (19, 0, 0x40a8ae9c6ee348d2),
+        ] {
+            let plan = FaultPlan::new(11)
+                .with_rule(FaultRule::corrupt_payload().on_rank(1).for_reduction(seq));
+            let res = solve_wilson(
+                &p,
+                grid.clone(),
+                WilsonSolve::gcr_dd(LadderChoice::Half)
+                    .with_comm(CommConfig::resilient())
+                    .with_faults(move |_| Some(plan.clone())),
+            )
+            .into_result()
+            .unwrap();
+            for (slot, out) in res.iter().enumerate() {
+                let case = format!("reduction {seq} rank {slot}");
+                assert!(out.stats.converged, "{case}");
+                assert_eq!(out.precision_fallbacks, fallbacks, "{case}");
+                assert_eq!(out.solution_norm2.to_bits(), bits, "{case}");
+                if seq != 18 {
+                    continue;
+                }
+                let (s, h) = (&single[slot], &half[slot]);
+                assert_eq!(out.matvecs, s.matvecs, "{case}");
+                assert_eq!(out.dirichlet_matvecs, s.dirichlet_matvecs, "{case}");
+                let st = &out.stats;
+                assert_eq!(st.iterations, s.stats.iterations + h.stats.iterations, "{case}");
+                assert_eq!(st.matvecs, s.stats.matvecs + h.matvecs, "{case}");
+                assert_eq!(
+                    st.precond_matvecs,
+                    s.stats.precond_matvecs + h.dirichlet_matvecs,
+                    "{case}"
+                );
+                assert_eq!(st.restarts, s.stats.restarts + h.stats.restarts, "{case}");
             }
         }
     }

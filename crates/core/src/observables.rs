@@ -62,7 +62,7 @@ pub fn staggered_propagator<C: Communicator>(
     tol: f64,
     maxiter: usize,
 ) -> Result<(StaggeredField<f64>, StaggeredField<f64>, SolveStats)> {
-    let mut space = StaggeredNormalSpace::new(clone_op(op)?, comm);
+    let mut space = StaggeredNormalSpace::new(op.clone(), comm);
     let mut y = space.alloc();
     let stats = cg(&mut space, &mut y, b, tol, maxiter)?;
     // x_e = m y ; x_o = (1/2) D_oe y.
@@ -127,11 +127,6 @@ pub fn verify_propagator<C: Communicator>(
     Ok((num / den).sqrt())
 }
 
-/// Duplicate an operator (fields are reference-counted or cloneable).
-fn clone_op(op: &StaggeredOp<f64>) -> Result<StaggeredOp<f64>> {
-    Ok(op.clone())
-}
-
 /// Solve one column of the Wilson propagator `M x = b` through the Schur
 /// complement: `b̂ = b_o + (1/4) D̂_oe T_ee⁻¹ b_e`, BiCGstab on `M̂`, then
 /// even reconstruction. Returns `(x_e, x_o, stats)`.
@@ -153,7 +148,7 @@ pub fn wilson_propagator_column<C: Communicator>(
     blas::scale(&mut bhat, 0.25);
     blas::axpy(1.0, b_o, &mut bhat);
     // Schur solve (EoWilsonSpace takes the operator by value).
-    let mut space = EoWilsonSpace::new(op.clone(), share(comm))?;
+    let mut space = EoWilsonSpace::new(op.clone(), &mut *comm)?;
     let mut x_o = space.alloc();
     let stats = bicgstab(&mut space, &mut x_o, &bhat, tol, maxiter)?;
     // Reconstruct the even part.
@@ -216,40 +211,9 @@ pub fn pion_from_problem<C: Communicator>(
     let rank = comm.rank();
     let op = problem.build_operator(grid, rank)?;
     let b = point_source(&op, [0, 0, 0, 0], 0)?;
-    let (x_e, x_o, stats) =
-        staggered_propagator(&op, share(&mut comm), &b, problem.tol, problem.maxiter)?;
+    let (x_e, x_o, stats) = staggered_propagator(&op, &mut comm, &b, problem.tol, problem.maxiter)?;
     let corr = pion_correlator(&x_e, &x_o, problem.global.0[3], &mut comm)?;
     Ok((corr, stats))
-}
-
-// The propagator needs the communicator by value while the correlator
-// needs it afterwards; a tiny forwarding communicator keeps the API
-// simple for callers with a single endpoint.
-fn share<C: Communicator>(c: &mut C) -> ShareComm<'_, C> {
-    ShareComm(c)
-}
-
-struct ShareComm<'a, C>(&'a mut C);
-
-impl<'a, C: Communicator> Communicator for ShareComm<'a, C> {
-    fn rank(&self) -> usize {
-        self.0.rank()
-    }
-    fn size(&self) -> usize {
-        self.0.size()
-    }
-    fn grid(&self) -> &ProcessGrid {
-        self.0.grid()
-    }
-    fn send_recv(&mut self, mu: usize, fwd: bool, s: &[f64], r: &mut [f64]) -> Result<()> {
-        self.0.send_recv(mu, fwd, s, r)
-    }
-    fn allreduce_sum(&mut self, v: &mut [f64]) -> Result<()> {
-        self.0.allreduce_sum(v)
-    }
-    fn allreduce_max(&mut self, v: &mut [f64]) -> Result<()> {
-        self.0.allreduce_max(v)
-    }
 }
 
 #[cfg(test)]

@@ -280,7 +280,7 @@ mod tests {
 
     #[test]
     fn rank_local_build_equals_the_global_build_bitwise() {
-        use lqcd_comms::{run_on_grid, FaultPlan, FaultRule, FaultyComm, SharedComm};
+        use lqcd_comms::{run_on_grid, ExchangeHandle};
         use lqcd_field::LatticeField;
         use lqcd_su3::clover::CloverSite;
         type Clover = Option<[LatticeField<f64, CloverSite<f64>>; 2]>;
@@ -290,13 +290,46 @@ mod tests {
                 (a, b) => a.is_none() && b.is_none(),
             }
         }
-        // A zero-length stall on every operation counts the rank's messages.
-        let counted = |comm: &SharedComm<_>| {
-            FaultyComm::wrap(
-                comm.clone(),
-                FaultPlan::new(1).with_rule(FaultRule::stall_rank(std::time::Duration::ZERO)),
-            )
-        };
+        /// Counts the exchanges and reductions a rank posts.
+        struct Counted<C> {
+            inner: C,
+            messages: u64,
+        }
+        impl<C: Communicator> Communicator for Counted<C> {
+            fn rank(&self) -> usize {
+                self.inner.rank()
+            }
+            fn size(&self) -> usize {
+                self.inner.size()
+            }
+            fn grid(&self) -> &ProcessGrid {
+                self.inner.grid()
+            }
+            fn send_recv(&mut self, mu: usize, fwd: bool, s: &[f64], r: &mut [f64]) -> Result<()> {
+                self.messages += 1;
+                self.inner.send_recv(mu, fwd, s, r)
+            }
+            fn start_send_recv(
+                &mut self,
+                mu: usize,
+                fwd: bool,
+                s: &[f64],
+            ) -> Result<ExchangeHandle> {
+                self.messages += 1;
+                self.inner.start_send_recv(mu, fwd, s)
+            }
+            fn complete_send_recv(&mut self, h: ExchangeHandle, r: &mut [f64]) -> Result<()> {
+                self.inner.complete_send_recv(h, r)
+            }
+            fn allreduce_sum(&mut self, vals: &mut [f64]) -> Result<()> {
+                self.messages += 1;
+                self.inner.allreduce_sum(vals)
+            }
+            fn allreduce_max(&mut self, vals: &mut [f64]) -> Result<()> {
+                self.messages += 1;
+                self.inner.allreduce_max(vals)
+            }
+        }
         let grids = [
             ([1, 1, 1, 1], [4, 4, 4, 8]),
             ([1, 1, 1, 2], [4, 4, 4, 8]),
@@ -310,14 +343,13 @@ mod tests {
                 let grid = ProcessGrid::new(Dims(dims), p.global).unwrap();
                 // Two data messages per partitioned dimension.
                 let messages = 2 * grid.shape.0.iter().filter(|&&n| n > 1).count() as u64;
-                run_on_grid(grid.clone(), |comm| {
-                    let comm = SharedComm::new(comm);
-                    let mut c = counted(&comm);
+                run_on_grid(grid.clone(), |mut comm| {
+                    let mut c = Counted { inner: &mut comm, messages: 0 };
                     let local = p.build_operator(&mut c, &grid).unwrap();
-                    assert_eq!(c.fault_hits(), messages, "{dims:?}: messages of a build");
-                    let mut c = counted(&comm);
+                    assert_eq!(c.messages, messages, "{dims:?}: messages of a build");
+                    let mut c = Counted { inner: &mut comm, messages: 0 };
                     let want = global_build_operator(&p, &mut c, &grid).unwrap();
-                    assert_eq!(c.fault_hits(), messages, "{dims:?}: messages of the global build");
+                    assert_eq!(c.messages, messages, "{dims:?}: messages of the global build");
                     assert!(same(&local.clover, &want.clover), "{dims:?} {csw:?}: clover");
                     assert!(same(&local.t_inv, &want.t_inv), "{dims:?} {csw:?}: T⁻¹");
                     for mu in 0..4 {

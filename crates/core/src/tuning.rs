@@ -4,7 +4,7 @@
 //! `lqcd-tune`'s [`Tuner`] is closure-based — it knows nothing about
 //! operators or communicators. This module supplies the closures: a
 //! dslash trial that launches a fresh in-process world per candidate
-//! partition scheme, applies the candidate's [`InteriorPolicy`], times
+//! partition scheme, applies the candidate's interior thread count, times
 //! the real overlapped pipeline (min-of-rounds behind barriers, max
 //! over ranks), and bit-compares one apply against the blocking
 //! reference path; and a GCR-DD trial that times whole preconditioned
@@ -19,7 +19,7 @@
 use crate::drivers::{solve_wilson, WilsonSolve};
 use crate::problem::{StaggeredProblem, WilsonProblem};
 use lqcd_comms::{run_on_grid, Communicator, ThreadedComm};
-use lqcd_dirac::{BoundaryMode, InteriorPolicy, OverlapHost, StaggeredOp, WilsonCloverOp};
+use lqcd_dirac::{BoundaryMode, OverlapHost, StaggeredOp, WilsonCloverOp};
 use lqcd_field::{LatticeField, SiteObject};
 use lqcd_lattice::{Dims, PartitionScheme, ProcessGrid};
 use lqcd_su3::{ColorVector, WilsonSpinor};
@@ -103,7 +103,7 @@ trial_op!(StaggeredOp<f64>, ColorVector<f64>);
 
 /// One dslash micro-trial: launch `param.scheme`'s world, build each
 /// rank's operator and source with `setup`, apply the candidate interior
-/// policy, and measure the real overlapped pipeline. The trial unit is
+/// thread count, and measure the real overlapped pipeline. The trial unit is
 /// one dslash apply; the bitwise guard compares one overlapped apply
 /// against `dslash_sequential` on every rank.
 fn dslash_trial<Op: TrialOp>(
@@ -114,11 +114,10 @@ fn dslash_trial<Op: TrialOp>(
     setup: impl Fn(&mut ThreadedComm, &ProcessGrid) -> Result<(Op, LatticeField<f64, Op::Site>)> + Sync,
 ) -> Result<TrialOutcome> {
     let grid = param.scheme.grid(global, ranks)?;
-    let policy = InteriorPolicy::new(param.interior_threads, param.ghost_order)?;
     let (warmup, rounds, applies) = (tuner.warmup, tuner.rounds, tuner.applies);
     let results = run_on_grid(grid.clone(), |mut comm| -> Result<(f64, bool)> {
         let (op, mut src) = setup(&mut comm, &grid)?;
-        op.set_interior_policy(policy);
+        op.set_interior_threads(param.interior_threads);
         let mut out = op.output(&src);
         let mut reference = op.output(&src);
         op.apply(&mut reference, &mut src, &mut comm, true)?;
@@ -212,8 +211,8 @@ pub fn wilson_gcr_trial(
 /// Everything the two-phase Wilson tune produced.
 #[derive(Clone, Debug)]
 pub struct WilsonTuneOutcome {
-    /// Phase 1: partition scheme / interior threads / ghost completion
-    /// order, decided on dslash micro-trials.
+    /// Phase 1: partition scheme / interior threads, decided on dslash
+    /// micro-trials.
     pub dslash: TuneReport,
     /// Phase 2: `mr_steps` / `n_kv`, decided on whole-solve trials
     /// around the phase-1 winner.
@@ -228,8 +227,8 @@ impl WilsonTuneOutcome {
     }
 }
 
-/// Two-phase Wilson-clover tune: dslash axes first (scheme, threads,
-/// ghost completion order), then the solver axes around that winner.
+/// Two-phase Wilson-clover tune: dslash axes first (scheme, threads),
+/// then the solver axes around that winner.
 /// Each phase consults `cache` first — a warm cache runs zero trials.
 pub fn tune_wilson(
     problem: &WilsonProblem,
@@ -290,7 +289,7 @@ mod tests {
     fn fixed_policy_with_baseline_solver_axes_is_bit_identical() {
         let p = quick_problem();
         // Baseline solver axes (mr 8, kv 16) match WilsonProblem::small,
-        // and thread count / ghost order are scheduling-only — so a
+        // and the thread count is scheduling-only — so a
         // Fixed policy at the baseline point must reproduce the plain
         // driver bit for bit.
         let param = TuneParam::baseline(2);

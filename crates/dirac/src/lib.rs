@@ -26,7 +26,7 @@ pub mod reference;
 pub mod staggered;
 pub mod wilson;
 
-pub use overlap::{DslashCounters, InteriorPolicy, OverlapHost};
+pub use overlap::{DslashCounters, OverlapHost};
 pub use staggered::{StaggeredOp, STAGGERED_DEPTH};
 pub use wilson::{WilsonCloverOp, WILSON_DEPTH};
 

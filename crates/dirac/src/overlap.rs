@@ -1,13 +1,16 @@
 //! The dslash pipeline: its stages, per-operator exchange buffers,
-//! interior worker configuration, and per-apply timing counters.
+//! interior worker count, and per-apply timing counters.
 //!
 //! Both operators run their stencil through the same two drivers,
 //! `dslash` (the overlapped pipeline of the paper's Fig. 4) and
 //! `dslash_sequential` (its blocking baseline); an operator supplies
-//! only its site kernels, as a `Stencil`. What persists between
-//! applies lives behind one `Mutex` per operator so `dslash` can stay
-//! `&self` (operators are shared across solver layers) while buffers and
-//! counters mutate.
+//! only its site kernels, as a `Stencil`. The pipeline has one
+//! schedule: gather and post, run the interior while the exchanges are
+//! in flight, complete the partitioned dimensions in ascending µ, then
+//! run the exteriors in the same order. The interior worker count is
+//! its only knob. What persists between applies lives behind one
+//! `Mutex` per operator so `dslash` can stay `&self` (operators are
+//! shared across solver layers) while buffers and counters mutate.
 
 use crate::exchange::{
     complete_ghost_dim, exchange_ghosts_with, post_ghost_sends, ExchangeBuffers,
@@ -53,79 +56,26 @@ impl DslashCounters {
     }
 }
 
-/// Scheduling policy for the overlapped dslash: how many interior
-/// workers run while the ghost exchange is in flight, and the order in
-/// which partitioned dimensions' exchanges are completed. Every policy
-/// produces bit-identical results — per-dimension ghost zones are
-/// disjoint and the exterior kernels keep their fixed ascending-µ order
-/// (corner accumulation, §6.2) — so these axes are free for the
-/// autotuner to search.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct InteriorPolicy {
-    /// Interior kernel workers (min 1); 1 = run on the calling thread
-    /// (still overlapped: completion happens after the interior).
-    pub threads: usize,
-    /// Permutation of `0..NDIM` giving the ghost-*completion* order.
-    /// Dimensions whose exchange lands first should be completed first;
-    /// the default is ascending.
-    pub ghost_order: [usize; NDIM],
-}
-
-impl InteriorPolicy {
-    /// Validated policy: `threads ≥ 1` and `ghost_order` a permutation
-    /// of the dimensions (structured [`Error::Config`], never a panic).
-    pub fn new(threads: usize, ghost_order: [usize; NDIM]) -> Result<Self> {
-        if threads == 0 {
-            return Err(Error::Config("interior policy: thread count must be >= 1".into()));
-        }
-        let mut seen = [false; NDIM];
-        for &mu in &ghost_order {
-            if mu >= NDIM || seen[mu] {
-                return Err(Error::Config(format!(
-                    "interior policy: ghost order {ghost_order:?} is not a permutation of \
-                     the {NDIM} dimensions"
-                )));
-            }
-            seen[mu] = true;
-        }
-        Ok(InteriorPolicy { threads, ghost_order })
-    }
-
-    /// `threads` workers, ascending completion order.
-    pub fn with_threads(threads: usize) -> Self {
-        InteriorPolicy { threads: threads.max(1), ..Self::default() }
-    }
-}
-
-impl Default for InteriorPolicy {
-    fn default() -> Self {
-        InteriorPolicy { threads: 1, ghost_order: [0, 1, 2, 3] }
-    }
-}
-
 /// Mutable per-operator overlap state (exchange buffers, counters,
-/// scheduling policy), kept behind a `Mutex` on the operator.
+/// interior worker count), kept behind a `Mutex` on the operator.
 pub struct OverlapPipeline<R: Real> {
     /// Persistent exchange staging buffers.
     pub bufs: ExchangeBuffers<R>,
     /// Cumulative apply timings.
     pub counters: DslashCounters,
-    /// Interior/completion scheduling policy.
-    pub policy: InteriorPolicy,
+    /// Interior kernel workers (min 1); 1 = run on the calling thread
+    /// (still overlapped: completion happens after the interior). Every
+    /// count produces bit-identical results.
+    pub threads: usize,
 }
 
 impl<R: Real> OverlapPipeline<R> {
-    /// Fresh state with `threads` interior workers.
+    /// Fresh state with `threads` interior workers (min 1).
     pub fn with_threads(threads: usize) -> Self {
-        Self::with_policy(InteriorPolicy::with_threads(threads))
-    }
-
-    /// Fresh state under `policy`.
-    pub fn with_policy(policy: InteriorPolicy) -> Self {
         OverlapPipeline {
             bufs: ExchangeBuffers::default(),
             counters: DslashCounters::default(),
-            policy,
+            threads: threads.max(1),
         }
     }
 }
@@ -145,27 +95,16 @@ pub trait OverlapHost<R: Real> {
     /// The operator's overlap pipeline state.
     fn overlap_state(&self) -> &Mutex<OverlapPipeline<R>>;
 
-    /// Replace the whole scheduling policy (thread count + ghost
-    /// completion order). Results are bit-identical for every policy;
-    /// this only changes scheduling.
-    fn set_interior_policy(&self, policy: InteriorPolicy) {
-        self.overlap_state().lock().unwrap().policy = policy;
-    }
-
-    /// Current scheduling policy.
-    fn interior_policy(&self) -> InteriorPolicy {
-        self.overlap_state().lock().unwrap().policy
-    }
-
-    /// Set the number of interior-kernel worker threads (min 1),
-    /// keeping the completion order.
+    /// Set the number of interior-kernel worker threads (min 1).
+    /// Results are bit-identical for every count; this only changes
+    /// scheduling.
     fn set_interior_threads(&self, n: usize) {
-        self.overlap_state().lock().unwrap().policy.threads = n.max(1);
+        self.overlap_state().lock().unwrap().threads = n.max(1);
     }
 
     /// Current interior-kernel worker count.
     fn interior_threads(&self) -> usize {
-        self.overlap_state().lock().unwrap().policy.threads
+        self.overlap_state().lock().unwrap().threads
     }
 
     /// Snapshot of the cumulative per-apply timing counters.
@@ -326,10 +265,10 @@ pub(crate) trait Stencil<R: Real>: Sync {
 /// The stencil `out = D src`, pipelined as in the paper's Fig. 4: face
 /// gathers are packed and posted as nonblocking exchanges, the interior
 /// kernel runs while they are in flight (optionally on worker threads —
-/// see [`OverlapHost::set_interior_policy`]), each dimension's ghosts
-/// are completed as they land (in the policy's completion order), and
-/// the exterior kernels run last. Output is bit-identical to
-/// [`dslash_sequential`] for every policy.
+/// see [`OverlapHost::set_interior_threads`]), the partitioned
+/// dimensions' ghosts are completed in ascending µ, and the exterior
+/// kernels run last. Output is bit-identical to [`dslash_sequential`]
+/// for every thread count.
 ///
 /// When tracing, the apply records an `interior` span, an
 /// `exchange_inflight` span (`Full` mode) and one `exterior` span per
@@ -346,7 +285,8 @@ pub(crate) fn dslash<R: Real, St: Stencil<R>, C: Communicator>(
     let traced = trace::is_enabled();
     let apply_t = Instant::now();
     let mut guard = st.state().lock().unwrap();
-    let OverlapPipeline { bufs, counters, policy } = &mut *guard;
+    let OverlapPipeline { bufs, counters, threads } = &mut *guard;
+    let threads = *threads;
     let exchange = mode == BoundaryMode::Full;
 
     // Stage 1: gather faces, pack to wire precision, post sends.
@@ -367,9 +307,12 @@ pub(crate) fn dslash<R: Real, St: Stencil<R>, C: Communicator>(
         let kernel = |chunk: &mut [R], lo_site: usize| {
             st.interior(chunk, lo_site, src_view, out_parity, src_parity);
         };
-        run_overlapped(policy.threads, out.body_mut(), St::Site::REALS, &kernel, || {
+        run_overlapped(threads, out.body_mut(), St::Site::REALS, &kernel, || {
             if exchange {
-                for &mu in &policy.ghost_order {
+                // Every partitioned dimension completes before the first
+                // exterior runs, so the completion order cannot move the
+                // critical path; ascending µ, like the exteriors.
+                for mu in 0..NDIM {
                     if sub.partitioned[mu] {
                         complete_ghost_dim(&mut pending, mu, &mut zones, comm, bufs)?;
                     }
@@ -390,7 +333,7 @@ pub(crate) fn dslash<R: Real, St: Stencil<R>, C: Communicator>(
             "interior",
             post_end_ns,
             post_end_ns + interior_ns,
-            policy.threads as i64,
+            threads as i64,
         );
         if exchange {
             trace::span_at(trace::Track::Comm, "exchange_inflight", post_end_ns, comm_done_ns, 0);

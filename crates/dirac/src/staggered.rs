@@ -55,13 +55,13 @@ pub struct StaggeredOp<R: Real> {
     faces: FaceGeometry,
     /// The sixteen hops and the staggered phases of every site.
     nbrs: Arc<NeighborTable>,
-    /// Exchange buffers, apply counters, scheduling policy.
+    /// Exchange buffers, apply counters, interior worker count.
     overlap: Mutex<OverlapPipeline<R>>,
 }
 
 impl<R: Real> Clone for StaggeredOp<R> {
     fn clone(&self) -> Self {
-        let policy = self.interior_policy();
+        let threads = self.interior_threads();
         StaggeredOp {
             fat: self.fat.clone(),
             long: self.long.clone(),
@@ -69,7 +69,7 @@ impl<R: Real> Clone for StaggeredOp<R> {
             sub: self.sub.clone(),
             faces: self.faces.clone(),
             nbrs: self.nbrs.clone(),
-            overlap: Mutex::new(OverlapPipeline::with_policy(policy)),
+            overlap: Mutex::new(OverlapPipeline::with_threads(threads)),
         }
     }
 }

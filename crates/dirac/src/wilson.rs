@@ -69,15 +69,15 @@ pub struct WilsonCloverOp<R: Real> {
     faces: FaceGeometry,
     /// Nearest-neighbour hops of every site.
     nbrs: Arc<NeighborTable>,
-    /// Exchange buffers, apply counters, scheduling policy.
+    /// Exchange buffers, apply counters, interior worker count.
     overlap: Mutex<OverlapPipeline<R>>,
 }
 
 impl<R: Real> Clone for WilsonCloverOp<R> {
     fn clone(&self) -> Self {
         // Fresh pipeline state (buffers are lazily re-sized; counters
-        // start at zero), same scheduling policy.
-        let policy = self.interior_policy();
+        // start at zero), same interior worker count.
+        let threads = self.interior_threads();
         WilsonCloverOp {
             gauge: self.gauge.clone(),
             clover: self.clover.clone(),
@@ -86,7 +86,7 @@ impl<R: Real> Clone for WilsonCloverOp<R> {
             sub: self.sub.clone(),
             faces: self.faces.clone(),
             nbrs: self.nbrs.clone(),
-            overlap: Mutex::new(OverlapPipeline::with_policy(policy)),
+            overlap: Mutex::new(OverlapPipeline::with_threads(threads)),
         }
     }
 }
@@ -170,9 +170,9 @@ impl<R: Real> WilsonCloverOp<R> {
     /// as in the paper's Fig. 4: face gathers are packed and posted as
     /// nonblocking exchanges, the interior kernel runs while they are in
     /// flight (optionally on worker threads — see
-    /// [`OverlapHost::set_interior_policy`]), each dimension's ghosts
-    /// are completed as they land (in the policy's completion order),
-    /// and the exterior kernels run last.
+    /// [`OverlapHost::set_interior_threads`]), the partitioned
+    /// dimensions' ghosts are completed in ascending µ, and the exterior
+    /// kernels run last.
     ///
     /// `src` is mutable because its ghost zones are refreshed in `Full`
     /// mode. `out` must have the opposite parity of `src`. Output is

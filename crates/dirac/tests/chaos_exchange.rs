@@ -4,7 +4,7 @@
 //! traffic may never change the physics.
 
 use lqcd_comms::{
-    run_world_fallible, CommConfig, Communicator, FaultPlan, FaultRule, FaultyComm, ThreadedComm,
+    run_world_fallible, CommConfig, Communicator, FaultPlan, FaultRule, ThreadedComm,
 };
 use lqcd_dirac::exchange::exchange_ghosts;
 use lqcd_field::LatticeField;
@@ -65,16 +65,8 @@ fn exchanged_ghosts(
 ) -> Vec<(Vec<Vec<f64>>, u64)> {
     let config = CommConfig::resilient();
     let g = grid.clone();
-    let results = match plan {
-        Some(plan) => {
-            let comms = FaultyComm::world(grid.clone(), config, plan);
-            run_world_fallible(comms, move |c| rank_exchange(c, &g, parity, seed))
-        }
-        None => {
-            let comms = ThreadedComm::world_with(grid.clone(), config);
-            run_world_fallible(comms, move |c| rank_exchange(c, &g, parity, seed))
-        }
-    };
+    let comms = ThreadedComm::world_with(grid.clone(), config, plan);
+    let results = run_world_fallible(comms, move |c| rank_exchange(c, &g, parity, seed));
     results
         .into_iter()
         .enumerate()

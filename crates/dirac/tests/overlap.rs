@@ -6,8 +6,8 @@
 //! it may never change the physics.
 
 use lqcd_comms::{
-    run_on_grid, run_world_fallible, CommConfig, Communicator, FaultPlan, FaultRule, FaultyComm,
-    MsgClass, SingleComm, ThreadedComm,
+    run_on_grid, run_world_fallible, CommConfig, Communicator, FaultPlan, FaultRule, MsgClass,
+    SingleComm, ThreadedComm,
 };
 use lqcd_dirac::{
     BoundaryMode, OverlapHost, StaggeredOp, WilsonCloverOp, STAGGERED_DEPTH, WILSON_DEPTH,
@@ -82,43 +82,6 @@ fn diff_bits<R: Real, C: Communicator>(
             .count();
     }
     mismatches
-}
-
-#[test]
-fn ghost_completion_order_is_bit_invariant_and_validated() {
-    use lqcd_dirac::InteriorPolicy;
-
-    // Validation: non-permutations and zero threads are structured
-    // errors, never panics.
-    assert!(InteriorPolicy::new(0, [0, 1, 2, 3]).is_err());
-    assert!(InteriorPolicy::new(1, [0, 0, 2, 3]).is_err());
-    assert!(InteriorPolicy::new(1, [0, 1, 2, 4]).is_err());
-
-    // Every completion order yields bit-identical output: per-dimension
-    // ghost zones are disjoint and the exteriors keep ascending order.
-    let grid = ProcessGrid::new(Dims([1, 1, 2, 2]), GLOBAL).unwrap();
-    let g = grid.clone();
-    let mismatches = run_on_grid(grid, move |mut comm| {
-        let op = build_wilson(&mut comm, &g, SEED);
-        let mut src = fill_source(&op, SEED);
-        let mut out_seq = op.alloc(Parity::Even);
-        op.dslash_sequential(&mut out_seq, &mut src, &mut comm, BoundaryMode::Full).unwrap();
-        let mut bad = 0usize;
-        for order in [[0, 1, 2, 3], [3, 2, 1, 0], [2, 3, 0, 1], [1, 0, 3, 2]] {
-            op.set_interior_policy(InteriorPolicy::new(2, order).unwrap());
-            assert_eq!(op.interior_policy().ghost_order, order);
-            let mut out = op.alloc(Parity::Even);
-            op.dslash(&mut out, &mut src, &mut comm, BoundaryMode::Full).unwrap();
-            bad += out_seq
-                .body()
-                .iter()
-                .zip(out.body())
-                .filter(|(a, b)| a.to_bits() != b.to_bits())
-                .count();
-        }
-        bad
-    });
-    assert_eq!(mismatches.iter().sum::<usize>(), 0);
 }
 
 #[test]
@@ -214,7 +177,7 @@ fn overlapped_bitwise_identical_under_chaos() {
     let grid = ProcessGrid::new(Dims([1, 1, 2, 2]), GLOBAL).unwrap();
     let g = grid.clone();
     let config = CommConfig::resilient();
-    let comms = ThreadedComm::world_with(grid.clone(), config);
+    let comms = ThreadedComm::world_with(grid.clone(), config, None);
     let clean: Vec<Vec<u64>> = run_world_fallible(comms, move |mut comm| {
         let op = build_wilson(&mut comm, &g, SEED + 2);
         let mut src = fill_source(&op, SEED + 2);
@@ -241,7 +204,7 @@ fn overlapped_bitwise_identical_under_chaos() {
                 .with_probability(0.2),
         );
     let g = grid.clone();
-    let comms = FaultyComm::world(grid, config, plan);
+    let comms = ThreadedComm::world_with(grid, config, Some(plan));
     let chaotic: Vec<(Vec<u64>, u64, u64)> = run_world_fallible(comms, move |mut comm| {
         let op = build_wilson(&mut comm, &g, SEED + 2);
         op.set_interior_threads(2);

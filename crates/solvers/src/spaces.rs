@@ -17,8 +17,8 @@ use lqcd_comms::Communicator;
 use lqcd_dirac::staggered::StaggeredField;
 use lqcd_dirac::wilson::SpinorField;
 use lqcd_dirac::{BoundaryMode, StaggeredOp, WilsonCloverOp};
+use lqcd_field::blas;
 use lqcd_field::half::Quantize;
-use lqcd_field::{blas, LatticeField};
 use lqcd_lattice::Parity;
 use lqcd_util::{Complex, Real, Result};
 
@@ -393,13 +393,3 @@ where
 {
     StaggeredOp::new(op.fat.cast::<R2>(), op.long.cast::<R2>(), op.mass)
 }
-
-/// Suppress an unused-import lint for the alias trick above.
-#[allow(unused)]
-fn _alias_check<R: Real>(_: Option<(WilsonSpinorAlias<R>, ColorVectorAlias<R>)>) {}
-
-#[allow(unused_imports)]
-use lqcd_lattice as _lattice_field_unused;
-
-#[allow(dead_code)]
-fn _keep_latticefield_import<R: Real>(_: Option<LatticeField<R, WilsonSpinorAlias<R>>>) {}

@@ -5,8 +5,7 @@
 //! retries as a timeout) — never hang, never silently corrupt.
 
 use lqcd_comms::{
-    run_world_fallible, CommConfig, Communicator, FaultPlan, FaultRule, FaultyComm, MsgClass,
-    ThreadedComm,
+    run_world_fallible, CommConfig, Communicator, FaultPlan, FaultRule, MsgClass, ThreadedComm,
 };
 use lqcd_dirac::{WilsonCloverOp, WILSON_DEPTH};
 use lqcd_gauge::clover_build::build_clover_field;
@@ -87,16 +86,8 @@ fn run_solves(
 ) -> Vec<Result<Result<(SolveStats, f64, u64)>>> {
     let g = grid();
     let g2 = g.clone();
-    match plan {
-        Some(plan) => {
-            let comms = FaultyComm::world(g.clone(), config, plan);
-            run_world_fallible(comms, move |c| gcr_dd_solve(c, &g2))
-        }
-        None => {
-            let comms = ThreadedComm::world_with(g.clone(), config);
-            run_world_fallible(comms, move |c| gcr_dd_solve(c, &g2))
-        }
-    }
+    let comms = ThreadedComm::world_with(g.clone(), config, plan);
+    run_world_fallible(comms, move |c| gcr_dd_solve(c, &g2))
 }
 
 /// Drop, duplicate, delay, and short stalls are absorbed by the ARQ

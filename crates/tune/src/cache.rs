@@ -14,7 +14,7 @@
 
 use crate::key::TuneKey;
 use crate::param::{LadderChoice, TuneParam};
-use lqcd_lattice::{PartitionScheme, NDIM};
+use lqcd_lattice::PartitionScheme;
 use lqcd_util::checksum::crc64;
 use lqcd_util::{Error, Result};
 use serde::{Deserialize, Serialize};
@@ -27,8 +27,9 @@ pub const MAGIC: &str = "LQTUNE01";
 
 /// Current cache format version. Bumping it invalidates every cache on
 /// disk (they reload as empty → retune), which is the upgrade path when
-/// the parameter space or trial methodology changes incompatibly.
-pub const VERSION: u32 = 1;
+/// the parameter space or trial methodology changes incompatibly
+/// (version 2 dropped the ghost-completion-order axis).
+pub const VERSION: u32 = 2;
 
 /// One cached tuning outcome: the winning parameter point plus the
 /// measurements that justified it.
@@ -113,21 +114,13 @@ fn param_from_value(v: &Value, what: &Path) -> Result<TuneParam> {
         .into_iter()
         .find(|l| l.label().eq_ignore_ascii_case(&ladder_name))
         .ok_or_else(|| corrupt(what, format!("unknown ladder '{ladder_name}'")))?;
-    let order_v = field(v, "ghost_order", what)?
-        .as_array()
-        .ok_or_else(|| corrupt(what, "ghost_order is not an array"))?;
-    if order_v.len() != NDIM {
-        return Err(corrupt(what, format!("ghost_order has {} entries", order_v.len())));
-    }
-    let mut ghost_order = [0usize; NDIM];
-    for (slot, item) in ghost_order.iter_mut().zip(order_v) {
-        let d = item.as_i64().ok_or_else(|| corrupt(what, "ghost_order entry not an integer"))?;
-        *slot = usize::try_from(d).map_err(|_| corrupt(what, "ghost_order entry negative"))?;
+    let interior_threads = field_usize(v, "interior_threads", what)?;
+    if interior_threads == 0 {
+        return Err(corrupt(what, "interior_threads is 0"));
     }
     Ok(TuneParam {
         scheme,
-        interior_threads: field_usize(v, "interior_threads", what)?,
-        ghost_order,
+        interior_threads,
         mr_steps: field_usize(v, "mr_steps", what)?,
         n_kv: field_usize(v, "n_kv", what)?,
         ladder,

@@ -3,8 +3,7 @@
 //! The paper's throughput hinges on execution parameters the rest of
 //! the workspace exposes but hardcodes: which dimensions to partition
 //! ([`PartitionScheme`]), how many interior workers overlap the ghost
-//! exchange, the order exchanges are completed in, the Schwarz block
-//! work (`mr_steps`), the GCR restart length `n_kv`, and the precision
+//! exchange, the Schwarz block work (`mr_steps`), the GCR restart length `n_kv`, and the precision
 //! ladder. Its QUDA lineage (arXiv:1011.0024) made *measured*
 //! autotuning with a persistent cache a core library feature; this
 //! crate is that subsystem:

@@ -1,6 +1,6 @@
 //! The tunable parameter space.
 
-use lqcd_lattice::{PartitionScheme, NDIM};
+use lqcd_lattice::PartitionScheme;
 use lqcd_util::checksum::crc64;
 use serde::{Deserialize, Serialize};
 
@@ -57,9 +57,6 @@ pub struct TuneParam {
     pub scheme: PartitionScheme,
     /// Interior-kernel worker threads overlapping the exchange.
     pub interior_threads: usize,
-    /// Ghost-exchange *completion* order (a permutation of the
-    /// dimensions; results are bit-identical for every order).
-    pub ghost_order: [usize; NDIM],
     /// MR smoother steps inside each Schwarz block.
     pub mr_steps: usize,
     /// GCR restart length (`n_kv` in the paper, `GcrParams::kmax` here).
@@ -70,13 +67,12 @@ pub struct TuneParam {
 
 impl TuneParam {
     /// The workspace's historical hardcoded configuration: ZT
-    /// partitioning, ascending completion, 8 MR steps, `n_kv` = 16,
+    /// partitioning, 8 MR steps, `n_kv` = 16,
     /// full double precision.
     pub fn baseline(interior_threads: usize) -> Self {
         TuneParam {
             scheme: PartitionScheme::ZT,
             interior_threads: interior_threads.max(1),
-            ghost_order: [0, 1, 2, 3],
             mr_steps: 8,
             n_kv: 16,
             ladder: LadderChoice::Double,
@@ -84,14 +80,12 @@ impl TuneParam {
     }
 
     /// Compact human-readable identity, e.g.
-    /// `XYZT t2 g3210 mr8 kv16 double`.
+    /// `XYZT t2 mr8 kv16 double`.
     pub fn label(&self) -> String {
-        let order: String = self.ghost_order.iter().map(|d| d.to_string()).collect();
         format!(
-            "{} t{} g{} mr{} kv{} {}",
+            "{} t{} mr{} kv{} {}",
             self.scheme.label(),
             self.interior_threads,
-            order,
             self.mr_steps,
             self.n_kv,
             self.ladder.label()
@@ -114,8 +108,6 @@ pub struct TuneSpace {
     pub schemes: Vec<PartitionScheme>,
     /// Interior worker counts to try.
     pub threads: Vec<usize>,
-    /// Ghost completion orders to try.
-    pub ghost_orders: Vec<[usize; NDIM]>,
     /// Schwarz MR step counts to try.
     pub mr_steps: Vec<usize>,
     /// GCR restart lengths to try.
@@ -126,8 +118,8 @@ pub struct TuneSpace {
 
 impl TuneSpace {
     /// The dslash-level space around a baseline: every partition scheme,
-    /// worker counts up to `max_threads` (powers of two), ascending and
-    /// descending completion orders. Solver axes stay at the baseline.
+    /// worker counts up to `max_threads` (powers of two). Solver axes
+    /// stay at the baseline.
     pub fn dslash(baseline: &TuneParam, max_threads: usize) -> Self {
         let mut threads = vec![1usize];
         let mut t = 2;
@@ -138,7 +130,6 @@ impl TuneSpace {
         TuneSpace {
             schemes: PartitionScheme::ALL.to_vec(),
             threads,
-            ghost_orders: vec![[0, 1, 2, 3], [3, 2, 1, 0]],
             mr_steps: vec![baseline.mr_steps],
             n_kv: vec![baseline.n_kv],
             ladders: vec![baseline.ladder],
@@ -151,7 +142,6 @@ impl TuneSpace {
         TuneSpace {
             schemes: vec![baseline.scheme],
             threads: vec![baseline.interior_threads],
-            ghost_orders: vec![baseline.ghost_order],
             mr_steps: vec![4, 8, 12],
             n_kv: vec![8, 16, 24],
             ladders: vec![baseline.ladder],
@@ -163,19 +153,16 @@ impl TuneSpace {
         let mut out = Vec::new();
         for &scheme in &self.schemes {
             for &interior_threads in &self.threads {
-                for &ghost_order in &self.ghost_orders {
-                    for &mr_steps in &self.mr_steps {
-                        for &n_kv in &self.n_kv {
-                            for &ladder in &self.ladders {
-                                out.push(TuneParam {
-                                    scheme,
-                                    interior_threads,
-                                    ghost_order,
-                                    mr_steps,
-                                    n_kv,
-                                    ladder,
-                                });
-                            }
+                for &mr_steps in &self.mr_steps {
+                    for &n_kv in &self.n_kv {
+                        for &ladder in &self.ladders {
+                            out.push(TuneParam {
+                                scheme,
+                                interior_threads,
+                                mr_steps,
+                                n_kv,
+                                ladder,
+                            });
                         }
                     }
                 }
@@ -192,9 +179,9 @@ mod tests {
     #[test]
     fn labels_and_fingerprints_are_stable_and_distinct() {
         let a = TuneParam::baseline(2);
-        assert_eq!(a.label(), "ZT t2 g0123 mr8 kv16 double");
+        assert_eq!(a.label(), "ZT t2 mr8 kv16 double");
         let mut b = a;
-        b.ghost_order = [3, 2, 1, 0];
+        b.interior_threads = 4;
         assert_ne!(a.fingerprint(), b.fingerprint());
         assert_eq!(a.fingerprint(), TuneParam::baseline(2).fingerprint());
         assert_ne!(a.fingerprint(), 0);
@@ -204,8 +191,8 @@ mod tests {
     fn spaces_enumerate_the_cartesian_product() {
         let base = TuneParam::baseline(1);
         let space = TuneSpace::dslash(&base, 4);
-        // 4 schemes × {1,2,4} threads × 2 orders.
-        assert_eq!(space.enumerate().len(), 4 * 3 * 2);
+        // 4 schemes × {1,2,4} threads.
+        assert_eq!(space.enumerate().len(), 4 * 3);
         assert!(space.enumerate().contains(&TuneParam::baseline(1)));
         let solver = TuneSpace::solver(&base);
         assert_eq!(solver.enumerate().len(), 9);

@@ -135,9 +135,8 @@ impl Tuner {
     /// simulate the Fig. 4 pipeline on the candidate's partition
     /// geometry. `None` when the scheme cannot factor the rank count
     /// over the global volume — such candidates are unrunnable and are
-    /// always pruned. Candidates differing only in thread count or
-    /// completion order share a prior; the measured trials decide
-    /// between them.
+    /// always pruned. Candidates differing only in thread count share a
+    /// prior; the measured trials decide between them.
     pub fn model_prior_us(key: &TuneKey, param: &TuneParam) -> Option<f64> {
         let grid = param.scheme.grid(key.global_dims(), key.ranks).ok()?;
         let kind = if key.operator.contains("staggered") || key.operator.contains("asqtad") {

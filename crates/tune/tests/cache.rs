@@ -4,6 +4,7 @@
 //! never a silent stale hit.
 
 use lqcd_lattice::{Dims, PartitionScheme};
+use lqcd_tune::cache::VERSION;
 use lqcd_tune::{LadderChoice, TuneCache, TuneDecision, TuneKey, TuneParam};
 use lqcd_util::Error;
 use std::path::PathBuf;
@@ -24,7 +25,6 @@ fn sample_decision(scheme: PartitionScheme, tuned_us: f64) -> TuneDecision {
         param: TuneParam {
             scheme,
             interior_threads: 2,
-            ghost_order: [3, 2, 1, 0],
             mr_steps: 8,
             n_kv: 16,
             ladder: LadderChoice::Double,
@@ -53,7 +53,7 @@ fn round_trip_reloads_identical_decisions() {
     // Full float fidelity survives the JSON round trip.
     let d = back.lookup(&sample_key(4)).unwrap();
     assert_eq!(d.tuned_us.to_bits(), 12.5f64.to_bits());
-    assert_eq!(d.param.ghost_order, [3, 2, 1, 0]);
+    assert_eq!(d.param.interior_threads, 2);
 }
 
 #[test]
@@ -127,9 +127,33 @@ fn bad_magic_is_corrupt_but_stale_version_retunes() {
 
     // A *valid* file of a different version is the documented
     // invalidation rule: reads as empty (forcing a retune), not corrupt.
-    std::fs::write(&path, text.replace("\"version\": 1", "\"version\": 999")).unwrap();
+    let version = format!("\"version\": {VERSION}");
+    assert!(text.contains(&version), "the file names its version");
+    std::fs::write(&path, text.replace(&version, "\"version\": 999")).unwrap();
     let stale = TuneCache::open(&path).unwrap();
     assert!(stale.is_empty());
+    // So does a file of the previous version.
+    std::fs::write(&path, text.replace(&version, &format!("\"version\": {}", VERSION - 1)))
+        .unwrap();
+    assert!(TuneCache::open(&path).unwrap().is_empty());
+}
+
+#[test]
+fn zero_interior_threads_is_structured_corruption() {
+    // The thread count enters from the file here, so this is where a 0
+    // is refused: a CRC-valid file that names 0 threads is corrupt.
+    let path = tmpdir("zero-threads").join("cache.json");
+    let mut cache = TuneCache::empty(&path);
+    let mut zero = sample_decision(PartitionScheme::ZT, 12.5);
+    zero.param.interior_threads = 0;
+    cache.insert(&sample_key(4), zero);
+    match cache.save() {
+        Err(Error::Corrupt { detail, .. }) => {
+            assert!(detail.contains("interior_threads"), "{detail}")
+        }
+        other => panic!("saving a 0-thread decision gave {other:?}"),
+    }
+    assert!(matches!(TuneCache::open(&path), Ok(c) if c.is_empty()), "nothing was written");
 }
 
 #[test]

@@ -42,7 +42,7 @@ pub use lqcd_util as util;
 pub mod prelude {
     pub use lqcd_comms::{
         run_on_grid, run_on_grid_fallible, run_world_fallible, CommConfig, Communicator, FaultPlan,
-        FaultRule, FaultyComm, MsgClass, SharedComm, SingleComm, ThreadedComm,
+        FaultRule, MsgClass, SharedComm, SingleComm, ThreadedComm,
     };
     pub use lqcd_core::{
         solve_staggered, solve_wilson, tune_wilson, StaggeredProblem, SupervisorConfig,
