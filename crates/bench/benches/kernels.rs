@@ -46,31 +46,73 @@ fn su3_algebra(c: &mut Criterion) {
             })
         });
     }
-    // One Wilson backward hop on flat reals: `acc + (1 + γ_t) ⊗ U†`
-    // applied to ψ (SSE2).
+    // One Wilson backward hop on flat reals, `acc + (1 + γ_t) ⊗ U†`
+    // applied to ψ: one site per call (SSE2), and two sites per call (AVX2,
+    // where the CPU has it) through the `#[target_feature]` entry the
+    // operators use.
     #[cfg(target_arch = "x86_64")]
     {
-        use lqcd_su3::kernels::SpinorAcc;
+        use lqcd_su3::kernels::{Avx2, LaneWidth, SpinorAcc, Sse2, Width, WidthLoop, WilsonLanes};
         use lqcd_su3::Projector;
-        let u = a.to_reals();
-        let psi = WilsonSpinor::<f64>::random(&mut rng);
-        let psi: [f64; 24] = std::array::from_fn(|k| {
-            let z = psi.s[k / 6].c[k % 6 / 2];
-            if k % 2 == 0 {
-                z.re
-            } else {
-                z.im
+        use lqcd_util::Real;
+
+        /// `acc = 0 + hop(ψ_k, U_k)` at every site of one call.
+        struct Hop<'a, R> {
+            psi: &'a [[R; 24]; 2],
+            u: &'a [[R; 18]; 2],
+            out: &'a mut [R; 48],
+        }
+
+        impl<R: Real + WilsonLanes> WidthLoop for Hop<'_, R> {
+            type Output = ();
+
+            #[inline(always)]
+            fn run<W: LaneWidth>(self, w: W) {
+                let mut acc = SpinorAcc::zero(w);
+                let proj = Projector { mu: 3, plus: true };
+                acc.hop(proj, true, W::sites(|k| &self.psi[k]), W::sites(|k| &self.u[k]));
+                acc.store(W::split_mut(self.out));
             }
-        });
-        g.bench_function("wilson_hop_f64", |bch| {
-            bch.iter(|| {
-                let mut acc = SpinorAcc::zero();
-                acc.hop(Projector { mu: 3, plus: true }, true, black_box(&psi), black_box(&u));
-                let mut out = [0.0; 24];
-                acc.store(&mut out);
-                black_box(out)
-            })
-        });
+        }
+
+        fn rows<R: Real + WilsonLanes>(
+            name: &str,
+            g: &mut criterion::BenchmarkGroup<'_>,
+            rng: &mut impl rand::Rng,
+        ) {
+            let psi: [[R; 24]; 2] = std::array::from_fn(|_| {
+                let s = WilsonSpinor::<f64>::random(rng).cast::<R>();
+                std::array::from_fn(|k| {
+                    let z = s.s[k / 6].c[k % 6 / 2];
+                    if k % 2 == 0 {
+                        z.re
+                    } else {
+                        z.im
+                    }
+                })
+            });
+            let u: [[R; 18]; 2] =
+                std::array::from_fn(|_| Su3::<f64>::random(rng).cast::<R>().to_reals());
+            let mut out = [R::ZERO; 48];
+            g.bench_function(&format!("wilson_hop_{name}"), |bch| {
+                bch.iter(|| {
+                    Sse2.run(Hop { psi: black_box(&psi), u: black_box(&u), out: &mut out });
+                    black_box(&out);
+                })
+            });
+            if let Some(avx2) = Avx2::detect() {
+                let width = Width::Avx2(avx2);
+                g.bench_function(&format!("wilson_hop_{name}_two_sites"), |bch| {
+                    bch.iter(|| {
+                        width.run(Hop { psi: black_box(&psi), u: black_box(&u), out: &mut out });
+                        black_box(&out);
+                    })
+                });
+            }
+        }
+
+        rows::<f32>("f32", &mut g, &mut rng);
+        rows::<f64>("f64", &mut g, &mut rng);
     }
     g.finish();
 }
@@ -123,7 +165,7 @@ fn wilson_dslash(c: &mut Criterion) {
     g.bench_function("clover_t_apply", |bch| bch.iter(|| op.t_apply(&mut t, &src)));
 
     // Single precision on one rank's volume of the GCR-DD workload: the
-    // SSE2 site kernels.
+    // SIMD site kernels at the widest width the CPU runs.
     let global = Dims([16, 8, 8, 8]);
     let sub = Arc::new(SubLattice::single(global).unwrap());
     let faces = FaceGeometry::new(&sub, WILSON_DEPTH).unwrap();
@@ -162,7 +204,7 @@ fn wilson_dslash(c: &mut Criterion) {
     });
 
     // Double precision on one rank's volume of the BiCGstab workload
-    // (8×8×8×8 on two ranks along T): the f64 SSE2 site kernels.
+    // (8×8×8×8 on two ranks along T): the f64 SIMD site kernels.
     let global = Dims([8, 8, 8, 4]);
     let sub = Arc::new(SubLattice::single(global).unwrap());
     let faces = FaceGeometry::new(&sub, WILSON_DEPTH).unwrap();

@@ -110,8 +110,9 @@ fn main() {
     let mut metrics = MetricsRegistry::new();
 
     println!(
-        "lqcd-tune — Wilson-clover on {:?}, {RANKS} ranks, thread axis ≤ {max_threads}",
-        p.global.0
+        "lqcd-tune — Wilson-clover on {:?}, {RANKS} ranks, thread axis ≤ {}",
+        p.global.0,
+        max_threads.min(tuning::interior_thread_cap(RANKS))
     );
     println!("cache: {} ({} prior decisions)\n", cache_path.display(), cache.len());
 

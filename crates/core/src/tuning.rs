@@ -227,8 +227,23 @@ impl WilsonTuneOutcome {
     }
 }
 
+/// The most interior workers one of `ranks` co-resident ranks can run
+/// without oversubscribing the host: its share of the cores,
+/// `max(1, cores / ranks)`.
+pub fn interior_thread_cap(ranks: usize) -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    (cores / ranks.max(1)).max(1)
+}
+
+/// The dslash-phase tuner of a `ranks`-rank world: the thread axis goes
+/// up to `max_threads`, but no further than [`interior_thread_cap`].
+fn dslash_tuner(ranks: usize, max_threads: usize) -> Tuner {
+    Tuner::dslash(TuneParam::baseline(1), max_threads.min(interior_thread_cap(ranks)))
+}
+
 /// Two-phase Wilson-clover tune: dslash axes first (scheme, threads),
-/// then the solver axes around that winner.
+/// then the solver axes around that winner. The thread axis stops at
+/// each rank's share of the host's cores ([`interior_thread_cap`]).
 /// Each phase consults `cache` first — a warm cache runs zero trials.
 pub fn tune_wilson(
     problem: &WilsonProblem,
@@ -237,8 +252,7 @@ pub fn tune_wilson(
     cache: &mut TuneCache,
     metrics: &mut MetricsRegistry,
 ) -> Result<WilsonTuneOutcome> {
-    let baseline = TuneParam::baseline(1);
-    let dslash_tuner = Tuner::dslash(baseline, max_threads);
+    let dslash_tuner = dslash_tuner(ranks, max_threads);
     let dslash =
         dslash_tuner.tune(&wilson_dslash_key(problem, ranks), cache, metrics, |param| {
             wilson_dslash_trial(problem, ranks, &dslash_tuner, param)
@@ -315,6 +329,20 @@ mod tests {
         for out in [wilson, asqtad] {
             assert!(out.bit_identical, "overlap must stay bit-identical to the reference");
             assert!(out.secs_per_unit > 0.0 && out.secs_per_unit.is_finite());
+        }
+    }
+
+    #[test]
+    fn thread_axis_stops_at_the_rank_core_share() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(interior_thread_cap(1), cores);
+        assert_eq!(interior_thread_cap(2 * cores), 1);
+        for ranks in [1, 2, 4, 16] {
+            let cap = interior_thread_cap(ranks);
+            assert!(cap >= 1 && cap * ranks <= cores.max(ranks));
+            let threads = dslash_tuner(ranks, 64).space.threads;
+            assert!(threads.iter().all(|&t| t <= cap), "{ranks} ranks: {threads:?} past {cap}");
+            assert!(threads.contains(&1));
         }
     }
 

@@ -1,14 +1,20 @@
 //! Safe selection of an operator's SIMD site kernels, and flat site
 //! access for them.
 //!
-//! The operators are generic over `R: Real`, but the SSE2 kernel sets
+//! The operators are generic over `R: Real`, but the SIMD kernel sets
 //! serve fixed precisions: f32 and f64 for Wilson-clover, f64 for
 //! asqtad. Every public entry point runs its body through
 //! [`with_kernels!`]: when the operator is one of the concrete types the
 //! fast kernels serve, an `Any` downcast re-binds the operator and the
-//! listed fields at that type and the body runs with `kernels::Sse2`;
-//! otherwise it runs with `kernels::Generic`. No signature changes and no
-//! `unsafe`.
+//! listed fields at that type and the body runs with the kernels
+//! `kernels::fast(op)` returns; otherwise it runs with `kernels::Generic`.
+//! No signature changes and no `unsafe`.
+//!
+//! SSE2 is part of the x86_64 baseline. The Wilson-clover kernels also
+//! run two sites per AVX2 register: each operator detects the widest lane
+//! width once, when it is built (`is_x86_feature_detected!`), and its
+//! fast kernels carry that width into `#[target_feature]` site loops.
+//! The asqtad kernels run SSE2 only.
 
 /// A reference re-bound at the concrete type it is known to have.
 #[cfg(target_arch = "x86_64")]
@@ -36,7 +42,7 @@ impl<'a, X: std::any::Any, T: std::any::Any> Retype<&'a T> for &'a X {
 
 /// Run `$body` with `$op` the operator and `$k` its site kernels. On
 /// x86_64 an operator of one of the types `$fast` (separated by `|`)
-/// takes `kernels::Sse2`, with the fields listed in `[..]` re-bound at
+/// takes `kernels::fast($op)`, with the fields listed in `[..]` re-bound at
 /// their concrete types (the body `return`s from the enclosing method);
 /// everything else takes `kernels::Generic`. Both paths name the
 /// `kernels` module in scope at the call site.
@@ -45,7 +51,7 @@ macro_rules! with_kernels {
         #[cfg(target_arch = "x86_64")]
         if let Some($op) = ($self as &dyn std::any::Any).downcast_ref::<$fast>() {
             $(let $field = $crate::dispatch::Retype::retype($field);)*
-            let $k = kernels::Sse2;
+            let $k = kernels::fast($op);
             return $body;
         }
     };

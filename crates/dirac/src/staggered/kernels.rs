@@ -145,6 +145,12 @@ impl<R: Real> SiteKernels<R> for Generic {
 #[derive(Clone, Copy)]
 pub(super) struct Sse2;
 
+/// The SSE2 kernels, for every f64 operator.
+#[cfg(target_arch = "x86_64")]
+pub(super) fn fast(_: &StaggeredOp<f64>) -> Sse2 {
+    Sse2
+}
+
 #[cfg(target_arch = "x86_64")]
 impl SiteKernels<f64> for Sse2 {
     fn interior(

@@ -11,15 +11,15 @@
 //! `M̂_oo = T_oo − (1/16) D̂_oe T_ee⁻¹ D̂_eo` (§3.1).
 //!
 //! The per-site work runs through `kernels::SiteKernels`: on x86_64 an
-//! f32 or f64 operator takes bit-identical SSE2 kernels (chosen by a safe
+//! f32 or f64 operator takes bit-identical SIMD kernels (chosen by a safe
 //! `Any` downcast of the operator and its fields, so every signature
-//! stays generic over `R: Real`); everything else takes the generic
-//! per-site code, which is also the oracle the kernels are tested
-//! against.
+//! stays generic over `R: Real`) at the lane width it picked when it was
+//! built; everything else takes the generic per-site code, which is also
+//! the oracle the kernels are tested against.
 
 mod kernels;
 
-use crate::dispatch::{site, site_mut, with_kernels};
+use crate::dispatch::with_kernels;
 use crate::overlap::{self, OverlapHost, OverlapPipeline, Stencil};
 use crate::BoundaryMode;
 use kernels::SiteKernels;
@@ -27,6 +27,8 @@ use lqcd_comms::Communicator;
 use lqcd_field::{BodyView, LatticeField};
 use lqcd_gauge::GaugeField;
 use lqcd_lattice::{FaceGeometry, NeighborTable, Parity, SubLattice};
+#[cfg(target_arch = "x86_64")]
+use lqcd_su3::kernels::Width;
 use lqcd_su3::{CloverSite, WilsonSpinor};
 use lqcd_util::{Error, Real, Result};
 use std::sync::{Arc, Mutex};
@@ -71,6 +73,9 @@ pub struct WilsonCloverOp<R: Real> {
     nbrs: Arc<NeighborTable>,
     /// Exchange buffers, apply counters, interior worker count.
     overlap: Mutex<OverlapPipeline<R>>,
+    /// The lane width of the SIMD site kernels: the widest the CPU runs.
+    #[cfg(target_arch = "x86_64")]
+    width: Width,
 }
 
 impl<R: Real> Clone for WilsonCloverOp<R> {
@@ -87,6 +92,8 @@ impl<R: Real> Clone for WilsonCloverOp<R> {
             faces: self.faces.clone(),
             nbrs: self.nbrs.clone(),
             overlap: Mutex::new(OverlapPipeline::with_threads(threads)),
+            #[cfg(target_arch = "x86_64")]
+            width: self.width,
         }
     }
 }
@@ -121,7 +128,15 @@ impl<R: Real> WilsonCloverOp<R> {
             faces,
             nbrs,
             overlap: Mutex::new(OverlapPipeline::default()),
+            #[cfg(target_arch = "x86_64")]
+            width: Width::detect(),
         })
+    }
+
+    /// Run the SIMD site kernels at `width` instead of the detected one.
+    #[cfg(all(test, target_arch = "x86_64"))]
+    pub(crate) fn force_width(&mut self, width: Width) {
+        self.width = width;
     }
 
     /// The subvolume the operator acts on.
@@ -266,27 +281,7 @@ impl<R: Real> WilsonCloverOp<R> {
             Diag::TInv | Diag::TInvOf(_) => self.t_inv_field(p)?.body(),
             Diag::T | Diag::TPlus(_) => &[],
         };
-        let sites = out.body_mut().chunks_exact_mut(SPINOR).zip(src.body().chunks_exact(SPINOR));
-        for (idx, (o, s)) in sites.enumerate() {
-            let (o, s) = (site_mut(o, 0), site(s, 0));
-            match pass {
-                Diag::T => k.t(self, p, idx, s, o),
-                Diag::TPlus(c) => {
-                    let c = R::from_f64(c);
-                    let mut t = [R::ZERO; SPINOR];
-                    k.t(self, p, idx, s, &mut t);
-                    for (o, t) in o.iter_mut().zip(t) {
-                        *o = t + *o * c;
-                    }
-                }
-                Diag::TInv => k.t_inv(site(t_inv, idx), s, o),
-                Diag::TInvOf(c) => {
-                    let c = R::from_f64(c);
-                    let y = std::array::from_fn(|i| o[i] * c + s[i]);
-                    k.t_inv(site(t_inv, idx), &y, o);
-                }
-            }
-        }
+        k.diag(self, p, pass, t_inv, out.body_mut(), src.body());
         Ok(())
     }
 

@@ -1,10 +1,13 @@
-//! Operator-level bit identity of the SSE2 site kernels: every entry
+//! Operator-level bit identity of the SIMD site kernels: every entry
 //! point — `dslash` and `dslash_sequential` (Full and Dirichlet),
 //! `t_apply`, `t_inv_apply`, `apply_eo_prec`, `apply_full` and
 //! `reconstruct_even` — in f32 and f64 against the same pass run through
-//! the generic per-site kernels, with and without clover, on an
-//! unpartitioned lattice, on two ranks split along T and on a 1×1×2×2
-//! grid, with one and two interior threads.
+//! the generic per-site kernels, at every lane width the CPU supports,
+//! with and without clover, on an unpartitioned lattice, on two ranks
+//! split along T, on a 1×1×2×2 grid and on two ranks split along X (where
+//! neighbouring sites differ in their ghost hops, so the wide loops fall
+//! back to one site), with one, two and three interior threads (three
+//! start chunks on odd sites).
 
 use super::kernels::Generic;
 use super::*;
@@ -12,6 +15,8 @@ use lqcd_comms::{run_on_grid, SingleComm};
 use lqcd_field::blas;
 use lqcd_gauge::field::GaugeStart;
 use lqcd_lattice::{Dims, ProcessGrid};
+#[cfg(target_arch = "x86_64")]
+use lqcd_su3::kernels::Width;
 use lqcd_util::rng::SeedTree;
 
 const GLOBAL: Dims = Dims([4, 4, 4, 8]);
@@ -34,8 +39,13 @@ fn build_op<R: Real, C: Communicator>(
     let sub = Arc::new(SubLattice::for_rank(grid, comm.rank()));
     let faces = FaceGeometry::new(&sub, WILSON_DEPTH).unwrap();
     let seed = SeedTree::new(2026);
-    let mut gauge =
-        GaugeField::<R>::generate(sub.clone(), &faces, GLOBAL, &seed, GaugeStart::Disordered(0.3));
+    let mut gauge = GaugeField::<R>::generate(
+        sub.clone(),
+        &faces,
+        grid.global,
+        &seed,
+        GaugeStart::Disordered(0.3),
+    );
     gauge.exchange_ghosts(comm, &faces).unwrap();
     let clover = clover.then(|| {
         let mut rng = seed.child("clover").stream(comm.rank() as u64);
@@ -116,25 +126,42 @@ fn mismatches<R: Real, C: Communicator>(op: &WilsonCloverOp<R>, comm: &mut C) ->
     bad
 }
 
-/// Every entry point in precision `R` on process grid `dims`, with and
-/// without clover, with 1 and 2 interior threads; returns the mismatches
-/// of every rank.
-fn grid_mismatches<R: Real>(dims: [usize; 4]) -> Vec<String> {
-    let grid = ProcessGrid::new(Dims(dims), GLOBAL).unwrap();
+/// Run `f` with `op` at every lane width the CPU supports, naming the
+/// width (once with the operator's own kernels off x86_64).
+fn at_every_width<R: Real>(
+    op: &mut WilsonCloverOp<R>,
+    mut f: impl FnMut(&WilsonCloverOp<R>, &str),
+) {
+    #[cfg(target_arch = "x86_64")]
+    for width in Width::supported() {
+        op.force_width(width);
+        f(op, &format!("{width:?}"));
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    f(op, "generic");
+}
+
+/// Every entry point in precision `R` on process grid `dims` over
+/// `global`, at every lane width, with and without clover, with 1, 2 and
+/// 3 interior threads; returns the mismatches of every rank.
+fn grid_mismatches<R: Real>(global: Dims, dims: [usize; 4]) -> Vec<String> {
+    let grid = ProcessGrid::new(Dims(dims), global).unwrap();
     let per_rank = run_on_grid(grid.clone(), move |mut comm| {
         let mut bad = Vec::new();
         for clover in [true, false] {
-            let op = build_op::<R, _>(&mut comm, &grid, clover);
-            for threads in [1, 2] {
-                op.set_interior_threads(threads);
-                for name in mismatches(&op, &mut comm) {
-                    bad.push(format!(
-                        "{}, rank {}: clover {clover}, {threads} threads: {name}",
-                        R::NAME,
-                        comm.rank()
-                    ));
+            let mut op = build_op::<R, _>(&mut comm, &grid, clover);
+            at_every_width(&mut op, |op, width| {
+                for threads in [1, 2, 3] {
+                    op.set_interior_threads(threads);
+                    for name in mismatches(op, &mut comm) {
+                        bad.push(format!(
+                            "{}, rank {}, {width}: clover {clover}, {threads} threads: {name}",
+                            R::NAME,
+                            comm.rank()
+                        ));
+                    }
                 }
-            }
+            });
         }
         bad
     });
@@ -142,46 +169,82 @@ fn grid_mismatches<R: Real>(dims: [usize; 4]) -> Vec<String> {
 }
 
 #[test]
-fn dispatch_picks_sse2_for_both_precisions() {
+fn dispatch_picks_the_widest_detected_width() {
     let grid = ProcessGrid::new(Dims([1, 1, 1, 1]), GLOBAL).unwrap();
     let mut comm = SingleComm::new(GLOBAL).unwrap();
-    let want = if cfg!(target_arch = "x86_64") { "Sse2" } else { "Generic" };
+    let want = if cfg!(target_arch = "x86_64") { "Simd" } else { "Generic" };
     for clover in [true, false] {
         let op = build_op::<f32, _>(&mut comm, &grid, clover);
         assert!(op.kernels_name().ends_with(want), "{}", op.kernels_name());
         let op64 = build_op::<f64, _>(&mut comm, &grid, clover);
         assert!(op64.kernels_name().ends_with(want), "{}", op64.kernels_name());
+        // The widest width the CPU supports: AVX2 where it exists.
+        #[cfg(target_arch = "x86_64")]
+        for width in [op.width, op64.width] {
+            assert_eq!(matches!(width, Width::Avx2(_)), is_x86_feature_detected!("avx2"));
+        }
     }
 }
 
 #[test]
 fn unpartitioned_f32_entry_points_match_generic_bitwise() {
-    let bad = grid_mismatches::<f32>([1, 1, 1, 1]);
+    let bad = grid_mismatches::<f32>(GLOBAL, [1, 1, 1, 1]);
     assert!(bad.is_empty(), "{bad:?}");
 }
 
 #[test]
 fn two_rank_f32_entry_points_match_generic_bitwise() {
-    let bad = grid_mismatches::<f32>([1, 1, 1, 2]);
+    let bad = grid_mismatches::<f32>(GLOBAL, [1, 1, 1, 2]);
     assert!(bad.is_empty(), "{bad:?}");
 }
 
 #[test]
 fn unpartitioned_f64_entry_points_match_generic_bitwise() {
-    let bad = grid_mismatches::<f64>([1, 1, 1, 1]);
+    let bad = grid_mismatches::<f64>(GLOBAL, [1, 1, 1, 1]);
     assert!(bad.is_empty(), "{bad:?}");
 }
 
 #[test]
 fn two_rank_f64_entry_points_match_generic_bitwise() {
-    let bad = grid_mismatches::<f64>([1, 1, 1, 2]);
+    let bad = grid_mismatches::<f64>(GLOBAL, [1, 1, 1, 2]);
     assert!(bad.is_empty(), "{bad:?}");
 }
 
 #[test]
 fn four_rank_entry_points_match_generic_bitwise_in_both_precisions() {
-    let mut bad = grid_mismatches::<f32>([1, 1, 2, 2]);
-    bad.extend(grid_mismatches::<f64>([1, 1, 2, 2]));
+    let mut bad = grid_mismatches::<f32>(GLOBAL, [1, 1, 2, 2]);
+    bad.extend(grid_mismatches::<f64>(GLOBAL, [1, 1, 2, 2]));
+    assert!(bad.is_empty(), "{bad:?}");
+}
+
+/// Two ranks split along X, each 4⁴: a checkerboard row holds two sites,
+/// of which the one at x = 0 or x = 3 takes a ghost hop, so neighbouring
+/// sites often differ in their hop masks.
+const X_SPLIT: Dims = Dims([8, 4, 4, 4]);
+
+#[test]
+fn mixed_hop_masks_exercise_both_group_paths() {
+    // The geometry holds neighbouring sites with one hop mask (grouped)
+    // and with different masks (one site at a time).
+    let grid = ProcessGrid::new(Dims([2, 1, 1, 1]), X_SPLIT).unwrap();
+    let sub = SubLattice::for_rank(&grid, 0);
+    let nbrs = NeighborTable::new(&sub, WILSON_DEPTH).unwrap();
+    let ghosts = |idx| nbrs.hops::<8>(Parity::Even, idx).map(|e| e & NeighborTable::GHOST);
+    let (mut same, mut differ) = (0, 0);
+    for idx in 0..sub.volume_cb() - 1 {
+        if ghosts(idx) == ghosts(idx + 1) {
+            same += 1;
+        } else {
+            differ += 1;
+        }
+    }
+    assert!(same > 0 && differ > 0, "{same} equal, {differ} differing neighbour masks");
+}
+
+#[test]
+fn x_split_entry_points_match_generic_bitwise_in_both_precisions() {
+    let mut bad = grid_mismatches::<f32>(X_SPLIT, [2, 1, 1, 1]);
+    bad.extend(grid_mismatches::<f64>(X_SPLIT, [2, 1, 1, 1]));
     assert!(bad.is_empty(), "{bad:?}");
 }
 

@@ -246,7 +246,7 @@ impl Projector {
 
     /// Accumulate the reconstruction into an existing spinor: the
     /// reference for the Wilson stencil's hop (the generic kernels run it
-    /// directly; the SSE2 hop of `kernels` matches it bit for bit).
+    /// directly; the SIMD hop of `kernels` matches it bit for bit).
     #[inline(always)]
     pub fn accumulate<R: Real>(&self, acc: &mut WilsonSpinor<R>, h: &HalfSpinor<R>) {
         let g = &GAMMA[self.mu];

@@ -1,8 +1,8 @@
-//! SSE2 site kernels, each bit-identical to the scalar code it stands in
+//! SIMD site kernels, each bit-identical to the scalar code it stands in
 //! for.
 //!
 //! For the Wilson-clover operator, in both precisions (`R` = f32 or f64,
-//! the [`WilsonLanes`]):
+//! the [`WilsonLanes`]) and at every [`LaneWidth`]:
 //!
 //! * [`SpinorAcc::hop`] — one fused stencil hop: project `(1 ± γµ)ψ` to
 //!   its two independent spins, rotate them by `U` or `U†`, and
@@ -13,30 +13,44 @@
 //!   chiral blocks of one packed clover site. Reference:
 //!   [`CloverSite::apply`], plus `ψ·shift` for the Wilson diagonal.
 //!
-//! For the asqtad operator, in double precision:
+//! For the asqtad operator, in double precision at width 1:
 //!
 //! * [`ColorAcc::hop`] — one colour hop: `U·v` or `U†·v`, added to or
 //!   subtracted from a colour-vector accumulator. Reference:
 //!   [`Su3::mul_vec`] or [`Su3::adj_mul_vec`], then `acc.add(&w.scale(±1))`.
 //!
-//! Vectorisation is *within a site*. In single precision one `__m128`
-//! holds two complex numbers as `[re, im, re, im]` — the two projected
-//! spins of one colour in the hop kernel, the same row of both chiral
-//! blocks in the clover kernel. In double precision one `__m128d` holds
-//! one complex number as `[re, im]`, and the colour rotation of the
-//! Wilson hop and of the asqtad hop is one from-zero complex
-//! multiply-accumulate body. Each lane performs the scalar
-//! operations in the scalar order: a complex multiply-accumulate is
-//! `acc + ur·h`, then `+ (ui·swap(h) ^ sign)`, with no FMA and no
-//! reassociation. Signs are applied by flipping sign bits or by trading an
-//! add for a subtract, which is exact (`a − b ≡ a + (−b)`,
-//! `(−u)·h ≡ −(u·h)`, `1·h ≡ h`), so results agree bit for bit with the
-//! scalar code, signed zeros and subnormals included.
+//! Vectorisation is *within a site* and *across sites*. Within a site,
+//! in single precision one 128-bit group holds two complex numbers as
+//! `[re, im, re, im]` — the two projected spins of one colour in the hop
+//! kernel, the same row of both chiral blocks in the clover kernel. In
+//! double precision one 128-bit group holds one complex number as
+//! `[re, im]`, and the colour rotation of the Wilson hop and of the asqtad
+//! hop is one from-zero complex multiply-accumulate body. Across sites, a
+//! [`LaneWidth`] runs [`LaneWidth::SITES`] sites side by side, one per
+//! 128-bit group: [`Sse2`] one site in `__m128`/`__m128d`, [`Avx2`] two in
+//! `__m256`/`__m256d`. Every body is written once over the width, and
+//! each group repeats the width-1 operations in the same order — in-lane
+//! shuffles and unpacks, sign-bit xors, no FMA — so every width is
+//! bit-identical to SSE2 and to the scalar code by construction.
 //!
-//! SSE2 is part of the x86_64 baseline, so there is no runtime detection
-//! and no build flag: each entry point makes one `unsafe` call into an
-//! `#[inline(always)]` body, whose loads and stores are bounds-checked
-//! against fixed-size arrays.
+//! Each lane performs the scalar operations in the scalar order: a
+//! complex multiply-accumulate is `acc + ur·h`, then
+//! `+ (ui·swap(h) ^ sign)`, with no FMA and no reassociation. Signs are
+//! applied by flipping sign bits or by trading an add for a subtract,
+//! which is exact (`a − b ≡ a + (−b)`, `(−u)·h ≡ −(u·h)`, `1·h ≡ h`), so
+//! results agree bit for bit with the scalar code, signed zeros and
+//! subnormals included.
+//!
+//! SSE2 is part of the x86_64 baseline. The wider instances are picked at
+//! run time: an [`Avx2`] value exists only once `is_x86_feature_detected!`
+//! has seen AVX2 ([`Width::detect`]), and every accumulator and clover
+//! call takes that value, so the safe API cannot reach an instruction the
+//! CPU lacks. The bodies are `#[inline(always)]` and contain no closures:
+//! a closure is compiled without the caller's `#[target_feature]`, which
+//! turns every intrinsic in it into an out-of-line call. A site loop
+//! compiles at a width through [`Width::run`], which calls a
+//! [`WidthLoop`] from a `#[target_feature(enable = "avx2")]` function.
+//! Loads and stores are bounds-checked against fixed-size arrays.
 //!
 //! [`Projector::project`]: crate::Projector::project
 //! [`Projector::accumulate`]: crate::Projector::accumulate
@@ -49,60 +63,500 @@
 use crate::clover::tri;
 use crate::gamma::{Phase, GAMMA};
 use crate::Projector;
-use regs::{Complexes, Pairs};
+use regs::{Complexes, Pairs, Pd, Ps};
 use std::arch::x86_64::*;
+use std::ops::IndexMut;
 
-/// `_mm_shuffle_ps` immediate selecting lanes `[a[l0], a[l1], b[h0], b[h1]]`.
+/// `_mm_shuffle_ps` immediate selecting lanes `[a[l0], a[l1], b[h0], b[h1]]`
+/// (of every 128-bit group).
 const fn sel(l0: i32, l1: i32, h0: i32, h1: i32) -> i32 {
     l0 | (l1 << 2) | (h0 << 4) | (h1 << 6)
 }
 
-/// Four lanes of `a` starting at `at`.
-///
-/// # Safety
-/// SSE2 must be available, which it is on every x86_64 target.
-#[inline(always)]
-unsafe fn load<const N: usize>(a: &[f32; N], at: usize) -> __m128 {
-    assert!(at + 4 <= N);
-    _mm_loadu_ps(a.as_ptr().add(at))
+/// One site per call, in 128-bit registers. SSE2 is part of the x86_64
+/// baseline, so this width always runs.
+#[derive(Clone, Copy, Debug)]
+pub struct Sse2;
+
+/// Two sites per call, one per 128-bit group of a 256-bit register. A
+/// value exists only where the CPU has AVX2 ([`Avx2::detect`]).
+#[derive(Clone, Copy, Debug)]
+pub struct Avx2(());
+
+impl Avx2 {
+    /// The width, when the running CPU has AVX2.
+    pub fn detect() -> Option<Avx2> {
+        is_x86_feature_detected!("avx2").then_some(Avx2(()))
+    }
 }
 
-/// Write four lanes to `a` starting at `at`.
-///
-/// # Safety
-/// As for [`load`].
-#[inline(always)]
-unsafe fn store<const N: usize>(a: &mut [f32; N], at: usize, v: __m128) {
-    assert!(at + 4 <= N);
-    _mm_storeu_ps(a.as_mut_ptr().add(at), v)
+/// A site loop compiled once per lane width; [`Width::run`] calls it.
+pub trait WidthLoop {
+    /// What the loop returns.
+    type Output;
+
+    /// The loop at width `W`. Mark it `#[inline(always)]` and call the
+    /// kernels outside closures, so that the wide instance is compiled
+    /// with the width's instructions (see the module docs).
+    fn run<W: LaneWidth>(self, w: W) -> Self::Output;
 }
 
-/// Sign-bit mask: lane `k` is `−0.0` where `neg[k]`, else `+0.0`.
-///
-/// # Safety
-/// As for [`load`].
-#[inline(always)]
-unsafe fn signs(neg: [bool; 4]) -> __m128 {
-    let s = |n: bool| if n { -0.0 } else { 0.0 };
-    _mm_setr_ps(s(neg[0]), s(neg[1]), s(neg[2]), s(neg[3]))
+/// A lane width: how many sites one kernel call serves, and the
+/// registers and loads that serve them. Sealed; the implementors are
+/// [`Sse2`] and [`Avx2`].
+pub trait LaneWidth: Copy + Send + Sync + regs::Sealed {
+    /// Sites per call.
+    const SITES: usize;
+
+    /// One item per site of a call, `[T; SITES]`.
+    type Sites<T>: IndexMut<usize, Output = T>;
+
+    /// `[f(0), …, f(SITES − 1)]`.
+    fn sites<T>(f: impl FnMut(usize) -> T) -> Self::Sites<T>;
+
+    /// The first `SITES` consecutive sites of `N` values each in `reals`.
+    fn split_mut<T, const N: usize>(reals: &mut [T]) -> Self::Sites<&mut [T; N]>;
+
+    /// Run `l` compiled for this width.
+    fn run<L: WidthLoop>(self, l: L) -> L::Output;
+
+    #[doc(hidden)]
+    type Ps: Ps;
+    #[doc(hidden)]
+    type Pd: Pd;
+
+    /// Four f32 lanes at `at` of every site.
+    ///
+    /// # Safety
+    /// The CPU runs this width's instructions.
+    #[doc(hidden)]
+    unsafe fn load_ps<const N: usize>(s: &Self::Sites<&[f32; N]>, at: usize) -> Self::Ps;
+
+    /// # Safety
+    /// As for [`LaneWidth::load_ps`].
+    #[doc(hidden)]
+    unsafe fn store_ps<const N: usize>(s: &mut Self::Sites<&mut [f32; N]>, at: usize, v: Self::Ps);
+
+    /// Two f64 lanes at `at` of every site.
+    ///
+    /// # Safety
+    /// As for [`LaneWidth::load_ps`].
+    #[doc(hidden)]
+    unsafe fn load_pd<const N: usize>(s: &Self::Sites<&[f64; N]>, at: usize) -> Self::Pd;
+
+    /// # Safety
+    /// As for [`LaneWidth::load_ps`].
+    #[doc(hidden)]
+    unsafe fn store_pd<const N: usize>(s: &mut Self::Sites<&mut [f64; N]>, at: usize, v: Self::Pd);
+}
+
+/// `N` values at the head of `reals`.
+fn head<T, const N: usize>(reals: &mut [T]) -> &mut [T; N] {
+    reals.first_chunk_mut().expect("a whole site")
+}
+
+impl LaneWidth for Sse2 {
+    const SITES: usize = 1;
+    type Sites<T> = [T; 1];
+    type Ps = __m128;
+    type Pd = __m128d;
+
+    #[inline(always)]
+    fn sites<T>(mut f: impl FnMut(usize) -> T) -> [T; 1] {
+        [f(0)]
+    }
+
+    #[inline(always)]
+    fn split_mut<T, const N: usize>(reals: &mut [T]) -> [&mut [T; N]; 1] {
+        [head(reals)]
+    }
+
+    #[inline(always)]
+    fn run<L: WidthLoop>(self, l: L) -> L::Output {
+        l.run(self)
+    }
+
+    #[inline(always)]
+    unsafe fn load_ps<const N: usize>(s: &[&[f32; N]; 1], at: usize) -> __m128 {
+        assert!(at + 4 <= N);
+        _mm_loadu_ps(s[0].as_ptr().add(at))
+    }
+
+    #[inline(always)]
+    unsafe fn store_ps<const N: usize>(s: &mut [&mut [f32; N]; 1], at: usize, v: __m128) {
+        assert!(at + 4 <= N);
+        _mm_storeu_ps(s[0].as_mut_ptr().add(at), v)
+    }
+
+    #[inline(always)]
+    unsafe fn load_pd<const N: usize>(s: &[&[f64; N]; 1], at: usize) -> __m128d {
+        assert!(at + 2 <= N);
+        _mm_loadu_pd(s[0].as_ptr().add(at))
+    }
+
+    #[inline(always)]
+    unsafe fn store_pd<const N: usize>(s: &mut [&mut [f64; N]; 1], at: usize, v: __m128d) {
+        assert!(at + 2 <= N);
+        _mm_storeu_pd(s[0].as_mut_ptr().add(at), v)
+    }
+}
+
+/// `l` at width [`Avx2`], compiled with AVX2.
+#[target_feature(enable = "avx2")]
+fn run_avx2<L: WidthLoop>(w: Avx2, l: L) -> L::Output {
+    l.run(w)
+}
+
+impl LaneWidth for Avx2 {
+    const SITES: usize = 2;
+    type Sites<T> = [T; 2];
+    type Ps = __m256;
+    type Pd = __m256d;
+
+    #[inline(always)]
+    fn sites<T>(mut f: impl FnMut(usize) -> T) -> [T; 2] {
+        [f(0), f(1)]
+    }
+
+    #[inline(always)]
+    fn split_mut<T, const N: usize>(reals: &mut [T]) -> [&mut [T; N]; 2] {
+        let (a, b) = reals.split_at_mut(N);
+        [head(a), head(b)]
+    }
+
+    #[inline(always)]
+    fn run<L: WidthLoop>(self, l: L) -> L::Output {
+        // SAFETY: an `Avx2` value exists only where the CPU has AVX2.
+        unsafe { run_avx2(self, l) }
+    }
+
+    #[inline(always)]
+    unsafe fn load_ps<const N: usize>(s: &[&[f32; N]; 2], at: usize) -> __m256 {
+        assert!(at + 4 <= N);
+        _mm256_loadu2_m128(s[1].as_ptr().add(at), s[0].as_ptr().add(at))
+    }
+
+    #[inline(always)]
+    unsafe fn store_ps<const N: usize>(s: &mut [&mut [f32; N]; 2], at: usize, v: __m256) {
+        assert!(at + 4 <= N);
+        _mm256_storeu2_m128(s[1].as_mut_ptr().add(at), s[0].as_mut_ptr().add(at), v)
+    }
+
+    #[inline(always)]
+    unsafe fn load_pd<const N: usize>(s: &[&[f64; N]; 2], at: usize) -> __m256d {
+        assert!(at + 2 <= N);
+        _mm256_loadu2_m128d(s[1].as_ptr().add(at), s[0].as_ptr().add(at))
+    }
+
+    #[inline(always)]
+    unsafe fn store_pd<const N: usize>(s: &mut [&mut [f64; N]; 2], at: usize, v: __m256d) {
+        assert!(at + 2 <= N);
+        _mm256_storeu2_m128d(s[1].as_mut_ptr().add(at), s[0].as_mut_ptr().add(at), v)
+    }
+}
+
+/// The lane width an operator picks once, at construction.
+#[derive(Clone, Copy, Debug)]
+pub enum Width {
+    /// [`Sse2`]: one site per call.
+    Sse2,
+    /// [`Avx2`]: two sites per call.
+    Avx2(Avx2),
+}
+
+impl Width {
+    /// The widest width the running CPU supports.
+    pub fn detect() -> Width {
+        Avx2::detect().map_or(Width::Sse2, Width::Avx2)
+    }
+
+    /// Every width the running CPU supports, narrowest first.
+    pub fn supported() -> Vec<Width> {
+        std::iter::once(Width::Sse2).chain(Avx2::detect().map(Width::Avx2)).collect()
+    }
+
+    /// Run `l` compiled for this width.
+    #[inline]
+    pub fn run<L: WidthLoop>(self, l: L) -> L::Output {
+        match self {
+            Width::Sse2 => Sse2.run(l),
+            Width::Avx2(w) => w.run(l),
+        }
+    }
+}
+
+/// The register forms, and the seals of [`LaneWidth`] and
+/// [`WilsonLanes`]: public items in a private module, so no caller can
+/// name them.
+mod regs {
+    use std::arch::x86_64::*;
+
+    /// f32 registers of one or more 128-bit groups; every operation acts
+    /// on each group alone.
+    pub trait Ps: Copy {
+        /// # Safety
+        /// The CPU runs the register's instructions (for every item).
+        unsafe fn zero() -> Self;
+        unsafe fn splat(x: f32) -> Self;
+        /// Sign-bit mask: lane `k` of every group is `−0.0` where
+        /// `neg[k]`, else `+0.0`.
+        unsafe fn signs(neg: [bool; 4]) -> Self;
+        unsafe fn add(self, b: Self) -> Self;
+        unsafe fn mul(self, b: Self) -> Self;
+        unsafe fn xor(self, b: Self) -> Self;
+        /// `_mm_shuffle_ps::<M>(self, b)` on every group.
+        unsafe fn shuffle<const M: i32>(self, b: Self) -> Self;
+    }
+
+    /// f64 registers of one or more 128-bit groups, `[re, im]` each.
+    pub trait Pd: Copy {
+        /// # Safety
+        /// As for [`Ps::zero`].
+        unsafe fn zero() -> Self;
+        unsafe fn splat(x: f64) -> Self;
+        /// Sign-bit mask `[re, im]` of every group.
+        unsafe fn signs(re: bool, im: bool) -> Self;
+        unsafe fn add(self, b: Self) -> Self;
+        unsafe fn sub(self, b: Self) -> Self;
+        unsafe fn mul(self, b: Self) -> Self;
+        unsafe fn xor(self, b: Self) -> Self;
+        /// `[re, im]` → `[im, re]`.
+        unsafe fn swap(self) -> Self;
+        /// `[self.re, b.re]`.
+        unsafe fn unpacklo(self, b: Self) -> Self;
+        /// `[self.im, b.im]`.
+        unsafe fn unpackhi(self, b: Self) -> Self;
+    }
+
+    const fn sign(n: bool) -> f32 {
+        if n {
+            -0.0
+        } else {
+            0.0
+        }
+    }
+
+    const fn sign_pd(n: bool) -> f64 {
+        if n {
+            -0.0
+        } else {
+            0.0
+        }
+    }
+
+    impl Ps for __m128 {
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            _mm_setzero_ps()
+        }
+        #[inline(always)]
+        unsafe fn splat(x: f32) -> Self {
+            _mm_set1_ps(x)
+        }
+        #[inline(always)]
+        unsafe fn signs(n: [bool; 4]) -> Self {
+            _mm_setr_ps(sign(n[0]), sign(n[1]), sign(n[2]), sign(n[3]))
+        }
+        #[inline(always)]
+        unsafe fn add(self, b: Self) -> Self {
+            _mm_add_ps(self, b)
+        }
+        #[inline(always)]
+        unsafe fn mul(self, b: Self) -> Self {
+            _mm_mul_ps(self, b)
+        }
+        #[inline(always)]
+        unsafe fn xor(self, b: Self) -> Self {
+            _mm_xor_ps(self, b)
+        }
+        #[inline(always)]
+        unsafe fn shuffle<const M: i32>(self, b: Self) -> Self {
+            _mm_shuffle_ps::<M>(self, b)
+        }
+    }
+
+    impl Ps for __m256 {
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            _mm256_setzero_ps()
+        }
+        #[inline(always)]
+        unsafe fn splat(x: f32) -> Self {
+            _mm256_set1_ps(x)
+        }
+        #[inline(always)]
+        unsafe fn signs(n: [bool; 4]) -> Self {
+            let (a, b, c, d) = (sign(n[0]), sign(n[1]), sign(n[2]), sign(n[3]));
+            _mm256_setr_ps(a, b, c, d, a, b, c, d)
+        }
+        #[inline(always)]
+        unsafe fn add(self, b: Self) -> Self {
+            _mm256_add_ps(self, b)
+        }
+        #[inline(always)]
+        unsafe fn mul(self, b: Self) -> Self {
+            _mm256_mul_ps(self, b)
+        }
+        #[inline(always)]
+        unsafe fn xor(self, b: Self) -> Self {
+            _mm256_xor_ps(self, b)
+        }
+        #[inline(always)]
+        unsafe fn shuffle<const M: i32>(self, b: Self) -> Self {
+            _mm256_shuffle_ps::<M>(self, b)
+        }
+    }
+
+    impl Pd for __m128d {
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            _mm_setzero_pd()
+        }
+        #[inline(always)]
+        unsafe fn splat(x: f64) -> Self {
+            _mm_set1_pd(x)
+        }
+        #[inline(always)]
+        unsafe fn signs(re: bool, im: bool) -> Self {
+            _mm_setr_pd(sign_pd(re), sign_pd(im))
+        }
+        #[inline(always)]
+        unsafe fn add(self, b: Self) -> Self {
+            _mm_add_pd(self, b)
+        }
+        #[inline(always)]
+        unsafe fn sub(self, b: Self) -> Self {
+            _mm_sub_pd(self, b)
+        }
+        #[inline(always)]
+        unsafe fn mul(self, b: Self) -> Self {
+            _mm_mul_pd(self, b)
+        }
+        #[inline(always)]
+        unsafe fn xor(self, b: Self) -> Self {
+            _mm_xor_pd(self, b)
+        }
+        #[inline(always)]
+        unsafe fn swap(self) -> Self {
+            _mm_shuffle_pd::<0b01>(self, self)
+        }
+        #[inline(always)]
+        unsafe fn unpacklo(self, b: Self) -> Self {
+            _mm_unpacklo_pd(self, b)
+        }
+        #[inline(always)]
+        unsafe fn unpackhi(self, b: Self) -> Self {
+            _mm_unpackhi_pd(self, b)
+        }
+    }
+
+    impl Pd for __m256d {
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            _mm256_setzero_pd()
+        }
+        #[inline(always)]
+        unsafe fn splat(x: f64) -> Self {
+            _mm256_set1_pd(x)
+        }
+        #[inline(always)]
+        unsafe fn signs(re: bool, im: bool) -> Self {
+            let (a, b) = (sign_pd(re), sign_pd(im));
+            _mm256_setr_pd(a, b, a, b)
+        }
+        #[inline(always)]
+        unsafe fn add(self, b: Self) -> Self {
+            _mm256_add_pd(self, b)
+        }
+        #[inline(always)]
+        unsafe fn sub(self, b: Self) -> Self {
+            _mm256_sub_pd(self, b)
+        }
+        #[inline(always)]
+        unsafe fn mul(self, b: Self) -> Self {
+            _mm256_mul_pd(self, b)
+        }
+        #[inline(always)]
+        unsafe fn xor(self, b: Self) -> Self {
+            _mm256_xor_pd(self, b)
+        }
+        #[inline(always)]
+        unsafe fn swap(self) -> Self {
+            // Bit k of the immediate picks lane k's element of its group.
+            _mm256_shuffle_pd::<0b0101>(self, self)
+        }
+        #[inline(always)]
+        unsafe fn unpacklo(self, b: Self) -> Self {
+            _mm256_unpacklo_pd(self, b)
+        }
+        #[inline(always)]
+        unsafe fn unpackhi(self, b: Self) -> Self {
+            _mm256_unpackhi_pd(self, b)
+        }
+    }
+
+    /// f32, as colour-pair vectors: `up[c] = [ψ₀c, ψ₁c]`,
+    /// `lo[c] = [ψ₂c, ψ₃c]`.
+    #[derive(Clone, Copy)]
+    pub struct Pairs<V> {
+        pub up: [V; 3],
+        pub lo: [V; 3],
+    }
+
+    /// f64, one complex per 128-bit group: `[spin][colour]`.
+    #[derive(Clone, Copy)]
+    pub struct Complexes<V>(pub [[V; 3]; 4]);
+
+    pub trait Sealed {}
+    impl Sealed for f32 {}
+    impl Sealed for f64 {}
+    impl Sealed for super::Sse2 {}
+    impl Sealed for super::Avx2 {}
 }
 
 /// `[re, im, re', im']` → `[re', im', re, im]`.
 ///
 /// # Safety
-/// As for [`load`].
+/// The CPU runs the register's instructions (for every item below).
 #[inline(always)]
-unsafe fn swap_pair(x: __m128) -> __m128 {
-    _mm_shuffle_ps::<{ sel(2, 3, 0, 1) }>(x, x)
+unsafe fn swap_pair<V: Ps>(x: V) -> V {
+    x.shuffle::<{ sel(2, 3, 0, 1) }>(x)
 }
 
 /// `[re, im, re', im']` → `[im, re, im', re']`.
 ///
 /// # Safety
-/// As for [`load`].
+/// As for [`swap_pair`].
 #[inline(always)]
-unsafe fn swap_reim(x: __m128) -> __m128 {
-    _mm_shuffle_ps::<{ sel(1, 0, 3, 2) }>(x, x)
+unsafe fn swap_reim<V: Ps>(x: V) -> V {
+    x.shuffle::<{ sel(1, 0, 3, 2) }>(x)
+}
+
+/// `[a₀, a₁, b₀, b₁]` (`_mm_movelh_ps`).
+///
+/// # Safety
+/// As for [`swap_pair`].
+#[inline(always)]
+unsafe fn movelh<V: Ps>(a: V, b: V) -> V {
+    a.shuffle::<{ sel(0, 1, 0, 1) }>(b)
+}
+
+/// `[b₂, b₃, a₂, a₃]` (`_mm_movehl_ps`).
+///
+/// # Safety
+/// As for [`swap_pair`].
+#[inline(always)]
+unsafe fn movehl<V: Ps>(a: V, b: V) -> V {
+    b.shuffle::<{ sel(2, 3, 2, 3) }>(a)
+}
+
+/// `v` shuffled by the immediate `M`.
+///
+/// # Safety
+/// As for [`swap_pair`].
+#[inline(always)]
+unsafe fn splat<V: Ps, const M: i32>(v: V) -> V {
+    v.shuffle::<M>(v)
 }
 
 /// Two rows `r, r + 1` of `±γµ` acting on a spin pair. In the
@@ -147,144 +601,147 @@ const fn row_pair(mu: usize, r: usize, negate: bool) -> RowPair {
 /// Apply a row recipe to a spin-pair vector.
 ///
 /// # Safety
-/// As for [`load`].
+/// As for [`swap_pair`].
 #[inline(always)]
-unsafe fn apply_rows(rp: RowPair, x: __m128) -> __m128 {
+unsafe fn apply_rows<V: Ps>(rp: RowPair, x: V) -> V {
     let x = if rp.cross { swap_pair(x) } else { x };
     let x = if rp.imaginary { swap_reim(x) } else { x };
-    _mm_xor_ps(x, signs(rp.neg))
-}
-
-/// The register forms of one 4-spinor, and the seal of [`WilsonLanes`]:
-/// public types in a private module, so no caller can name them.
-mod regs {
-    use std::arch::x86_64::{__m128, __m128d};
-
-    /// f32, as colour-pair vectors: `up[c] = [ψ₀c, ψ₁c]`,
-    /// `lo[c] = [ψ₂c, ψ₃c]`.
-    #[derive(Clone, Copy)]
-    pub struct Pairs {
-        pub up: [__m128; 3],
-        pub lo: [__m128; 3],
-    }
-
-    /// f64, one complex per register: `[spin][colour]`.
-    #[derive(Clone, Copy)]
-    pub struct Complexes(pub [[__m128d; 3]; 4]);
-
-    pub trait Sealed {}
-    impl Sealed for f32 {}
-    impl Sealed for f64 {}
+    x.xor(V::signs(rp.neg))
 }
 
 /// Spins `s, s + 1` (flat reals `[v0 v1 v2]`, spin-major) as colour pairs.
 ///
 /// # Safety
-/// As for [`load`].
+/// As for [`swap_pair`].
 #[inline(always)]
-unsafe fn to_pairs(v0: __m128, v1: __m128, v2: __m128) -> [__m128; 3] {
+unsafe fn to_pairs<V: Ps>(v0: V, v1: V, v2: V) -> [V; 3] {
     [
-        _mm_shuffle_ps::<{ sel(0, 1, 2, 3) }>(v0, v1),
-        _mm_shuffle_ps::<{ sel(2, 3, 0, 1) }>(v0, v2),
-        _mm_shuffle_ps::<{ sel(0, 1, 2, 3) }>(v1, v2),
+        v0.shuffle::<{ sel(0, 1, 2, 3) }>(v1),
+        v0.shuffle::<{ sel(2, 3, 0, 1) }>(v2),
+        v1.shuffle::<{ sel(0, 1, 2, 3) }>(v2),
     ]
 }
 
 /// Inverse of [`to_pairs`].
 ///
 /// # Safety
-/// As for [`load`].
+/// As for [`swap_pair`].
 #[inline(always)]
-unsafe fn from_pairs(c: [__m128; 3]) -> [__m128; 3] {
+unsafe fn from_pairs<V: Ps>(c: [V; 3]) -> [V; 3] {
     [
-        _mm_shuffle_ps::<{ sel(0, 1, 0, 1) }>(c[0], c[1]),
-        _mm_shuffle_ps::<{ sel(0, 1, 2, 3) }>(c[2], c[0]),
-        _mm_shuffle_ps::<{ sel(2, 3, 2, 3) }>(c[1], c[2]),
+        c[0].shuffle::<{ sel(0, 1, 0, 1) }>(c[1]),
+        c[2].shuffle::<{ sel(0, 1, 2, 3) }>(c[0]),
+        c[1].shuffle::<{ sel(2, 3, 2, 3) }>(c[2]),
     ]
 }
 
 /// # Safety
-/// As for [`load`].
+/// The CPU runs `W`'s instructions (for every item below).
 #[inline(always)]
-unsafe fn load_pairs(p: &[f32; 24]) -> Pairs {
+unsafe fn load_pairs<W: LaneWidth>(p: &W::Sites<&[f32; 24]>) -> Pairs<W::Ps> {
     Pairs {
-        up: to_pairs(load(p, 0), load(p, 4), load(p, 8)),
-        lo: to_pairs(load(p, 12), load(p, 16), load(p, 20)),
+        up: to_pairs(W::load_ps(p, 0), W::load_ps(p, 4), W::load_ps(p, 8)),
+        lo: to_pairs(W::load_ps(p, 12), W::load_ps(p, 16), W::load_ps(p, 20)),
     }
 }
 
 /// # Safety
-/// As for [`load`].
+/// As for [`load_pairs`].
 #[inline(always)]
-unsafe fn store_pairs(pairs: &Pairs, out: &mut [f32; 24]) {
+unsafe fn store_pairs<W: LaneWidth>(pairs: &Pairs<W::Ps>, out: &mut W::Sites<&mut [f32; 24]>) {
     let up = from_pairs(pairs.up);
     let lo = from_pairs(pairs.lo);
     for k in 0..3 {
-        store(out, 4 * k, up[k]);
-        store(out, 12 + 4 * k, lo[k]);
+        W::store_ps(out, 4 * k, up[k]);
+        W::store_ps(out, 12 + 4 * k, lo[k]);
     }
-}
-
-/// `v` shuffled by the immediate `M`.
-///
-/// # Safety
-/// As for [`load`].
-#[inline(always)]
-unsafe fn splat<const M: i32>(v: __m128) -> __m128 {
-    _mm_shuffle_ps::<M>(v, v)
 }
 
 /// Link entry `k = 3·row + col` as broadcast `(re, im)`, from the rows
 /// loaded at reals 0, 4, 8, 12 and 14.
 ///
 /// # Safety
-/// As for [`load`].
+/// As for [`swap_pair`].
 #[inline(always)]
-unsafe fn link_entry(l: &[__m128; 5], k: usize) -> (__m128, __m128) {
+unsafe fn link_entry<V: Ps>(l: &[V; 5], k: usize) -> (V, V) {
     let (v, high) = if k == 8 { (l[4], true) } else { (l[k / 2], k % 2 == 1) };
     if high {
-        (splat::<0xAA>(v), splat::<0xFF>(v))
+        (splat::<V, 0xAA>(v), splat::<V, 0xFF>(v))
     } else {
-        (splat::<0x00>(v), splat::<0x55>(v))
+        (splat::<V, 0x00>(v), splat::<V, 0x55>(v))
     }
 }
 
 /// One f32 hop in direction `MU`.
 ///
 /// # Safety
-/// As for [`load`].
+/// As for [`load_pairs`].
 #[inline(always)]
-unsafe fn hop_mu<const MU: usize>(
-    acc: &mut Pairs,
+unsafe fn hop_mu<W: LaneWidth, const MU: usize>(
+    acc: &mut Pairs<W::Ps>,
     plus: bool,
     adjoint: bool,
-    psi: &[f32; 24],
-    u: &[f32; 18],
+    psi: &W::Sites<&[f32; 24]>,
+    u: &W::Sites<&[f32; 18]>,
 ) {
-    let p = load_pairs(psi);
+    let p = load_pairs::<W>(psi);
     // Project: h_c = ψ_up,c ± γ-rows(0, 1) ψ_lo,c.
     let proj = row_pair(MU, 0, !plus);
-    let h = [0, 1, 2].map(|c| _mm_add_ps(p.up[c], apply_rows(proj, p.lo[c])));
+    let mut h = p.up;
+    for c in 0..3 {
+        h[c] = p.up[c].add(apply_rows(proj, p.lo[c]));
+    }
     // Colour-rotate: r_i = Σ_j U'_ij h_j with U' = U or U†. The
     // imaginary part of U'_ij meets swap(h_j) with the sign of its lane.
     let ui_sign =
-        signs(if adjoint { [false, true, false, true] } else { [true, false, true, false] });
-    let hs = h.map(|x| _mm_xor_ps(swap_reim(x), ui_sign));
-    let l = [load(u, 0), load(u, 4), load(u, 8), load(u, 12), load(u, 14)];
-    let mut r = [_mm_setzero_ps(); 3];
+        W::Ps::signs(if adjoint { [false, true, false, true] } else { [true, false, true, false] });
+    let mut hs = h;
+    for c in 0..3 {
+        hs[c] = swap_reim(h[c]).xor(ui_sign);
+    }
+    let l = [
+        W::load_ps(u, 0),
+        W::load_ps(u, 4),
+        W::load_ps(u, 8),
+        W::load_ps(u, 12),
+        W::load_ps(u, 14),
+    ];
+    let mut r = [W::Ps::zero(); 3];
     for i in 0..3 {
         for j in 0..3 {
             let (ur, ui) = link_entry(&l, if adjoint { 3 * j + i } else { 3 * i + j });
-            r[i] = _mm_add_ps(r[i], _mm_mul_ps(ur, h[j]));
-            r[i] = _mm_add_ps(r[i], _mm_mul_ps(ui, hs[j]));
+            r[i] = r[i].add(ur.mul(h[j]));
+            r[i] = r[i].add(ui.mul(hs[j]));
         }
     }
     // Accumulate: upper spins take r, lower spins ±γ-rows(2, 3) r.
     let recon = row_pair(MU, 2, !plus);
     for c in 0..3 {
-        acc.up[c] = _mm_add_ps(acc.up[c], r[c]);
-        acc.lo[c] = _mm_add_ps(acc.lo[c], apply_rows(recon, r[c]));
+        acc.up[c] = acc.up[c].add(r[c]);
+        acc.lo[c] = acc.lo[c].add(apply_rows(recon, r[c]));
     }
+}
+
+/// One off-diagonal term of an f32 clover row: `acc + cr·v + (ci·vs ^ sign)`
+/// with `[cr, ci]` the packed entry `t` of both blocks.
+///
+/// # Safety
+/// As for [`load_pairs`].
+#[inline(always)]
+unsafe fn clover_mac<W: LaneWidth>(
+    acc: W::Ps,
+    a: &W::Sites<&[f32; 72]>,
+    t: usize,
+    v: W::Ps,
+    vs: W::Ps,
+    sign: W::Ps,
+) -> W::Ps {
+    // [off⁰_t, off¹_t]: off-diagonals start at reals 6 and 42.
+    let c = W::load_ps(a, 6 + 2 * t).shuffle::<{ sel(0, 1, 2, 3) }>(W::load_ps(a, 40 + 2 * t));
+    let cr = splat::<W::Ps, { sel(0, 0, 2, 2) }>(c);
+    let ci = splat::<W::Ps, { sel(1, 1, 3, 3) }>(c);
+    let acc = acc.add(cr.mul(v));
+    acc.add(ci.mul(vs).xor(sign))
 }
 
 /// Row `I` of both chiral blocks of a packed f32 clover site applied to
@@ -293,30 +750,26 @@ unsafe fn hop_mu<const MU: usize>(
 /// order: the diagonal term, then every `j ≠ I` ascending.
 ///
 /// # Safety
-/// As for [`load`].
+/// As for [`load_pairs`].
 #[inline(always)]
-unsafe fn clover_row<const I: usize>(a: &[f32; 72], v: &[__m128; 6], vs: &[__m128; 6]) -> __m128 {
+unsafe fn clover_row<W: LaneWidth, const I: usize>(
+    a: &W::Sites<&[f32; 72]>,
+    v: &[W::Ps; 6],
+    vs: &[W::Ps; 6],
+) -> W::Ps {
     // Lower-triangle entries A_Ij = off(I, j) meet swap(v_j) with a
     // negated real lane; upper ones A_Ij = conj(off(j, I)) with a negated
     // imaginary lane.
-    let lower = signs([true, false, true, false]);
-    let upper = signs([false, true, false, true]);
+    let lower = W::Ps::signs([true, false, true, false]);
+    let upper = W::Ps::signs([false, true, false, true]);
     // [d⁰_I, d⁰_I, d¹_I, d¹_I]: the diagonals sit at reals 0 and 36.
-    let d = _mm_shuffle_ps::<{ sel(0, 0, 0, 0) }>(load(a, I), load(a, 36 + I));
-    let mut acc = _mm_mul_ps(v[I], d);
-    let mut mac = |t: usize, j: usize, sign: __m128| {
-        // [off⁰_t, off¹_t]: off-diagonals start at reals 6 and 42.
-        let c = _mm_shuffle_ps::<{ sel(0, 1, 2, 3) }>(load(a, 6 + 2 * t), load(a, 40 + 2 * t));
-        let cr = splat::<{ sel(0, 0, 2, 2) }>(c);
-        let ci = splat::<{ sel(1, 1, 3, 3) }>(c);
-        acc = _mm_add_ps(acc, _mm_mul_ps(cr, v[j]));
-        acc = _mm_add_ps(acc, _mm_xor_ps(_mm_mul_ps(ci, vs[j]), sign));
-    };
+    let d = W::load_ps(a, I).shuffle::<{ sel(0, 0, 0, 0) }>(W::load_ps(a, 36 + I));
+    let mut acc = v[I].mul(d);
     for j in 0..I {
-        mac(tri(I, j), j, lower);
+        acc = clover_mac::<W>(acc, a, tri(I, j), v[j], vs[j], lower);
     }
     for j in I + 1..6 {
-        mac(tri(j, I), j, upper);
+        acc = clover_mac::<W>(acc, a, tri(j, I), v[j], vs[j], upper);
     }
     acc
 }
@@ -325,117 +778,91 @@ unsafe fn clover_row<const I: usize>(a: &[f32; 72], v: &[__m128; 6], vs: &[__m12
 /// spinor, plus `shift·ψ` when `shift` is given.
 ///
 /// # Safety
-/// As for [`load`].
+/// As for [`load_pairs`].
 #[inline(always)]
-unsafe fn clover(a: &[f32; 72], psi: &[f32; 24], shift: Option<f32>, out: &mut [f32; 24]) {
-    let (x0, x4, x8) = (load(psi, 0), load(psi, 4), load(psi, 8));
-    let (y0, y4, y8) = (load(psi, 12), load(psi, 16), load(psi, 20));
+unsafe fn clover<W: LaneWidth>(
+    a: &W::Sites<&[f32; 72]>,
+    psi: &W::Sites<&[f32; 24]>,
+    shift: Option<f32>,
+    out: &mut W::Sites<&mut [f32; 24]>,
+) {
+    let (x0, x4, x8) = (W::load_ps(psi, 0), W::load_ps(psi, 4), W::load_ps(psi, 8));
+    let (y0, y4, y8) = (W::load_ps(psi, 12), W::load_ps(psi, 16), W::load_ps(psi, 20));
     let v = [
-        _mm_movelh_ps(x0, y0),
-        _mm_movehl_ps(y0, x0),
-        _mm_movelh_ps(x4, y4),
-        _mm_movehl_ps(y4, x4),
-        _mm_movelh_ps(x8, y8),
-        _mm_movehl_ps(y8, x8),
+        movelh(x0, y0),
+        movehl(y0, x0),
+        movelh(x4, y4),
+        movehl(y4, x4),
+        movelh(x8, y8),
+        movehl(y8, x8),
     ];
-    let vs = v.map(|x| swap_reim(x));
+    let mut vs = v;
+    for j in 0..6 {
+        vs[j] = swap_reim(v[j]);
+    }
     let mut w = [
-        clover_row::<0>(a, &v, &vs),
-        clover_row::<1>(a, &v, &vs),
-        clover_row::<2>(a, &v, &vs),
-        clover_row::<3>(a, &v, &vs),
-        clover_row::<4>(a, &v, &vs),
-        clover_row::<5>(a, &v, &vs),
+        clover_row::<W, 0>(a, &v, &vs),
+        clover_row::<W, 1>(a, &v, &vs),
+        clover_row::<W, 2>(a, &v, &vs),
+        clover_row::<W, 3>(a, &v, &vs),
+        clover_row::<W, 4>(a, &v, &vs),
+        clover_row::<W, 5>(a, &v, &vs),
     ];
     if let Some(shift) = shift {
-        let s = _mm_set1_ps(shift);
-        for (w, v) in w.iter_mut().zip(v) {
-            *w = _mm_add_ps(*w, _mm_mul_ps(v, s));
+        let s = W::Ps::splat(shift);
+        for j in 0..6 {
+            w[j] = w[j].add(v[j].mul(s));
         }
     }
     for k in 0..3 {
-        store(out, 4 * k, _mm_movelh_ps(w[2 * k], w[2 * k + 1]));
-        store(out, 12 + 4 * k, _mm_movehl_ps(w[2 * k + 1], w[2 * k]));
+        W::store_ps(out, 4 * k, movelh(w[2 * k], w[2 * k + 1]));
+        W::store_ps(out, 12 + 4 * k, movehl(w[2 * k + 1], w[2 * k]));
     }
-}
-
-/// Two lanes of `a` starting at `at`.
-///
-/// # Safety
-/// As for [`load`].
-#[inline(always)]
-unsafe fn load_pd<const N: usize>(a: &[f64; N], at: usize) -> __m128d {
-    assert!(at + 2 <= N);
-    _mm_loadu_pd(a.as_ptr().add(at))
-}
-
-/// Write two lanes to `a` starting at `at`.
-///
-/// # Safety
-/// As for [`load`].
-#[inline(always)]
-unsafe fn store_pd<const N: usize>(a: &mut [f64; N], at: usize, v: __m128d) {
-    assert!(at + 2 <= N);
-    _mm_storeu_pd(a.as_mut_ptr().add(at), v)
-}
-
-/// Sign-bit mask `[re, im]`: a lane is `−0.0` where negated, else `+0.0`.
-///
-/// # Safety
-/// As for [`load`].
-#[inline(always)]
-unsafe fn signs_pd(re: bool, im: bool) -> __m128d {
-    let s = |n: bool| if n { -0.0 } else { 0.0 };
-    _mm_setr_pd(s(re), s(im))
-}
-
-/// `[re, im]` → `[im, re]`.
-///
-/// # Safety
-/// As for [`load`].
-#[inline(always)]
-unsafe fn swap_pd(x: __m128d) -> __m128d {
-    _mm_shuffle_pd::<0b01>(x, x)
 }
 
 /// Row `r + k` of a row-pair recipe applied to the one complex it reads
 /// (spin `cross ^ k` of the pair).
 ///
 /// # Safety
-/// As for [`load`].
+/// As for [`swap_pair`].
 #[inline(always)]
-unsafe fn apply_row_pd(rp: RowPair, k: usize, x: __m128d) -> __m128d {
-    let x = if rp.imaginary { swap_pd(x) } else { x };
-    _mm_xor_pd(x, signs_pd(rp.neg[2 * k], rp.neg[2 * k + 1]))
+unsafe fn apply_row_pd<V: Pd>(rp: RowPair, k: usize, x: V) -> V {
+    let x = if rp.imaginary { x.swap() } else { x };
+    x.xor(V::signs(rp.neg[2 * k], rp.neg[2 * k + 1]))
 }
 
 /// `U'·b` for `N` colour vectors, with `U' = U†` when `adjoint` and `U`
-/// otherwise, one complex per register: every output starts from `+0.0`
-/// and takes `j` ascending, the real part of `U'_ij` before the imaginary
-/// one — the order of [`Su3::mul_vec`](crate::Su3::mul_vec) and
+/// otherwise, one complex per 128-bit group: every output starts from
+/// `+0.0` and takes `j` ascending, the real part of `U'_ij` before the
+/// imaginary one — the order of [`Su3::mul_vec`](crate::Su3::mul_vec) and
 /// [`Su3::adj_mul_vec`](crate::Su3::adj_mul_vec). Each link entry is
 /// loaded once for all `N` vectors.
 ///
 /// # Safety
-/// As for [`load`].
+/// As for [`load_pairs`].
 #[inline(always)]
-unsafe fn color_rotate<const N: usize>(
+unsafe fn color_rotate<W: LaneWidth, const N: usize>(
     adjoint: bool,
-    b: &[[__m128d; 3]; N],
-    u: &[f64; 18],
-) -> [[__m128d; 3]; N] {
+    b: &[[W::Pd; 3]; N],
+    u: &W::Sites<&[f64; 18]>,
+) -> [[W::Pd; 3]; N] {
     // The imaginary part of U'_ij meets swap(b_j) with the sign of its
     // lane: U gives [−im, +re], U† (conjugated entries) [+im, −re].
-    let ui_sign = signs_pd(!adjoint, adjoint);
-    let bs = b.map(|v| v.map(|x| _mm_xor_pd(swap_pd(x), ui_sign)));
-    let mut r = [[_mm_setzero_pd(); 3]; N];
+    let ui_sign = W::Pd::signs(!adjoint, adjoint);
+    let mut bs = *b;
+    for n in 0..N {
+        for j in 0..3 {
+            bs[n][j] = b[n][j].swap().xor(ui_sign);
+        }
+    }
+    let mut r = [[W::Pd::zero(); 3]; N];
     for i in 0..3 {
         for j in 0..3 {
-            let e = load_pd(u, 2 * if adjoint { 3 * j + i } else { 3 * i + j });
-            let (er, ei) = (_mm_unpacklo_pd(e, e), _mm_unpackhi_pd(e, e));
+            let e = W::load_pd(u, 2 * if adjoint { 3 * j + i } else { 3 * i + j });
+            let (er, ei) = (e.unpacklo(e), e.unpackhi(e));
             for n in 0..N {
-                r[n][i] = _mm_add_pd(r[n][i], _mm_mul_pd(er, b[n][j]));
-                r[n][i] = _mm_add_pd(r[n][i], _mm_mul_pd(ei, bs[n][j]));
+                r[n][i] = r[n][i].add(er.mul(b[n][j]));
+                r[n][i] = r[n][i].add(ei.mul(bs[n][j]));
             }
         }
     }
@@ -446,7 +873,7 @@ unsafe fn color_rotate<const N: usize>(
 /// complex per register.
 ///
 /// # Safety
-/// As for [`load`].
+/// As for [`swap_pair`].
 #[inline(always)]
 unsafe fn color_hop(
     acc: &mut [__m128d; 3],
@@ -455,32 +882,37 @@ unsafe fn color_hop(
     v: &[f64; 6],
     u: &[f64; 18],
 ) {
-    let [r] = color_rotate(adjoint, &[[load_pd(v, 0), load_pd(v, 2), load_pd(v, 4)]], u);
+    let v = [v];
+    let b = [Sse2::load_pd(&v, 0), Sse2::load_pd(&v, 2), Sse2::load_pd(&v, 4)];
+    let [r] = color_rotate::<Sse2, 1>(adjoint, &[b], &[u]);
     for (acc, r) in acc.iter_mut().zip(r) {
-        *acc = if negate { _mm_sub_pd(*acc, r) } else { _mm_add_pd(*acc, r) };
+        *acc = if negate { acc.sub(r) } else { acc.add(r) };
     }
 }
 
 /// # Safety
-/// As for [`load`].
+/// As for [`load_pairs`].
 #[inline(always)]
-unsafe fn load_complexes(p: &[f64; 24]) -> Complexes {
-    let mut out = [[_mm_setzero_pd(); 3]; 4];
+unsafe fn load_complexes<W: LaneWidth>(p: &W::Sites<&[f64; 24]>) -> Complexes<W::Pd> {
+    let mut out = [[W::Pd::zero(); 3]; 4];
     for (s, spin) in out.iter_mut().enumerate() {
         for (c, z) in spin.iter_mut().enumerate() {
-            *z = load_pd(p, 6 * s + 2 * c);
+            *z = W::load_pd(p, 6 * s + 2 * c);
         }
     }
     Complexes(out)
 }
 
 /// # Safety
-/// As for [`load`].
+/// As for [`load_pairs`].
 #[inline(always)]
-unsafe fn store_complexes(spinor: &Complexes, out: &mut [f64; 24]) {
+unsafe fn store_complexes<W: LaneWidth>(
+    spinor: &Complexes<W::Pd>,
+    out: &mut W::Sites<&mut [f64; 24]>,
+) {
     for (s, spin) in spinor.0.iter().enumerate() {
         for (c, &z) in spin.iter().enumerate() {
-            store_pd(out, 6 * s + 2 * c, z);
+            W::store_pd(out, 6 * s + 2 * c, z);
         }
     }
 }
@@ -488,36 +920,55 @@ unsafe fn store_complexes(spinor: &Complexes, out: &mut [f64; 24]) {
 /// One f64 hop in direction `MU`.
 ///
 /// # Safety
-/// As for [`load`].
+/// As for [`load_pairs`].
 #[inline(always)]
-unsafe fn hop_mu_pd<const MU: usize>(
-    acc: &mut Complexes,
+unsafe fn hop_mu_pd<W: LaneWidth, const MU: usize>(
+    acc: &mut Complexes<W::Pd>,
     plus: bool,
     adjoint: bool,
-    psi: &[f64; 24],
-    u: &[f64; 18],
+    psi: &W::Sites<&[f64; 24]>,
+    u: &W::Sites<&[f64; 18]>,
 ) {
-    let p = load_complexes(psi).0;
+    let p = load_complexes::<W>(psi).0;
     // Project: h_k = ψ_k ± γ-row(k) ψ_lo for the upper spins k = 0, 1.
     let proj = row_pair(MU, 0, !plus);
-    let mut h = [[_mm_setzero_pd(); 3]; 2];
+    let mut h = [[W::Pd::zero(); 3]; 2];
     for (k, h) in h.iter_mut().enumerate() {
         let lo = &p[2 + (proj.cross as usize ^ k)];
         for c in 0..3 {
-            h[c] = _mm_add_pd(p[k][c], apply_row_pd(proj, k, lo[c]));
+            h[c] = p[k][c].add(apply_row_pd(proj, k, lo[c]));
         }
     }
-    let r = color_rotate(adjoint, &h, u);
+    let r = color_rotate::<W, 2>(adjoint, &h, u);
     // Accumulate: upper spins take r, lower spins ±γ-rows(2, 3) r.
     let recon = row_pair(MU, 2, !plus);
     let acc = &mut acc.0;
     for k in 0..2 {
         let from = &r[recon.cross as usize ^ k];
         for c in 0..3 {
-            acc[k][c] = _mm_add_pd(acc[k][c], r[k][c]);
-            acc[2 + k][c] = _mm_add_pd(acc[2 + k][c], apply_row_pd(recon, k, from[c]));
+            acc[k][c] = acc[k][c].add(r[k][c]);
+            acc[2 + k][c] = acc[2 + k][c].add(apply_row_pd(recon, k, from[c]));
         }
     }
+}
+
+/// One off-diagonal term of an f64 clover row: `acc + er·v + (ei·vs ^ sign)`
+/// with `[er, ei]` the packed entry `t` of block `B`.
+///
+/// # Safety
+/// As for [`load_pairs`].
+#[inline(always)]
+unsafe fn clover_mac_pd<W: LaneWidth, const B: usize>(
+    acc: W::Pd,
+    a: &W::Sites<&[f64; 72]>,
+    t: usize,
+    v: W::Pd,
+    vs: W::Pd,
+    sign: W::Pd,
+) -> W::Pd {
+    let e = W::load_pd(a, 36 * B + 6 + 2 * t);
+    let acc = acc.add(e.unpacklo(e).mul(v));
+    acc.add(e.unpackhi(e).mul(vs).xor(sign))
 }
 
 /// Row `I` of chiral block `B` of a packed f64 clover site applied to
@@ -525,28 +976,24 @@ unsafe fn hop_mu_pd<const MU: usize>(
 /// diagonal term, then every `j ≠ I` ascending.
 ///
 /// # Safety
-/// As for [`load`].
+/// As for [`load_pairs`].
 #[inline(always)]
-unsafe fn clover_row_pd<const B: usize, const I: usize>(
-    a: &[f64; 72],
-    v: &[__m128d; 6],
-    vs: &[__m128d; 6],
-) -> __m128d {
+unsafe fn clover_row_pd<W: LaneWidth, const B: usize, const I: usize>(
+    a: &W::Sites<&[f64; 72]>,
+    v: &[W::Pd; 6],
+    vs: &[W::Pd; 6],
+) -> W::Pd {
     // As in `clover_row`: lower-triangle entries negate the real lane of
     // the im·swap(v) product, upper (conjugated) ones the imaginary lane.
-    let (lower, upper) = (signs_pd(true, false), signs_pd(false, true));
+    let (lower, upper) = (W::Pd::signs(true, false), W::Pd::signs(false, true));
     // Block B's diagonal sits at reals 36B.., its off-diagonals at 36B + 6...
-    let mut acc = _mm_mul_pd(v[I], _mm_set1_pd(a[36 * B + I]));
-    let mut mac = |t: usize, j: usize, sign: __m128d| {
-        let e = load_pd(a, 36 * B + 6 + 2 * t);
-        acc = _mm_add_pd(acc, _mm_mul_pd(_mm_unpacklo_pd(e, e), v[j]));
-        acc = _mm_add_pd(acc, _mm_xor_pd(_mm_mul_pd(_mm_unpackhi_pd(e, e), vs[j]), sign));
-    };
+    let d = W::load_pd(a, 36 * B + I);
+    let mut acc = v[I].mul(d.unpacklo(d));
     for j in 0..I {
-        mac(tri(I, j), j, lower);
+        acc = clover_mac_pd::<W, B>(acc, a, tri(I, j), v[j], vs[j], lower);
     }
     for j in I + 1..6 {
-        mac(tri(j, I), j, upper);
+        acc = clover_mac_pd::<W, B>(acc, a, tri(j, I), v[j], vs[j], upper);
     }
     acc
 }
@@ -556,211 +1003,247 @@ unsafe fn clover_row_pd<const B: usize, const I: usize>(
 /// `shift` is given.
 ///
 /// # Safety
-/// As for [`load`].
+/// As for [`load_pairs`].
 #[inline(always)]
-unsafe fn clover_block_pd<const B: usize>(
-    a: &[f64; 72],
-    psi: &[f64; 24],
+unsafe fn clover_block_pd<W: LaneWidth, const B: usize>(
+    a: &W::Sites<&[f64; 72]>,
+    psi: &W::Sites<&[f64; 24]>,
     shift: Option<f64>,
-    out: &mut [f64; 24],
+    out: &mut W::Sites<&mut [f64; 24]>,
 ) {
-    let mut v = [_mm_setzero_pd(); 6];
+    let mut v = [W::Pd::zero(); 6];
     for (j, v) in v.iter_mut().enumerate() {
-        *v = load_pd(psi, 12 * B + 2 * j);
+        *v = W::load_pd(psi, 12 * B + 2 * j);
     }
-    let vs = v.map(|x| swap_pd(x));
+    let mut vs = v;
+    for j in 0..6 {
+        vs[j] = v[j].swap();
+    }
     let mut w = [
-        clover_row_pd::<B, 0>(a, &v, &vs),
-        clover_row_pd::<B, 1>(a, &v, &vs),
-        clover_row_pd::<B, 2>(a, &v, &vs),
-        clover_row_pd::<B, 3>(a, &v, &vs),
-        clover_row_pd::<B, 4>(a, &v, &vs),
-        clover_row_pd::<B, 5>(a, &v, &vs),
+        clover_row_pd::<W, B, 0>(a, &v, &vs),
+        clover_row_pd::<W, B, 1>(a, &v, &vs),
+        clover_row_pd::<W, B, 2>(a, &v, &vs),
+        clover_row_pd::<W, B, 3>(a, &v, &vs),
+        clover_row_pd::<W, B, 4>(a, &v, &vs),
+        clover_row_pd::<W, B, 5>(a, &v, &vs),
     ];
     if let Some(shift) = shift {
-        let s = _mm_set1_pd(shift);
-        for (w, v) in w.iter_mut().zip(v) {
-            *w = _mm_add_pd(*w, _mm_mul_pd(v, s));
+        let s = W::Pd::splat(shift);
+        for j in 0..6 {
+            w[j] = w[j].add(v[j].mul(s));
         }
     }
-    for (i, w) in w.into_iter().enumerate() {
-        store_pd(out, 12 * B + 2 * i, w);
+    for (i, &w) in w.iter().enumerate() {
+        W::store_pd(out, 12 * B + 2 * i, w);
     }
 }
 
-/// A precision with SSE2 Wilson-clover kernels: `f32` (two complex
-/// numbers per `__m128`) and `f64` (one per `__m128d`). The trait is
+/// A precision with SIMD Wilson-clover kernels: `f32` (two complex
+/// numbers per 128-bit group) and `f64` (one per group). The trait is
 /// sealed; its items are the per-precision bodies behind [`SpinorAcc`],
-/// [`clover_apply`] and [`clover_apply_shifted`].
+/// [`clover_apply`] and [`clover_apply_shifted`], each generic over the
+/// [`LaneWidth`] and unsafe with the contract of
+/// [`LaneWidth::load_ps`].
 pub trait WilsonLanes: Copy + regs::Sealed {
     #[doc(hidden)]
-    type Spinor: Copy;
+    type Spinor<W: LaneWidth>: Copy;
     #[doc(hidden)]
-    fn zero() -> Self::Spinor;
+    unsafe fn zero<W: LaneWidth>() -> Self::Spinor<W>;
     #[doc(hidden)]
-    fn load(s: &[Self; 24]) -> Self::Spinor;
+    unsafe fn load<W: LaneWidth>(s: &W::Sites<&[Self; 24]>) -> Self::Spinor<W>;
     #[doc(hidden)]
-    fn store(s: &Self::Spinor, out: &mut [Self; 24]);
+    unsafe fn store<W: LaneWidth>(s: &Self::Spinor<W>, out: &mut W::Sites<&mut [Self; 24]>);
     #[doc(hidden)]
-    fn hop(
-        acc: &mut Self::Spinor,
+    unsafe fn hop<W: LaneWidth>(
+        acc: &mut Self::Spinor<W>,
         proj: Projector,
         adjoint: bool,
-        psi: &[Self; 24],
-        u: &[Self; 18],
+        psi: &W::Sites<&[Self; 24]>,
+        u: &W::Sites<&[Self; 18]>,
     );
     #[doc(hidden)]
-    fn clover(a: &[Self; 72], psi: &[Self; 24], shift: Option<Self>, out: &mut [Self; 24]);
+    unsafe fn clover<W: LaneWidth>(
+        a: &W::Sites<&[Self; 72]>,
+        psi: &W::Sites<&[Self; 24]>,
+        shift: Option<Self>,
+        out: &mut W::Sites<&mut [Self; 24]>,
+    );
 }
 
-/// Run `$hop::<µ>` with the direction as a constant.
+/// Run `$hop::<W, µ>` with the direction as a constant.
 macro_rules! by_direction {
-    ($hop:ident, $proj:expr, $($arg:expr),*) => {
+    ($hop:ident::<$w:ty>, $proj:expr, $($arg:expr),*) => {
         match $proj.mu {
-            0 => $hop::<0>($($arg),*),
-            1 => $hop::<1>($($arg),*),
-            2 => $hop::<2>($($arg),*),
-            3 => $hop::<3>($($arg),*),
+            0 => $hop::<$w, 0>($($arg),*),
+            1 => $hop::<$w, 1>($($arg),*),
+            2 => $hop::<$w, 2>($($arg),*),
+            3 => $hop::<$w, 3>($($arg),*),
             mu => panic!("direction {mu} out of range"),
         }
     };
 }
 
 impl WilsonLanes for f32 {
-    type Spinor = Pairs;
+    type Spinor<W: LaneWidth> = Pairs<W::Ps>;
 
     #[inline(always)]
-    fn zero() -> Pairs {
-        // SAFETY: SSE2 is part of the x86_64 baseline.
-        let z = unsafe { _mm_setzero_ps() };
+    unsafe fn zero<W: LaneWidth>() -> Pairs<W::Ps> {
+        let z = W::Ps::zero();
         Pairs { up: [z; 3], lo: [z; 3] }
     }
 
     #[inline(always)]
-    fn load(s: &[f32; 24]) -> Pairs {
-        // SAFETY: SSE2 is part of the x86_64 baseline; loads and stores are
-        // bounds-checked against the fixed-size arrays.
-        unsafe { load_pairs(s) }
+    unsafe fn load<W: LaneWidth>(s: &W::Sites<&[f32; 24]>) -> Pairs<W::Ps> {
+        load_pairs::<W>(s)
     }
 
     #[inline(always)]
-    fn store(s: &Pairs, out: &mut [f32; 24]) {
-        // SAFETY: SSE2 is part of the x86_64 baseline; loads and stores are
-        // bounds-checked against the fixed-size arrays.
-        unsafe { store_pairs(s, out) }
+    unsafe fn store<W: LaneWidth>(s: &Pairs<W::Ps>, out: &mut W::Sites<&mut [f32; 24]>) {
+        store_pairs::<W>(s, out)
     }
 
     #[inline(always)]
-    fn hop(acc: &mut Pairs, proj: Projector, adjoint: bool, psi: &[f32; 24], u: &[f32; 18]) {
-        // SAFETY: SSE2 is part of the x86_64 baseline; loads and stores are
-        // bounds-checked against the fixed-size arrays.
-        unsafe { by_direction!(hop_mu, proj, acc, proj.plus, adjoint, psi, u) }
+    unsafe fn hop<W: LaneWidth>(
+        acc: &mut Pairs<W::Ps>,
+        proj: Projector,
+        adjoint: bool,
+        psi: &W::Sites<&[f32; 24]>,
+        u: &W::Sites<&[f32; 18]>,
+    ) {
+        by_direction!(hop_mu::<W>, proj, acc, proj.plus, adjoint, psi, u)
     }
 
     #[inline(always)]
-    fn clover(a: &[f32; 72], psi: &[f32; 24], shift: Option<f32>, out: &mut [f32; 24]) {
-        // SAFETY: SSE2 is part of the x86_64 baseline; loads and stores are
-        // bounds-checked against the fixed-size arrays.
-        unsafe { clover(a, psi, shift, out) }
+    unsafe fn clover<W: LaneWidth>(
+        a: &W::Sites<&[f32; 72]>,
+        psi: &W::Sites<&[f32; 24]>,
+        shift: Option<f32>,
+        out: &mut W::Sites<&mut [f32; 24]>,
+    ) {
+        clover::<W>(a, psi, shift, out)
     }
 }
 
 impl WilsonLanes for f64 {
-    type Spinor = Complexes;
+    type Spinor<W: LaneWidth> = Complexes<W::Pd>;
 
     #[inline(always)]
-    fn zero() -> Complexes {
-        // SAFETY: SSE2 is part of the x86_64 baseline.
-        Complexes([[unsafe { _mm_setzero_pd() }; 3]; 4])
+    unsafe fn zero<W: LaneWidth>() -> Complexes<W::Pd> {
+        Complexes([[W::Pd::zero(); 3]; 4])
     }
 
     #[inline(always)]
-    fn load(s: &[f64; 24]) -> Complexes {
-        // SAFETY: SSE2 is part of the x86_64 baseline; loads and stores are
-        // bounds-checked against the fixed-size arrays.
-        unsafe { load_complexes(s) }
+    unsafe fn load<W: LaneWidth>(s: &W::Sites<&[f64; 24]>) -> Complexes<W::Pd> {
+        load_complexes::<W>(s)
     }
 
     #[inline(always)]
-    fn store(s: &Complexes, out: &mut [f64; 24]) {
-        // SAFETY: SSE2 is part of the x86_64 baseline; loads and stores are
-        // bounds-checked against the fixed-size arrays.
-        unsafe { store_complexes(s, out) }
+    unsafe fn store<W: LaneWidth>(s: &Complexes<W::Pd>, out: &mut W::Sites<&mut [f64; 24]>) {
+        store_complexes::<W>(s, out)
     }
 
     #[inline(always)]
-    fn hop(acc: &mut Complexes, proj: Projector, adjoint: bool, psi: &[f64; 24], u: &[f64; 18]) {
-        // SAFETY: SSE2 is part of the x86_64 baseline; loads and stores are
-        // bounds-checked against the fixed-size arrays.
-        unsafe { by_direction!(hop_mu_pd, proj, acc, proj.plus, adjoint, psi, u) }
+    unsafe fn hop<W: LaneWidth>(
+        acc: &mut Complexes<W::Pd>,
+        proj: Projector,
+        adjoint: bool,
+        psi: &W::Sites<&[f64; 24]>,
+        u: &W::Sites<&[f64; 18]>,
+    ) {
+        by_direction!(hop_mu_pd::<W>, proj, acc, proj.plus, adjoint, psi, u)
     }
 
     #[inline(always)]
-    fn clover(a: &[f64; 72], psi: &[f64; 24], shift: Option<f64>, out: &mut [f64; 24]) {
-        // SAFETY: SSE2 is part of the x86_64 baseline; loads and stores are
-        // bounds-checked against the fixed-size arrays.
-        unsafe {
-            clover_block_pd::<0>(a, psi, shift, out);
-            clover_block_pd::<1>(a, psi, shift, out);
-        }
+    unsafe fn clover<W: LaneWidth>(
+        a: &W::Sites<&[f64; 72]>,
+        psi: &W::Sites<&[f64; 24]>,
+        shift: Option<f64>,
+        out: &mut W::Sites<&mut [f64; 24]>,
+    ) {
+        clover_block_pd::<W, 0>(a, psi, shift, out);
+        clover_block_pd::<W, 1>(a, psi, shift, out);
     }
 }
 
-/// The output spinor of one site while its hops are summed, held in
-/// SSE registers. Flat spinors are the 24 reals of
+/// The output spinors of `W::SITES` sites while their hops are summed,
+/// held in SIMD registers. Flat spinors are the 24 reals of
 /// [`WilsonSpinor`](crate::WilsonSpinor), spin-major, `[re, im]` per
-/// colour.
+/// colour; site `k` of every argument goes to 128-bit group `k`.
 #[derive(Clone, Copy)]
-pub struct SpinorAcc<R: WilsonLanes>(R::Spinor);
+pub struct SpinorAcc<R: WilsonLanes, W: LaneWidth>(R::Spinor<W>);
 
-impl<R: WilsonLanes> SpinorAcc<R> {
-    /// The zero spinor.
+impl<R: WilsonLanes, W: LaneWidth> SpinorAcc<R, W> {
+    /// The zero spinors.
     #[inline(always)]
-    pub fn zero() -> Self {
-        SpinorAcc(R::zero())
+    pub fn zero(_: W) -> Self {
+        // SAFETY: a `W` value exists only where the CPU runs W's
+        // instructions.
+        SpinorAcc(unsafe { R::zero::<W>() })
     }
 
-    /// Start from an existing spinor.
+    /// Start from existing spinors.
     #[inline(always)]
-    pub fn load(s: &[R; 24]) -> Self {
-        SpinorAcc(R::load(s))
+    pub fn load(_: W, s: W::Sites<&[R; 24]>) -> Self {
+        // SAFETY: as for `zero`; loads are bounds-checked against the
+        // fixed-size arrays.
+        SpinorAcc(unsafe { R::load::<W>(&s) })
     }
 
-    /// Write the sum out.
+    /// Write the sums out.
     #[inline(always)]
-    pub fn store(&self, out: &mut [R; 24]) {
-        R::store(&self.0, out)
+    pub fn store(&self, mut out: W::Sites<&mut [R; 24]>) {
+        // SAFETY: `self` was built from a `W` value (see `zero`); stores
+        // are bounds-checked against the fixed-size arrays.
+        unsafe { R::store::<W>(&self.0, &mut out) }
     }
 
-    /// Add one hop, `(1 ± γµ) ⊗ U'` applied to `psi` with `U' = U†` when
-    /// `adjoint` (the backward hop) and `U` otherwise; `u` holds the 18
-    /// reals of [`Su3::to_reals`](crate::Su3::to_reals). Bit-identical
-    /// to `proj.accumulate(acc, &proj.project(ψ).color_mul(U))` (or
+    /// Add one hop per site, `(1 ± γµ) ⊗ U'` applied to `psi` with
+    /// `U' = U†` when `adjoint` (the backward hop) and `U` otherwise; `u`
+    /// holds the 18 reals of [`Su3::to_reals`](crate::Su3::to_reals).
+    /// Bit-identical, site by site, to
+    /// `proj.accumulate(acc, &proj.project(ψ).color_mul(U))` (or
     /// `color_adj_mul`).
     #[inline(always)]
-    pub fn hop(&mut self, proj: Projector, adjoint: bool, psi: &[R; 24], u: &[R; 18]) {
-        R::hop(&mut self.0, proj, adjoint, psi, u)
+    pub fn hop(
+        &mut self,
+        proj: Projector,
+        adjoint: bool,
+        psi: W::Sites<&[R; 24]>,
+        u: W::Sites<&[R; 18]>,
+    ) {
+        // SAFETY: as for `store`.
+        unsafe { R::hop::<W>(&mut self.0, proj, adjoint, &psi, &u) }
     }
 }
 
-/// `out = A ψ` for one packed clover site `a` (the 72 reals of
+/// `out = A ψ` per site for packed clover sites `a` (the 72 reals of
 /// [`CloverSite::to_reals`](crate::CloverSite::to_reals)); bit-identical
 /// to [`CloverSite::apply`](crate::CloverSite::apply).
 #[inline(always)]
-pub fn clover_apply<R: WilsonLanes>(a: &[R; 72], psi: &[R; 24], out: &mut [R; 24]) {
-    R::clover(a, psi, None, out)
+pub fn clover_apply<R: WilsonLanes, W: LaneWidth>(
+    _: W,
+    a: W::Sites<&[R; 72]>,
+    psi: W::Sites<&[R; 24]>,
+    mut out: W::Sites<&mut [R; 24]>,
+) {
+    // SAFETY: a `W` value exists only where the CPU runs W's
+    // instructions; loads and stores are bounds-checked against the
+    // fixed-size arrays.
+    unsafe { R::clover::<W>(&a, &psi, None, &mut out) }
 }
 
-/// `out = A ψ + shift·ψ`; bit-identical to
+/// `out = A ψ + shift·ψ` per site; bit-identical to
 /// `a.apply(ψ).add(&ψ.scale(shift))`.
 #[inline(always)]
-pub fn clover_apply_shifted<R: WilsonLanes>(
-    a: &[R; 72],
-    psi: &[R; 24],
+pub fn clover_apply_shifted<R: WilsonLanes, W: LaneWidth>(
+    _: W,
+    a: W::Sites<&[R; 72]>,
+    psi: W::Sites<&[R; 24]>,
     shift: R,
-    out: &mut [R; 24],
+    mut out: W::Sites<&mut [R; 24]>,
 ) {
-    R::clover(a, psi, Some(shift), out)
+    // SAFETY: as for `clover_apply`.
+    unsafe { R::clover::<W>(&a, &psi, Some(shift), &mut out) }
 }
 
 /// A colour vector while the hops of one site are summed, held in SSE
@@ -774,23 +1257,25 @@ impl ColorAcc {
     #[inline(always)]
     pub fn zero() -> Self {
         // SAFETY: SSE2 is part of the x86_64 baseline.
-        ColorAcc([unsafe { _mm_setzero_pd() }; 3])
+        ColorAcc([unsafe { __m128d::zero() }; 3])
     }
 
     /// Start from an existing vector.
     #[inline(always)]
     pub fn load(v: &[f64; 6]) -> Self {
+        let v = [v];
         // SAFETY: SSE2 is part of the x86_64 baseline; loads stay in `v`.
-        unsafe { ColorAcc([load_pd(v, 0), load_pd(v, 2), load_pd(v, 4)]) }
+        unsafe { ColorAcc([Sse2::load_pd(&v, 0), Sse2::load_pd(&v, 2), Sse2::load_pd(&v, 4)]) }
     }
 
     /// Write the sum out.
     #[inline(always)]
     pub fn store(&self, out: &mut [f64; 6]) {
+        let mut out = [out];
         // SAFETY: SSE2 is part of the x86_64 baseline; stores stay in `out`.
         unsafe {
             for (k, &c) in self.0.iter().enumerate() {
-                store_pd(out, 2 * k, c);
+                Sse2::store_pd(&mut out, 2 * k, c);
             }
         }
     }
@@ -816,6 +1301,7 @@ mod tests {
     use lqcd_util::rng::SeedTree;
     use lqcd_util::{Complex, Real};
     use rand::Rng;
+    use std::marker::PhantomData;
 
     /// A precision under test, with its own subnormals and a magnitude
     /// whose products underflow.
@@ -851,8 +1337,8 @@ mod tests {
 
     /// Bits through the exact widening to f64, which keeps signed zeros
     /// and subnormals apart.
-    fn bits<R: Real, const N: usize>(a: &[R; N]) -> [u64; N] {
-        a.map(|x| x.to_f64().to_bits())
+    fn bits<R: Real>(a: &[R]) -> Vec<u64> {
+        a.iter().map(|x| x.to_f64().to_bits()).collect()
     }
 
     /// Gaussian values, or with `special` a mix that also draws ±0.0,
@@ -896,6 +1382,60 @@ mod tests {
         out
     }
 
+    /// Site `k` of a flat multi-site output.
+    fn at<R>(reals: &[R], k: usize) -> &[R] {
+        &reals[24 * k..24 * (k + 1)]
+    }
+
+    /// The width's name, for failure messages.
+    fn name<W>() -> &'static str {
+        std::any::type_name::<W>().rsplit("::").next().unwrap_or("?")
+    }
+
+    /// One kernel check in precision `R`, run at every width the CPU
+    /// supports through [`Width::run`] — the same `#[target_feature]`
+    /// entry the operators use.
+    #[derive(Clone, Copy)]
+    enum Check {
+        Hop,
+        ChainedHops,
+        Clover,
+        RoundTrip,
+    }
+
+    #[derive(Clone, Copy)]
+    struct AtWidth<R>(Check, u64, PhantomData<R>);
+
+    impl<R: Lane> WidthLoop for AtWidth<R> {
+        type Output = ();
+
+        fn run<W: LaneWidth>(self, w: W) {
+            let AtWidth(check, seed, _) = self;
+            match check {
+                Check::Hop => hop_matches_scalar::<R, W>(w, seed),
+                Check::ChainedHops => chained_hops_match_scalar::<R, W>(w, seed),
+                Check::Clover => clover_matches_scalar::<R, W>(w, seed),
+                Check::RoundTrip => zero_load_store_roundtrip::<R, W>(w, seed),
+            }
+        }
+    }
+
+    fn at_every_width(check: Check, seed32: u64, seed64: u64) {
+        for width in Width::supported() {
+            width.run(AtWidth::<f32>(check, seed32, PhantomData));
+            width.run(AtWidth::<f64>(check, seed64, PhantomData));
+        }
+    }
+
+    #[test]
+    fn detect_picks_the_widest_supported_width() {
+        let avx2 = is_x86_feature_detected!("avx2");
+        assert_eq!(Avx2::detect().is_some(), avx2);
+        assert!(matches!(Width::supported()[..], [Width::Sse2, ..]));
+        assert_eq!(Width::supported().len(), 1 + avx2 as usize);
+        assert_eq!(matches!(Width::detect(), Width::Avx2(_)), avx2);
+    }
+
     #[test]
     fn row_recipes_reproduce_gamma() {
         // Both rows of each pair share one spin crossing and one
@@ -910,31 +1450,52 @@ mod tests {
     }
 
     /// Every (µ, ±) in both the `U` and `U†` forms, from zero and from a
-    /// random accumulator.
-    fn hop_matches_scalar<R: Lane>(seed: u64) {
+    /// random accumulator. Every site of a call draws its own spinor,
+    /// link and accumulator, so a kernel that swaps or mixes lanes fails.
+    fn hop_matches_scalar<R: Lane, W: LaneWidth>(w: W, seed: u64) {
         let tree = SeedTree::new(seed);
         let mut rng = tree.rng();
         for trial in 0..400 {
             let special = trial % 2 == 1;
-            let psi = spinor::<R, _>(&mut rng, special);
-            let u = matrix(&mut rng, special);
-            let acc0 =
-                if trial % 4 == 0 { WilsonSpinor::zero() } else { spinor(&mut rng, special) };
+            let mut psi = Vec::new();
+            let mut u = Vec::new();
+            let mut acc0 = Vec::new();
+            for _ in 0..W::SITES {
+                psi.push(spinor::<R, _>(&mut rng, special));
+                u.push(matrix::<R, _>(&mut rng, special));
+                acc0.push(if trial % 4 == 0 {
+                    WilsonSpinor::zero()
+                } else {
+                    spinor(&mut rng, special)
+                });
+            }
+            let psi_flat: Vec<_> = psi.iter().map(flat).collect();
+            let u_flat: Vec<_> = u.iter().map(Su3::to_reals).collect();
+            let acc0_flat: Vec<_> = acc0.iter().map(flat).collect();
             for mu in 0..4 {
                 for plus in [false, true] {
                     for adjoint in [false, true] {
                         let proj = Projector { mu, plus };
-                        let want = scalar_hop(&acc0, proj, adjoint, &psi, &u);
-                        let mut acc = SpinorAcc::load(&flat(&acc0));
-                        acc.hop(proj, adjoint, &flat(&psi), &u.to_reals());
-                        let mut got = [R::ZERO; 24];
-                        acc.store(&mut got);
-                        assert_eq!(
-                            bits(&got),
-                            bits(&flat(&want)),
-                            "{}: trial {trial}, µ={mu}, plus={plus}, adjoint={adjoint}",
-                            R::NAME
+                        let mut acc = SpinorAcc::load(w, W::sites(|k| &acc0_flat[k]));
+                        acc.hop(
+                            proj,
+                            adjoint,
+                            W::sites(|k| &psi_flat[k]),
+                            W::sites(|k| &u_flat[k]),
                         );
+                        let mut got = vec![R::ZERO; 24 * W::SITES];
+                        acc.store(W::split_mut(&mut got));
+                        for k in 0..W::SITES {
+                            let want = scalar_hop(&acc0[k], proj, adjoint, &psi[k], &u[k]);
+                            assert_eq!(
+                                bits(at(&got, k)),
+                                bits(&flat(&want)),
+                                "{} {}: trial {trial}, site {k}, µ={mu}, plus={plus}, \
+                                 adjoint={adjoint}",
+                                R::NAME,
+                                name::<W>()
+                            );
+                        }
                     }
                 }
             }
@@ -943,82 +1504,129 @@ mod tests {
 
     #[test]
     fn hop_matches_scalar_bitwise() {
-        hop_matches_scalar::<f32>(41);
-        hop_matches_scalar::<f64>(48);
+        at_every_width(Check::Hop, 41, 48);
     }
 
     /// The interior-kernel pattern: eight hops summed into a zero
-    /// accumulator, forward with U and backward with U†.
-    fn chained_hops_match_scalar<R: Lane>(seed: u64) {
+    /// accumulator, forward with U and backward with U†, each site with
+    /// its own data.
+    fn chained_hops_match_scalar<R: Lane, W: LaneWidth>(w: W, seed: u64) {
         let tree = SeedTree::new(seed);
         let mut rng = tree.rng();
         for trial in 0..50 {
             let special = trial % 2 == 0;
-            let mut want = WilsonSpinor::zero();
-            let mut acc = SpinorAcc::zero();
+            let mut want = vec![WilsonSpinor::zero(); W::SITES];
+            let mut acc = SpinorAcc::zero(w);
             for mu in 0..4 {
                 for (plus, adjoint) in [(false, false), (true, true)] {
-                    let psi = spinor::<R, _>(&mut rng, special);
-                    let u = matrix(&mut rng, special);
                     let proj = Projector { mu, plus };
-                    want = scalar_hop(&want, proj, adjoint, &psi, &u);
-                    acc.hop(proj, adjoint, &flat(&psi), &u.to_reals());
+                    let mut psi = Vec::new();
+                    let mut u = Vec::new();
+                    for want in want.iter_mut() {
+                        let s = spinor::<R, _>(&mut rng, special);
+                        let m = matrix::<R, _>(&mut rng, special);
+                        *want = scalar_hop(want, proj, adjoint, &s, &m);
+                        psi.push(flat(&s));
+                        u.push(m.to_reals());
+                    }
+                    acc.hop(proj, adjoint, W::sites(|k| &psi[k]), W::sites(|k| &u[k]));
                 }
             }
-            let mut got = [R::ZERO; 24];
-            acc.store(&mut got);
-            assert_eq!(bits(&got), bits(&flat(&want)), "{}: trial {trial}", R::NAME);
+            let mut got = vec![R::ZERO; 24 * W::SITES];
+            acc.store(W::split_mut(&mut got));
+            for (k, want) in want.iter().enumerate() {
+                assert_eq!(
+                    bits(at(&got, k)),
+                    bits(&flat(want)),
+                    "{} {}: trial {trial}, site {k}",
+                    R::NAME,
+                    name::<W>()
+                );
+            }
         }
     }
 
     #[test]
     fn chained_hops_from_zero_match_scalar_bitwise() {
-        chained_hops_match_scalar::<f32>(42);
-        chained_hops_match_scalar::<f64>(49);
+        at_every_width(Check::ChainedHops, 42, 49);
     }
 
-    fn zero_load_store_roundtrip<R: Lane>(seed: u64) {
-        let mut got = [R::ONE; 24];
-        SpinorAcc::zero().store(&mut got);
-        assert_eq!(bits(&got), [0u64; 24], "{}", R::NAME);
-        let s = flat(&spinor::<R, _>(&mut SeedTree::new(seed).rng(), true));
-        SpinorAcc::load(&s).store(&mut got);
-        assert_eq!(bits(&got), bits(&s), "{}", R::NAME);
+    fn zero_load_store_roundtrip<R: Lane, W: LaneWidth>(w: W, seed: u64) {
+        let mut got = vec![R::ONE; 24 * W::SITES];
+        SpinorAcc::<R, W>::zero(w).store(W::split_mut(&mut got));
+        assert!(got.iter().all(|x| x.to_f64().to_bits() == 0), "{} {}", R::NAME, name::<W>());
+        let mut rng = SeedTree::new(seed).rng();
+        let s: Vec<_> = (0..W::SITES).map(|_| flat(&spinor::<R, _>(&mut rng, true))).collect();
+        SpinorAcc::load(w, W::sites(|k| &s[k])).store(W::split_mut(&mut got));
+        assert_eq!(bits(&got), bits(&s.concat()), "{} {}", R::NAME, name::<W>());
     }
 
     #[test]
     fn zero_load_store_roundtrip_is_exact() {
-        zero_load_store_roundtrip::<f32>(43);
-        zero_load_store_roundtrip::<f64>(50);
+        at_every_width(Check::RoundTrip, 43, 50);
     }
 
     /// The plain and the shifted block, on positive-definite sites and on
-    /// general packed reals (special values included).
-    fn clover_matches_scalar<R: Lane>(seed: u64) {
+    /// general packed reals (special values included), each site of a
+    /// call with its own clover site and spinor.
+    fn clover_matches_scalar<R: Lane, W: LaneWidth>(w: W, seed: u64) {
         let tree = SeedTree::new(seed);
         let mut rng = tree.rng();
         for trial in 0..400 {
             let special = trial % 2 == 1;
-            let a = if trial % 3 == 0 {
-                CloverSite::<f64>::random_spd(&mut rng).cast::<R>()
-            } else {
-                CloverSite::from_reals(&std::array::from_fn(|_| value(&mut rng, special)))
-            };
-            let psi = spinor(&mut rng, special);
-            let mut got = [R::ZERO; 24];
-            clover_apply(&a.to_reals(), &flat(&psi), &mut got);
-            assert_eq!(bits(&got), bits(&flat(&a.apply(&psi))), "{}: trial {trial}", R::NAME);
+            let mut a = Vec::new();
+            let mut psi = Vec::new();
+            for k in 0..W::SITES {
+                a.push(if (trial + k) % 3 == 0 {
+                    CloverSite::<f64>::random_spd(&mut rng).cast::<R>()
+                } else {
+                    CloverSite::from_reals(&std::array::from_fn(|_| value(&mut rng, special)))
+                });
+                psi.push(spinor::<R, _>(&mut rng, special));
+            }
+            let a_flat: Vec<_> = a.iter().map(CloverSite::to_reals).collect();
+            let psi_flat: Vec<_> = psi.iter().map(flat).collect();
+            let mut got = vec![R::ZERO; 24 * W::SITES];
+            clover_apply(
+                w,
+                W::sites(|k| &a_flat[k]),
+                W::sites(|k| &psi_flat[k]),
+                W::split_mut(&mut got),
+            );
+            for k in 0..W::SITES {
+                let want = a[k].apply(&psi[k]);
+                assert_eq!(
+                    bits(at(&got, k)),
+                    bits(&flat(&want)),
+                    "{} {}: trial {trial}, site {k}",
+                    R::NAME,
+                    name::<W>()
+                );
+            }
             let shift = value(&mut rng, special);
-            clover_apply_shifted(&a.to_reals(), &flat(&psi), shift, &mut got);
-            let want = a.apply(&psi).add(&psi.scale(shift));
-            assert_eq!(bits(&got), bits(&flat(&want)), "{}: trial {trial} (shifted)", R::NAME);
+            clover_apply_shifted(
+                w,
+                W::sites(|k| &a_flat[k]),
+                W::sites(|k| &psi_flat[k]),
+                shift,
+                W::split_mut(&mut got),
+            );
+            for k in 0..W::SITES {
+                let want = a[k].apply(&psi[k]).add(&psi[k].scale(shift));
+                assert_eq!(
+                    bits(at(&got, k)),
+                    bits(&flat(&want)),
+                    "{} {}: trial {trial}, site {k} (shifted)",
+                    R::NAME,
+                    name::<W>()
+                );
+            }
         }
     }
 
     #[test]
     fn clover_matches_scalar_bitwise() {
-        clover_matches_scalar::<f32>(44);
-        clover_matches_scalar::<f64>(51);
+        at_every_width(Check::Clover, 44, 51);
     }
 
     fn vector64<G: Rng>(rng: &mut G, special: bool) -> ColorVector<f64> {

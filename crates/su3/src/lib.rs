@@ -16,9 +16,10 @@
 //!   formats with exact SU(3) reconstruction (paper §5, "strategy (a)");
 //! * [`clover`] — the packed 72-real clover term (two 6×6 Hermitian
 //!   chiral blocks) with apply and inverse;
-//! * `kernels` (x86_64) — bit-identical SSE2 site kernels: the Wilson
-//!   hop and clover block in single and double precision, and the
-//!   double-precision asqtad colour hop.
+//! * `kernels` (x86_64) — bit-identical SIMD site kernels: the Wilson
+//!   hop and clover block in single and double precision, one site per
+//!   SSE2 call or two per AVX2 call, and the double-precision asqtad
+//!   colour hop.
 
 pub mod clover;
 pub mod compress;
