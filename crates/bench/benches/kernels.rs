@@ -29,22 +29,49 @@ fn su3_algebra(c: &mut Criterion) {
     g.bench_function("mat_vec", |bch| bch.iter(|| black_box(a.mul_vec(black_box(&v)))));
     g.bench_function("adj_mat_vec", |bch| bch.iter(|| black_box(a.adj_mul_vec(black_box(&v)))));
     g.bench_function("reunitarize", |bch| bch.iter(|| black_box(a.reunitarize())));
-    // One asqtad colour hop on flat reals: `acc − U†·v` (SSE2).
+    // One asqtad colour hop on flat reals, `acc = 0 − U†·v`: one site per
+    // call (SSE2), and two sites per call (AVX2, where the CPU has it),
+    // both through the `#[target_feature]` entry the operators use.
     #[cfg(target_arch = "x86_64")]
     {
-        use lqcd_su3::kernels::ColorAcc;
-        let u = a.to_reals();
-        let v: [f64; 6] =
-            std::array::from_fn(|k| if k % 2 == 0 { v.c[k / 2].re } else { v.c[k / 2].im });
-        g.bench_function("color_hop_f64", |bch| {
-            bch.iter(|| {
-                let mut acc = ColorAcc::zero();
-                acc.hop(true, true, black_box(&v), black_box(&u));
-                let mut out = [0.0; 6];
-                acc.store(&mut out);
-                black_box(out)
-            })
+        use lqcd_su3::kernels::{Avx2, ColorAcc, LaneWidth, Width, WidthLoop};
+
+        /// `acc = 0 − U_k†·v_k` at every site of one call.
+        struct ColorHop<'a> {
+            v: &'a [[f64; 6]; 2],
+            u: &'a [[f64; 18]; 2],
+            out: &'a mut [f64; 12],
+        }
+
+        impl WidthLoop for ColorHop<'_> {
+            type Output = ();
+
+            #[inline(always)]
+            fn run<W: LaneWidth>(self, w: W) {
+                let mut acc = ColorAcc::zero(w);
+                acc.hop(true, true, W::sites(|k| &self.v[k]), W::sites(|k| &self.u[k]));
+                acc.store(W::split_mut(self.out));
+            }
+        }
+
+        let v: [[f64; 6]; 2] = std::array::from_fn(|_| {
+            let v = ColorVector::<f64>::random(&mut rng);
+            std::array::from_fn(|k| if k % 2 == 0 { v.c[k / 2].re } else { v.c[k / 2].im })
         });
+        let u: [[f64; 18]; 2] = std::array::from_fn(|_| Su3::<f64>::random(&mut rng).to_reals());
+        let mut out = [0.0; 12];
+        let mut row = |name: &str, width: Width| {
+            g.bench_function(name, |bch| {
+                bch.iter(|| {
+                    width.run(ColorHop { v: black_box(&v), u: black_box(&u), out: &mut out });
+                    black_box(&out);
+                })
+            });
+        };
+        row("color_hop_f64", Width::Sse2);
+        if let Some(avx2) = Avx2::detect() {
+            row("color_hop_f64_two_sites", Width::Avx2(avx2));
+        }
     }
     // One Wilson backward hop on flat reals, `acc + (1 + γ_t) ⊗ U†`
     // applied to ψ: one site per call (SSE2), and two sites per call (AVX2,

@@ -1,5 +1,5 @@
 //! Safe selection of an operator's SIMD site kernels, and flat site
-//! access for them.
+//! access and site grouping for them.
 //!
 //! The operators are generic over `R: Real`, but the SIMD kernel sets
 //! serve fixed precisions: f32 and f64 for Wilson-clover, f64 for
@@ -10,11 +10,11 @@
 //! `kernels::fast(op)` returns; otherwise it runs with `kernels::Generic`.
 //! No signature changes and no `unsafe`.
 //!
-//! SSE2 is part of the x86_64 baseline. The Wilson-clover kernels also
-//! run two sites per AVX2 register: each operator detects the widest lane
-//! width once, when it is built (`is_x86_feature_detected!`), and its
-//! fast kernels carry that width into `#[target_feature]` site loops.
-//! The asqtad kernels run SSE2 only.
+//! SSE2 is part of the x86_64 baseline. The Wilson-clover and the asqtad
+//! kernels also run two sites per AVX2 register: each operator detects
+//! the widest lane width once, when it is built
+//! (`is_x86_feature_detected!`), and its fast kernels carry that width
+//! into `#[target_feature]` site loops.
 
 /// A reference re-bound at the concrete type it is known to have.
 #[cfg(target_arch = "x86_64")]
@@ -74,4 +74,20 @@ pub(crate) fn site<R, const N: usize>(reals: &[R], idx: usize) -> &[R; N] {
 #[inline(always)]
 pub(crate) fn site_mut<R, const N: usize>(reals: &mut [R], idx: usize) -> &mut [R; N] {
     reals[N * idx..].first_chunk_mut().expect("site index inside the field")
+}
+
+/// Two sites' hop lists take their interior and their ghost hops in the
+/// same entries, so one group of sites runs one sequence of hops.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+pub(crate) fn same_hop_mask(a: &[u32], b: &[u32]) -> bool {
+    a.iter().zip(b).all(|(x, y)| (x ^ y) & lqcd_lattice::NeighborTable::GHOST == 0)
+}
+
+/// The interior site an entry names, in a group whose sites share one hop
+/// mask ([`same_hop_mask`]).
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+pub(crate) fn group_site(entry: u32) -> usize {
+    lqcd_lattice::NeighborTable::interior(entry).expect("the sites of a group share one hop mask")
 }

@@ -19,9 +19,10 @@
 //! The sixteen hops and the phases of every site come from a depth-3
 //! [`NeighborTable`] built once per operator. The per-site work runs
 //! through `kernels::SiteKernels`: on x86_64 an f64 operator takes
-//! bit-identical SSE2 colour hops (chosen by a safe `Any` downcast, so
-//! every signature stays generic over `R: Real`); everything else takes
-//! the generic per-site code.
+//! bit-identical SIMD colour hops (chosen by a safe `Any` downcast, so
+//! every signature stays generic over `R: Real`) at the lane width it
+//! picked when it was built; everything else takes the generic per-site
+//! code.
 
 mod kernels;
 
@@ -33,6 +34,8 @@ use lqcd_comms::Communicator;
 use lqcd_field::{blas, BodyView, LatticeField};
 use lqcd_gauge::GaugeField;
 use lqcd_lattice::{FaceGeometry, NeighborTable, Parity, SubLattice};
+#[cfg(target_arch = "x86_64")]
+use lqcd_su3::kernels::Width;
 use lqcd_su3::ColorVector;
 use lqcd_util::{Error, Real, Result};
 use std::sync::{Arc, Mutex};
@@ -57,6 +60,9 @@ pub struct StaggeredOp<R: Real> {
     nbrs: Arc<NeighborTable>,
     /// Exchange buffers, apply counters, interior worker count.
     overlap: Mutex<OverlapPipeline<R>>,
+    /// The lane width of the SIMD site kernels: the widest the CPU runs.
+    #[cfg(target_arch = "x86_64")]
+    width: Width,
 }
 
 impl<R: Real> Clone for StaggeredOp<R> {
@@ -70,6 +76,8 @@ impl<R: Real> Clone for StaggeredOp<R> {
             faces: self.faces.clone(),
             nbrs: self.nbrs.clone(),
             overlap: Mutex::new(OverlapPipeline::with_threads(threads)),
+            #[cfg(target_arch = "x86_64")]
+            width: self.width,
         }
     }
 }
@@ -102,7 +110,15 @@ impl<R: Real> StaggeredOp<R> {
             faces,
             nbrs,
             overlap: Mutex::new(OverlapPipeline::default()),
+            #[cfg(target_arch = "x86_64")]
+            width: Width::detect(),
         })
+    }
+
+    /// Run the SIMD site kernels at `width` instead of the detected one.
+    #[cfg(all(test, target_arch = "x86_64"))]
+    pub(crate) fn force_width(&mut self, width: Width) {
+        self.width = width;
     }
 
     /// The subvolume the operator acts on.

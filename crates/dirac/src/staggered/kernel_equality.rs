@@ -6,9 +6,13 @@
 //! ends `apply_full`/`apply_normal` with separate `blas::scale` and
 //! `blas::axpy` passes. Every entry point — `dslash` (Full and
 //! Dirichlet), `dslash_sequential`, `apply_normal` and `apply_full` —
-//! must match it bit for bit in f32 and f64, on one rank, on two ranks
-//! split along T (`L_t = 4`, so the depth-3 face lists overlap), and on a
-//! 1×2×1×2 grid, with one and two interior threads.
+//! must match it bit for bit in f32 and in f64 at every lane width the
+//! CPU supports, on one rank, on two ranks split along T (`L_t = 4`, so
+//! the depth-3 face lists overlap), on a 1×2×1×2 grid, on two ranks with
+//! odd checkerboard rows (where a pair of consecutive sites can straddle
+//! two rows and differ in η alone) and on two ranks split along X (where
+//! consecutive sites of a row differ in their ghost hops), with one and
+//! two interior threads.
 
 use super::kernels::SiteKernels;
 use super::*;
@@ -16,6 +20,8 @@ use lqcd_comms::{run_on_grid, SingleComm};
 use lqcd_field::SiteObject;
 use lqcd_gauge::field::GaugeStart;
 use lqcd_lattice::{Dims, Neighbor, ProcessGrid, NDIM};
+#[cfg(target_arch = "x86_64")]
+use lqcd_su3::kernels::Width;
 use lqcd_util::rng::SeedTree;
 
 const GLOBAL: Dims = Dims([4, 8, 4, 8]);
@@ -126,12 +132,13 @@ impl<R: Real> SiteKernels<R> for Oracle {
 /// One rank's f64 operator on random (non-physical) fat and long links
 /// with exchanged ghosts; random links suffice for bit identity.
 fn build_op<C: Communicator>(comm: &mut C, grid: &ProcessGrid) -> StaggeredOp<f64> {
+    let global = grid.global;
     let sub = Arc::new(SubLattice::for_rank(grid, comm.rank()));
     let faces = FaceGeometry::new(&sub, STAGGERED_DEPTH).unwrap();
     let seed = SeedTree::new(2027);
     let mut links = [("fat", 0.25), ("long", 0.15)].map(|(name, spread)| {
         let start = GaugeStart::Disordered(spread);
-        GaugeField::<f64>::generate(sub.clone(), &faces, GLOBAL, &seed.child(name), start)
+        GaugeField::<f64>::generate(sub.clone(), &faces, global, &seed.child(name), start)
     });
     for l in &mut links {
         l.exchange_ghosts(comm, &faces).unwrap();
@@ -200,39 +207,69 @@ fn mismatches<R: Real, C: Communicator>(op: &StaggeredOp<R>, comm: &mut C) -> Ve
     bad
 }
 
-/// The rank's operator in both precisions, at 1 and 2 interior threads.
+/// Run `f` with `op` at every lane width the CPU supports, naming the
+/// width (once with the operator's own kernels off x86_64).
+fn at_every_width<R: Real>(op: &mut StaggeredOp<R>, mut f: impl FnMut(&StaggeredOp<R>, &str)) {
+    #[cfg(target_arch = "x86_64")]
+    for width in Width::supported() {
+        op.force_width(width);
+        f(op, &format!("{width:?}"));
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    f(op, "generic");
+}
+
+/// The rank's operator in f64 at every lane width and in f32, at 1 and 2
+/// interior threads.
 fn all_mismatches<C: Communicator>(comm: &mut C, grid: &ProcessGrid) -> Vec<String> {
-    let op64 = build_op(comm, grid);
+    let mut op64 = build_op(comm, grid);
     let op32 =
         StaggeredOp::new(op64.fat.cast::<f32>(), op64.long.cast::<f32>(), op64.mass).unwrap();
+    let rank = comm.rank();
     let mut bad = Vec::new();
     for threads in [1, 2] {
-        op64.set_interior_threads(threads);
-        op32.set_interior_threads(threads);
-        let rank = comm.rank();
         let tag = |name| format!("rank {rank}, {threads} threads: {name}");
-        bad.extend(mismatches(&op64, comm).into_iter().map(|n| tag(format!("f64 {n}"))));
+        at_every_width(&mut op64, |op64, width| {
+            op64.set_interior_threads(threads);
+            bad.extend(mismatches(op64, comm).into_iter().map(|n| tag(format!("f64 {width} {n}"))));
+        });
+        op32.set_interior_threads(threads);
         bad.extend(mismatches(&op32, comm).into_iter().map(|n| tag(format!("f32 {n}"))));
     }
     bad
 }
 
+/// Every entry point on process grid `dims` over `global`; returns the
+/// mismatches of every rank.
+fn grid_mismatches(global: Dims, dims: [usize; 4]) -> Vec<String> {
+    let grid = ProcessGrid::new(Dims(dims), global).unwrap();
+    let g = grid.clone();
+    run_on_grid(grid, move |mut comm| all_mismatches(&mut comm, &g)).concat()
+}
+
 #[test]
-fn dispatch_picks_sse2_for_f64_only() {
+fn dispatch_picks_the_widest_width_for_f64_only() {
     let grid = ProcessGrid::new(Dims([1, 1, 1, 1]), GLOBAL).unwrap();
     let mut comm = SingleComm::new(GLOBAL).unwrap();
     let op = build_op(&mut comm, &grid);
-    let want = if cfg!(target_arch = "x86_64") { "Sse2" } else { "Generic" };
+    let want = if cfg!(target_arch = "x86_64") { "Simd" } else { "Generic" };
     assert!(op.kernels_name().ends_with(want), "{}", op.kernels_name());
+    // The widest width the CPU supports: AVX2 where it exists.
+    #[cfg(target_arch = "x86_64")]
+    {
+        assert_eq!(matches!(op.width, Width::Avx2(_)), is_x86_feature_detected!("avx2"));
+        // `Clone` carries the width rather than detecting it again.
+        let mut narrow = op.clone();
+        narrow.force_width(Width::Sse2);
+        assert!(matches!(narrow.clone().width, Width::Sse2));
+    }
     let op32 = StaggeredOp::new(op.fat.cast::<f32>(), op.long.cast::<f32>(), 0.1).unwrap();
     assert!(op32.kernels_name().ends_with("Generic"), "{}", op32.kernels_name());
 }
 
 #[test]
 fn unpartitioned_entry_points_match_oracle_bitwise() {
-    let grid = ProcessGrid::new(Dims([1, 1, 1, 1]), GLOBAL).unwrap();
-    let mut comm = SingleComm::new(GLOBAL).unwrap();
-    let bad = all_mismatches(&mut comm, &grid);
+    let bad = grid_mismatches(GLOBAL, [1, 1, 1, 1]);
     assert!(bad.is_empty(), "{bad:?}");
 }
 
@@ -240,11 +277,58 @@ fn unpartitioned_entry_points_match_oracle_bitwise() {
 fn partitioned_entry_points_match_oracle_bitwise() {
     // Two ranks along T (L_t = 4 < 2·3: overlapping face lists), then a
     // 1×2×1×2 grid (thin in Y and T, corner sites in both).
-    for shape in [Dims([1, 1, 1, 2]), Dims([1, 2, 1, 2])] {
-        let grid = ProcessGrid::new(shape, GLOBAL).unwrap();
-        let g = grid.clone();
-        let bad = run_on_grid(grid, move |mut comm| all_mismatches(&mut comm, &g));
-        assert!(bad.iter().all(Vec::is_empty), "{shape:?}: {bad:?}");
+    for shape in [[1, 1, 1, 2], [1, 2, 1, 2]] {
+        let bad = grid_mismatches(GLOBAL, shape);
+        assert!(bad.is_empty(), "{shape:?}: {bad:?}");
+    }
+}
+
+/// Two ranks along T, each 6×4×4×4: a checkerboard row holds three
+/// sites, so every other pair of consecutive sites straddles two rows,
+/// where `x` changes parity and with it `η_y`, while the hop mask stays.
+const ODD_ROWS: (Dims, [usize; 4]) = (Dims([6, 4, 4, 8]), [1, 1, 1, 2]);
+
+/// Two ranks along X, each 4×4×4×8: consecutive sites of a row share
+/// their phases but differ in which of their X hops are ghosts.
+const X_SPLIT: (Dims, [usize; 4]) = (Dims([8, 4, 4, 8]), [2, 1, 1, 1]);
+
+/// How the pairs of consecutive sites `(2j, 2j + 1)` of rank 0 compare,
+/// both parities: `[grouped, η differs only, ghost hops differ only]`.
+fn pair_kinds((global, dims): (Dims, [usize; 4])) -> [usize; 3] {
+    let grid = ProcessGrid::new(Dims(dims), global).unwrap();
+    let sub = SubLattice::for_rank(&grid, 0);
+    let nbrs = NeighborTable::new(&sub, STAGGERED_DEPTH).unwrap();
+    let mut kinds = [0; 3];
+    for p in Parity::BOTH {
+        let ghosts = |idx| nbrs.hops::<16>(p, idx).map(|e| e & NeighborTable::GHOST);
+        for idx in (0..sub.volume_cb() - 1).step_by(2) {
+            let same_eta = nbrs.eta(p, idx) == nbrs.eta(p, idx + 1);
+            match (ghosts(idx) == ghosts(idx + 1), same_eta) {
+                (true, true) => kinds[0] += 1,
+                (true, false) => kinds[1] += 1,
+                (false, true) => kinds[2] += 1,
+                (false, false) => {}
+            }
+        }
+    }
+    kinds
+}
+
+#[test]
+fn mixed_masks_exercise_both_group_paths() {
+    // Odd rows: grouped pairs, and pairs that only the η comparison
+    // splits. The X split: pairs that only the ghost-hop comparison splits.
+    let [grouped, eta_only, _] = pair_kinds(ODD_ROWS);
+    assert!(grouped > 0 && eta_only > 0, "odd rows: {grouped} grouped, {eta_only} η-only");
+    let [_, _, ghost_only] = pair_kinds(X_SPLIT);
+    assert!(ghost_only > 0, "X split: {ghost_only} ghost-only");
+}
+
+#[test]
+fn odd_row_and_x_split_entry_points_match_oracle_bitwise() {
+    for (global, dims) in [ODD_ROWS, X_SPLIT] {
+        let bad = grid_mismatches(global, dims);
+        assert!(bad.is_empty(), "{global:?} on {dims:?}: {bad:?}");
     }
 }
 

@@ -188,6 +188,7 @@ pub(super) use simd::fast;
 #[cfg(target_arch = "x86_64")]
 mod simd {
     use super::*;
+    use crate::dispatch::{group_site, same_hop_mask};
     use lqcd_su3::kernels::{
         clover_apply, clover_apply_shifted, LaneWidth, SpinorAcc, Sse2, Width, WidthLoop,
         WilsonLanes,
@@ -283,19 +284,6 @@ mod simd {
         src_parity: Parity,
     }
 
-    /// Both hop lists take their interior and ghost hops in the same slots.
-    #[inline(always)]
-    fn same_mask(a: &[u32], b: &[u32]) -> bool {
-        a.iter().zip(b).all(|(x, y)| (x ^ y) & NeighborTable::GHOST == 0)
-    }
-
-    /// The interior site an entry names, in a group whose sites share one
-    /// hop mask.
-    #[inline(always)]
-    fn interior_site(entry: u32) -> usize {
-        NeighborTable::interior(entry).expect("the sites of a group share one hop mask")
-    }
-
     impl<R: Real + WilsonLanes> WidthLoop for Interior<'_, R> {
         type Output = ();
 
@@ -313,7 +301,7 @@ mod simd {
                 let idx = lo_site + k;
                 // A group needs one hop mask: every site takes the same hops.
                 let group = k + W::SITES <= sites
-                    && (1..W::SITES).all(|j| same_mask(hops(idx), hops(idx + j)));
+                    && (1..W::SITES).all(|j| same_hop_mask(hops(idx), hops(idx + j)));
                 if group {
                     let out = &mut out[SPINOR * k..SPINOR * (k + W::SITES)];
                     hop_sites(
@@ -351,14 +339,14 @@ mod simd {
         for mu in 0..NDIM {
             // Forward hop: U_µ(x) (1 − γµ) ψ(x + µ̂).
             if NeighborTable::interior(hops[0][2 * mu]).is_some() {
-                let fwd = W::sites(|k| interior_site(hops[k][2 * mu]));
+                let fwd = W::sites(|k| group_site(hops[k][2 * mu]));
                 let (n, u) =
                     (W::sites(|k| site(psi, fwd[k])), W::sites(|k| site(links_out[mu], idx + k)));
                 acc.hop(Projector { mu, plus: false }, false, n, u);
             }
             // Backward hop: U†_µ(x − µ̂) (1 + γµ) ψ(x − µ̂).
             if NeighborTable::interior(hops[0][2 * mu + 1]).is_some() {
-                let bwd = W::sites(|k| interior_site(hops[k][2 * mu + 1]));
+                let bwd = W::sites(|k| group_site(hops[k][2 * mu + 1]));
                 let (n, u) =
                     (W::sites(|k| site(psi, bwd[k])), W::sites(|k| site(links_src[mu], bwd[k])));
                 acc.hop(Projector { mu, plus: true }, true, n, u);

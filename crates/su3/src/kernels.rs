@@ -13,7 +13,7 @@
 //!   chiral blocks of one packed clover site. Reference:
 //!   [`CloverSite::apply`], plus `ψ·shift` for the Wilson diagonal.
 //!
-//! For the asqtad operator, in double precision at width 1:
+//! For the asqtad operator, in double precision at every [`LaneWidth`]:
 //!
 //! * [`ColorAcc::hop`] — one colour hop: `U·v` or `U†·v`, added to or
 //!   subtracted from a colour-vector accumulator. Reference:
@@ -869,24 +869,23 @@ unsafe fn color_rotate<W: LaneWidth, const N: usize>(
     r
 }
 
-/// `acc ± U'·v` with `U' = U†` when `adjoint` and `U` otherwise, one
-/// complex per register.
+/// `acc ± U'·v` per site, with `U' = U†` when `adjoint` and `U`
+/// otherwise, one complex per 128-bit group.
 ///
 /// # Safety
-/// As for [`swap_pair`].
+/// As for [`load_pairs`].
 #[inline(always)]
-unsafe fn color_hop(
-    acc: &mut [__m128d; 3],
+unsafe fn color_hop<W: LaneWidth>(
+    acc: &mut [W::Pd; 3],
     adjoint: bool,
     negate: bool,
-    v: &[f64; 6],
-    u: &[f64; 18],
+    v: &W::Sites<&[f64; 6]>,
+    u: &W::Sites<&[f64; 18]>,
 ) {
-    let v = [v];
-    let b = [Sse2::load_pd(&v, 0), Sse2::load_pd(&v, 2), Sse2::load_pd(&v, 4)];
-    let [r] = color_rotate::<Sse2, 1>(adjoint, &[b], &[u]);
-    for (acc, r) in acc.iter_mut().zip(r) {
-        *acc = if negate { acc.sub(r) } else { acc.add(r) };
+    let b = [W::load_pd(v, 0), W::load_pd(v, 2), W::load_pd(v, 4)];
+    let [r] = color_rotate::<W, 1>(adjoint, &[b], u);
+    for c in 0..3 {
+        acc[c] = if negate { acc[c].sub(r[c]) } else { acc[c].add(r[c]) };
     }
 }
 
@@ -1246,50 +1245,57 @@ pub fn clover_apply_shifted<R: WilsonLanes, W: LaneWidth>(
     unsafe { R::clover::<W>(&a, &psi, Some(shift), &mut out) }
 }
 
-/// A colour vector while the hops of one site are summed, held in SSE
-/// registers. Flat vectors are the 6 reals of
-/// [`ColorVector`](crate::ColorVector), `[re, im]` per colour.
+/// The colour vectors of `W::SITES` sites while their hops are summed,
+/// held in SIMD registers. Flat vectors are the 6 reals of
+/// [`ColorVector`](crate::ColorVector), `[re, im]` per colour; site `k`
+/// of every argument goes to 128-bit group `k`.
 #[derive(Clone, Copy)]
-pub struct ColorAcc([__m128d; 3]);
+pub struct ColorAcc<W: LaneWidth>([W::Pd; 3]);
 
-impl ColorAcc {
-    /// The zero vector.
+impl<W: LaneWidth> ColorAcc<W> {
+    /// The zero vectors.
     #[inline(always)]
-    pub fn zero() -> Self {
-        // SAFETY: SSE2 is part of the x86_64 baseline.
-        ColorAcc([unsafe { __m128d::zero() }; 3])
+    pub fn zero(_: W) -> Self {
+        // SAFETY: a `W` value exists only where the CPU runs W's
+        // instructions.
+        ColorAcc([unsafe { W::Pd::zero() }; 3])
     }
 
-    /// Start from an existing vector.
+    /// Start from existing vectors.
     #[inline(always)]
-    pub fn load(v: &[f64; 6]) -> Self {
-        let v = [v];
-        // SAFETY: SSE2 is part of the x86_64 baseline; loads stay in `v`.
-        unsafe { ColorAcc([Sse2::load_pd(&v, 0), Sse2::load_pd(&v, 2), Sse2::load_pd(&v, 4)]) }
+    pub fn load(_: W, v: W::Sites<&[f64; 6]>) -> Self {
+        // SAFETY: as for `zero`; loads are bounds-checked against the
+        // fixed-size arrays.
+        unsafe { ColorAcc([W::load_pd(&v, 0), W::load_pd(&v, 2), W::load_pd(&v, 4)]) }
     }
 
-    /// Write the sum out.
+    /// Write the sums out.
     #[inline(always)]
-    pub fn store(&self, out: &mut [f64; 6]) {
-        let mut out = [out];
-        // SAFETY: SSE2 is part of the x86_64 baseline; stores stay in `out`.
+    pub fn store(&self, mut out: W::Sites<&mut [f64; 6]>) {
+        // SAFETY: `self` was built from a `W` value (see `zero`); stores
+        // are bounds-checked against the fixed-size arrays.
         unsafe {
-            for (k, &c) in self.0.iter().enumerate() {
-                Sse2::store_pd(&mut out, 2 * k, c);
+            for c in 0..3 {
+                W::store_pd(&mut out, 2 * c, self.0[c]);
             }
         }
     }
 
-    /// Add `U'·v`, or subtract it when `negate`, with `U' = U†` when
-    /// `adjoint` and `U` otherwise; `u` holds the 18 reals of
-    /// [`Su3::to_reals`](crate::Su3::to_reals). Bit-identical to
-    /// `acc.add(&U.mul_vec(v).scale(s))` (or `adj_mul_vec`) with `s = −1`
-    /// when `negate` and `s = 1` otherwise.
+    /// Add `U'·v` per site, or subtract it when `negate`, with `U' = U†`
+    /// when `adjoint` and `U` otherwise; `u` holds the 18 reals of
+    /// [`Su3::to_reals`](crate::Su3::to_reals). Bit-identical, site by
+    /// site, to `acc.add(&U.mul_vec(v).scale(s))` (or `adj_mul_vec`) with
+    /// `s = −1` when `negate` and `s = 1` otherwise.
     #[inline(always)]
-    pub fn hop(&mut self, adjoint: bool, negate: bool, v: &[f64; 6], u: &[f64; 18]) {
-        // SAFETY: SSE2 is part of the x86_64 baseline; loads are
-        // bounds-checked against the fixed-size arrays.
-        unsafe { color_hop(&mut self.0, adjoint, negate, v, u) }
+    pub fn hop(
+        &mut self,
+        adjoint: bool,
+        negate: bool,
+        v: W::Sites<&[f64; 6]>,
+        u: W::Sites<&[f64; 18]>,
+    ) {
+        // SAFETY: as for `store`.
+        unsafe { color_hop::<W>(&mut self.0, adjoint, negate, &v, &u) }
     }
 }
 
@@ -1394,13 +1400,16 @@ mod tests {
 
     /// One kernel check in precision `R`, run at every width the CPU
     /// supports through [`Width::run`] — the same `#[target_feature]`
-    /// entry the operators use.
+    /// entry the operators use. The colour-hop checks are f64 only.
     #[derive(Clone, Copy)]
     enum Check {
         Hop,
         ChainedHops,
         Clover,
         RoundTrip,
+        ColorHop,
+        ChainedColorHops,
+        ColorRoundTrip,
     }
 
     #[derive(Clone, Copy)]
@@ -1416,6 +1425,9 @@ mod tests {
                 Check::ChainedHops => chained_hops_match_scalar::<R, W>(w, seed),
                 Check::Clover => clover_matches_scalar::<R, W>(w, seed),
                 Check::RoundTrip => zero_load_store_roundtrip::<R, W>(w, seed),
+                Check::ColorHop => color_hop_matches_scalar::<W>(w, seed),
+                Check::ChainedColorHops => chained_color_hops_match_scalar::<W>(w, seed),
+                Check::ColorRoundTrip => color_acc_roundtrip::<W>(w, seed),
             }
         }
     }
@@ -1653,63 +1665,115 @@ mod tests {
         acc.add(&w.scale(if negate { -1.0 } else { 1.0 }))
     }
 
-    #[test]
-    fn color_hop_matches_scalar_bitwise() {
-        let tree = SeedTree::new(45);
+    fn f64_at_every_width(check: Check, seed: u64) {
+        for width in Width::supported() {
+            width.run(AtWidth::<f64>(check, seed, PhantomData));
+        }
+    }
+
+    /// Site `k` of a flat multi-site colour output.
+    fn at6(reals: &[f64], k: usize) -> [u64; 6] {
+        std::array::from_fn(|i| reals[6 * k + i].to_bits())
+    }
+
+    /// Both forms and both signs, from zero and from a random
+    /// accumulator. Every site of a call draws its own vector, link and
+    /// accumulator, so a kernel that swaps or mixes lanes fails.
+    fn color_hop_matches_scalar<W: LaneWidth>(w: W, seed: u64) {
+        let tree = SeedTree::new(seed);
         let mut rng = tree.rng();
         for trial in 0..400 {
             let special = trial % 2 == 1;
-            let v = vector64(&mut rng, special);
-            let u = matrix(&mut rng, special);
-            let acc0 =
-                if trial % 4 == 0 { ColorVector::zero() } else { vector64(&mut rng, special) };
+            let mut v = Vec::new();
+            let mut u = Vec::new();
+            let mut acc0 = Vec::new();
+            for _ in 0..W::SITES {
+                v.push(vector64(&mut rng, special));
+                u.push(matrix::<f64, _>(&mut rng, special));
+                acc0.push(if trial % 4 == 0 {
+                    ColorVector::zero()
+                } else {
+                    vector64(&mut rng, special)
+                });
+            }
+            let v_flat: Vec<_> = v.iter().map(flat64).collect();
+            let u_flat: Vec<_> = u.iter().map(Su3::to_reals).collect();
+            let acc0_flat: Vec<_> = acc0.iter().map(flat64).collect();
             for adjoint in [false, true] {
                 for negate in [false, true] {
-                    let want = scalar_color_hop(&acc0, adjoint, negate, &v, &u);
-                    let mut acc = ColorAcc::load(&flat64(&acc0));
-                    acc.hop(adjoint, negate, &flat64(&v), &u.to_reals());
-                    let mut got = [0.0; 6];
-                    acc.store(&mut got);
-                    assert_eq!(
-                        got.map(f64::to_bits),
-                        bits64(&want),
-                        "trial {trial}, adjoint={adjoint}, negate={negate}"
-                    );
+                    let mut acc = ColorAcc::load(w, W::sites(|k| &acc0_flat[k]));
+                    acc.hop(adjoint, negate, W::sites(|k| &v_flat[k]), W::sites(|k| &u_flat[k]));
+                    let mut got = vec![0.0; 6 * W::SITES];
+                    acc.store(W::split_mut(&mut got));
+                    for k in 0..W::SITES {
+                        let want = scalar_color_hop(&acc0[k], adjoint, negate, &v[k], &u[k]);
+                        assert_eq!(
+                            at6(&got, k),
+                            bits64(&want),
+                            "{}: trial {trial}, site {k}, adjoint={adjoint}, negate={negate}",
+                            name::<W>()
+                        );
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn chained_color_hops_from_zero_match_scalar_bitwise() {
-        // The asqtad interior pattern: sixteen signed hops summed into a
-        // zero accumulator, forward with U and backward with U†.
-        let tree = SeedTree::new(46);
+    fn color_hop_matches_scalar_bitwise() {
+        f64_at_every_width(Check::ColorHop, 45);
+    }
+
+    /// The asqtad interior pattern: sixteen signed hops summed into a zero
+    /// accumulator, forward with U and backward with U†, each site with
+    /// its own data and its own signs.
+    fn chained_color_hops_match_scalar<W: LaneWidth>(w: W, seed: u64) {
+        let tree = SeedTree::new(seed);
         let mut rng = tree.rng();
         for trial in 0..50 {
             let special = trial % 2 == 0;
-            let mut want = ColorVector::zero();
-            let mut acc = ColorAcc::zero();
+            let mut want = vec![ColorVector::zero(); W::SITES];
+            let mut acc = ColorAcc::zero(w);
             for hop in 0..16 {
+                // One call serves every site with one sign, as a group of
+                // sites with one η mask does; the sign varies per call.
                 let (adjoint, negate) = (hop % 2 == 1, rng.gen::<bool>());
-                let v = vector64(&mut rng, special);
-                let u = matrix(&mut rng, special);
-                want = scalar_color_hop(&want, adjoint, negate, &v, &u);
-                acc.hop(adjoint, negate, &flat64(&v), &u.to_reals());
+                let mut v = Vec::new();
+                let mut u = Vec::new();
+                for want in want.iter_mut() {
+                    let x = vector64(&mut rng, special);
+                    let m = matrix::<f64, _>(&mut rng, special);
+                    *want = scalar_color_hop(want, adjoint, negate, &x, &m);
+                    v.push(flat64(&x));
+                    u.push(m.to_reals());
+                }
+                acc.hop(adjoint, negate, W::sites(|k| &v[k]), W::sites(|k| &u[k]));
             }
-            let mut got = [0.0; 6];
-            acc.store(&mut got);
-            assert_eq!(got.map(f64::to_bits), bits64(&want), "trial {trial}");
+            let mut got = vec![0.0; 6 * W::SITES];
+            acc.store(W::split_mut(&mut got));
+            for (k, want) in want.iter().enumerate() {
+                assert_eq!(at6(&got, k), bits64(want), "{}: trial {trial}, site {k}", name::<W>());
+            }
         }
     }
 
     #[test]
+    fn chained_color_hops_from_zero_match_scalar_bitwise() {
+        f64_at_every_width(Check::ChainedColorHops, 46);
+    }
+
+    fn color_acc_roundtrip<W: LaneWidth>(w: W, seed: u64) {
+        let mut got = vec![1.0; 6 * W::SITES];
+        ColorAcc::zero(w).store(W::split_mut(&mut got));
+        assert!(got.iter().all(|x| x.to_bits() == 0), "{}", name::<W>());
+        let mut rng = SeedTree::new(seed).rng();
+        let v: Vec<_> = (0..W::SITES).map(|_| flat64(&vector64(&mut rng, true))).collect();
+        ColorAcc::load(w, W::sites(|k| &v[k])).store(W::split_mut(&mut got));
+        assert_eq!(bits(&got), bits(&v.concat()), "{}", name::<W>());
+    }
+
+    #[test]
     fn color_acc_zero_load_store_roundtrip_is_exact() {
-        let mut got = [1.0; 6];
-        ColorAcc::zero().store(&mut got);
-        assert_eq!(got.map(f64::to_bits), [0u64; 6]);
-        let v = flat64(&vector64(&mut SeedTree::new(47).rng(), true));
-        ColorAcc::load(&v).store(&mut got);
-        assert_eq!(got.map(f64::to_bits), v.map(f64::to_bits));
+        f64_at_every_width(Check::ColorRoundTrip, 47);
     }
 }
