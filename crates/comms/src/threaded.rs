@@ -140,12 +140,6 @@ impl CommConfig {
         self.retries = retries;
         self
     }
-
-    /// Override the retransmission backoff.
-    pub fn with_backoff(mut self, backoff: Duration) -> Self {
-        self.backoff = backoff;
-        self
-    }
 }
 
 struct Message {

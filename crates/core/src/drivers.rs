@@ -1,27 +1,35 @@
 //! SPMD solve entry points: one request-driven call per operator runs a
-//! whole distributed solve.
+//! whole distributed solve, and both operators run one launch body.
 //!
-//! [`solve_wilson`] is the one Wilson-clover path. A [`WilsonSolve`]
-//! request names the method (BiCGstab, or GCR-DD from a start rung of
-//! the precision ladder), the comms policy, a fault plan per world
-//! launch, an optional [`SupervisorConfig`] and an optional resolved
-//! [`TuneParam`]. Every GCR-DD request climbs the graceful-degradation
-//! ladder: when an attempt breaks down or fails to converge it restarts
-//! one rung higher (half → single → double) — the recovery story for
-//! corrupted data or an overly aggressive precision choice. A request
-//! without a supervisor is one world launch with no checkpoints; with
-//! one, a failed world is rebuilt and resumed from the newest common
-//! checkpoint. See DESIGN.md, "Fault model & recovery".
+//! [`solve_wilson`] runs a [`WilsonSolve`] request: BiCGstab, or GCR-DD
+//! from a start rung of the precision ladder, optionally under a resolved
+//! [`TuneParam`]. [`solve_staggered`] runs a [`StaggeredSolve`] request:
+//! asqtad multi-shift CG. Both are a [`SolveRequest`], which adds the
+//! comms policy, a fault plan per world launch and an optional
+//! [`SupervisorConfig`], and both return a [`SolveRun`] of per-rank
+//! results. Each operator supplies only its operator build, its start
+//! rung and one rung's attempt (space, right-hand side, solve, summary);
+//! the rest is shared:
 //!
-//! [`solve_staggered`] is the asqtad multi-shift entry point.
+//! * the supervisor loop: a request without a supervisor is one world
+//!   launch; with one, a failed world is rebuilt and resumed from the
+//!   newest common checkpoint;
+//! * the world launch, where a failed rank reports in its own slot;
+//! * the ladder climb: when an attempt breaks down or fails to converge
+//!   it restarts one rung higher (half → single → double), and the failed
+//!   rungs' work is folded into the final record.
+//!
+//! Multi-shift CG cannot restart (§8.2) and writes no checkpoint, so a
+//! supervised staggered relaunch re-solves from zero. See DESIGN.md,
+//! "Fault model & recovery".
 
 use crate::problem::{StaggeredProblem, WilsonProblem};
 use crate::supervise::{common_generation, CheckpointingMonitor, SupervisorConfig};
 use lqcd_comms::{
-    run_on_grid, run_world_fallible, CommConfig, Communicator, FaultPlan, SharedComm, ThreadedComm,
+    run_world_fallible, CommConfig, Communicator, FaultPlan, SharedComm, ThreadedComm,
 };
 use lqcd_dirac::wilson::SpinorField;
-use lqcd_dirac::{OverlapHost, WilsonCloverOp};
+use lqcd_dirac::{OverlapHost, StaggeredOp, WilsonCloverOp};
 use lqcd_field::half::Quantize;
 use lqcd_lattice::ProcessGrid;
 use lqcd_solvers::spaces::{cast_wilson_op, EoWilsonSpace, StaggeredNormalSpace};
@@ -31,19 +39,18 @@ use lqcd_solvers::{
 use lqcd_su3::WilsonSpinor;
 use lqcd_tune::{LadderChoice, TuneParam};
 use lqcd_util::{trace, BreakdownKind, Error, Real, Result};
+use std::ops::Deref;
 use std::time::{Duration, Instant};
 
-/// Per-rank outcome of a Wilson solve.
+/// Per-rank outcome of a solve: what the solver measured, the request
+/// facts, and the operator's summary `S` of the solution. The summary's
+/// fields read through the outcome (`outcome.solution_norm2`).
 #[derive(Debug, Clone)]
-pub struct WilsonSolveOutcome {
-    /// Solver statistics.
+pub struct SolveOutcome<S> {
+    /// Solver statistics, summed over every rung this rank ran.
     pub stats: SolveStats,
-    /// Global solution norm² (identical on all ranks).
-    pub solution_norm2: f64,
-    /// Communicating matvecs this rank performed.
-    pub matvecs: usize,
-    /// Dirichlet (Schwarz-block) matvecs this rank performed.
-    pub dirichlet_matvecs: usize,
+    /// The operator's summary of the solution.
+    pub summary: S,
     /// Times the solve restarted one rung higher on the precision ladder
     /// after a breakdown or a stall.
     pub precision_fallbacks: usize,
@@ -53,59 +60,79 @@ pub struct WilsonSolveOutcome {
     /// Injected faults the communication world absorbed (nonzero only
     /// under a fault plan).
     pub faults_survived: u64,
+}
+
+impl<S> Deref for SolveOutcome<S> {
+    type Target = S;
+
+    fn deref(&self) -> &S {
+        &self.summary
+    }
+}
+
+/// What a Wilson-clover solve reports of its solution.
+#[derive(Debug, Clone)]
+pub struct WilsonSummary {
+    /// Global solution norm² (identical on all ranks).
+    pub solution_norm2: f64,
     /// Checkpoints this rank wrote in the final world launch.
     pub checkpoints_written: usize,
 }
 
+/// What a multi-shift solve reports of its solutions. It writes no
+/// checkpoint.
+#[derive(Debug, Clone)]
+pub struct StaggeredSummary {
+    /// Iteration at which each shift converged.
+    pub converged_at: Vec<usize>,
+    /// Global norm² of each shifted solution.
+    pub solution_norms: Vec<f64>,
+}
+
+/// Per-rank outcome of a Wilson solve.
+pub type WilsonSolveOutcome = SolveOutcome<WilsonSummary>;
+/// Per-rank outcome of a staggered multi-shift solve (its matvecs are
+/// shared across shifts).
+pub type StaggeredSolveOutcome = SolveOutcome<StaggeredSummary>;
+
 /// The Krylov method a Wilson request runs on the even-odd
 /// preconditioned system.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum WilsonMethod {
+#[derive(Clone, Copy, Debug)]
+enum Krylov {
     /// BiCGstab at f64 (Fig. 8's baseline): no ladder, no checkpoints.
     BiCgStab,
-    /// Additive-Schwarz preconditioned flexible GCR (Algorithm 1),
-    /// climbing the precision ladder from the given rung.
-    GcrDd(LadderChoice),
+    /// Additive-Schwarz preconditioned flexible GCR (Algorithm 1), under
+    /// an optional tuned configuration.
+    GcrDd(Option<TuneParam>),
 }
 
-/// One Wilson-clover solve request for [`solve_wilson`].
-pub struct WilsonSolve {
-    method: WilsonMethod,
+/// What a Wilson request solves with; [`WilsonSolve::bicgstab`],
+/// [`WilsonSolve::gcr_dd`] and [`WilsonSolve::tuned`] build it.
+#[derive(Clone, Copy, Debug)]
+pub struct WilsonMethod(Krylov);
+
+/// One solve request for [`solve_wilson`] ([`WilsonSolve`]) or
+/// [`solve_staggered`] ([`StaggeredSolve`]). The operator's constructor
+/// sets the method and the ladder rung it starts on.
+pub struct SolveRequest<M> {
+    method: M,
+    start: LadderChoice,
     comm: CommConfig,
     faults: Box<dyn FnMut(usize) -> Option<FaultPlan>>,
-    supervisor: Option<SupervisorConfig>,
-    tune: Option<TuneParam>,
+    sup: Option<SupervisorConfig>,
 }
 
-impl WilsonSolve {
-    /// `method` with default comms, no faults, no supervisor, untuned.
-    fn new(method: WilsonMethod) -> Self {
-        WilsonSolve {
-            method,
-            comm: CommConfig::default(),
-            faults: Box::new(|_| None),
-            supervisor: None,
-            tune: None,
-        }
-    }
+/// A Wilson-clover request.
+pub type WilsonSolve = SolveRequest<WilsonMethod>;
+/// An asqtad multi-shift request: multi-shift CG at f64 has no method
+/// to choose.
+pub type StaggeredSolve = SolveRequest<()>;
 
-    /// BiCGstab at f64.
-    pub fn bicgstab() -> Self {
-        Self::new(WilsonMethod::BiCgStab)
-    }
-
-    /// GCR-DD starting on rung `start` of the precision ladder.
-    pub fn gcr_dd(start: LadderChoice) -> Self {
-        Self::new(WilsonMethod::GcrDd(start))
-    }
-
-    /// GCR-DD under a resolved tuned configuration: it starts on
-    /// `param.ladder`, applies `param`'s interior thread count to every
-    /// rung's operator and its `mr_steps` and `n_kv` (GCR `kmax`) to the
-    /// problem. The partition scheme is the caller's grid (see
-    /// [`tuning::resolve`](crate::tuning::resolve)).
-    pub fn tuned(param: TuneParam) -> Self {
-        WilsonSolve { tune: Some(param), ..Self::gcr_dd(param.ladder) }
+impl<M> SolveRequest<M> {
+    /// `method` from rung `start`, with default comms, no faults, no
+    /// supervisor.
+    fn new(method: M, start: LadderChoice) -> Self {
+        Self { method, start, comm: Default::default(), faults: Box::new(|_| None), sup: None }
     }
 
     /// Deadline/retry policy of every world launch.
@@ -128,22 +155,54 @@ impl WilsonSolve {
         self
     }
 
-    /// Checkpoint at GCR restart boundaries and rebuild a failed world,
-    /// resuming from the newest checkpoint common to all ranks.
+    /// Rebuild a failed world, up to `sup.max_restarts` times. GCR-DD
+    /// checkpoints at its restart boundaries, and a relaunch resumes
+    /// from the newest checkpoint common to all ranks. Multi-shift CG
+    /// cannot restart (§8.2) and writes no checkpoint (nor does
+    /// BiCGstab), so for it `common_generation` finds nothing and a
+    /// relaunch re-solves from zero.
     pub fn supervised(mut self, sup: SupervisorConfig) -> Self {
-        self.supervisor = Some(sup);
+        self.sup = Some(sup);
         self
     }
 }
 
-/// What a Wilson solve request reports.
+impl WilsonSolve {
+    /// BiCGstab at f64.
+    pub fn bicgstab() -> Self {
+        Self::new(WilsonMethod(Krylov::BiCgStab), LadderChoice::Double)
+    }
+
+    /// GCR-DD starting on rung `start` of the precision ladder.
+    pub fn gcr_dd(start: LadderChoice) -> Self {
+        Self::new(WilsonMethod(Krylov::GcrDd(None)), start)
+    }
+
+    /// GCR-DD under a resolved tuned configuration: it starts on
+    /// `param.ladder` and applies `param`'s interior thread count to
+    /// every rung's operator and its `mr_steps` and `n_kv` (GCR `kmax`)
+    /// to the solve. The partition scheme is the caller's grid (see
+    /// [`tuning::resolve`](crate::tuning::resolve)).
+    pub fn tuned(param: TuneParam) -> Self {
+        Self::new(WilsonMethod(Krylov::GcrDd(Some(param))), param.ladder)
+    }
+}
+
+impl StaggeredSolve {
+    /// Multi-shift CG at f64 on every shift of the problem.
+    pub fn multishift() -> Self {
+        Self::new((), LadderChoice::Double)
+    }
+}
+
+/// What a solve request reports.
 #[derive(Debug)]
-pub struct WilsonRun {
+pub struct SolveRun<S> {
     /// Final per-rank results (rank order), from the last world launch.
     /// A rank that dies, stalls past the deadline, or breaks down beyond
     /// recovery reports a structured error ([`Error::RankFailure`],
     /// [`Error::Timeout`], [`Error::Breakdown`], …) in its own slot.
-    pub outcomes: Vec<Result<WilsonSolveOutcome>>,
+    pub outcomes: Vec<Result<SolveOutcome<S>>>,
     /// World launches performed (1 = no supervised restart needed).
     pub attempts: usize,
     /// Per launch: the checkpoint generation it resumed from (`None` =
@@ -151,9 +210,14 @@ pub struct WilsonRun {
     pub resumed_generations: Vec<Option<u64>>,
 }
 
-impl WilsonRun {
+/// What a Wilson request reports.
+pub type WilsonRun = SolveRun<WilsonSummary>;
+/// What a staggered request reports.
+pub type StaggeredRun = SolveRun<StaggeredSummary>;
+
+impl<S> SolveRun<S> {
     /// Every rank's outcome, or the first rank's error.
-    pub fn into_result(self) -> Result<Vec<WilsonSolveOutcome>> {
+    pub fn into_result(self) -> Result<Vec<SolveOutcome<S>>> {
         self.outcomes.into_iter().collect()
     }
 }
@@ -162,291 +226,284 @@ impl WilsonRun {
 /// `request` says. It never panics and never hangs: each rank's slot
 /// carries its own result, and peers of a failed rank unwind cleanly.
 pub fn solve_wilson(problem: &WilsonProblem, grid: ProcessGrid, request: WilsonSolve) -> WilsonRun {
-    let WilsonSolve { method, comm, mut faults, supervisor, tune } = request;
-    let sup = supervisor.as_ref();
-    let mut p = problem.clone();
-    if let Some(t) = &tune {
-        p.mr_steps = t.mr_steps;
-        p.gcr.kmax = t.n_kv;
-    }
-    let mut resumed_generations = Vec::new();
-    let mut attempt = 0usize;
-    // Wall time earlier world launches spent solving (backoff sleeps
-    // excluded): the watchdog's wall-clock budget covers the logical
-    // solve, so a supervised restart must not reset the clock.
-    let mut consumed = Duration::ZERO;
-    // Control-plane events (launches, failures, backoffs) land on their
-    // own pseudo-rank track; rank threads install their own scopes.
-    let _ctl = trace::rank_scope(trace::CONTROL_RANK);
-    loop {
-        let resumed = sup.and_then(|s| common_generation(&s.dir, grid.num_ranks(), s.keep));
-        resumed_generations.push(resumed);
-        trace::instant(
-            trace::Track::Supervisor,
-            if resumed.is_some() { "world_launch_resumed" } else { "world_launch_fresh" },
-            attempt as i64,
-        );
-        let launch = Launch { p: &p, grid: &grid, method, sup, tune, resumed, prior: consumed };
-        let launched = Instant::now();
-        let outcomes = launch.run(ThreadedComm::world_with(grid.clone(), comm, faults(attempt)));
-        consumed += launched.elapsed();
-        let all_ok = outcomes.iter().all(|r| r.is_ok());
-        if all_ok || attempt >= sup.map_or(0, |s| s.max_restarts) {
-            trace::instant(
-                trace::Track::Supervisor,
-                if all_ok { "supervision_converged" } else { "supervision_exhausted" },
-                attempt as i64,
-            );
-            return WilsonRun { outcomes, attempts: attempt + 1, resumed_generations };
+    request.solve(problem, grid)
+}
+
+/// Run a distributed multi-shift CG solve of `(M†M + σ_i) x_i = b` over
+/// `grid` as `request` says, with the guarantees of [`solve_wilson`].
+pub fn solve_staggered(
+    problem: &StaggeredProblem,
+    grid: ProcessGrid,
+    request: StaggeredSolve,
+) -> StaggeredRun {
+    request.solve(problem, grid)
+}
+
+/// The steps a request leaves to its operator. The supervisor loop
+/// ([`SolveRequest::solve`]), the world launch and the ladder climb
+/// ([`Launch::rank_solve`]) are the same for every operator.
+trait Operator: Sized + Sync {
+    /// What a request of this operator solves with.
+    type Method: Copy + Sync;
+    /// A rank's state across the rungs of one launch: its f64 operator,
+    /// and what its rungs share.
+    type Rank;
+    /// The operator's per-rank summary of the solution.
+    type Summary: Send;
+
+    /// Build this rank's operator (and, resuming, restore its solution).
+    fn build<C: Communicator>(l: &Launch<Self>, comm: &SharedComm<C>) -> Result<Self::Rank>;
+
+    /// One attempt on `rung`. A failed attempt returns the work it did.
+    fn attempt<C: Communicator>(
+        l: &Launch<Self>,
+        rank: &mut Self::Rank,
+        rung: LadderChoice,
+        comm: SharedComm<C>,
+    ) -> AttemptResult<Self::Summary>;
+}
+
+impl<M: Copy + Sync> SolveRequest<M> {
+    /// The supervisor loop every request runs.
+    fn solve<P: Operator<Method = M>>(self, p: &P, grid: ProcessGrid) -> SolveRun<P::Summary> {
+        let SolveRequest { method, start, comm, mut faults, sup } = self;
+        let sup = sup.as_ref();
+        let mut resumed_generations = Vec::new();
+        let mut attempt = 0usize;
+        // Wall time earlier world launches spent solving (backoff sleeps
+        // excluded): the watchdog's wall-clock budget covers the logical
+        // solve, so a supervised restart must not reset the clock.
+        let mut consumed = Duration::ZERO;
+        // Control-plane events (launches, failures, backoffs) land on
+        // their own pseudo-rank track; rank threads install their own.
+        let _ctl = trace::rank_scope(trace::CONTROL_RANK);
+        loop {
+            let resumed = sup.and_then(|s| common_generation(&s.dir, grid.num_ranks(), s.keep));
+            resumed_generations.push(resumed);
+            let event =
+                if resumed.is_some() { "world_launch_resumed" } else { "world_launch_fresh" };
+            trace::instant(trace::Track::Supervisor, event, attempt as i64);
+            let launched = Instant::now();
+            let l =
+                Launch { p, grid: &grid, method, start, sup, resumed, prior: consumed, launched };
+            let world = ThreadedComm::world_with(grid.clone(), comm, faults(attempt));
+            let outcomes: Vec<_> = run_world_fallible(world, |c| l.rank_solve(c))
+                .into_iter()
+                .map(|r| r.and_then(|inner| inner))
+                .collect();
+            consumed += launched.elapsed();
+            let all_ok = outcomes.iter().all(|r| r.is_ok());
+            if all_ok || attempt >= sup.map_or(0, |s| s.max_restarts) {
+                let event = if all_ok { "supervision_converged" } else { "supervision_exhausted" };
+                trace::instant(trace::Track::Supervisor, event, attempt as i64);
+                return SolveRun { outcomes, attempts: attempt + 1, resumed_generations };
+            }
+            attempt += 1;
+            trace::instant(trace::Track::Supervisor, "world_failed", attempt as i64);
+            let doubling = 1u32 << (attempt - 1).min(16) as u32;
+            let delay = sup
+                .map_or(Duration::ZERO, |s| s.backoff.saturating_mul(doubling).min(s.backoff_max));
+            let _backoff = trace::span_arg(trace::Track::Supervisor, "backoff", attempt as i64);
+            std::thread::sleep(delay);
         }
-        attempt += 1;
-        trace::instant(trace::Track::Supervisor, "world_failed", attempt as i64);
-        let doubling = 1u32 << (attempt - 1).min(16) as u32;
-        let delay =
-            sup.map_or(Duration::ZERO, |s| s.backoff.saturating_mul(doubling).min(s.backoff_max));
-        let _backoff = trace::span_arg(trace::Track::Supervisor, "backoff", attempt as i64);
-        std::thread::sleep(delay);
     }
 }
 
-/// One world launch of a Wilson request: what every rank body needs.
-struct Launch<'a> {
-    p: &'a WilsonProblem,
+/// One world launch of a request: what every rank body needs.
+struct Launch<'a, P: Operator> {
+    p: &'a P,
     grid: &'a ProcessGrid,
-    method: WilsonMethod,
+    method: P::Method,
+    start: LadderChoice,
     sup: Option<&'a SupervisorConfig>,
-    tune: Option<TuneParam>,
     /// Checkpoint generation this launch resumes from.
     resumed: Option<u64>,
     /// Wall time earlier launches of the same logical solve consumed.
     prior: Duration,
+    /// When this launch started.
+    launched: Instant,
 }
 
-/// Outcome of one ladder attempt: success, or the error paired with the
-/// salvaged partial stats of the failed rung (what the ladder folds into
-/// the final record instead of discarding).
-type AttemptResult = std::result::Result<WilsonSolveOutcome, (Error, SolveStats)>;
+/// Outcome of one ladder attempt: the rung's stats and summary, or the
+/// error paired with the salvaged partial stats of the failed rung (what
+/// the ladder folds into the final record instead of discarding).
+type AttemptResult<S> = std::result::Result<(SolveStats, S), (Error, SolveStats)>;
 
-/// Errors worth retrying at a higher precision: numerical breakdowns
-/// (NaN from corruption, quantization overflow) and convergence stalls.
-/// Communication failures (timeout, dead rank) are not — more precision
-/// will not resurrect a peer.
-fn recoverable(e: &Error) -> bool {
-    matches!(e, Error::Breakdown { .. } | Error::NoConvergence { .. })
-}
-
-impl Launch<'_> {
-    fn run(&self, comms: Vec<ThreadedComm>) -> Vec<Result<WilsonSolveOutcome>> {
-        run_world_fallible(comms, |comm| self.rank_solve(comm))
-            .into_iter()
-            .map(|r| r.and_then(|inner| inner))
-            .collect()
-    }
-
-    /// The per-rank body: build the operator, restore the common
-    /// checkpoint (when resuming), then climb the precision ladder from
-    /// the start rung until an attempt converges or the ladder (or the
-    /// error class) runs out.
-    fn rank_solve<C: Communicator>(&self, comm: C) -> Result<WilsonSolveOutcome> {
-        let started = Instant::now();
+impl<P: Operator> Launch<'_, P> {
+    /// The per-rank body: build the operator, then climb the precision
+    /// ladder from the start rung until an attempt converges or the
+    /// ladder (or the error class) runs out.
+    fn rank_solve<C: Communicator>(&self, comm: C) -> Result<SolveOutcome<P::Summary>> {
         // One endpoint, shared across attempts (and across the operator
         // build): the mixed-precision stack multiplexes it.
         let shared = SharedComm::new(comm);
-        let op64 = self.p.build_operator(&mut shared.clone(), self.grid)?;
-        let (mut monitor, resume) = CheckpointingMonitor::for_rank(
-            self.p,
-            self.grid,
-            &op64,
-            shared.rank(),
-            self.sup,
-            self.resumed,
-        )?;
-        let mut rung = match self.method {
-            WilsonMethod::BiCgStab => LadderChoice::Double,
-            WilsonMethod::GcrDd(start) => start,
-        };
+        let mut rank = P::build(self, &shared)?;
+        let mut rung = self.start;
         let mut fallbacks = 0usize;
         // Work the failed rungs performed, folded into the final record.
         let mut carried = SolveStats::new();
         loop {
-            let prior = self.prior + started.elapsed();
-            match self.attempt(rung, prior, &op64, shared.clone(), &mut monitor, resume.as_ref()) {
-                Ok(mut out) => {
-                    out.stats.absorb(&carried);
-                    out.precision_fallbacks = fallbacks;
-                    out.exchange_retries = shared.exchange_retries();
-                    out.faults_survived = shared.faults_survived();
-                    out.checkpoints_written = monitor.written();
-                    return Ok(out);
+            match P::attempt(self, &mut rank, rung, shared.clone()) {
+                Ok((mut stats, summary)) => {
+                    stats.absorb(&carried);
+                    return Ok(SolveOutcome {
+                        stats,
+                        summary,
+                        precision_fallbacks: fallbacks,
+                        exchange_retries: shared.exchange_retries(),
+                        faults_survived: shared.faults_survived(),
+                    });
                 }
-                Err((e, partial)) if recoverable(&e) => match rung.escalate() {
-                    Some(next) => {
-                        carried.absorb(&partial);
-                        fallbacks += 1;
-                        rung = next;
-                    }
-                    None => return Err(e),
-                },
+                // Numerical breakdowns (NaN from corruption, quantization
+                // overflow) and convergence stalls are worth retrying at a
+                // higher precision. Communication failures (timeout, dead
+                // rank) are not: more precision will not resurrect a peer.
+                Err((e @ (Error::Breakdown { .. } | Error::NoConvergence { .. }), partial)) => {
+                    let Some(next) = rung.escalate() else { return Err(e) };
+                    carried.absorb(&partial);
+                    fallbacks += 1;
+                    rung = next;
+                }
                 Err((e, _)) => return Err(e),
             }
         }
     }
+}
 
-    /// One attempt on `rung`: the rung's operator precision and storage,
-    /// cast from the f64 operator, which later rungs reuse.
+/// A Wilson rank's state across rungs: the f64 operator every rung casts
+/// from, the watchdog/checkpoint monitor, and the solution it resumes
+/// from.
+struct WilsonRank {
+    op64: WilsonCloverOp<f64>,
+    monitor: CheckpointingMonitor,
+    resume: Option<SpinorField<f64>>,
+}
+
+impl Operator for WilsonProblem {
+    type Method = WilsonMethod;
+    type Rank = WilsonRank;
+    type Summary = WilsonSummary;
+
+    fn build<C: Communicator>(l: &Launch<Self>, comm: &SharedComm<C>) -> Result<WilsonRank> {
+        let op64 = l.p.build_operator(&mut comm.clone(), l.grid)?;
+        let (monitor, resume) =
+            CheckpointingMonitor::for_rank(l.p, l.grid, &op64, comm.rank(), l.sup, l.resumed)?;
+        Ok(WilsonRank { op64, monitor, resume })
+    }
+
+    /// The rung's operator precision and storage, cast from the f64
+    /// operator, which later rungs reuse.
     fn attempt<C: Communicator>(
-        &self,
+        l: &Launch<Self>,
+        rank: &mut WilsonRank,
         rung: LadderChoice,
-        prior: Duration,
-        op64: &WilsonCloverOp<f64>,
         comm: SharedComm<C>,
-        monitor: &mut CheckpointingMonitor,
-        resume: Option<&SpinorField<f64>>,
-    ) -> AttemptResult {
+    ) -> AttemptResult<WilsonSummary> {
         let fail = |e| (e, SolveStats::new());
-        match rung {
-            LadderChoice::Double => {
-                let space = EoWilsonSpace::new(cast_wilson_op::<f64>(op64).map_err(fail)?, comm);
-                self.solve_on(space.map_err(fail)?, rung, prior, monitor, resume)
-            }
-            LadderChoice::Single | LadderChoice::Half => {
-                let op = cast_wilson_op::<f32>(op64).map_err(fail)?;
-                let space = EoWilsonSpace::new(op, comm).map_err(fail)?;
-                let space =
-                    if rung == LadderChoice::Half { space.with_half_storage() } else { space };
-                self.solve_on(space, rung, prior, monitor, resume)
-            }
+        if rung == LadderChoice::Double {
+            let space = EoWilsonSpace::new(cast_wilson_op::<f64>(&rank.op64).map_err(fail)?, comm);
+            return wilson_rung(l, space.map_err(fail)?, rung, rank);
         }
-    }
-
-    /// Solve on one rung's space. Every rank makes the same decisions:
-    /// the breakdown/convergence tests all hang off *global* reductions,
-    /// so either every rank succeeds or every rank sees the same
-    /// recoverable error and climbs the ladder in lockstep. A failed
-    /// attempt returns the work it *did* perform alongside the error.
-    fn solve_on<R: Real, C: Communicator>(
-        &self,
-        mut space: EoWilsonSpace<R, SharedComm<C>>,
-        rung: LadderChoice,
-        prior: Duration,
-        monitor: &mut CheckpointingMonitor,
-        resume: Option<&SpinorField<f64>>,
-    ) -> AttemptResult
-    where
-        WilsonSpinor<R>: Quantize<R>,
-        CheckpointingMonitor: SolveMonitor<EoWilsonSpace<R, SharedComm<C>>>,
-    {
-        // Set on the rung's own operator: a cast operator does not
-        // inherit the f64 operator's thread count.
-        if let Some(t) = &self.tune {
-            space.op.set_interior_threads(t.interior_threads);
-        }
-        let b = self.p.rhs(&space.op);
-        let mut x = space.alloc();
-        if let Some(x64) = resume {
-            for (xi, &v) in x.body_mut().iter_mut().zip(x64.body()) {
-                *xi = R::from_f64(v);
-            }
-        }
-        let result = match self.method {
-            WilsonMethod::BiCgStab => bicgstab(&mut space, &mut x, &b, self.p.tol, self.p.maxiter),
-            WilsonMethod::GcrDd(_) => {
-                // Half: 16-bit Krylov storage and half-precision blocks.
-                let half = rung == LadderChoice::Half;
-                let mut params = self.p.gcr;
-                params.quantize_krylov |= half;
-                let precond = SchwarzMR::new(self.p.mr_steps);
-                let mut precond = if half { precond.quantized() } else { precond };
-                // The watchdog rides every rung: a NaN or a stagnating
-                // attempt becomes a structured breakdown the ladder can
-                // escalate instead of a burned iteration budget.
-                monitor.start_rung(rung, prior);
-                gcr_monitored(&mut space, &mut precond, &mut x, &b, &params, monitor)
-            }
-        };
-        match result {
-            Ok(stats) => {
-                let n2 = space.norm2(&x).map_err(|e| (e, stats))?;
-                if !n2.is_finite() {
-                    // A corrupted final norm is no converged solve: a
-                    // breakdown the ladder climbs, carrying this rung's
-                    // work.
-                    let partial = SolveStats {
-                        iterations: stats.iterations,
-                        matvecs: space.matvec_count(),
-                        precond_matvecs: space.dirichlet_matvecs(),
-                        restarts: stats.restarts,
-                        ..SolveStats::new()
-                    };
-                    let detail = format!("solution norm² is {n2}");
-                    let kind = BreakdownKind::NonFinite;
-                    return Err((
-                        Error::Breakdown { solver: "solve_wilson", kind, detail },
-                        partial,
-                    ));
-                }
-                Ok(WilsonSolveOutcome {
-                    stats,
-                    solution_norm2: n2,
-                    matvecs: space.matvec_count(),
-                    dirichlet_matvecs: space.dirichlet_matvecs(),
-                    // Request-level facts: `rank_solve` sets them.
-                    precision_fallbacks: 0,
-                    exchange_retries: 0,
-                    faults_survived: 0,
-                    checkpoints_written: 0,
-                })
-            }
-            Err(e) => {
-                // Salvage what the failed rung actually did: the space
-                // counts its matvecs, the monitor saw every completed
-                // iteration and restart.
-                let (iterations, restarts) = monitor.rung_progress();
-                let partial = SolveStats {
-                    iterations,
-                    matvecs: space.matvec_count(),
-                    precond_matvecs: space.dirichlet_matvecs(),
-                    restarts,
-                    ..SolveStats::new()
-                };
-                Err((e, partial))
-            }
-        }
+        let space = EoWilsonSpace::new(cast_wilson_op::<f32>(&rank.op64).map_err(fail)?, comm);
+        wilson_rung(l, space.map_err(fail)?, rung, rank)
     }
 }
 
-/// Per-rank outcome of a staggered multi-shift solve.
-#[derive(Debug, Clone)]
-pub struct StaggeredSolveOutcome {
-    /// Solver statistics (matvecs shared across shifts).
-    pub stats: SolveStats,
-    /// Iteration at which each shift converged.
-    pub converged_at: Vec<usize>,
-    /// Global norm² of each shifted solution.
-    pub solution_norms: Vec<f64>,
+/// Solve on one Wilson rung's space. Every rank makes the same decisions:
+/// the breakdown/convergence tests all hang off *global* reductions, so
+/// either every rank succeeds or every rank sees the same recoverable
+/// error and climbs the ladder in lockstep. A failed attempt returns the
+/// work it *did* perform alongside the error.
+fn wilson_rung<R: Real, C: Communicator>(
+    l: &Launch<WilsonProblem>,
+    space: EoWilsonSpace<R, SharedComm<C>>,
+    rung: LadderChoice,
+    rank: &mut WilsonRank,
+) -> AttemptResult<WilsonSummary>
+where
+    WilsonSpinor<R>: Quantize<R>,
+    CheckpointingMonitor: SolveMonitor<EoWilsonSpace<R, SharedComm<C>>>,
+{
+    let (p, monitor) = (l.p, &mut rank.monitor);
+    // Half: 16-bit Krylov storage and half-precision blocks.
+    let half = rung == LadderChoice::Half;
+    let mut space = if half { space.with_half_storage() } else { space };
+    let b = p.rhs(&space.op);
+    let mut x = space.alloc();
+    if let Some(x64) = &rank.resume {
+        for (xi, &v) in x.body_mut().iter_mut().zip(x64.body()) {
+            *xi = R::from_f64(v);
+        }
+    }
+    let result = match l.method.0 {
+        Krylov::BiCgStab => bicgstab(&mut space, &mut x, &b, p.tol, p.maxiter),
+        Krylov::GcrDd(tune) => {
+            let mut params = p.gcr;
+            params.quantize_krylov |= half;
+            let mut mr_steps = p.mr_steps;
+            if let Some(t) = tune {
+                // Set on the rung's own operator: a cast operator does
+                // not inherit the f64 operator's thread count.
+                space.op.set_interior_threads(t.interior_threads);
+                (mr_steps, params.kmax) = (t.mr_steps, t.n_kv);
+            }
+            let precond = SchwarzMR::new(mr_steps);
+            let mut precond = if half { precond.quantized() } else { precond };
+            // The watchdog rides every rung, its wall-clock budget
+            // counting from the first launch: a NaN or a stagnating
+            // attempt becomes a structured breakdown the ladder can
+            // escalate instead of a burned iteration budget.
+            monitor.start_rung(rung, l.prior + l.launched.elapsed());
+            gcr_monitored(&mut space, &mut precond, &mut x, &b, &params, monitor)
+        }
+    };
+    // What a rung that did not finish salvages: the space counts its
+    // matvecs, the monitor saw every completed iteration and restart.
+    let partial = |space: &EoWilsonSpace<R, SharedComm<C>>, (iterations, restarts)| SolveStats {
+        iterations,
+        matvecs: space.matvec_count(),
+        precond_matvecs: space.dirichlet_matvecs(),
+        restarts,
+        ..SolveStats::new()
+    };
+    let stats = result.map_err(|e| (e, partial(&space, monitor.rung_progress())))?;
+    let n2 = space.norm2(&x).map_err(|e| (e, stats))?;
+    if !n2.is_finite() {
+        // A corrupted final norm is no converged solve: a breakdown the
+        // ladder climbs, carrying this rung's work.
+        let detail = format!("solution norm² is {n2}");
+        let kind = BreakdownKind::NonFinite;
+        let e = Error::Breakdown { solver: "solve_wilson", kind, detail };
+        return Err((e, partial(&space, (stats.iterations, stats.restarts))));
+    }
+    Ok((stats, WilsonSummary { solution_norm2: n2, checkpoints_written: monitor.written() }))
 }
 
-/// Run a distributed multi-shift CG solve of `(M†M + σ_i) x_i = b` over
-/// `grid`. A resolved `tune` applies its interior thread count;
-/// multi-shift CG has no Schwarz/GCR knobs.
-pub fn solve_staggered(
-    problem: &StaggeredProblem,
-    grid: ProcessGrid,
-    tune: Option<TuneParam>,
-) -> Result<Vec<StaggeredSolveOutcome>> {
-    let g = grid.clone();
-    let results = run_on_grid(grid, |comm| -> Result<StaggeredSolveOutcome> {
-        let op = problem.build_operator(&g, comm.rank())?;
-        if let Some(t) = &tune {
-            op.set_interior_threads(t.interior_threads);
-        }
-        let mut space = StaggeredNormalSpace::new(op, comm);
-        let b = problem.rhs(&space.op);
-        let ms = multishift_cg(&mut space, &problem.shifts, &b, problem.tol, problem.maxiter)?;
-        let solution_norms = ms.solutions.iter().map(|s| space.norm2(s)).collect::<Result<_>>()?;
-        Ok(StaggeredSolveOutcome { stats: ms.stats, converged_at: ms.converged_at, solution_norms })
-    });
-    results.into_iter().collect()
+impl Operator for StaggeredProblem {
+    type Method = ();
+    type Rank = StaggeredOp<f64>;
+    type Summary = StaggeredSummary;
+
+    fn build<C: Communicator>(l: &Launch<Self>, comm: &SharedComm<C>) -> Result<Self::Rank> {
+        l.p.build_operator(l.grid, comm.rank())
+    }
+
+    /// Multi-shift CG on a copy of the f64 operator. Double is the only
+    /// rung, so a failure ends the solve and no partial work is folded.
+    fn attempt<C: Communicator>(
+        l: &Launch<Self>,
+        op: &mut StaggeredOp<f64>,
+        _rung: LadderChoice,
+        comm: SharedComm<C>,
+    ) -> AttemptResult<StaggeredSummary> {
+        let fail = |e| (e, SolveStats::new());
+        let mut space = StaggeredNormalSpace::new(op.clone(), comm);
+        let b = l.p.rhs(&space.op);
+        let ms = multishift_cg(&mut space, &l.p.shifts, &b, l.p.tol, l.p.maxiter).map_err(fail)?;
+        let solution_norms =
+            ms.solutions.iter().map(|s| space.norm2(s)).collect::<Result<_>>().map_err(fail)?;
+        Ok((ms.stats, StaggeredSummary { converged_at: ms.converged_at, solution_norms }))
+    }
 }
 
 #[cfg(test)]
@@ -470,8 +527,8 @@ mod tests {
             assert!((b[r].solution_norm2 - b[0].solution_norm2).abs() < 1e-9);
         }
         // GCR-DD did block work; BiCGstab did none.
-        assert!(g[0].dirichlet_matvecs > 0);
-        assert_eq!(b[0].dirichlet_matvecs, 0);
+        assert!(g[0].stats.precond_matvecs > 0);
+        assert_eq!(b[0].stats.precond_matvecs, 0);
     }
 
     #[test]
@@ -490,7 +547,7 @@ mod tests {
     fn multishift_driver_distributed() {
         let p = StaggeredProblem::small();
         let grid = ProcessGrid::new(Dims([1, 1, 2, 2]), p.global).unwrap();
-        let out = solve_staggered(&p, grid, None).unwrap();
+        let out = solve_staggered(&p, grid, StaggeredSolve::multishift()).into_result().unwrap();
         assert!(out[0].stats.converged);
         // Shift ordering: larger shifts converge no later.
         let ca = &out[0].converged_at;
@@ -605,8 +662,8 @@ mod resilient_tests {
                     let o = r.as_ref().unwrap_or_else(|e| panic!("{rung:?} rank {slot}: {e}"));
                     assert_eq!(o.solution_norm2.to_bits(), bits, "{rung:?} rank {slot}");
                     assert_eq!(o.stats.iterations, 4, "{rung:?} rank {slot}");
-                    assert_eq!(o.matvecs, 9, "{rung:?} rank {slot}");
-                    assert_eq!(o.dirichlet_matvecs, 32, "{rung:?} rank {slot}");
+                    assert_eq!(o.stats.matvecs, 9, "{rung:?} rank {slot}");
+                    assert_eq!(o.stats.precond_matvecs, 32, "{rung:?} rank {slot}");
                     assert_eq!(o.precision_fallbacks, 0);
                 }
             }
@@ -636,8 +693,8 @@ mod resilient_tests {
             let o = r.as_ref().unwrap_or_else(|e| panic!("rank {slot}: {e}"));
             assert_eq!(o.solution_norm2.to_bits(), 0x40a8ae9a4d2a1d2c, "rank {slot}");
             assert_eq!(o.stats.iterations, 5, "rank {slot}");
-            assert_eq!(o.matvecs, 11, "rank {slot}");
-            assert_eq!(o.dirichlet_matvecs, 0, "rank {slot}");
+            assert_eq!(o.stats.matvecs, 11, "rank {slot}");
+            assert_eq!(o.stats.precond_matvecs, 0, "rank {slot}");
             assert!(o.stats.converged, "rank {slot}");
         }
     }
@@ -691,9 +748,9 @@ mod resilient_tests {
     /// The ladder folds every rung's work into the final record exactly
     /// once. Corrupted reductions break the lower rungs; the ladder
     /// climbs to a rung that then runs exactly the solve a request
-    /// starting there runs. So the final rung's own counts and bits equal
-    /// that request's, and every folded count is that request's plus the
-    /// failed rungs' pinned work.
+    /// starting there runs. So the final bits equal that request's, and
+    /// every folded count is that request's plus the failed rungs' pinned
+    /// work.
     #[test]
     fn ladder_fold_counts_every_rung_exactly_once() {
         let (p, grid) = small_problem();
@@ -735,8 +792,6 @@ mod resilient_tests {
                 assert!(out.stats.converged, "{case}");
                 assert_eq!(out.precision_fallbacks, reductions.len(), "{case}");
                 assert_eq!(out.solution_norm2.to_bits(), bits, "{case}");
-                assert_eq!(out.matvecs, s.matvecs, "{case}");
-                assert_eq!(out.dirichlet_matvecs, s.dirichlet_matvecs, "{case}");
                 let (it, mv, pm, rs) = counts(&s.stats);
                 let want = (it + failed.0, mv + failed.1, pm + failed.2, rs + failed.3);
                 assert_eq!(counts(&out.stats), want, "{case}");
@@ -782,14 +837,12 @@ mod resilient_tests {
                     continue;
                 }
                 let (s, h) = (&single[slot], &half[slot]);
-                assert_eq!(out.matvecs, s.matvecs, "{case}");
-                assert_eq!(out.dirichlet_matvecs, s.dirichlet_matvecs, "{case}");
                 let st = &out.stats;
                 assert_eq!(st.iterations, s.stats.iterations + h.stats.iterations, "{case}");
-                assert_eq!(st.matvecs, s.stats.matvecs + h.matvecs, "{case}");
+                assert_eq!(st.matvecs, s.stats.matvecs + h.stats.matvecs, "{case}");
                 assert_eq!(
                     st.precond_matvecs,
-                    s.stats.precond_matvecs + h.dirichlet_matvecs,
+                    s.stats.precond_matvecs + h.stats.precond_matvecs,
                     "{case}"
                 );
                 assert_eq!(st.restarts, s.stats.restarts + h.stats.restarts, "{case}");
@@ -864,6 +917,149 @@ mod resilient_tests {
                 Err(Error::Timeout { .. } | Error::RankFailure { .. }) => {}
                 other => panic!("rank {slot}: expected a structured unwind, got {other:?}"),
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod staggered_tests {
+    use super::*;
+    use lqcd_comms::FaultRule;
+    use lqcd_lattice::Dims;
+
+    /// The fault-free multi-shift solve of `StaggeredProblem::small()` on
+    /// 1×1×2×2, on every rank: each shift's solution norm² bits, and the
+    /// shared iteration and matvec counts.
+    const PIN_NORMS: [u64; 4] =
+        [0x40e3f33d073e8501, 0x40c4558f2e241844, 0x40b1e229ffbc0ec8, 0x40943038d12dd781];
+    const PIN_ITERATIONS: usize = 55;
+
+    fn problem() -> (StaggeredProblem, ProcessGrid) {
+        let p = StaggeredProblem::small();
+        let grid = ProcessGrid::new(Dims([1, 1, 2, 2]), p.global).unwrap();
+        (p, grid)
+    }
+
+    fn assert_pinned(run: &StaggeredRun, case: &str) {
+        for (slot, r) in run.outcomes.iter().enumerate() {
+            let o = r.as_ref().unwrap_or_else(|e| panic!("{case} rank {slot}: {e}"));
+            let bits: Vec<u64> = o.solution_norms.iter().map(|n| n.to_bits()).collect();
+            assert_eq!(bits, PIN_NORMS, "{case} rank {slot}");
+            assert_eq!(o.stats.iterations, PIN_ITERATIONS, "{case} rank {slot}");
+            assert_eq!(o.stats.matvecs, PIN_ITERATIONS, "{case} rank {slot}");
+            assert!(o.stats.converged, "{case} rank {slot}");
+            assert_eq!(o.precision_fallbacks, 0, "{case} rank {slot}");
+        }
+    }
+
+    fn ckpt_dir(name: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("lqcd-staggered-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// The multi-shift request gives the pinned bits on every rank, with
+    /// or without a supervisor, in one world launch.
+    #[test]
+    fn staggered_pins_the_solution_bits_on_every_rank() {
+        let (p, grid) = problem();
+        let plain = solve_staggered(&p, grid.clone(), StaggeredSolve::multishift());
+        assert_eq!(plain.attempts, 1);
+        assert_pinned(&plain, "plain");
+        let dir = ckpt_dir("pin");
+        let sup = solve_staggered(
+            &p,
+            grid,
+            StaggeredSolve::multishift().supervised(SupervisorConfig::new(&dir)),
+        );
+        assert_eq!((sup.attempts, sup.resumed_generations.clone()), (1, vec![None]));
+        assert_pinned(&sup, "supervised");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A rank dying mid-solve is reported in its own slot; every peer
+    /// unwinds with a structured error within the deadline.
+    #[test]
+    fn staggered_rank_death_unwinds_every_rank_within_the_deadline() {
+        let (p, grid) = problem();
+        let config = CommConfig::resilient().with_timeout(Duration::from_secs(2));
+        let plan = FaultPlan::new(31).with_rule(FaultRule::die_rank().on_rank(2).after(6).times(1));
+        let started = Instant::now();
+        let run = solve_staggered(
+            &p,
+            grid,
+            StaggeredSolve::multishift().with_comm(config).with_faults(move |_| Some(plan.clone())),
+        );
+        assert!(started.elapsed() < Duration::from_secs(30), "death must not hang the solve");
+        assert_eq!(run.attempts, 1);
+        match &run.outcomes[2] {
+            Err(Error::RankFailure { rank: 2, detail }) => {
+                assert!(detail.contains("injected fault"), "detail: {detail}");
+            }
+            other => panic!("expected rank 2's own death, got {other:?}"),
+        }
+        for (slot, r) in run.outcomes.iter().enumerate().filter(|(slot, _)| *slot != 2) {
+            match r {
+                Err(Error::Timeout { .. } | Error::RankFailure { .. }) => {}
+                other => panic!("rank {slot}: expected a structured unwind, got {other:?}"),
+            }
+        }
+    }
+
+    /// Multi-shift CG writes no checkpoint, so a supervised relaunch
+    /// after a death on launch 0 resumes from nothing and re-solves from
+    /// zero: the pinned solve.
+    #[test]
+    fn supervised_staggered_death_re_solves_from_zero() {
+        let (p, grid) = problem();
+        let dir = ckpt_dir("death");
+        let config = CommConfig::resilient().with_timeout(Duration::from_secs(2));
+        let plan = FaultPlan::new(31).with_rule(FaultRule::die_rank().on_rank(2).after(6).times(1));
+        let run = solve_staggered(
+            &p,
+            grid,
+            StaggeredSolve::multishift()
+                .with_comm(config)
+                .with_faults(move |launch| (launch == 0).then(|| plan.clone()))
+                .supervised(SupervisorConfig::new(&dir)),
+        );
+        assert_eq!(run.attempts, 2);
+        assert_eq!(run.resumed_generations, vec![None, None]);
+        assert_pinned(&run, "supervised after death");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Loss, duplication and delay are absorbed by the resilient comms:
+    /// the solve converges to the pin.
+    #[test]
+    fn drop_dup_delay_are_invisible_to_the_staggered_solve() {
+        let (p, grid) = problem();
+        for (name, rule) in [
+            ("drop", FaultRule::drop_message().on_rank(1).data_only().times(3)),
+            ("dup", FaultRule::duplicate_message().on_rank(2).times(4)),
+            ("delay", FaultRule::delay_message(Duration::from_millis(30)).on_rank(0).times(3)),
+        ] {
+            let plan = FaultPlan::new(23).with_rule(rule);
+            let run = solve_staggered(
+                &p,
+                grid.clone(),
+                StaggeredSolve::multishift()
+                    .with_comm(CommConfig::resilient())
+                    .with_faults(move |_| Some(plan.clone())),
+            );
+            let mut survived = 0;
+            for (slot, r) in run.outcomes.iter().enumerate() {
+                let o = r.as_ref().unwrap_or_else(|e| panic!("[{name}] rank {slot}: {e}"));
+                assert!(o.stats.converged, "[{name}] rank {slot}: {:?}", o.stats);
+                for (n, &pin) in o.solution_norms.iter().zip(&PIN_NORMS) {
+                    let pin = f64::from_bits(pin);
+                    let rel = (n - pin).abs() / pin;
+                    assert!(rel < 1e-10, "[{name}] rank {slot} diverged from the pin: {rel}");
+                }
+                survived = survived.max(o.faults_survived);
+            }
+            assert!(survived > 0, "[{name}] fault plan never fired");
         }
     }
 }

@@ -6,12 +6,15 @@
 //! * [`WilsonProblem`] / [`StaggeredProblem`] — declarative descriptions
 //!   of a solve (volume, process grid, gauge disorder, mass, solver
 //!   parameters) that any rank can instantiate;
-//! * [`drivers`] — one SPMD entry point per operator:
-//!   [`solve_wilson`] runs a [`WilsonSolve`] request (BiCGstab, or GCR-DD
-//!   climbing the precision ladder from a start rung, under any comms
-//!   policy, fault plan, supervisor and tuned configuration), and
-//!   [`solve_staggered`] runs asqtad multi-shift CG; both return per-rank
-//!   statistics;
+//! * [`drivers`] — one SPMD entry point per operator over one launch
+//!   body: [`solve_wilson`] runs a [`WilsonSolve`] request (BiCGstab, or
+//!   GCR-DD climbing the precision ladder from a start rung, optionally
+//!   under a tuned configuration) and [`solve_staggered`] a
+//!   [`StaggeredSolve`] (asqtad multi-shift CG). Both are a
+//!   [`SolveRequest`] with a comms policy, a fault plan per world launch
+//!   and an optional supervisor; both share the supervisor loop, the
+//!   world launch and the ladder climb, and return a [`SolveRun`] of
+//!   per-rank results that never panics;
 //! * [`supervise`] — checkpoint/restart for long solves: periodic field
 //!   snapshots at GCR restart boundaries and watchdog monitoring, which
 //!   let a supervised request rebuild a dead world and resume from the
@@ -31,8 +34,8 @@ pub mod supervise;
 pub mod tuning;
 
 pub use drivers::{
-    solve_staggered, solve_wilson, StaggeredSolveOutcome, WilsonRun, WilsonSolve,
-    WilsonSolveOutcome,
+    solve_staggered, solve_wilson, SolveOutcome, SolveRequest, SolveRun, StaggeredRun,
+    StaggeredSolve, StaggeredSolveOutcome, WilsonRun, WilsonSolve, WilsonSolveOutcome,
 };
 pub use problem::{StaggeredProblem, WilsonProblem};
 pub use supervise::{CheckpointingMonitor, SolveCheckpointMeta, SupervisorConfig};

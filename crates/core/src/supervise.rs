@@ -3,8 +3,9 @@
 //! A production propagator solve runs for hours across hundreds of ranks;
 //! §9's scaling argument only pays off if a single rank death does not
 //! discard the accumulated Krylov progress. This module holds the pieces
-//! [`solve_wilson`](crate::solve_wilson) threads through a request that
-//! carries a [`SupervisorConfig`]:
+//! the shared launch body of [`solve_wilson`](crate::solve_wilson) and
+//! [`solve_staggered`](crate::solve_staggered) threads through a request
+//! that carries a [`SupervisorConfig`]:
 //!
 //! * [`CheckpointingMonitor`] rides the [`SolveMonitor`] hooks of
 //!   [`gcr_monitored`](lqcd_solvers::gcr_monitored): at every
@@ -16,14 +17,17 @@
 //!   [`CheckpointStore`]. The same monitor runs the [`SolveWatchdog`]
 //!   health checks each outer iteration, and without a store it is
 //!   watchdog-only.
-//! * The supervisor loop in `solve_wilson`: when any rank fails —
-//!   watchdog trip, injected rank death, deadline timeout — it tears the
-//!   world down (the panic-safe `run_world_fallible` path already
-//!   guarantees every peer unwinds), waits out an exponential backoff,
-//!   rebuilds the world, restores the newest checkpoint generation
-//!   *common to all ranks* ([`common_generation`]), and resumes the solve
-//!   from that guess. Restart attempts are bounded by
-//!   [`SupervisorConfig::max_restarts`].
+//! * The supervisor loop in `core::drivers`, one for both operators:
+//!   when any rank fails — watchdog trip, injected rank death, deadline
+//!   timeout — it tears the world down (the panic-safe
+//!   `run_world_fallible` path already guarantees every peer unwinds),
+//!   waits out an exponential backoff, rebuilds the world, restores the
+//!   newest checkpoint generation *common to all ranks*
+//!   ([`common_generation`]), and resumes the solve from that guess.
+//!   Restart attempts are bounded by [`SupervisorConfig::max_restarts`].
+//!   Only GCR-DD writes checkpoints: multi-shift CG cannot restart
+//!   (§8.2), so a supervised staggered relaunch finds no common
+//!   generation and re-solves from zero.
 //!
 //! Consistency note: checkpoint generations align across ranks because
 //! they are written at collective restart boundaries — every rank passes

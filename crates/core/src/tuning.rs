@@ -11,10 +11,7 @@
 //! solves under candidate `mr_steps`/`n_kv`. On top sit [`tune_wilson`]
 //! (the two-phase dslash-then-solver search) and [`resolve`], which
 //! turns a [`TunePolicy`] into the grid and the [`TuneParam`] a
-//! [`WilsonSolve::tuned`] request or [`solve_staggered`] applies. See
-//! DESIGN.md, "Autotuning".
-//!
-//! [`solve_staggered`]: crate::solve_staggered
+//! [`WilsonSolve::tuned`] request applies. See DESIGN.md, "Autotuning".
 
 use crate::drivers::{solve_wilson, WilsonSolve};
 use crate::problem::{StaggeredProblem, WilsonProblem};
@@ -36,11 +33,6 @@ pub fn wilson_dslash_key(problem: &WilsonProblem, ranks: usize) -> TuneKey {
 /// The tune key of the Wilson-clover GCR-DD solver phase.
 pub fn wilson_solver_key(problem: &WilsonProblem, ranks: usize) -> TuneKey {
     TuneKey::new("wilson_clover/gcr_dd", problem.global, ranks)
-}
-
-/// The tune key of the staggered (asqtad) dslash phase.
-pub fn staggered_dslash_key(problem: &StaggeredProblem, ranks: usize) -> TuneKey {
-    TuneKey::new("asqtad/dslash", problem.global, ranks)
 }
 
 /// Resolve `policy` for the solve `key` names: the process grid to run

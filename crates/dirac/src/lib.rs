@@ -22,7 +22,6 @@
 mod dispatch;
 pub mod exchange;
 pub mod overlap;
-pub mod reference;
 pub mod staggered;
 pub mod wilson;
 
@@ -39,3 +38,8 @@ pub enum BoundaryMode {
     /// boundary contributions — the additive-Schwarz block operator.
     Dirichlet,
 }
+
+/// Formula-level reference operators (Eqs. 2 and 3), the oracle the
+/// optimized operators are checked against.
+#[cfg(test)]
+mod reference;

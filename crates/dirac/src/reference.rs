@@ -4,7 +4,7 @@
 //! plain coordinate arithmetic, dense γ-matrix application, no
 //! checkerboard cleverness, no half-spinor trick, no interior/exterior
 //! split — and exist purely to cross-check the optimized operators.
-//! Slow by design; global (single-rank) lattices only.
+//! Slow by design; global (single-rank) lattices only. Test-only.
 
 use crate::staggered::StaggeredOp;
 use crate::wilson::WilsonCloverOp;

@@ -228,14 +228,6 @@ impl PartitionGeometry {
     pub fn num_partitioned(&self) -> usize {
         self.partitioned.iter().filter(|&&p| p).count()
     }
-
-    /// Checkerboard surface sites (sum over partitioned faces × depth).
-    pub fn surface_cb(&self, depth: usize) -> usize {
-        (0..NDIM)
-            .filter(|&mu| self.partitioned[mu])
-            .map(|mu| 2 * depth * self.face_vol_cb[mu])
-            .sum()
-    }
 }
 
 #[cfg(test)]

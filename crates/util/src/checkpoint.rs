@@ -65,11 +65,6 @@ impl Checkpoint {
         })
     }
 
-    /// Section names in insertion order.
-    pub fn section_names(&self) -> impl Iterator<Item = &str> {
-        self.sections.iter().map(|(n, _)| n.as_str())
-    }
-
     /// Serialize to the on-disk byte layout.
     pub fn to_bytes(&self) -> Vec<u8> {
         let body: usize = self.sections.iter().map(|(n, p)| 4 + n.len() + 8 + p.len() + 8).sum();

@@ -20,7 +20,7 @@ fn main() -> Result<()> {
 
     // Distributed solve over a 2×2 (Z,T) grid.
     let grid = ProcessGrid::new(Dims([1, 1, 2, 2]), problem.global)?;
-    let out = solve_staggered(&problem, grid, None)?;
+    let out = solve_staggered(&problem, grid, StaggeredSolve::multishift()).into_result()?;
     let o = &out[0];
     println!(
         "\nsolved {} shifted systems in {} shared matvecs ({} iterations)",

@@ -28,7 +28,7 @@ fn main() -> Result<()> {
     let b0 = &bicg[0];
     println!(
         "\nBiCGstab     : {:4} iterations, {:5} matvecs, |r|/|b| = {:.2e}",
-        b0.stats.iterations, b0.matvecs, b0.stats.residual
+        b0.stats.iterations, b0.stats.matvecs, b0.stats.residual
     );
 
     // 2. GCR-DD: flexible GCR with the non-overlapping additive-Schwarz
@@ -39,7 +39,7 @@ fn main() -> Result<()> {
     let g0 = &gcr[0];
     println!(
         "GCR-DD       : {:4} outer iters, {:5} comm matvecs + {:5} block matvecs, |r|/|b| = {:.2e}",
-        g0.stats.iterations, g0.matvecs, g0.dirichlet_matvecs, g0.stats.residual
+        g0.stats.iterations, g0.stats.matvecs, g0.stats.precond_matvecs, g0.stats.residual
     );
 
     // 3. The paper's production configuration: single-half-half — GCR

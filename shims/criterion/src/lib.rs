@@ -6,8 +6,10 @@
 //! short warmup followed by `sample_size` timed samples, reporting the
 //! median per-iteration wall time (and derived throughput). No
 //! statistical analysis, outlier detection, or HTML reports. Passing
-//! `--test` (as `cargo test --benches` does) runs each closure once.
-//! See `shims/README.md`.
+//! `--test` (as `cargo test --benches` does) runs each closure once. The
+//! first argument that does not start with `-` filters, as criterion's
+//! does: only benches whose `group/name` contains it run, in test mode
+//! too. See `shims/README.md`.
 
 use std::hint;
 use std::time::{Duration, Instant};
@@ -31,12 +33,16 @@ pub enum Throughput {
 pub struct Criterion {
     sample_size: usize,
     test_mode: bool,
+    /// Substring a bench's `group/name` must contain to run.
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
     fn default() -> Self {
-        let test_mode = std::env::args().any(|a| a == "--test");
-        Criterion { sample_size: 100, test_mode }
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        let test_mode = args.iter().any(|a| a == "--test");
+        let filter = args.into_iter().find(|a| !a.starts_with('-'));
+        Criterion { sample_size: 100, test_mode, filter }
     }
 }
 
@@ -99,6 +105,9 @@ impl BenchmarkGroup<'_> {
         F: FnMut(&mut Bencher),
     {
         let label = format!("{}/{}", self.name, name);
+        if self.criterion.filter.as_ref().is_some_and(|f| !label.contains(f.as_str())) {
+            return self;
+        }
         if self.criterion.test_mode {
             let mut b = Bencher { iters: 1, elapsed: Duration::ZERO };
             f(&mut b);
@@ -212,8 +221,24 @@ mod tests {
     #[test]
     fn harness_runs_and_reports() {
         // Force test mode so the unit test stays fast.
-        let mut c = Criterion { sample_size: 3, test_mode: true };
+        let mut c = Criterion { sample_size: 3, test_mode: true, filter: None };
         quick_bench(&mut c);
+    }
+
+    #[test]
+    fn filter_selects_matching_rows_only() {
+        let mut c =
+            Criterion { sample_size: 3, test_mode: true, filter: Some("shim/su".to_string()) };
+        let mut ran = Vec::new();
+        let mut g = c.benchmark_group("shim");
+        for name in ["sum", "product"] {
+            g.bench_function(name, |b| {
+                ran.push(name);
+                b.iter(|| 0u64);
+            });
+        }
+        g.finish();
+        assert_eq!(ran, ["sum"]);
     }
 
     #[test]

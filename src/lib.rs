@@ -45,8 +45,8 @@ pub mod prelude {
         FaultRule, MsgClass, SharedComm, SingleComm, ThreadedComm,
     };
     pub use lqcd_core::{
-        solve_staggered, solve_wilson, tune_wilson, StaggeredProblem, SupervisorConfig,
-        WilsonProblem, WilsonRun, WilsonSolve,
+        solve_staggered, solve_wilson, tune_wilson, StaggeredProblem, StaggeredRun, StaggeredSolve,
+        SupervisorConfig, WilsonProblem, WilsonRun, WilsonSolve,
     };
     pub use lqcd_dirac::{BoundaryMode, StaggeredOp, WilsonCloverOp};
     pub use lqcd_gauge::{average_plaquette, AsqtadLinks, GaugeField};
