@@ -337,6 +337,31 @@ fn blas_kernels(c: &mut Criterion) {
     g.bench_function("axpy", |bch| bch.iter(|| blas::axpy(black_box(0.5), &x, &mut y)));
     g.bench_function("cdot", |bch| bch.iter(|| black_box(blas::cdot_local(&x, &y))));
     g.bench_function("norm2", |bch| bch.iter(|| black_box(blas::norm2_local(&x))));
+    // The Krylov reductions on solvebench's rank bodies: `gcrdd_half`'s
+    // f32 odd-parity body on a 16×8×8×8 rank (98,304 reals), and
+    // `bicgstab_halo`'s f64 one on an 8×8×8×4 rank (24,576 reals).
+    fn rank_rows<R: lqcd_util::Real>(
+        g: &mut criterion::BenchmarkGroup<'_>,
+        local: Dims,
+        name: &str,
+        rng: &mut impl rand::Rng,
+    ) {
+        let sub = Arc::new(SubLattice::single(local).unwrap());
+        let faces = FaceGeometry::new(&sub, 1).unwrap();
+        let mut x: LatticeField<R, WilsonSpinor<R>> =
+            LatticeField::zeros(sub, &faces, Parity::Odd, 0);
+        x.fill(|_| WilsonSpinor::random(rng));
+        let y = x.clone();
+        g.throughput(Throughput::Bytes(std::mem::size_of_val(x.body()) as u64));
+        g.bench_function(&format!("norm2_{name}_rank"), |bch| {
+            bch.iter(|| black_box(blas::norm2_local(black_box(&x))))
+        });
+        g.bench_function(&format!("cdot_{name}_rank"), |bch| {
+            bch.iter(|| black_box(blas::cdot_local(black_box(&x), black_box(&y))))
+        });
+    }
+    rank_rows::<f32>(&mut g, Dims([16, 8, 8, 8]), "f32", &mut rng);
+    rank_rows::<f64>(&mut g, Dims([8, 8, 8, 4]), "f64", &mut rng);
     g.finish();
 }
 

@@ -500,8 +500,20 @@ impl Operator for StaggeredProblem {
         let mut space = StaggeredNormalSpace::new(op.clone(), comm);
         let b = l.p.rhs(&space.op);
         let ms = multishift_cg(&mut space, &l.p.shifts, &b, l.p.tol, l.p.maxiter).map_err(fail)?;
-        let solution_norms =
-            ms.solutions.iter().map(|s| space.norm2(s)).collect::<Result<_>>().map_err(fail)?;
+        let solution_norms: Vec<f64> = ms
+            .solutions
+            .iter()
+            .map(|s| space.norm2(s))
+            .collect::<Result<_>>()
+            .map_err(|e| (e, ms.stats))?;
+        if let Some((i, n2)) = solution_norms.iter().enumerate().find(|(_, n)| !n.is_finite()) {
+            // As on a Wilson rung: a corrupted final norm is no converged
+            // solve, but a breakdown carrying the solve's work.
+            let detail = format!("shift {i} solution norm² is {n2}");
+            let kind = BreakdownKind::NonFinite;
+            let e = Error::Breakdown { solver: "solve_staggered", kind, detail };
+            return Err((e, ms.stats));
+        }
         Ok((ms.stats, StaggeredSummary { converged_at: ms.converged_at, solution_norms }))
     }
 }
@@ -637,6 +649,72 @@ mod resilient_tests {
             .unwrap()
     }
 
+    /// This rank's GCR-DD solve of `p` at precision `R` (half storage and
+    /// blocks when `half`), as a rung runs it, widened into `x64`.
+    fn gcr_dd_solution<R: Real, C: Communicator>(
+        p: &WilsonProblem,
+        op64: &WilsonCloverOp<f64>,
+        comm: SharedComm<C>,
+        half: bool,
+        x64: &mut SpinorField<f64>,
+    ) -> Result<()>
+    where
+        WilsonSpinor<R>: Quantize<R>,
+    {
+        let space = EoWilsonSpace::new(cast_wilson_op::<R>(op64)?, comm)?;
+        let mut space = if half { space.with_half_storage() } else { space };
+        let b = p.rhs(&space.op);
+        let mut x = space.alloc();
+        let mut params = p.gcr;
+        params.quantize_krylov |= half;
+        let precond = SchwarzMR::new(p.mr_steps);
+        let mut precond = if half { precond.quantized() } else { precond };
+        lqcd_solvers::gcr(&mut space, &mut precond, &mut x, &b, &params)?;
+        for (w, &v) in x64.body_mut().iter_mut().zip(x.body()) {
+            *w = v.to_f64();
+        }
+        Ok(())
+    }
+
+    /// The solve a request runs, replayed outside the driver, whose
+    /// records hold no solution: every rank checks that the solution's
+    /// f64 true residual ‖b − M̂x‖/‖b‖ meets `p.tol` and that its norm²
+    /// has the pinned bits. `rung` `None` replays BiCGstab.
+    fn assert_verified(
+        p: &WilsonProblem,
+        grid: &ProcessGrid,
+        rung: Option<LadderChoice>,
+        bits: u64,
+    ) {
+        let world = ThreadedComm::world_with(grid.clone(), CommConfig::default(), None);
+        let out = run_world_fallible(world, |comm| -> Result<(f64, u64)> {
+            let comm = SharedComm::new(comm);
+            let op64 = p.build_operator(&mut comm.clone(), grid)?;
+            let mut check = EoWilsonSpace::new(cast_wilson_op::<f64>(&op64)?, comm.clone())?;
+            let b = p.rhs(&check.op);
+            let mut x = check.alloc();
+            match rung {
+                None => bicgstab(&mut check, &mut x, &b, p.tol, p.maxiter).map(|_| ())?,
+                Some(LadderChoice::Double) => {
+                    gcr_dd_solution::<f64, _>(p, &op64, comm, false, &mut x)?
+                }
+                Some(r) => {
+                    gcr_dd_solution::<f32, _>(p, &op64, comm, r == LadderChoice::Half, &mut x)?
+                }
+            }
+            let mut r = check.alloc();
+            check.matvec(&mut r, &mut x)?;
+            check.axpy(-1.0, &b, &mut r);
+            let res = (check.norm2(&r)? / check.norm2(&b)?).sqrt();
+            Ok((res, check.norm2(&x)?.to_bits()))
+        });
+        for (slot, r) in out.into_iter().enumerate() {
+            let (res, got) = r.unwrap().unwrap_or_else(|e| panic!("{rung:?} rank {slot}: {e}"));
+            assert_eq!(got, bits, "{rung:?} rank {slot}: replay is not the pinned solve");
+            assert!(res <= p.tol, "{rung:?} rank {slot}: true residual {res:e} > {:e}", p.tol);
+        }
+    }
+
     /// The exact bits of the solve this module's problem pins: every
     /// way of running it — with or without a supervisor, untuned or
     /// under the baseline tuned configuration — gives these on every
@@ -647,7 +725,7 @@ mod resilient_tests {
         let dir = std::env::temp_dir().join(format!("lqcd-pin-bits-{}", std::process::id()));
         for (rung, bits) in [
             (LadderChoice::Double, 0x40a8ae9c841b9661u64),
-            (LadderChoice::Half, 0x40a8ae9c6ee348d2),
+            (LadderChoice::Half, 0x40a8ae9c6ee3485e),
         ] {
             let _ = std::fs::remove_dir_all(&dir);
             let plain = solve_wilson(&p, grid.clone(), WilsonSolve::gcr_dd(rung));
@@ -669,6 +747,8 @@ mod resilient_tests {
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
+        assert_verified(&p, &grid, Some(LadderChoice::Double), 0x40a8ae9c841b9661);
+        assert_verified(&p, &grid, Some(LadderChoice::Half), 0x40a8ae9c6ee3485e);
         // A Fixed baseline configuration on ZT is the untuned solve bit
         // for bit.
         let param = TuneParam::baseline(1);
@@ -688,15 +768,16 @@ mod resilient_tests {
     #[test]
     fn bicgstab_pins_the_solution_bits_on_every_rank() {
         let (p, grid) = small_problem();
-        let run = solve_wilson(&p, grid, WilsonSolve::bicgstab());
+        let run = solve_wilson(&p, grid.clone(), WilsonSolve::bicgstab());
         for (slot, r) in run.outcomes.iter().enumerate() {
             let o = r.as_ref().unwrap_or_else(|e| panic!("rank {slot}: {e}"));
-            assert_eq!(o.solution_norm2.to_bits(), 0x40a8ae9a4d2a1d2c, "rank {slot}");
+            assert_eq!(o.solution_norm2.to_bits(), 0x40a8ae9a4d2a1d37, "rank {slot}");
             assert_eq!(o.stats.iterations, 5, "rank {slot}");
             assert_eq!(o.stats.matvecs, 11, "rank {slot}");
             assert_eq!(o.stats.precond_matvecs, 0, "rank {slot}");
             assert!(o.stats.converged, "rank {slot}");
         }
+        assert_verified(&p, &grid, None, 0x40a8ae9a4d2a1d37);
     }
 
     #[test]
@@ -763,12 +844,13 @@ mod resilient_tests {
         // iteration — the record must not carry the Half rung's counts
         // over into it.
         for (reductions, reference, bits, failed) in [
-            (&[10][..], LadderChoice::Single, 0x40a8ae9c6f2bd7b7u64, (2, 6, 24, 2)),
+            (&[10][..], LadderChoice::Single, 0x40a8ae9c6f2bd74cu64, (2, 6, 24, 2)),
             (&[10, 12][..], LadderChoice::Double, 0x40a8ae9c841b9661, (2, 7, 24, 2)),
         ] {
             let plain = solve_wilson(&p, grid.clone(), WilsonSolve::gcr_dd(reference))
                 .into_result()
                 .unwrap();
+            assert_verified(&p, &grid, Some(reference), bits);
             // Each fault is scoped to rank 1's part of one logical
             // reduction, so every copy — a retransmit included — carries
             // the NaN; a count of wire messages could instead land on a
@@ -813,9 +895,9 @@ mod resilient_tests {
             |rung| solve_wilson(&p, grid.clone(), WilsonSolve::gcr_dd(rung)).into_result().unwrap();
         let (single, half) = (plain(LadderChoice::Single), plain(LadderChoice::Half));
         for (seq, fallbacks, bits) in [
-            (17, 1, 0x40a8ae9c6f2bd7b7u64),
-            (18, 1, 0x40a8ae9c6f2bd7b7),
-            (19, 0, 0x40a8ae9c6ee348d2),
+            (17, 1, 0x40a8ae9c6f2bd74cu64),
+            (18, 1, 0x40a8ae9c6f2bd74c),
+            (19, 0, 0x40a8ae9c6ee3485e),
         ] {
             let plan = FaultPlan::new(11)
                 .with_rule(FaultRule::corrupt_payload().on_rank(1).for_reduction(seq));
@@ -931,7 +1013,7 @@ mod staggered_tests {
     /// 1×1×2×2, on every rank: each shift's solution norm² bits, and the
     /// shared iteration and matvec counts.
     const PIN_NORMS: [u64; 4] =
-        [0x40e3f33d073e8501, 0x40c4558f2e241844, 0x40b1e229ffbc0ec8, 0x40943038d12dd781];
+        [0x40e3f33d073e8508, 0x40c4558f2e24183e, 0x40b1e229ffbc0eca, 0x40943038d12dd77c];
     const PIN_ITERATIONS: usize = 55;
 
     fn problem() -> (StaggeredProblem, ProcessGrid) {
@@ -949,6 +1031,39 @@ mod staggered_tests {
             assert_eq!(o.stats.matvecs, PIN_ITERATIONS, "{case} rank {slot}");
             assert!(o.stats.converged, "{case} rank {slot}");
             assert_eq!(o.precision_fallbacks, 0, "{case} rank {slot}");
+        }
+    }
+
+    /// The pinned solve replayed outside the driver, whose records hold
+    /// no solution: on every rank, each shift's f64 true residual
+    /// ‖b − (A + σ)x_σ‖/‖b‖ meets the tolerance and its norm² has the
+    /// pinned bits.
+    #[test]
+    fn pinned_staggered_solutions_meet_the_tolerance() {
+        let (p, grid) = problem();
+        let world = ThreadedComm::world_with(grid.clone(), CommConfig::default(), None);
+        let out = run_world_fallible(world, |comm| -> Result<Vec<(f64, u64)>> {
+            let mut space = StaggeredNormalSpace::new(p.build_operator(&grid, comm.rank())?, comm);
+            let b = p.rhs(&space.op);
+            let ms = multishift_cg(&mut space, &p.shifts, &b, p.tol, p.maxiter)?;
+            let b2 = space.norm2(&b)?;
+            let mut out = Vec::new();
+            for (&sigma, x) in p.shifts.iter().zip(&ms.solutions) {
+                let (mut x, mut r) = (x.clone(), space.alloc());
+                space.matvec(&mut r, &mut x)?;
+                space.axpy(sigma, &x, &mut r);
+                space.axpy(-1.0, &b, &mut r);
+                out.push(((space.norm2(&r)? / b2).sqrt(), space.norm2(&x)?.to_bits()));
+            }
+            Ok(out)
+        });
+        for (slot, r) in out.into_iter().enumerate() {
+            let shifts = r.unwrap().unwrap_or_else(|e| panic!("rank {slot}: {e}"));
+            let bits: Vec<u64> = shifts.iter().map(|s| s.1).collect();
+            assert_eq!(bits, PIN_NORMS, "rank {slot}: replay is not the pinned solve");
+            for (i, (res, _)) in shifts.iter().enumerate() {
+                assert!(*res <= p.tol, "rank {slot} shift {i}: true residual {res:e}");
+            }
         }
     }
 

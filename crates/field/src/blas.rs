@@ -8,10 +8,31 @@
 //!
 //! Reductions return the *local* (per-rank) partial; distributed callers
 //! combine partials with an allreduce through `lqcd-comms`.
+//!
+//! [`norm2_local`] and [`cdot_local`] sum in one fixed order, the same at
+//! every SIMD lane width. For a body of `n` reals `x_k`, eight f64
+//! partials `p0..p7` each sum the terms with `k ≡ p (mod 8)` for
+//! `k < 8⌊n/8⌋`, in increasing `k`: `x_k²` for the norm, `x_k·y_k` for
+//! the real part of the dot product and `x_k·y_{k^1}` for its imaginary
+//! part. The partials fold in the tree
+//! `((p0 + p1) + (p2 + p3)) + ((p4 + p5) + (p6 + p7))`, the imaginary
+//! part subtracting its odd partials (its odd terms are `x_im·y_re`):
+//! `((q0 − q1) + (q2 − q3)) + ((q4 − q5) + (q6 − q7))`. Then the tail
+//! `k ≥ 8⌊n/8⌋` is added in sequence, the imaginary part's odd terms
+//! subtracted. On x86_64 the sums run as eight SIMD lanes
+//! (`lqcd_su3::kernels::{norm2, cdot}` at [`Width::detect`]); elsewhere as
+//! scalar code in the same order. So `cdot_local(x, x).re` is
+//! `norm2_local(x)` bit for bit, and a solve's bits do not depend on the
+//! CPU's lane width.
+//!
+//! [`diff_norm2_local`] and [`max_abs_diff`] deliberately stay sequential
+//! scalar loops: they are verification aids that no solver calls.
+//!
+//! [`Width::detect`]: lqcd_su3::kernels::Width::detect
 
 use crate::field::LatticeField;
 use crate::site::SiteObject;
-use lqcd_util::{Complex, Real};
+use lqcd_util::{Complex, Real, Reals};
 
 /// `y = 0`.
 pub fn zero<R: Real, S: SiteObject<R>>(y: &mut LatticeField<R, S>) {
@@ -98,33 +119,94 @@ pub fn cxpay<R: Real, S: SiteObject<R>>(
 }
 
 /// Local partial of `⟨x, y⟩` (conjugate-linear in `x`), accumulated in
-/// `f64`.
+/// `f64` in the order of the module docs.
 pub fn cdot_local<R: Real, S: SiteObject<R>>(
     x: &LatticeField<R, S>,
     y: &LatticeField<R, S>,
 ) -> Complex<f64> {
     x.check_compatible(y).expect("cdot: incompatible fields");
-    let xb = x.body();
-    let yb = y.body();
-    let mut re = 0.0f64;
-    let mut im = 0.0f64;
-    for k in (0..xb.len()).step_by(2) {
-        let xr = xb[k].to_f64();
-        let xi = xb[k + 1].to_f64();
-        let yr = yb[k].to_f64();
-        let yi = yb[k + 1].to_f64();
-        re += xr * yr + xi * yi;
-        im += xr * yi - xi * yr;
-    }
+    let (re, im) = match (R::reals(x.body()), R::reals(y.body())) {
+        (Reals::F32(x), Reals::F32(y)) => lanes::cdot(x, y),
+        (Reals::F64(x), Reals::F64(y)) => lanes::cdot(x, y),
+        _ => unreachable!("two fields of one precision"),
+    };
     Complex::new(re, im)
 }
 
-/// Local partial of `‖x‖²`, accumulated in `f64`.
+/// Local partial of `‖x‖²`, accumulated in `f64` in the order of the
+/// module docs.
 pub fn norm2_local<R: Real, S: SiteObject<R>>(x: &LatticeField<R, S>) -> f64 {
-    x.body().iter().map(|v| v.to_f64() * v.to_f64()).sum()
+    match R::reals(x.body()) {
+        Reals::F32(x) => lanes::norm2(x),
+        Reals::F64(x) => lanes::norm2(x),
+    }
 }
 
-/// Local partial of `‖x − y‖²` without forming the difference.
+/// The reductions at the widest lane width the CPU has.
+#[cfg(target_arch = "x86_64")]
+mod lanes {
+    use lqcd_su3::kernels::{self, ReduceLanes, Width};
+
+    pub(super) fn norm2<R: ReduceLanes>(x: &[R]) -> f64 {
+        kernels::norm2(Width::detect(), x)
+    }
+
+    pub(super) fn cdot<R: ReduceLanes>(x: &[R], y: &[R]) -> (f64, f64) {
+        kernels::cdot(Width::detect(), x, y)
+    }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+use ordered as lanes;
+
+/// The reductions as scalar code in the order of the module docs: the
+/// path where no SIMD kernels exist, and the tests' oracle.
+#[cfg(any(test, not(target_arch = "x86_64")))]
+mod ordered {
+    use lqcd_util::Real;
+
+    fn fold(p: [f64; 8]) -> f64 {
+        ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]))
+    }
+
+    pub(super) fn norm2<R: Real>(x: &[R]) -> f64 {
+        let m = x.len() / 8 * 8;
+        let mut p = [0.0f64; 8];
+        for (k, v) in x[..m].iter().enumerate() {
+            p[k % 8] += v.to_f64() * v.to_f64();
+        }
+        let mut sum = fold(p);
+        for v in &x[m..] {
+            sum += v.to_f64() * v.to_f64();
+        }
+        sum
+    }
+
+    pub(super) fn cdot<R: Real>(x: &[R], y: &[R]) -> (f64, f64) {
+        assert_eq!(x.len(), y.len(), "cdot: bodies of different lengths");
+        let m = x.len() / 8 * 8;
+        let term = |k: usize, l: usize| x[k].to_f64() * y[l].to_f64();
+        let (mut p, mut q) = ([0.0f64; 8], [0.0f64; 8]);
+        for k in 0..m {
+            p[k % 8] += term(k, k);
+            q[k % 8] += term(k, k ^ 1);
+        }
+        let mut re = fold(p);
+        let mut im = ((q[0] - q[1]) + (q[2] - q[3])) + ((q[4] - q[5]) + (q[6] - q[7]));
+        for k in m..x.len() {
+            re += term(k, k);
+            if k % 2 == 0 {
+                im += term(k, k + 1);
+            } else {
+                im -= term(k, k - 1);
+            }
+        }
+        (re, im)
+    }
+}
+
+/// Local partial of `‖x − y‖²` without forming the difference, summed
+/// in sequence (a verification aid; see the module docs).
 pub fn diff_norm2_local<R: Real, S: SiteObject<R>>(
     x: &LatticeField<R, S>,
     y: &LatticeField<R, S>,
@@ -140,7 +222,8 @@ pub fn diff_norm2_local<R: Real, S: SiteObject<R>>(
         .sum()
 }
 
-/// Maximum absolute component difference (debug/verification aid).
+/// Maximum absolute component difference (a verification aid; see the
+/// module docs).
 pub fn max_abs_diff<R: Real, S: SiteObject<R>>(
     x: &LatticeField<R, S>,
     y: &LatticeField<R, S>,
@@ -173,8 +256,9 @@ pub fn shift_update<R: Real, S: SiteObject<R>>(
 mod tests {
     use super::*;
     use lqcd_lattice::{Dims, FaceGeometry, Parity, SubLattice};
-    use lqcd_su3::ColorVector;
+    use lqcd_su3::{ColorVector, WilsonSpinor};
     use lqcd_util::rng::SeedTree;
+    use rand::Rng;
     use std::sync::Arc;
 
     type F = LatticeField<f64, ColorVector<f64>>;
@@ -231,7 +315,7 @@ mod tests {
     fn dot_and_norm_agree() {
         let x = rand_field(7);
         let d = cdot_local(&x, &x);
-        assert!((d.re - norm2_local(&x)).abs() < 1e-9);
+        assert_eq!(d.re.to_bits(), norm2_local(&x).to_bits());
         assert!(d.im.abs() < 1e-9);
         let y = rand_field(8);
         // ⟨x,y⟩ = conj(⟨y,x⟩)
@@ -274,6 +358,129 @@ mod tests {
         assert!(max_abs_diff(&x, &y) == 0.0);
         zero(&mut y);
         assert_eq!(norm2_local(&y), 0.0);
+    }
+
+    /// A field of `S` sites on a 4×4×2×2 even checkerboard (32 sites),
+    /// Gaussian or, with `special`, drawing ±0.0, subnormals and values
+    /// whose products underflow.
+    fn field<R: Real, S: SiteObject<R>>(seed: u64, special: bool) -> LatticeField<R, S> {
+        let sub = Arc::new(SubLattice::single(Dims([4, 4, 2, 2])).unwrap());
+        let faces = FaceGeometry::new(&sub, 1).unwrap();
+        let mut f = LatticeField::zeros(sub, &faces, Parity::Even, 1);
+        let mut rng = SeedTree::new(seed).rng();
+        let subnormal = if R::EPSILON.to_f64() > 1e-10 { 1e-40 } else { 1e-310 };
+        for v in f.body_mut() {
+            let (x, _) = lqcd_util::rng::normal_pair(&mut rng);
+            *v = R::from_f64(match (special, rng.gen::<u32>() % 4) {
+                (true, 0) => 0.0 * x.signum(),
+                (true, 1) => subnormal * x,
+                (true, 2) => 1e-160 * x,
+                _ => x,
+            });
+        }
+        f
+    }
+
+    /// `(‖x‖², ⟨x, y⟩)` through the public entry points and, on x86_64,
+    /// the kernels at every lane width the CPU has.
+    fn reductions<R: Real, S: SiteObject<R>>(
+        x: &LatticeField<R, S>,
+        y: &LatticeField<R, S>,
+    ) -> Vec<(u64, u64, u64)> {
+        let bits = |n: f64, (re, im): (f64, f64)| (n.to_bits(), re.to_bits(), im.to_bits());
+        let d = cdot_local(x, y);
+        #[allow(unused_mut)]
+        let mut all = vec![bits(norm2_local(x), (d.re, d.im))];
+        #[cfg(target_arch = "x86_64")]
+        {
+            use lqcd_su3::kernels::{cdot, norm2, Width};
+            for w in Width::supported() {
+                all.push(match (R::reals(x.body()), R::reals(y.body())) {
+                    (Reals::F32(x), Reals::F32(y)) => bits(norm2(w, x), cdot(w, x, y)),
+                    (Reals::F64(x), Reals::F64(y)) => bits(norm2(w, x), cdot(w, x, y)),
+                    _ => unreachable!(),
+                });
+            }
+        }
+        all
+    }
+
+    fn check_order<R: Real, S: SiteObject<R>>(seed: u64) {
+        for special in [false, true] {
+            let x: LatticeField<R, S> = field(seed, special);
+            let y = field(seed + 1, special);
+            let want = (
+                ordered::norm2(x.body()).to_bits(),
+                ordered::cdot(x.body(), y.body()).0.to_bits(),
+                ordered::cdot(x.body(), y.body()).1.to_bits(),
+            );
+            for got in reductions(&x, &y) {
+                assert_eq!(got, want, "{} special = {special}", R::NAME);
+            }
+            let xx = cdot_local(&x, &x);
+            assert_eq!(xx.re.to_bits(), norm2_local(&x).to_bits(), "{}", R::NAME);
+        }
+    }
+
+    /// The public reductions, and the kernels at every supported width,
+    /// equal the scalar statement of the documented order bit for bit,
+    /// on Wilson and staggered bodies in both precisions.
+    #[test]
+    fn reductions_follow_the_documented_order_at_every_width() {
+        check_order::<f32, WilsonSpinor<f32>>(21);
+        check_order::<f64, WilsonSpinor<f64>>(23);
+        check_order::<f32, ColorVector<f32>>(25);
+        check_order::<f64, ColorVector<f64>>(27);
+    }
+
+    /// `Σ a_k·b_k` and `Σ |a_k·b_k|`, the first to about twice f64
+    /// precision: each product's rounding error recovered with an FMA,
+    /// everything summed with Neumaier compensation.
+    fn compensated(terms: impl Iterator<Item = (f64, f64)>) -> (f64, f64) {
+        let (mut sum, mut comp, mut abs) = (0.0f64, 0.0f64, 0.0f64);
+        let mut add = |v: f64| {
+            let t = sum + v;
+            comp += if sum.abs() >= v.abs() { (sum - t) + v } else { (v - t) + sum };
+            sum = t;
+        };
+        for (a, b) in terms {
+            let p = a * b;
+            add(p);
+            add(a.mul_add(b, -p));
+            abs += p.abs();
+        }
+        (sum + comp, abs)
+    }
+
+    fn check_accuracy<R: Real, S: SiteObject<R>>(seed: u64) {
+        let x: LatticeField<R, S> = field(seed, false);
+        let y = field(seed + 1, false);
+        let (xb, yb) = (x.body(), y.body());
+        let n = xb.len() as f64;
+        let at = |b: &[R], k: usize| b[k].to_f64();
+        let within = |got: f64, (want, abs): (f64, f64), what: &str| {
+            let bound = n * f64::EPSILON * abs;
+            assert!((got - want).abs() <= bound, "{what} {}: {got} vs {want}", R::NAME);
+        };
+        let norm = compensated((0..xb.len()).map(|k| (at(xb, k), at(xb, k))));
+        within(norm2_local(&x), norm, "norm2");
+        let d = cdot_local(&x, &y);
+        within(d.re, compensated((0..xb.len()).map(|k| (at(xb, k), at(yb, k)))), "re");
+        let im = (0..xb.len()).map(|k| {
+            let sign = if k % 2 == 0 { 1.0 } else { -1.0 };
+            (sign * at(xb, k), at(yb, k ^ 1))
+        });
+        within(d.im, compensated(im), "im");
+    }
+
+    /// Every reduction is within `n·ε·Σ|term|` of a compensated-sum
+    /// reference.
+    #[test]
+    fn reductions_are_accurate_to_n_eps() {
+        check_accuracy::<f32, WilsonSpinor<f32>>(31);
+        check_accuracy::<f64, WilsonSpinor<f64>>(33);
+        check_accuracy::<f32, ColorVector<f32>>(35);
+        check_accuracy::<f64, ColorVector<f64>>(37);
     }
 
     #[test]

@@ -24,6 +24,20 @@ pub struct MultishiftResult<V> {
     pub converged_at: Vec<usize>,
 }
 
+/// A NaN or infinite reduction means corrupted data is circulating: a
+/// structured breakdown, not an iteration budget burned on garbage (no
+/// comparison with a NaN is true, so no other test would stop it).
+fn check_finite(v: f64, what: &str) -> Result<()> {
+    if v.is_finite() {
+        return Ok(());
+    }
+    Err(Error::Breakdown {
+        solver: "multishift_cg",
+        kind: BreakdownKind::NonFinite,
+        detail: format!("{what} is not finite ({v})"),
+    })
+}
+
 /// Solve `(A + σ_i) x_i = b` for every `shifts[i] = σ_i ≥ 0` (sorted or
 /// not) to relative residual `tol`, from zero initial guesses.
 pub fn multishift_cg<S: SolverSpace>(
@@ -98,6 +112,7 @@ pub fn multishift_cg<S: SolverSpace>(
             space.axpy(sigma0, &p, &mut ap);
         }
         let pap = space.dot(&p, &ap)?.re;
+        check_finite(pap, "⟨p, (A+σ₀)p⟩")?;
         if pap <= 0.0 {
             return Err(Error::Breakdown {
                 solver: "multishift_cg",
@@ -110,6 +125,7 @@ pub fn multishift_cg<S: SolverSpace>(
         space.axpy(alpha, &p, &mut solutions[base_idx]);
         space.axpy(-alpha, &ap, &mut r);
         let rr_new = space.norm2(&r)?;
+        check_finite(rr_new, "‖r‖²")?;
         let beta = rr_new / rr;
 
         // Shifted updates (Jegerlehner recurrences; relative shift

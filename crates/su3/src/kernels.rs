@@ -19,7 +19,26 @@
 //!   subtracted from a colour-vector accumulator. Reference:
 //!   [`Su3::mul_vec`] or [`Su3::adj_mul_vec`], then `acc.add(&w.scale(±1))`.
 //!
-//! Vectorisation is *within a site* and *across sites*. Within a site,
+//! For the Krylov reductions, over f32 or f64 bodies and in f64 at every
+//! [`LaneWidth`]:
+//!
+//! * [`norm2`] / [`cdot`] — `‖x‖²` and `⟨x, y⟩` of a flat body in one
+//!   fixed order that does not depend on the width. For a body of `n`
+//!   reals, eight f64 partials `p0..p7` each sum the terms with
+//!   `k ≡ p (mod 8)` for `k < 8⌊n/8⌋`, in increasing `k`: `x_k²` for the
+//!   norm, `x_k·y_k` for the real part and `x_k·y_{k^1}` for the
+//!   imaginary part. The partials fold in the tree
+//!   `((p0 + p1) + (p2 + p3)) + ((p4 + p5) + (p6 + p7))`; the imaginary
+//!   part subtracts its odd partials, `((q0 − q1) + (q2 − q3)) + …`,
+//!   since its odd terms are `x_im·y_re`. Then the tail `k ≥ 8⌊n/8⌋` is
+//!   added in sequence (the imaginary part's odd terms subtracted).
+//!   Reference: the same order in scalar f64. [`Sse2`] keeps the
+//!   partials in four `__m128d` and [`Avx2`] in two `__m256d`, partial
+//!   `p` in lane `p` either way, so every width gives the same bits by
+//!   construction; f32 bodies widen exactly with `cvtps2pd`.
+//!
+//! Vectorisation of the site kernels is *within a site* and *across
+//! sites*. Within a site,
 //! in single precision one 128-bit group holds two complex numbers as
 //! `[re, im, re, im]` — the two projected spins of one colour in the hop
 //! kernel, the same row of both chiral blocks in the clover kernel. In
@@ -326,6 +345,12 @@ mod regs {
         unsafe fn unpacklo(self, b: Self) -> Self;
         /// `[self.im, b.im]`.
         unsafe fn unpackhi(self, b: Self) -> Self;
+        /// The lanes `x[at..]`, one group after another.
+        unsafe fn load_at(x: &[f64; 8], at: usize) -> Self;
+        /// The lanes `x[at..]` widened to f64 (`cvtps2pd`).
+        unsafe fn widen_at(x: &[f32; 8], at: usize) -> Self;
+        /// Write the lanes to `out[at..]`.
+        unsafe fn store_at(self, out: &mut [f64; 8], at: usize);
     }
 
     const fn sign(n: bool) -> f32 {
@@ -448,6 +473,22 @@ mod regs {
         unsafe fn unpackhi(self, b: Self) -> Self {
             _mm_unpackhi_pd(self, b)
         }
+        #[inline(always)]
+        unsafe fn load_at(x: &[f64; 8], at: usize) -> Self {
+            assert!(at + 2 <= 8);
+            _mm_loadu_pd(x.as_ptr().add(at))
+        }
+        #[inline(always)]
+        unsafe fn widen_at(x: &[f32; 8], at: usize) -> Self {
+            assert!(at + 2 <= 8);
+            // An unaligned 64-bit load: the f32 pair is only 4-aligned.
+            _mm_cvtps_pd(_mm_castsi128_ps(_mm_loadl_epi64(x.as_ptr().add(at).cast())))
+        }
+        #[inline(always)]
+        unsafe fn store_at(self, out: &mut [f64; 8], at: usize) {
+            assert!(at + 2 <= 8);
+            _mm_storeu_pd(out.as_mut_ptr().add(at), self)
+        }
     }
 
     impl Pd for __m256d {
@@ -492,6 +533,21 @@ mod regs {
         #[inline(always)]
         unsafe fn unpackhi(self, b: Self) -> Self {
             _mm256_unpackhi_pd(self, b)
+        }
+        #[inline(always)]
+        unsafe fn load_at(x: &[f64; 8], at: usize) -> Self {
+            assert!(at + 4 <= 8);
+            _mm256_loadu_pd(x.as_ptr().add(at))
+        }
+        #[inline(always)]
+        unsafe fn widen_at(x: &[f32; 8], at: usize) -> Self {
+            assert!(at + 4 <= 8);
+            _mm256_cvtps_pd(_mm_loadu_ps(x.as_ptr().add(at)))
+        }
+        #[inline(always)]
+        unsafe fn store_at(self, out: &mut [f64; 8], at: usize) {
+            assert!(at + 4 <= 8);
+            _mm256_storeu_pd(out.as_mut_ptr().add(at), self)
         }
     }
 
@@ -1299,6 +1355,157 @@ impl<W: LaneWidth> ColorAcc<W> {
     }
 }
 
+/// A precision the Krylov reductions read: f32 bodies widen to f64 as
+/// they load (`cvtps2pd`), f64 bodies load as they are. Sealed; the
+/// item is the per-precision load behind [`norm2`] and [`cdot`].
+pub trait ReduceLanes: Copy + Into<f64> + regs::Sealed {
+    /// The lanes of `V` from `x[at..]`, as f64.
+    ///
+    /// # Safety
+    /// The CPU runs `V`'s instructions.
+    #[doc(hidden)]
+    unsafe fn lanes<V: Pd>(x: &[Self; 8], at: usize) -> V;
+}
+
+impl ReduceLanes for f32 {
+    #[inline(always)]
+    unsafe fn lanes<V: Pd>(x: &[f32; 8], at: usize) -> V {
+        V::widen_at(x, at)
+    }
+}
+
+impl ReduceLanes for f64 {
+    #[inline(always)]
+    unsafe fn lanes<V: Pd>(x: &[f64; 8], at: usize) -> V {
+        V::load_at(x, at)
+    }
+}
+
+/// The eight f64 partials of a reduction, `p0..p7` in order: four
+/// `__m128d` at [`Sse2`], two `__m256d` at [`Avx2`] (registers past
+/// `4 / W::SITES` stay unused).
+type Partials<W> = [<W as LaneWidth>::Pd; 4];
+
+/// `p[k] += a_k · b_k` for the eight lanes of one chunk; `swap` pairs
+/// `a_k` with `b_{k^1}` instead.
+///
+/// # Safety
+/// As for [`load_pairs`].
+#[inline(always)]
+unsafe fn partials_mac<R: ReduceLanes, W: LaneWidth>(
+    p: &mut Partials<W>,
+    a: &[R; 8],
+    b: &[R; 8],
+    swap: bool,
+) {
+    for (r, p) in p.iter_mut().enumerate().take(4 / W::SITES) {
+        let at = 2 * W::SITES * r;
+        let (a, b): (W::Pd, W::Pd) = (R::lanes(a, at), R::lanes(b, at));
+        *p = p.add(a.mul(if swap { b.swap() } else { b }));
+    }
+}
+
+/// The partials in order.
+///
+/// # Safety
+/// As for [`load_pairs`].
+#[inline(always)]
+unsafe fn partials_out<W: LaneWidth>(p: &Partials<W>) -> [f64; 8] {
+    let mut out = [0.0; 8];
+    for (r, p) in p.iter().enumerate().take(4 / W::SITES) {
+        p.store_at(&mut out, 2 * W::SITES * r);
+    }
+    out
+}
+
+/// `((p0 + p1) + (p2 + p3)) + ((p4 + p5) + (p6 + p7))`.
+fn fold(p: [f64; 8]) -> f64 {
+    ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]))
+}
+
+/// `((q0 − q1) + (q2 − q3)) + ((q4 − q5) + (q6 − q7))`.
+fn fold_alternating(q: [f64; 8]) -> f64 {
+    ((q[0] - q[1]) + (q[2] - q[3])) + ((q[4] - q[5]) + (q[6] - q[7]))
+}
+
+/// # Safety
+/// As for [`load_pairs`].
+#[inline(always)]
+unsafe fn norm2_at<R: ReduceLanes, W: LaneWidth>(x: &[R]) -> f64 {
+    let (body, tail) = x.as_chunks::<8>();
+    let mut p: Partials<W> = [W::Pd::zero(); 4];
+    for c in body {
+        partials_mac::<R, W>(&mut p, c, c, false);
+    }
+    let mut sum = fold(partials_out::<W>(&p));
+    for &t in tail {
+        sum += t.into() * t.into();
+    }
+    sum
+}
+
+/// # Safety
+/// As for [`load_pairs`].
+#[inline(always)]
+unsafe fn cdot_at<R: ReduceLanes, W: LaneWidth>(x: &[R], y: &[R]) -> (f64, f64) {
+    let ((xb, xt), (yb, yt)) = (x.as_chunks::<8>(), y.as_chunks::<8>());
+    let (mut p, mut q): (Partials<W>, Partials<W>) = ([W::Pd::zero(); 4], [W::Pd::zero(); 4]);
+    for (a, b) in xb.iter().zip(yb) {
+        partials_mac::<R, W>(&mut p, a, b, false);
+        partials_mac::<R, W>(&mut q, a, b, true);
+    }
+    let (mut re, mut im) = (fold(partials_out::<W>(&p)), fold_alternating(partials_out::<W>(&q)));
+    for (a, b) in xt.chunks_exact(2).zip(yt.chunks_exact(2)) {
+        let (ar, ai, br, bi) = (a[0].into(), a[1].into(), b[0].into(), b[1].into());
+        re += ar * br;
+        re += ai * bi;
+        im += ar * bi;
+        im -= ai * br;
+    }
+    (re, im)
+}
+
+struct Norm2<'a, R>(&'a [R]);
+
+impl<R: ReduceLanes> WidthLoop for Norm2<'_, R> {
+    type Output = f64;
+
+    #[inline(always)]
+    fn run<W: LaneWidth>(self, _: W) -> f64 {
+        // SAFETY: a `W` value exists only where the CPU runs W's
+        // instructions; loads and stores are bounds-checked against the
+        // fixed-size chunks.
+        unsafe { norm2_at::<R, W>(self.0) }
+    }
+}
+
+struct Cdot<'a, R>(&'a [R], &'a [R]);
+
+impl<R: ReduceLanes> WidthLoop for Cdot<'_, R> {
+    type Output = (f64, f64);
+
+    #[inline(always)]
+    fn run<W: LaneWidth>(self, _: W) -> (f64, f64) {
+        // SAFETY: as for `Norm2`.
+        unsafe { cdot_at::<R, W>(self.0, self.1) }
+    }
+}
+
+/// `‖x‖² = Σ x_k²` of a flat body, in f64, in the fixed order of the
+/// module docs at every width.
+pub fn norm2<R: ReduceLanes>(width: Width, x: &[R]) -> f64 {
+    width.run(Norm2(x))
+}
+
+/// `⟨x, y⟩ = Σ conj(x)·y` of two flat bodies of interleaved
+/// `[re, im]` pairs, as `(re, im)` in f64, in the fixed order of the
+/// module docs at every width.
+pub fn cdot<R: ReduceLanes>(width: Width, x: &[R], y: &[R]) -> (f64, f64) {
+    assert_eq!(x.len(), y.len(), "cdot: bodies of different lengths");
+    assert!(x.len().is_multiple_of(2), "cdot: a body of complex pairs");
+    width.run(Cdot(x, y))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1775,5 +1982,102 @@ mod tests {
     #[test]
     fn color_acc_zero_load_store_roundtrip_is_exact() {
         f64_at_every_width(Check::ColorRoundTrip, 47);
+    }
+
+    /// `‖x‖²` in the documented order, term by term in scalar f64.
+    fn oracle_norm2<R: Real>(x: &[R]) -> f64 {
+        let m = x.len() / 8 * 8;
+        let mut p = [0.0f64; 8];
+        for k in 0..m {
+            p[k % 8] += x[k].to_f64() * x[k].to_f64();
+        }
+        let mut sum = ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]));
+        for v in &x[m..] {
+            sum += v.to_f64() * v.to_f64();
+        }
+        sum
+    }
+
+    /// `⟨x, y⟩` in the documented order: `re` sums `x_k·y_k`, `im` adds
+    /// `x_k·y_{k^1}` for even `k` and subtracts it for odd `k`.
+    fn oracle_cdot<R: Real>(x: &[R], y: &[R]) -> (f64, f64) {
+        let m = x.len() / 8 * 8;
+        let term = |k: usize, l: usize| x[k].to_f64() * y[l].to_f64();
+        let (mut p, mut q) = ([0.0f64; 8], [0.0f64; 8]);
+        for k in 0..m {
+            p[k % 8] += term(k, k);
+            q[k % 8] += term(k, k ^ 1);
+        }
+        let mut re = ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]));
+        let mut im = ((q[0] - q[1]) + (q[2] - q[3])) + ((q[4] - q[5]) + (q[6] - q[7]));
+        for k in m..x.len() {
+            re += term(k, k);
+            if k % 2 == 0 {
+                im += term(k, k + 1);
+            } else {
+                im -= term(k, k - 1);
+            }
+        }
+        (re, im)
+    }
+
+    /// Body lengths in reals: Wilson bodies (24 per site), staggered
+    /// bodies with odd site counts (6 per site, so a 6-real tail), and
+    /// bodies shorter than one chunk of 8.
+    const BODY_LENGTHS: [usize; 14] = [0, 2, 4, 6, 8, 24, 48, 72, 240, 6, 18, 30, 42, 606];
+
+    fn body<R: Lane, G: Rng>(rng: &mut G, n: usize, special: bool) -> Vec<R> {
+        (0..n).map(|_| value(rng, special)).collect()
+    }
+
+    /// Large terms that cancel around small ones, so any other order
+    /// rounds differently.
+    fn cancelling<R: Lane, G: Rng>(rng: &mut G, n: usize) -> Vec<R> {
+        (0..n)
+            .map(|k| {
+                let big = if k % 4 < 2 { 1e6 } else { -1e6 };
+                R::from_f64(
+                    big * (1.0 + 1e-3 * (k % 3) as f64) + value::<R, G>(rng, false).to_f64(),
+                )
+            })
+            .collect()
+    }
+
+    fn signed_zeros<R: Lane, G: Rng>(rng: &mut G, n: usize) -> Vec<R> {
+        (0..n).map(|_| if rng.gen::<bool>() { -R::ZERO } else { R::ZERO }).collect()
+    }
+
+    /// The reductions at every width against the oracle, bit for bit:
+    /// Gaussian bodies; mixes of ±0.0, subnormals and underflowing
+    /// products; cancelling terms; and all-zero bodies of either sign.
+    /// `cdot(x, x).re` is `norm2(x)` bit for bit.
+    fn reductions_match_oracle<R: Lane + ReduceLanes>(seed: u64) {
+        let mut rng = SeedTree::new(seed).rng();
+        for n in BODY_LENGTHS {
+            for case in 0..4 {
+                let (x, y): (Vec<R>, Vec<R>) = match case {
+                    0 => (body(&mut rng, n, false), body(&mut rng, n, false)),
+                    1 => (body(&mut rng, n, true), body(&mut rng, n, true)),
+                    2 => (cancelling(&mut rng, n), cancelling(&mut rng, n)),
+                    _ => (signed_zeros(&mut rng, n), signed_zeros(&mut rng, n)),
+                };
+                let (want_n, want_d) = (oracle_norm2(&x), oracle_cdot(&x, &y));
+                for width in Width::supported() {
+                    let what = format!("{width:?} {} n = {n} case {case}", R::NAME);
+                    assert_eq!(norm2(width, &x).to_bits(), want_n.to_bits(), "norm2 {what}");
+                    let (re, im) = cdot(width, &x, &y);
+                    assert_eq!(re.to_bits(), want_d.0.to_bits(), "cdot re {what}");
+                    assert_eq!(im.to_bits(), want_d.1.to_bits(), "cdot im {what}");
+                    let (self_re, _) = cdot(width, &x, &x);
+                    assert_eq!(self_re.to_bits(), want_n.to_bits(), "cdot(x, x).re {what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reductions_match_the_documented_order_bitwise() {
+        reductions_match_oracle::<f32>(53);
+        reductions_match_oracle::<f64>(59);
     }
 }

@@ -18,8 +18,9 @@
 //!   chiral blocks) with apply and inverse;
 //! * `kernels` (x86_64) — bit-identical SIMD site kernels: the Wilson
 //!   hop and clover block in single and double precision, one site per
-//!   SSE2 call or two per AVX2 call, and the double-precision asqtad
-//!   colour hop.
+//!   SSE2 call or two per AVX2 call, the double-precision asqtad
+//!   colour hop, and the f64 Krylov reductions in one width-independent
+//!   order.
 
 pub mod clover;
 pub mod compress;

@@ -30,7 +30,7 @@ pub use checksum::{crc64, Crc64};
 pub use complex::Complex;
 pub use error::{BreakdownKind, Error, Result};
 pub use half::Fixed16;
-pub use real::Real;
+pub use real::{Real, Reals};
 
 /// Shorthand for a double-precision complex number.
 pub type C64 = Complex<f64>;

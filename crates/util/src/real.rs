@@ -88,14 +88,30 @@ pub trait Real:
     fn from_usize(n: usize) -> Self {
         Self::from_f64(n as f64)
     }
+
+    /// `s` at its concrete precision, for kernels written per precision.
+    fn reals(s: &[Self]) -> Reals<'_>;
+}
+
+/// A slice of reals at its concrete precision.
+#[derive(Clone, Copy, Debug)]
+pub enum Reals<'a> {
+    /// Single precision.
+    F32(&'a [f32]),
+    /// Double precision.
+    F64(&'a [f64]),
 }
 
 macro_rules! impl_real {
-    ($t:ty, $name:literal, $wire_per_word:expr, $pack:item, $unpack:item) => {
+    ($t:ty, $reals:ident, $name:literal, $wire_per_word:expr, $pack:item, $unpack:item) => {
         impl Real for $t {
             const WIRE_PER_WORD: usize = $wire_per_word;
             $pack
             $unpack
+            #[inline(always)]
+            fn reals(s: &[Self]) -> Reals<'_> {
+                Reals::$reals(s)
+            }
             const ZERO: Self = 0.0;
             const ONE: Self = 1.0;
             const EPSILON: Self = <$t>::EPSILON;
@@ -139,6 +155,7 @@ macro_rules! impl_real {
 
 impl_real!(
     f32,
+    F32,
     "single",
     2,
     fn pack_wire(src: &[f32], wire: &mut [f64]) {
@@ -162,6 +179,7 @@ impl_real!(
 );
 impl_real!(
     f64,
+    F64,
     "double",
     1,
     fn pack_wire(src: &[f64], wire: &mut [f64]) {
