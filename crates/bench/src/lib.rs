@@ -1,10 +1,10 @@
 //! Benchmark-harness support: table rendering, JSON artifact output, and
 //! the paper's reference numbers for side-by-side comparison.
 //!
-//! Binaries (`fig4` … `fig10`, `figures`) regenerate each evaluation
-//! figure from the calibrated performance model and print paper-vs-model
-//! tables; criterion benches (`benches/`) measure the real Rust kernels
-//! and the ablations called out in DESIGN.md.
+//! The `figures` binary regenerates Figs. 5–10 from the calibrated
+//! performance model and prints paper-vs-model tables, and `fig4` the
+//! Fig. 4 stream timeline; criterion benches (`benches/`) measure the
+//! real Rust kernels and the ablations called out in DESIGN.md.
 
 use serde::Serialize;
 use std::path::PathBuf;

@@ -2,24 +2,24 @@
 //! policy resolution the solve entry points take.
 //!
 //! `lqcd-tune`'s [`Tuner`] is closure-based — it knows nothing about
-//! operators or communicators. This module supplies the closures: a
-//! dslash trial that launches a fresh in-process world per candidate
-//! partition scheme, applies the candidate's interior thread count, times
-//! the real overlapped pipeline (min-of-rounds behind barriers, max
-//! over ranks), and bit-compares one apply against the blocking
-//! reference path; and a GCR-DD trial that times whole preconditioned
-//! solves under candidate `mr_steps`/`n_kv`. On top sit [`tune_wilson`]
-//! (the two-phase dslash-then-solver search) and [`resolve`], which
-//! turns a [`TunePolicy`] into the grid and the [`TuneParam`] a
-//! [`WilsonSolve::tuned`] request applies. See DESIGN.md, "Autotuning".
+//! operators or communicators. This module supplies the two Wilson-clover
+//! closures: a dslash trial that launches a fresh in-process world per
+//! candidate partition scheme, applies the candidate's interior thread
+//! count, times the real overlapped pipeline (min-of-rounds behind
+//! barriers, max over ranks), and bit-compares one apply against the
+//! blocking reference path; and a GCR-DD trial that times whole
+//! preconditioned solves under candidate `mr_steps`/`n_kv`. A staggered
+//! request takes no tuned parameter, so no asqtad trial exists. On top
+//! sit [`tune_wilson`] (the two-phase dslash-then-solver search) and
+//! [`resolve`], which turns a [`TunePolicy`] into the grid and the
+//! [`TuneParam`] a [`WilsonSolve::tuned`] request applies. See
+//! DESIGN.md, "Autotuning".
 
 use crate::drivers::{solve_wilson, WilsonSolve};
-use crate::problem::{StaggeredProblem, WilsonProblem};
-use lqcd_comms::{run_on_grid, Communicator, ThreadedComm};
-use lqcd_dirac::{BoundaryMode, OverlapHost, StaggeredOp, WilsonCloverOp};
-use lqcd_field::{LatticeField, SiteObject};
-use lqcd_lattice::{Dims, PartitionScheme, ProcessGrid};
-use lqcd_su3::{ColorVector, WilsonSpinor};
+use crate::problem::WilsonProblem;
+use lqcd_comms::{run_on_grid, Communicator};
+use lqcd_dirac::{BoundaryMode, OverlapHost};
+use lqcd_lattice::{PartitionScheme, ProcessGrid};
 use lqcd_tune::{TrialOutcome, TuneCache, TuneKey, TuneParam, TunePolicy, TuneReport, Tuner};
 use lqcd_util::trace::MetricsRegistry;
 use lqcd_util::Result;
@@ -46,85 +46,39 @@ pub fn resolve(policy: &TunePolicy, key: &TuneKey) -> Result<(ProcessGrid, Optio
     Ok((scheme.grid(key.global_dims(), key.ranks)?, param))
 }
 
-/// The operator surface the dslash micro-trial drives. Both operators
-/// expose the overlapped and the blocking apply under the same names.
-trait TrialOp: OverlapHost<f64> {
-    type Site: SiteObject<f64>;
-
-    /// A zero field of the parity a dslash of `src` writes.
-    fn output(&self, src: &LatticeField<f64, Self::Site>) -> LatticeField<f64, Self::Site>;
-
-    /// One full dslash, overlapped or through the blocking reference.
-    fn apply(
-        &self,
-        out: &mut LatticeField<f64, Self::Site>,
-        src: &mut LatticeField<f64, Self::Site>,
-        comm: &mut ThreadedComm,
-        sequential: bool,
-    ) -> Result<()>;
-}
-
-macro_rules! trial_op {
-    ($op:ty, $site:ty) => {
-        impl TrialOp for $op {
-            type Site = $site;
-
-            fn output(&self, src: &LatticeField<f64, $site>) -> LatticeField<f64, $site> {
-                self.alloc(src.parity().other())
-            }
-
-            fn apply(
-                &self,
-                out: &mut LatticeField<f64, $site>,
-                src: &mut LatticeField<f64, $site>,
-                comm: &mut ThreadedComm,
-                sequential: bool,
-            ) -> Result<()> {
-                if sequential {
-                    self.dslash_sequential(out, src, comm, BoundaryMode::Full)
-                } else {
-                    self.dslash(out, src, comm, BoundaryMode::Full)
-                }
-            }
-        }
-    };
-}
-
-trial_op!(WilsonCloverOp<f64>, WilsonSpinor<f64>);
-trial_op!(StaggeredOp<f64>, ColorVector<f64>);
-
-/// One dslash micro-trial: launch `param.scheme`'s world, build each
-/// rank's operator and source with `setup`, apply the candidate interior
-/// thread count, and measure the real overlapped pipeline. The trial unit is
-/// one dslash apply; the bitwise guard compares one overlapped apply
-/// against `dslash_sequential` on every rank.
-fn dslash_trial<Op: TrialOp>(
-    global: Dims,
+/// The Wilson-clover dslash micro-trial (see [`Tuner`]): launch
+/// `param.scheme`'s world, build each rank's operator and source, apply
+/// the candidate interior thread count, and measure the real overlapped
+/// pipeline. The trial unit is one dslash apply; the bitwise guard
+/// compares one overlapped apply against `dslash_sequential` on every
+/// rank.
+pub fn wilson_dslash_trial(
+    problem: &WilsonProblem,
     ranks: usize,
     tuner: &Tuner,
     param: &TuneParam,
-    setup: impl Fn(&mut ThreadedComm, &ProcessGrid) -> Result<(Op, LatticeField<f64, Op::Site>)> + Sync,
 ) -> Result<TrialOutcome> {
-    let grid = param.scheme.grid(global, ranks)?;
+    let grid = param.scheme.grid(problem.global, ranks)?;
     let (warmup, rounds, applies) = (tuner.warmup, tuner.rounds, tuner.applies);
     let results = run_on_grid(grid.clone(), |mut comm| -> Result<(f64, bool)> {
-        let (op, mut src) = setup(&mut comm, &grid)?;
+        let op = problem.build_operator(&mut comm, &grid)?;
+        let mut src = problem.rhs(&op);
         op.set_interior_threads(param.interior_threads);
-        let mut out = op.output(&src);
-        let mut reference = op.output(&src);
-        op.apply(&mut reference, &mut src, &mut comm, true)?;
-        op.apply(&mut out, &mut src, &mut comm, false)?;
+        let mut out = op.alloc(src.parity().other());
+        let mut reference = op.alloc(src.parity().other());
+        op.dslash_sequential(&mut reference, &mut src, &mut comm, BoundaryMode::Full)?;
+        op.dslash(&mut out, &mut src, &mut comm, BoundaryMode::Full)?;
         let identical =
             reference.body().iter().zip(out.body()).all(|(a, b)| a.to_bits() == b.to_bits());
         for _ in 0..warmup {
-            op.apply(&mut out, &mut src, &mut comm, false)?;
+            op.dslash(&mut out, &mut src, &mut comm, BoundaryMode::Full)?;
         }
         let mut best = f64::INFINITY;
         for _ in 0..rounds {
             comm.barrier()?;
             let t = Instant::now();
             for _ in 0..applies {
-                op.apply(&mut out, &mut src, &mut comm, false)?;
+                op.dslash(&mut out, &mut src, &mut comm, BoundaryMode::Full)?;
             }
             comm.barrier()?;
             let mut wall = [t.elapsed().as_secs_f64()];
@@ -136,34 +90,6 @@ fn dslash_trial<Op: TrialOp>(
     let per_rank = results.into_iter().collect::<Result<Vec<_>>>()?;
     let bit_identical = per_rank.iter().all(|&(_, id)| id);
     Ok(TrialOutcome { secs_per_unit: per_rank[0].0, bit_identical })
-}
-
-/// The Wilson-clover dslash micro-trial (see [`Tuner`]).
-pub fn wilson_dslash_trial(
-    problem: &WilsonProblem,
-    ranks: usize,
-    tuner: &Tuner,
-    param: &TuneParam,
-) -> Result<TrialOutcome> {
-    dslash_trial(problem.global, ranks, tuner, param, |comm, grid| {
-        let op = problem.build_operator(comm, grid)?;
-        let src = problem.rhs(&op);
-        Ok((op, src))
-    })
-}
-
-/// The staggered (asqtad) dslash micro-trial.
-pub fn staggered_dslash_trial(
-    problem: &StaggeredProblem,
-    ranks: usize,
-    tuner: &Tuner,
-    param: &TuneParam,
-) -> Result<TrialOutcome> {
-    dslash_trial(problem.global, ranks, tuner, param, |comm, grid| {
-        let op = problem.build_operator(grid, comm.rank())?;
-        let src = problem.rhs(&op);
-        Ok((op, src))
-    })
 }
 
 /// One GCR-DD micro-trial: whole preconditioned solves of `problem`
@@ -316,12 +242,9 @@ mod tests {
         tuner.rounds = 2;
         tuner.applies = 3;
         let param = TuneParam::baseline(2);
-        let wilson = wilson_dslash_trial(&p, 4, &tuner, &param).unwrap();
-        let asqtad = staggered_dslash_trial(&StaggeredProblem::small(), 4, &tuner, &param).unwrap();
-        for out in [wilson, asqtad] {
-            assert!(out.bit_identical, "overlap must stay bit-identical to the reference");
-            assert!(out.secs_per_unit > 0.0 && out.secs_per_unit.is_finite());
-        }
+        let out = wilson_dslash_trial(&p, 4, &tuner, &param).unwrap();
+        assert!(out.bit_identical, "overlap must stay bit-identical to the reference");
+        assert!(out.secs_per_unit > 0.0 && out.secs_per_unit.is_finite());
     }
 
     #[test]

@@ -4,12 +4,17 @@
 //! resume to the same tolerance an undisturbed solve reaches.
 
 use lqcd_comms::{CommConfig, FaultPlan, FaultRule};
-use lqcd_core::supervise::SupervisorConfig;
+use lqcd_core::supervise::{
+    rung_code, SolveCheckpointMeta, SupervisorConfig, META_SECTION, SOLUTION_SECTION,
+};
 use lqcd_core::{solve_wilson, WilsonProblem, WilsonSolve};
-use lqcd_lattice::{Dims, ProcessGrid};
+use lqcd_field::{decode_field_into, LatticeField};
+use lqcd_lattice::{Dims, FaceGeometry, Parity, ProcessGrid, SubLattice};
+use lqcd_su3::WilsonSpinor;
 use lqcd_tune::LadderChoice;
-use lqcd_util::{BreakdownKind, Error};
+use lqcd_util::{BreakdownKind, CheckpointStore, Error};
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The small chaos problem: single-precision-friendly tolerance and a
@@ -105,6 +110,64 @@ fn rank_death_mid_solve_is_supervised_back_to_convergence() {
             o.stats.residual,
             p.tol
         );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The reduced-precision checkpoint path: a GCR-DD solve that starts on
+/// the Single rung writes its checkpoints through the f32 monitor, and
+/// those store the solution in f64 whatever rung produced it. Rank 2
+/// dies after checkpoints exist; the retry resumes from a generation
+/// and converges, and every checkpoint left on disk carries the Single
+/// rung's code and an f64 solution section that decodes into an f64
+/// field of the rank's geometry.
+#[test]
+fn single_start_checkpoints_store_f64_and_resume_after_rank_death() {
+    let (p, grid) = chaos_problem();
+    let dir = ckpt_dir("single-start");
+    let config = CommConfig::resilient().with_timeout(Duration::from_secs(2));
+    let sup = SupervisorConfig::new(&dir);
+    let keep = sup.keep;
+    let out = solve_wilson(
+        &p,
+        grid.clone(),
+        WilsonSolve::gcr_dd(LadderChoice::Single).with_comm(config).supervised(sup).with_faults(
+            |attempt| {
+                (attempt == 0).then(|| {
+                    FaultPlan::new(47)
+                        .with_rule(FaultRule::die_rank().on_rank(2).after(62).times(1))
+                })
+            },
+        ),
+    );
+    assert_eq!(out.attempts, 2, "one death, one supervised restart");
+    let resumed = out.resumed_generations[1]
+        .expect("the retry must resume from a checkpoint, not start from scratch");
+    assert!(resumed >= 1);
+    for (slot, r) in out.outcomes.iter().enumerate() {
+        let o = r.as_ref().unwrap_or_else(|e| panic!("rank {slot}: {e}"));
+        assert!(o.stats.converged, "rank {slot}: {:?}", o.stats);
+        assert!(o.stats.residual <= p.tol, "rank {slot}: {} > {}", o.stats.residual, p.tol);
+        assert!(o.checkpoints_written > 0, "rank {slot} wrote no checkpoints");
+    }
+    for rank in 0..grid.num_ranks() {
+        let store = CheckpointStore::new(dir.join(format!("rank{rank:03}")), keep).unwrap();
+        let generations = store.valid_generations();
+        assert!(!generations.is_empty(), "rank {rank} kept no checkpoint");
+        let sub = Arc::new(SubLattice::for_rank(&grid, rank));
+        let faces = FaceGeometry::new(&sub, 1).unwrap();
+        for generation in generations {
+            let ckpt = store.load(generation).unwrap();
+            let meta =
+                SolveCheckpointMeta::decode(ckpt.require(META_SECTION).unwrap(), "meta").unwrap();
+            assert_eq!(meta.rung, rung_code(LadderChoice::Single), "generation {generation}");
+            let mut x =
+                LatticeField::<f64, WilsonSpinor<f64>>::zeros(sub.clone(), &faces, Parity::Odd, 0);
+            decode_field_into(ckpt.require(SOLUTION_SECTION).unwrap(), &mut x, "solution")
+                .unwrap_or_else(|e| panic!("rank {rank} generation {generation}: {e}"));
+            assert!(x.body().iter().all(|v| v.is_finite()));
+            assert!(x.body().iter().any(|&v| v != 0.0), "an all-zero solution was stored");
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -52,13 +52,6 @@ pub struct PendingGhosts {
     handles: [[Option<ExchangeHandle>; 2]; NDIM],
 }
 
-impl PendingGhosts {
-    /// Whether dimension `mu` has an exchange in flight.
-    pub fn in_flight(&self, mu: usize) -> bool {
-        self.handles[mu].iter().any(Option::is_some)
-    }
-}
-
 /// Gather and post both faces of every partitioned dimension of `field`.
 /// Returns the in-flight handles; each dimension must be finished with
 /// [`complete_ghost_dim`] before its ghost zones are read.
@@ -278,7 +271,7 @@ mod tests {
                         }
                     }
                     for mu in 0..NDIM {
-                        assert!(!pending.in_flight(mu));
+                        assert!(pending.handles[mu].iter().all(Option::is_none));
                         if !partitioned[mu] {
                             continue;
                         }

@@ -159,15 +159,6 @@ impl<R: Real, S: SiteObject<R>> LatticeField<R, S> {
         }
     }
 
-    /// Zero every ghost zone (used by the Dirichlet/Schwarz operator,
-    /// where boundary contributions are switched off — §8.1).
-    pub fn zero_ghosts(&mut self) {
-        let body_end = (self.layout.body_sites + self.layout.pad_sites) * S::REALS;
-        for x in &mut self.data[body_end..] {
-            *x = R::ZERO;
-        }
-    }
-
     /// Check two fields are compatible for BLAS (same layout & parity).
     pub fn check_compatible(&self, other: &Self) -> Result<()> {
         if self.layout != other.layout || self.parity != other.parity {
@@ -400,8 +391,6 @@ mod tests {
             s.write(&mut zone[..24]);
         }
         assert_eq!(f.ghost(3, true, 0), s);
-        f.zero_ghosts();
-        assert_eq!(f.ghost(3, true, 0), WilsonSpinor::zero());
     }
 
     #[test]

@@ -88,32 +88,6 @@ impl<S: SiteObject<f32>> HalfField<S> {
     pub fn reals_per_site(&self) -> usize {
         self.reals_per_site
     }
-
-    /// The per-site `f32` norms (storage view, used by snapshots).
-    pub fn norms(&self) -> &[f32] {
-        &self.norms
-    }
-
-    /// The 16-bit mantissas (storage view, used by snapshots).
-    pub fn mantissas(&self) -> &[Fixed16] {
-        &self.mantissas
-    }
-
-    /// Rebuild storage from its raw parts (the inverse of the snapshot
-    /// views above). Errors on inconsistent lengths instead of panicking —
-    /// the parts may come from untrusted on-disk data.
-    pub fn from_parts(mantissas: Vec<Fixed16>, norms: Vec<f32>) -> lqcd_util::Result<Self> {
-        if mantissas.len() != norms.len() * S::REALS {
-            return Err(lqcd_util::Error::Shape(format!(
-                "half-field parts disagree: {} mantissas for {} sites × {} reals/site",
-                mantissas.len(),
-                norms.len(),
-                S::REALS
-            )));
-        }
-        let sites = norms.len();
-        Ok(Self { mantissas, norms, sites, reals_per_site: S::REALS, _site: PhantomData })
-    }
 }
 
 /// Precision-dispatched in-place quantization: a no-op at double
@@ -121,8 +95,8 @@ impl<S: SiteObject<f32>> HalfField<S> {
 ///
 /// This is how the mixed-precision solvers express "this vector is
 /// *stored* in half precision": every store boundary passes through
-/// [`quantize_in_place`], reproducing exactly the information loss the
-/// GPU's half-precision fields suffer.
+/// [`Quantize::quantize_in_place`], reproducing exactly the information
+/// loss the GPU's half-precision fields suffer.
 pub trait Quantize<R: lqcd_util::Real>: SiteObject<R> {
     /// Quantize the body of `field` in place (ghosts untouched).
     fn quantize_in_place(field: &mut LatticeField<R, Self>)
@@ -248,8 +222,8 @@ mod tests {
             let mut dec = vec![0.0f32; n];
             oracle::decode_block(&mant, norm, &mut dec);
             let at = site * n..(site + 1) * n;
-            assert_eq!(h.norms()[site].to_bits(), norm.to_bits(), "site {site}");
-            assert_eq!(h.mantissas()[at.clone()], mant[..], "site {site}");
+            assert_eq!(h.norms[site].to_bits(), norm.to_bits(), "site {site}");
+            assert_eq!(h.mantissas[at.clone()], mant[..], "site {site}");
             assert_eq!(bits(&back.body()[at.clone()]), bits(&dec), "site {site}");
             let mut quantized = block.to_vec();
             oracle::quantize_block(&mut quantized);

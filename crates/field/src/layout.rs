@@ -8,7 +8,7 @@ use lqcd_lattice::{FaceGeometry, SubLattice, NDIM};
 /// scalar offsets. Ghost zones exist only for partitioned dimensions —
 /// "allocation of ghost zones and data exchange in a given dimension only
 /// takes place when that dimension is partitioned, so as to ensure that
-/// GPU memory ... [is] not wasted" (§6.1).
+/// GPU memory ... \[is\] not wasted" (§6.1).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FieldLayout {
     /// Sites in the body (`Vh`).
@@ -60,12 +60,6 @@ impl FieldLayout {
         assert!(off != usize::MAX, "no ghost zone for dimension {mu}");
         off
     }
-
-    /// Whether dimension `mu` has ghost zones.
-    #[inline]
-    pub fn has_ghost(&self, mu: usize) -> bool {
-        self.ghost_sites[mu] > 0
-    }
 }
 
 #[cfg(test)]
@@ -86,7 +80,7 @@ mod tests {
         let (sub, l) = layout_for(&grid, 1, 16);
         assert_eq!(l.body_sites, sub.volume_cb());
         assert_eq!(l.total_sites, sub.volume_cb() + 16);
-        assert!((0..4).all(|mu| !l.has_ghost(mu)));
+        assert_eq!(l.ghost_sites, [0; 4]);
     }
 
     #[test]
@@ -102,7 +96,7 @@ mod tests {
         assert_eq!(l.ghost_base(3, false), body + 8 + 2 * fz);
         assert_eq!(l.ghost_base(3, true), body + 8 + 2 * fz + ft);
         assert_eq!(l.total_sites, body + 8 + 2 * fz + 2 * ft);
-        assert!(!l.has_ghost(0) && !l.has_ghost(1));
+        assert_eq!(l.ghost_sites[..2], [0, 0]);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! * [`half`] — whole-field 16-bit fixed-point encode/decode used by the
 //!   mixed-precision solvers;
 //! * [`snapshot`] — versioned, checksummed, bit-exact binary snapshots of
-//!   field bodies (all three precisions) for checkpoint/restart.
+//!   field bodies (`f64` and `f32`) for checkpoint/restart.
 
 pub mod blas;
 pub mod field;
@@ -38,4 +38,4 @@ pub use field::{BodyView, CastSite, CastSiteAny, GhostZonesMut, LatticeField};
 pub use half::HalfField;
 pub use layout::FieldLayout;
 pub use site::SiteObject;
-pub use snapshot::{decode_field_into, decode_half, encode_field, encode_half, SnapshotReal};
+pub use snapshot::{decode_field_into, encode_field, SnapshotReal};

@@ -4,10 +4,9 @@
 //! they are rebuilt by the first exchange after restore — serialized
 //! bit-exactly: every real is stored by its IEEE bit pattern
 //! (little-endian), so `decode(encode(f)) == f` down to the last bit,
-//! including negative zeros and NaN payloads. Half-precision fields store
-//! their native representation (per-site `f32` norm + 16-bit mantissas),
-//! so a restored [`HalfField`] is storage-identical, not merely
-//! value-close.
+//! including negative zeros and NaN payloads. Fields are stored in `f64`
+//! or `f32`; a solver checkpoint stores its solution in `f64` whatever
+//! precision produced it.
 //!
 //! Layout (all little-endian):
 //!
@@ -25,11 +24,10 @@
 //! neither ever panics.
 
 use crate::field::LatticeField;
-use crate::half::HalfField;
 use crate::site::SiteObject;
 use lqcd_util::checkpoint::ByteReader;
 use lqcd_util::checksum::crc64;
-use lqcd_util::{Error, Fixed16, Real, Result};
+use lqcd_util::{Error, Real, Result};
 
 /// Snapshot magic: "LQ Field Snapshot".
 pub const FIELD_MAGIC: &[u8; 4] = b"LQFS";
@@ -40,8 +38,6 @@ pub const FIELD_VERSION: u8 = 1;
 pub const TAG_F64: u8 = 8;
 /// Precision byte for single precision.
 pub const TAG_F32: u8 = 4;
-/// Precision byte for 16-bit fixed-point storage.
-pub const TAG_HALF: u8 = 2;
 
 /// A [`Real`] that knows its exact on-disk representation.
 pub trait SnapshotReal: Real {
@@ -184,61 +180,6 @@ pub fn decode_field_into<R: SnapshotReal, S: SiteObject<R>>(
     Ok(())
 }
 
-/// Serialize a half-precision field in its native storage representation
-/// (norms + mantissas), bit-exactly.
-pub fn encode_half<S: SiteObject<f32>>(h: &HalfField<S>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(48 + h.num_sites() * (4 + 2 * S::REALS) + 8);
-    put_header(
-        &mut out,
-        &Header {
-            precision: TAG_HALF,
-            parity: 0,
-            reals_per_site: S::REALS as u32,
-            // HalfField is body-only storage with no geometry of its own.
-            dims: [0; 4],
-            origin: [0; 4],
-            num_sites: h.num_sites() as u64,
-        },
-    );
-    for &n in h.norms() {
-        n.put_le(&mut out);
-    }
-    for &m in h.mantissas() {
-        out.extend_from_slice(&m.0.to_le_bytes());
-    }
-    out.extend_from_slice(&crc64(&out).to_le_bytes());
-    out
-}
-
-/// Restore a half-precision field from its snapshot, storage-identical.
-pub fn decode_half<S: SiteObject<f32>>(bytes: &[u8], what: &str) -> Result<HalfField<S>> {
-    let (mut r, h) = open_snapshot(bytes, what)?;
-    if h.precision != TAG_HALF {
-        return Err(Error::Shape(format!(
-            "{what}: snapshot precision tag {} where half ({TAG_HALF}) was expected",
-            h.precision
-        )));
-    }
-    if h.reals_per_site != S::REALS as u32 {
-        return Err(Error::Shape(format!(
-            "{what}: snapshot has {} reals/site, destination site type has {}",
-            h.reals_per_site,
-            S::REALS
-        )));
-    }
-    let sites = h.num_sites as usize;
-    let mut norms = Vec::with_capacity(sites);
-    for _ in 0..sites {
-        norms.push(f32::get_le(&mut r)?);
-    }
-    let mut mantissas = Vec::with_capacity(sites * S::REALS);
-    for _ in 0..sites * S::REALS {
-        mantissas.push(Fixed16(i16::from_le_bytes(r.take(2)?.try_into().expect("2 bytes"))));
-    }
-    expect_empty(&r, what)?;
-    HalfField::from_parts(mantissas, norms)
-}
-
 fn check_geometry(snap: &Header, dst: &Header, what: &str) -> Result<()> {
     let shape = |detail: String| Error::Shape(format!("{what}: {detail}"));
     if snap.precision != dst.precision {
@@ -335,16 +276,6 @@ mod tests {
         decode_field_into(&bytes, &mut back, "test").unwrap();
         assert_eq!(back.body()[0].to_bits(), (-0.0f64).to_bits());
         assert_eq!(back.body()[1], f64::MIN_POSITIVE / 2.0);
-    }
-
-    #[test]
-    fn half_roundtrip_is_storage_identical() {
-        let f = rand_field::<f32>(14);
-        let h = HalfField::encode(&f);
-        let bytes = encode_half(&h);
-        let back: HalfField<WilsonSpinor<f32>> = decode_half(&bytes, "test").unwrap();
-        assert_eq!(back.norms(), h.norms());
-        assert_eq!(back.mantissas(), h.mantissas());
     }
 
     #[test]

@@ -31,7 +31,6 @@ pub mod hmc;
 pub mod io;
 pub mod paths;
 pub mod plaquette;
-pub mod snapshot;
 
 pub use asqtad::{AsqtadCoeffs, AsqtadLinks};
 pub use field::GaugeField;

@@ -8,7 +8,7 @@
 //! * the Krylov space is explicitly orthogonalized (`β_{i,k}` stored) and
 //!   capped at `kmax`, after which the algorithm restarts;
 //! * the solution is updated **implicitly** at restart by the triangular
-//!   back-substitution for `χ` (the scheme of Lüscher [20] adopted by the
+//!   back-substitution for `χ` (the scheme of Lüscher \[20\] adopted by the
 //!   paper to cut orthogonalization overhead);
 //! * an **early restart** triggers when the iterated (low-precision)
 //!   residual has dropped by more than δ since the Krylov space was

@@ -2,13 +2,13 @@
 //!
 //! The solver stack the paper builds and benchmarks (§3, §8):
 //!
-//! * [`cg`] — conjugate gradients for Hermitian positive-definite systems
+//! * [`cg`](mod@cg) — conjugate gradients for Hermitian positive-definite systems
 //!   (the staggered normal operator);
-//! * [`bicgstab`] — the production Wilson-clover solver being outscaled
+//! * [`bicgstab`](mod@bicgstab) — the production Wilson-clover solver being outscaled
 //!   in Figs. 7–8;
-//! * [`mr`] — minimum residual, the cheap smoother used *inside* Schwarz
+//! * [`mr`](mod@mr) — minimum residual, the cheap smoother used *inside* Schwarz
 //!   blocks ("only a small number of steps of MR", §8.1);
-//! * [`gcr`] — flexible GCR with explicit orthogonalization, restarts,
+//! * [`gcr`](mod@gcr) — flexible GCR with explicit orthogonalization, restarts,
 //!   the δ early-restart criterion and the implicit solution update:
 //!   Algorithm 1 verbatim;
 //! * [`SchwarzMR`] — the non-overlapping additive-Schwarz preconditioner:

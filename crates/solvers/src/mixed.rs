@@ -7,7 +7,7 @@
 //! * [`defect_correction`] — the outer/inner split behind the paper's
 //!   "double-single" solvers: the outer loop computes true residuals at
 //!   high precision, an inner low-precision solve produces a correction,
-//!   and the cycle repeats (the reliable-update scheme of [3] in its
+//!   and the cycle repeats (the reliable-update scheme of \[3\] in its
 //!   defect-correction form);
 //! * [`multishift_refined`] — §8.2's staggered strategy: "solve Equation
 //!   (4) using a pure single-precision multi-shift CG solver and then use

@@ -2,7 +2,7 @@
 //!
 //! Solves `(A + σ_i) x_i = b` for all shifts simultaneously in the
 //! iteration count of the hardest (smallest) shift (§3.1, Eq. 4), using
-//! the shifted-polynomial recurrences of Jegerlehner [12]: the base CG on
+//! the shifted-polynomial recurrences of Jegerlehner \[12\]: the base CG on
 //! `A + σ_0` generates residuals `r_k`; each shifted system's residual is
 //! `ζ_k^σ · r_k` with scalar recurrences for `ζ`, so every extra shift
 //! costs only BLAS-1 work — no extra matvecs.

@@ -42,11 +42,5 @@ pub use vector::ColorVector;
 pub const NCOLOR: usize = 3;
 /// Number of spin components of a Wilson spinor.
 pub const NSPIN: usize = 4;
-/// Real degrees of freedom of an uncompressed link matrix.
-pub const LINK_REALS: usize = 18;
-/// Real degrees of freedom of a Wilson spinor.
-pub const WILSON_SPINOR_REALS: usize = 24;
-/// Real degrees of freedom of a staggered (color-vector) "spinor".
-pub const STAGGERED_SPINOR_REALS: usize = 6;
 /// Real degrees of freedom of the packed clover term per site.
 pub const CLOVER_REALS: usize = 72;

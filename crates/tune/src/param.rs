@@ -40,11 +40,6 @@ impl LadderChoice {
             LadderChoice::Half => "half",
         }
     }
-
-    /// Parse a [`LadderChoice::label`] back.
-    pub fn from_label(s: &str) -> Option<LadderChoice> {
-        LadderChoice::ALL.into_iter().find(|l| l.label() == s)
-    }
 }
 
 /// One point in the tuning search space. Axes that do not apply to a
@@ -196,14 +191,6 @@ mod tests {
         assert!(space.enumerate().contains(&TuneParam::baseline(1)));
         let solver = TuneSpace::solver(&base);
         assert_eq!(solver.enumerate().len(), 9);
-    }
-
-    #[test]
-    fn ladder_labels_round_trip() {
-        for l in LadderChoice::ALL {
-            assert_eq!(LadderChoice::from_label(l.label()), Some(l));
-        }
-        assert_eq!(LadderChoice::from_label("quad"), None);
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! place — so a rank that dies mid-write leaves either the previous valid
 //! checkpoint or a stray tmp file, never a torn checkpoint at the real
 //! path. [`CheckpointStore`] layers rotating generations on top, and
-//! [`CheckpointStore::latest_valid`] skips corrupt generations instead of
-//! failing, which is what a supervisor restoring after a crash wants.
+//! [`CheckpointStore::valid_generations`] skips corrupt generations instead
+//! of failing, which is what a supervisor restoring after a crash wants.
 
 use crate::checksum::{crc64, Crc64};
 use crate::error::{Error, Result};
@@ -242,16 +242,6 @@ impl CheckpointStore {
     pub fn valid_generations(&self) -> Vec<u64> {
         self.generations_on_disk().into_iter().filter(|g| self.load(*g).is_ok()).collect()
     }
-
-    /// Newest generation that passes validation, skipping corrupt ones.
-    pub fn latest_valid(&self) -> Option<(u64, Checkpoint)> {
-        for gen in self.generations_on_disk().into_iter().rev() {
-            if let Ok(ckpt) = self.load(gen) {
-                return Some((gen, ckpt));
-            }
-        }
-        None
-    }
 }
 
 /// Bounds-checked little-endian cursor used by checkpoint and snapshot
@@ -386,16 +376,14 @@ mod tests {
         }
         // Retention: only the newest two survive.
         assert_eq!(store.generations_on_disk(), vec![3, 4]);
-        // Corrupt the newest; latest_valid falls back to generation 3.
+        // Corrupt the newest; only generation 3 stays valid.
         let p4 = store.path_for(4);
         let mut bytes = std::fs::read(&p4).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xff;
         std::fs::write(&p4, &bytes).unwrap();
-        let (gen, ckpt) = store.latest_valid().unwrap();
-        assert_eq!(gen, 3);
-        assert_eq!(ckpt.get("meta"), Some(&[3u8][..]));
         assert_eq!(store.valid_generations(), vec![3]);
+        assert_eq!(store.load(3).unwrap().get("meta"), Some(&[3u8][..]));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -85,12 +85,6 @@ impl<R: Real> Complex<R> {
         Self { re: self.re * s, im: self.im * s }
     }
 
-    /// `self * rhs.conj()` — the elementary inner-product term.
-    #[inline(always)]
-    pub fn mul_conj(self, rhs: Self) -> Self {
-        Self { re: self.re * rhs.re + self.im * rhs.im, im: self.im * rhs.re - self.re * rhs.im }
-    }
-
     /// Fused multiply-accumulate: `acc + a * b`.
     #[inline(always)]
     pub fn mul_acc(acc: Self, a: Self, b: Self) -> Self {
@@ -261,7 +255,6 @@ mod tests {
         assert_eq!(z.abs(), 5.0);
         assert_eq!((z * z.conj()).re, 25.0);
         assert_eq!((z * z.conj()).im, 0.0);
-        assert_eq!(z.mul_conj(z), z * z.conj());
     }
 
     #[test]

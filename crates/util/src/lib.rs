@@ -31,8 +31,3 @@ pub use complex::Complex;
 pub use error::{BreakdownKind, Error, Result};
 pub use half::Fixed16;
 pub use real::{Real, Reals};
-
-/// Shorthand for a double-precision complex number.
-pub type C64 = Complex<f64>;
-/// Shorthand for a single-precision complex number.
-pub type C32 = Complex<f32>;

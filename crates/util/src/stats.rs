@@ -34,14 +34,6 @@ impl Summary {
     }
 }
 
-/// Geometric mean of positive values (0 if any non-positive or empty).
-pub fn geomean(xs: &[f64]) -> f64 {
-    if xs.is_empty() || xs.iter().any(|&x| x <= 0.0) {
-        return 0.0;
-    }
-    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -62,12 +54,5 @@ mod tests {
         let one = Summary::of(&[7.0]).unwrap();
         assert_eq!(one.std_dev, 0.0);
         assert_eq!(one.mean, 7.0);
-    }
-
-    #[test]
-    fn geomean_basics() {
-        assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(geomean(&[]), 0.0);
-        assert_eq!(geomean(&[1.0, -1.0]), 0.0);
     }
 }
