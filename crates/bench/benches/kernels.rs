@@ -29,49 +29,50 @@ fn su3_algebra(c: &mut Criterion) {
     g.bench_function("mat_vec", |bch| bch.iter(|| black_box(a.mul_vec(black_box(&v)))));
     g.bench_function("adj_mat_vec", |bch| bch.iter(|| black_box(a.adj_mul_vec(black_box(&v)))));
     g.bench_function("reunitarize", |bch| bch.iter(|| black_box(a.reunitarize())));
-    // One asqtad colour hop on flat reals, `acc = 0 − U†·v`: one site per
-    // call (SSE2), and two sites per call (AVX2, where the CPU has it),
-    // both through the `#[target_feature]` entry the operators use.
+    // One asqtad colour hop, `acc = 0 − U†·v`, for the four sites of one
+    // lane-major group per call, at the widest width the CPU runs, through
+    // the `#[target_feature]` entry the operators use.
     #[cfg(target_arch = "x86_64")]
     {
-        use lqcd_su3::kernels::{Avx2, ColorAcc, LaneWidth, Width, WidthLoop};
+        use lqcd_su3::kernels::{LaneAcc, LaneWidth, Lanes, Width, WidthLoop, LANES};
 
-        /// `acc = 0 − U_k†·v_k` at every site of one call.
-        struct ColorHop<'a> {
-            v: &'a [[f64; 6]; 2],
-            u: &'a [[f64; 18]; 2],
-            out: &'a mut [f64; 12],
+        /// `acc = 0 − U_k†·v_k` at the four lanes of one lane-major group.
+        struct LaneHop<'a> {
+            v: &'a [f64; 24],
+            u: &'a [f64; 72],
+            out: &'a mut [f64; 24],
         }
 
-        impl WidthLoop for ColorHop<'_> {
+        impl WidthLoop for LaneHop<'_> {
             type Output = ();
 
             #[inline(always)]
             fn run<W: LaneWidth>(self, w: W) {
-                let mut acc = ColorAcc::zero(w);
-                acc.hop(true, true, W::sites(|k| &self.v[k]), W::sites(|k| &self.u[k]));
-                acc.store(W::split_mut(self.out));
+                let mut acc = LaneAcc::zero(w);
+                let (v, u) = (Lanes::Rotated(self.v, 0), Lanes::Rotated(self.u, 0));
+                acc.hop(true, 0b1111, 0b1111, v, u);
+                acc.store(self.out);
             }
         }
 
-        let v: [[f64; 6]; 2] = std::array::from_fn(|_| {
+        // Four sites' vectors and links, lane-major: real r of lane k at
+        // 4r + k.
+        let v: [[f64; 6]; LANES] = std::array::from_fn(|_| {
             let v = ColorVector::<f64>::random(&mut rng);
             std::array::from_fn(|k| if k % 2 == 0 { v.c[k / 2].re } else { v.c[k / 2].im })
         });
-        let u: [[f64; 18]; 2] = std::array::from_fn(|_| Su3::<f64>::random(&mut rng).to_reals());
-        let mut out = [0.0; 12];
-        let mut row = |name: &str, width: Width| {
-            g.bench_function(name, |bch| {
-                bch.iter(|| {
-                    width.run(ColorHop { v: black_box(&v), u: black_box(&u), out: &mut out });
-                    black_box(&out);
-                })
-            });
-        };
-        row("color_hop_f64", Width::Sse2);
-        if let Some(avx2) = Avx2::detect() {
-            row("color_hop_f64_two_sites", Width::Avx2(avx2));
-        }
+        let u: [[f64; 18]; LANES] =
+            std::array::from_fn(|_| Su3::<f64>::random(&mut rng).to_reals());
+        let v: [f64; 24] = std::array::from_fn(|i| v[i % LANES][i / LANES]);
+        let u: [f64; 72] = std::array::from_fn(|i| u[i % LANES][i / LANES]);
+        let mut out = [0.0; 24];
+        let width = Width::detect();
+        g.bench_function("color_hop_f64_four_sites_lane_major", |bch| {
+            bch.iter(|| {
+                width.run(LaneHop { v: black_box(&v), u: black_box(&u), out: &mut out });
+                black_box(&out);
+            })
+        });
     }
     // One Wilson backward hop on flat reals, `acc + (1 + γ_t) ⊗ U†`
     // applied to ψ: one site per call (SSE2), and two sites per call (AVX2,

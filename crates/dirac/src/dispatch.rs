@@ -10,11 +10,12 @@
 //! `kernels::fast(op)` returns; otherwise it runs with `kernels::Generic`.
 //! No signature changes and no `unsafe`.
 //!
-//! SSE2 is part of the x86_64 baseline. The Wilson-clover and the asqtad
-//! kernels also run two sites per AVX2 register: each operator detects
-//! the widest lane width once, when it is built
-//! (`is_x86_feature_detected!`), and its fast kernels carry that width
-//! into `#[target_feature]` site loops.
+//! SSE2 is part of the x86_64 baseline. The Wilson-clover kernels also
+//! run two sites per AVX2 register, grouped by [`same_hop_mask`], and the
+//! asqtad kernels run the four sites of a lane-major group per call, in
+//! one AVX2 register or two SSE2 halves: each operator detects the widest
+//! lane width once, when it is built (`is_x86_feature_detected!`), and
+//! its fast kernels carry that width into `#[target_feature]` site loops.
 
 /// A reference re-bound at the concrete type it is known to have.
 #[cfg(target_arch = "x86_64")]

@@ -5,9 +5,10 @@
 //! `dslash` (the overlapped pipeline of the paper's Fig. 4) and
 //! `dslash_sequential` (its blocking baseline); an operator supplies
 //! only its site kernels, as a `Stencil`. The pipeline has one
-//! schedule: gather and post, run the interior while the exchanges are
-//! in flight, complete the partitioned dimensions in ascending µ, then
-//! run the exteriors in the same order. The interior worker count is
+//! schedule: gather and post, stage the source in the form the interior
+//! reads (asqtad only), run the interior while the exchanges are in
+//! flight, complete the partitioned dimensions in ascending µ, then run
+//! the exteriors in the same order. The interior worker count is
 //! its only knob. What persists between applies lives behind one
 //! `Mutex` per operator so `dslash` can stay `&self` (operators are
 //! shared across solver layers) while buffers and counters mutate.
@@ -56,11 +57,15 @@ impl DslashCounters {
     }
 }
 
-/// Mutable per-operator overlap state (exchange buffers, counters,
-/// interior worker count), kept behind a `Mutex` on the operator.
+/// Mutable per-operator overlap state (exchange buffers, staged source,
+/// counters, interior worker count), kept behind a `Mutex` on the
+/// operator.
 pub struct OverlapPipeline<R: Real> {
     /// Persistent exchange staging buffers.
     pub bufs: ExchangeBuffers<R>,
+    /// The source body in the form the interior reads, when a stencil
+    /// stages it (sized on first use, then reused).
+    pub staged: Vec<R>,
     /// Cumulative apply timings.
     pub counters: DslashCounters,
     /// Interior kernel workers (min 1); 1 = run on the calling thread
@@ -74,6 +79,7 @@ impl<R: Real> OverlapPipeline<R> {
     pub fn with_threads(threads: usize) -> Self {
         OverlapPipeline {
             bufs: ExchangeBuffers::default(),
+            staged: Vec::new(),
             counters: DslashCounters::default(),
             threads: threads.max(1),
         }
@@ -118,11 +124,12 @@ pub trait OverlapHost<R: Real> {
     }
 }
 
-/// Run `kernel` over disjoint site-range chunks of `body` while
-/// `complete` (the communication-completion stage) runs on the calling
-/// thread. Returns `(interior_ns, wall_ns)` where `interior_ns` is the
-/// kernel time (max over workers) and `wall_ns` covers the whole stage —
-/// their difference is the *exposed* communication time.
+/// Run `kernel` over disjoint site-range chunks of `body`, each starting
+/// on a multiple of `group` sites, while `complete` (the
+/// communication-completion stage) runs on the calling thread. Returns
+/// `(interior_ns, wall_ns)` where `interior_ns` is the kernel time (max
+/// over workers) and `wall_ns` covers the whole stage — their difference
+/// is the *exposed* communication time.
 ///
 /// With `threads == 1` the kernel runs inline and `complete` after it:
 /// no spawn overhead, and communication posted before this call still
@@ -133,6 +140,7 @@ pub fn run_overlapped<R, K, F>(
     threads: usize,
     body: &mut [R],
     reals_per_site: usize,
+    group: usize,
     kernel: &K,
     complete: F,
 ) -> Result<(u64, u64)>
@@ -150,7 +158,7 @@ where
         return Ok((interior_ns, wall.elapsed().as_nanos() as u64));
     }
     let n_sites = body.len() / reals_per_site;
-    let chunk_sites = n_sites.div_ceil(threads).max(1);
+    let chunk_sites = n_sites.div_ceil(threads).next_multiple_of(group).max(group);
     let interior_ns = std::thread::scope(|s| -> Result<u64> {
         let workers: Vec<_> = body
             .chunks_mut(chunk_sites * reals_per_site)
@@ -233,6 +241,10 @@ pub(crate) trait Stencil<R: Real>: Sync {
     /// The per-site object of the fields the stencil acts on.
     type Site: SiteObject<R>;
 
+    /// Sites the interior takes together: worker chunks start on
+    /// multiples of it.
+    const GROUP: usize = 1;
+
     /// The operator's subvolume.
     fn sub(&self) -> &SubLattice;
 
@@ -242,13 +254,20 @@ pub(crate) trait Stencil<R: Real>: Sync {
     /// The operator's pipeline state.
     fn state(&self) -> &Mutex<OverlapPipeline<R>>;
 
-    /// Interior hops of sites `lo_site ..` written to `out_chunk`; each
-    /// site is computed independently, so chunking never changes bits.
+    /// Copy the source body into `staged`, in the form the interior
+    /// reads, before the interior runs (nothing by default).
+    fn stage(&self, _src: BodyView<'_, R, Self::Site>, _staged: &mut Vec<R>) {}
+
+    /// Interior hops of sites `lo_site ..` written to `out_chunk`, from
+    /// the source body `src` and what [`Stencil::stage`] left in
+    /// `staged`; each site is computed independently, so chunking never
+    /// changes bits.
     fn interior(
         &self,
         out_chunk: &mut [R],
         lo_site: usize,
         src: BodyView<'_, R, Self::Site>,
+        staged: &[R],
         out_parity: Parity,
         src_parity: Parity,
     );
@@ -285,7 +304,7 @@ pub(crate) fn dslash<R: Real, St: Stencil<R>, C: Communicator>(
     let traced = trace::is_enabled();
     let apply_t = Instant::now();
     let mut guard = st.state().lock().unwrap();
-    let OverlapPipeline { bufs, counters, threads } = &mut *guard;
+    let OverlapPipeline { bufs, staged, counters, threads } = &mut *guard;
     let threads = *threads;
     let exchange = mode == BoundaryMode::Full;
 
@@ -302,27 +321,36 @@ pub(crate) fn dslash<R: Real, St: Stencil<R>, C: Communicator>(
     let src_parity = src.parity();
     let post_end_ns = if traced { trace::now_ns() } else { 0 };
     let mut comm_done_ns = post_end_ns;
+    // The interior's time includes staging its source, which runs while
+    // the exchanges are in flight.
     let (interior_ns, wall_ns) = {
         let (src_view, mut zones) = src.body_and_ghosts_mut();
+        let stage_t = Instant::now();
+        st.stage(src_view, staged);
+        let stage_ns = stage_t.elapsed().as_nanos() as u64;
+        let staged = &staged[..];
         let kernel = |chunk: &mut [R], lo_site: usize| {
-            st.interior(chunk, lo_site, src_view, out_parity, src_parity);
+            st.interior(chunk, lo_site, src_view, staged, out_parity, src_parity);
         };
-        run_overlapped(threads, out.body_mut(), St::Site::REALS, &kernel, || {
-            if exchange {
-                // Every partitioned dimension completes before the first
-                // exterior runs, so the completion order cannot move the
-                // critical path; ascending µ, like the exteriors.
-                for mu in 0..NDIM {
-                    if sub.partitioned[mu] {
-                        complete_ghost_dim(&mut pending, mu, &mut zones, comm, bufs)?;
+        let body = out.body_mut();
+        let (interior_ns, wall_ns) =
+            run_overlapped(threads, body, St::Site::REALS, St::GROUP, &kernel, || {
+                if exchange {
+                    // Every partitioned dimension completes before the first
+                    // exterior runs, so the completion order cannot move the
+                    // critical path; ascending µ, like the exteriors.
+                    for mu in 0..NDIM {
+                        if sub.partitioned[mu] {
+                            complete_ghost_dim(&mut pending, mu, &mut zones, comm, bufs)?;
+                        }
+                    }
+                    if traced {
+                        comm_done_ns = trace::now_ns();
                     }
                 }
-                if traced {
-                    comm_done_ns = trace::now_ns();
-                }
-            }
-            Ok(())
-        })?
+                Ok(())
+            })?;
+        (stage_ns + interior_ns, stage_ns + wall_ns)
     };
     if traced {
         // The interior kernel ran on worker threads between the post and
@@ -374,12 +402,14 @@ pub(crate) fn dslash_sequential<R: Real, St: Stencil<R>, C: Communicator>(
 ) -> Result<()> {
     let (sub, faces) = (st.sub(), st.faces());
     check_dslash_pair(out, src, sub, faces)?;
+    let mut guard = st.state().lock().unwrap();
+    let OverlapPipeline { bufs, staged, .. } = &mut *guard;
     if mode == BoundaryMode::Full {
-        let bufs = &mut st.state().lock().unwrap().bufs;
         exchange_ghosts_with(src, faces, comm, bufs)?;
     }
     let (out_parity, src_parity) = (out.parity(), src.parity());
-    st.interior(out.body_mut(), 0, src.body_view(), out_parity, src_parity);
+    st.stage(src.body_view(), staged);
+    st.interior(out.body_mut(), 0, src.body_view(), staged, out_parity, src_parity);
     if mode == BoundaryMode::Full {
         for mu in 0..NDIM {
             if sub.partitioned[mu] {

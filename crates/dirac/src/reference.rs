@@ -84,13 +84,14 @@ pub fn staggered_reference_apply(
     let sub = op.sublattice().clone();
     assert!(sub.partitioned.iter().all(|&p| !p), "reference runs on global lattices");
     assert_eq!(src.len(), global.volume());
+    let (fat, long) = op.to_gauge();
     let mut out = vec![ColorVector::zero(); global.volume()];
     for (lex, o) in out.iter_mut().enumerate() {
         let c = global.coords(lex);
         let mut d = ColorVector::zero();
         for mu in 0..NDIM {
             let e = eta(c, mu);
-            for (links, hop) in [(&op.fat, 1isize), (&op.long, 3)] {
+            for (links, hop) in [(&fat, 1isize), (&long, 3)] {
                 let cp = global.displace(c, mu, hop);
                 let cm = global.displace(c, mu, -hop);
                 let fwd = link_at(links, global, c, mu).mul_vec(&src[global.index(cp)]);

@@ -17,19 +17,24 @@
 //! essential.
 //!
 //! The sixteen hops and the phases of every site come from a depth-3
-//! [`NeighborTable`] built once per operator. The per-site work runs
-//! through `kernels::SiteKernels`: on x86_64 an f64 operator takes
-//! bit-identical SIMD colour hops (chosen by a safe `Any` downcast, so
-//! every signature stays generic over `R: Real`) at the lane width it
-//! picked when it was built; everything else takes the generic per-site
-//! code.
+//! [`NeighborTable`] built once per operator. The fat and long links are
+//! held once, in `links::StaggeredLinks` stores whose bodies are
+//! lane-major (groups of four consecutive checkerboard sites, one real
+//! of the four sites side by side). The per-site work runs through
+//! `kernels::SiteKernels`: on x86_64 an f64 operator takes bit-identical
+//! SIMD colour hops (chosen by a safe `Any` downcast, so every signature
+//! stays generic over `R: Real`), four sites of a lane-major group per
+//! call in its interior, at the lane width it picked when it was built;
+//! everything else takes the generic per-site code.
 
 mod kernels;
+mod links;
 
 use crate::dispatch::with_kernels;
 use crate::overlap::{self, OverlapHost, OverlapPipeline, Stencil};
 use crate::BoundaryMode;
 use kernels::SiteKernels;
+use links::StaggeredLinks;
 use lqcd_comms::Communicator;
 use lqcd_field::{blas, BodyView, LatticeField};
 use lqcd_gauge::GaugeField;
@@ -49,15 +54,18 @@ pub type StaggeredField<R> = LatticeField<R, ColorVector<R>>;
 /// The asqtad operator bound to one rank's fat+long link fields.
 pub struct StaggeredOp<R: Real> {
     /// Fat links with depth-3 backward ghosts.
-    pub fat: GaugeField<R>,
+    fat: StaggeredLinks<R>,
     /// Long links (Naik coefficient included) with depth-3 backward ghosts.
-    pub long: GaugeField<R>,
+    long: StaggeredLinks<R>,
     /// Quark mass `m`.
     pub mass: f64,
     sub: Arc<SubLattice>,
     faces: FaceGeometry,
     /// The sixteen hops and the staggered phases of every site.
     nbrs: Arc<NeighborTable>,
+    /// How each lane-major group takes each hop (the SIMD interior's).
+    #[cfg(target_arch = "x86_64")]
+    groups: Arc<kernels::GroupHops>,
     /// Exchange buffers, apply counters, interior worker count.
     overlap: Mutex<OverlapPipeline<R>>,
     /// The lane width of the SIMD site kernels: the widest the CPU runs.
@@ -75,6 +83,8 @@ impl<R: Real> Clone for StaggeredOp<R> {
             sub: self.sub.clone(),
             faces: self.faces.clone(),
             nbrs: self.nbrs.clone(),
+            #[cfg(target_arch = "x86_64")]
+            groups: self.groups.clone(),
             overlap: Mutex::new(OverlapPipeline::with_threads(threads)),
             #[cfg(target_arch = "x86_64")]
             width: self.width,
@@ -89,11 +99,16 @@ impl<R: Real> OverlapHost<R> for StaggeredOp<R> {
 }
 
 impl<R: Real> StaggeredOp<R> {
-    /// Bind the operator to precomputed fat/long links.
+    /// Bind the operator to precomputed fat/long links. The links move
+    /// into the operator's lane-major stores, one (µ, parity) field at a
+    /// time; nothing keeps the site-major fields.
     pub fn new(fat: GaugeField<R>, long: GaugeField<R>, mass: f64) -> Result<Self> {
         let sub = fat.sublattice().clone();
-        if long.sublattice().dims != sub.dims {
-            return Err(Error::Shape("fat/long links live on different subvolumes".into()));
+        if **long.sublattice() != *sub {
+            return Err(Error::Shape(format!(
+                "fat links live on {sub:?}, long links on {:?}",
+                long.sublattice()
+            )));
         }
         if fat.depth() < STAGGERED_DEPTH || long.depth() < STAGGERED_DEPTH {
             return Err(Error::Geometry(
@@ -103,9 +118,11 @@ impl<R: Real> StaggeredOp<R> {
         let faces = FaceGeometry::new(&sub, STAGGERED_DEPTH)?;
         let nbrs = Arc::new(NeighborTable::new(&sub, STAGGERED_DEPTH)?);
         Ok(Self {
-            fat,
-            long,
+            fat: StaggeredLinks::new(fat),
+            long: StaggeredLinks::new(long),
             mass,
+            #[cfg(target_arch = "x86_64")]
+            groups: Arc::new(kernels::GroupHops::new(&nbrs, sub.volume_cb())),
             sub,
             faces,
             nbrs,
@@ -113,6 +130,35 @@ impl<R: Real> StaggeredOp<R> {
             #[cfg(target_arch = "x86_64")]
             width: Width::detect(),
         })
+    }
+
+    /// The operator at precision `R2`: the link stores cast elementwise,
+    /// the tables shared.
+    pub fn cast<R2: Real>(&self) -> StaggeredOp<R2>
+    where
+        lqcd_su3::Su3<R>:
+            lqcd_field::CastSite<R, R2> + lqcd_field::CastSiteAny<R2, Target = lqcd_su3::Su3<R2>>,
+    {
+        StaggeredOp {
+            fat: self.fat.cast(),
+            long: self.long.cast(),
+            mass: self.mass,
+            sub: self.sub.clone(),
+            faces: self.faces.clone(),
+            nbrs: self.nbrs.clone(),
+            #[cfg(target_arch = "x86_64")]
+            groups: self.groups.clone(),
+            overlap: Mutex::new(OverlapPipeline::default()),
+            #[cfg(target_arch = "x86_64")]
+            width: self.width,
+        }
+    }
+
+    /// The fat and long links as the site-major fields `new` took, bit
+    /// for bit.
+    #[cfg(test)]
+    pub(crate) fn to_gauge(&self) -> (GaugeField<R>, GaugeField<R>) {
+        (self.fat.to_gauge(), self.long.to_gauge())
     }
 
     /// Run the SIMD site kernels at `width` instead of the detected one.
@@ -262,6 +308,7 @@ struct Bound<'a, R: Real, K>(&'a StaggeredOp<R>, K);
 
 impl<R: Real, K: SiteKernels<R>> Stencil<R> for Bound<'_, R, K> {
     type Site = ColorVector<R>;
+    const GROUP: usize = links::LANES;
 
     fn sub(&self) -> &SubLattice {
         &self.0.sub
@@ -275,15 +322,20 @@ impl<R: Real, K: SiteKernels<R>> Stencil<R> for Bound<'_, R, K> {
         &self.0.overlap
     }
 
+    fn stage(&self, src: BodyView<'_, R, ColorVector<R>>, staged: &mut Vec<R>) {
+        self.1.stage(src.reals(), staged);
+    }
+
     fn interior(
         &self,
         out_chunk: &mut [R],
         lo_site: usize,
         src: BodyView<'_, R, ColorVector<R>>,
+        staged: &[R],
         out_parity: Parity,
         src_parity: Parity,
     ) {
-        self.1.interior(self.0, out_chunk, lo_site, src, out_parity, src_parity);
+        self.1.interior(self.0, out_chunk, lo_site, src, staged, out_parity, src_parity);
     }
 
     fn exterior(&self, out: &mut StaggeredField<R>, src: &StaggeredField<R>, mu: usize) {
@@ -314,6 +366,25 @@ mod tests {
         let thin = GaugeField::<f64>::generate(sub, &faces, GLOBAL, &SeedTree::new(8), start);
         let links = AsqtadLinks::compute(&thin, GLOBAL, &AsqtadCoeffs::default());
         StaggeredOp::new(links.fat, links.long, mass).unwrap()
+    }
+
+    /// Random depth-3 links of rank `rank` of a 1×1×1×2 grid of 8⁴.
+    fn rank_links(rank: usize, seed: u64) -> GaugeField<f64> {
+        let global = Dims([8, 8, 8, 8]);
+        let grid = lqcd_lattice::ProcessGrid::new(Dims([1, 1, 1, 2]), global).unwrap();
+        let sub = Arc::new(SubLattice::for_rank(&grid, rank));
+        let faces = FaceGeometry::new(&sub, STAGGERED_DEPTH).unwrap();
+        let start = GaugeStart::Disordered(0.2);
+        GaugeField::<f64>::generate(sub, &faces, global, &SeedTree::new(seed), start)
+    }
+
+    #[test]
+    fn new_rejects_long_links_of_another_subvolume() {
+        let (fat, long) = (rank_links(0, 1), rank_links(1, 2));
+        assert_eq!(fat.sublattice().dims, long.sublattice().dims);
+        let err = StaggeredOp::new(fat.clone(), long, 0.1).err();
+        assert!(matches!(err, Some(Error::Shape(_))), "{err:?}");
+        assert!(StaggeredOp::new(fat, rank_links(0, 2), 0.1).is_ok());
     }
 
     fn rand_pair(op: &StaggeredOp<f64>, seed: u64) -> (StaggeredField<f64>, StaggeredField<f64>) {

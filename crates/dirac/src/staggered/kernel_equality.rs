@@ -9,15 +9,15 @@
 //! must match it bit for bit in f32 and in f64 at every lane width the
 //! CPU supports, on one rank, on two ranks split along T (`L_t = 4`, so
 //! the depth-3 face lists overlap), on a 1×2×1×2 grid, on two ranks with
-//! odd checkerboard rows (where a pair of consecutive sites can straddle
-//! two rows and differ in η alone) and on two ranks split along X (where
-//! consecutive sites of a row differ in their ghost hops), with one and
-//! two interior threads.
+//! odd checkerboard rows (where a lane-major group straddles two rows and
+//! its lanes differ in η), on two ranks split along X (where the lanes of
+//! a group differ in their ghost hops) and on two 8×8×8×4 ranks (one row
+//! per group, the X hops rotated), with one and two interior threads.
 
 use super::kernels::SiteKernels;
 use super::*;
 use lqcd_comms::{run_on_grid, SingleComm};
-use lqcd_field::SiteObject;
+use lqcd_field::{LatticeField, SiteObject};
 use lqcd_gauge::field::GaugeStart;
 use lqcd_lattice::{Dims, Neighbor, ProcessGrid, NDIM};
 #[cfg(target_arch = "x86_64")]
@@ -58,16 +58,18 @@ impl<R: Real> SiteKernels<R> for Oracle {
         out_chunk: &mut [R],
         lo_site: usize,
         src: BodyView<'_, R, ColorVector<R>>,
+        _staged: &[R],
         out_parity: Parity,
         src_parity: Parity,
     ) {
+        let (fat, long) = op.to_gauge();
         for (k, slot) in out_chunk.chunks_exact_mut(6).enumerate() {
             let idx = lo_site + k;
             let c = op.sub.cb_coords(out_parity, idx);
             let mut acc = ColorVector::zero();
             for mu in 0..NDIM {
                 let eta = eta::<R>(&op.sub, c, mu);
-                for (links, dist) in [(&op.fat, 1isize), (&op.long, 3)] {
+                for (links, dist) in [(&fat, 1isize), (&long, 3)] {
                     for step in [dist, -dist] {
                         let hop = op.sub.neighbor(c, mu, step, STAGGERED_DEPTH);
                         let Neighbor::Interior { idx: nidx } = hop else { continue };
@@ -93,13 +95,14 @@ impl<R: Real> SiteKernels<R> for Oracle {
         mu: usize,
     ) {
         let out_parity = out.parity();
+        let (fat, long) = op.to_gauge();
         let mut update = |cb: u32| {
             let idx = cb as usize;
             let c = op.sub.cb_coords(out_parity, idx);
             let eta = eta::<R>(&op.sub, c, mu);
             let mut acc = out.site(idx);
             let mut touched = false;
-            for (links, dist) in [(&op.fat, 1isize), (&op.long, 3)] {
+            for (links, dist) in [(&fat, 1isize), (&long, 3)] {
                 for step in [dist, -dist] {
                     let hop = op.sub.neighbor(c, mu, step, STAGGERED_DEPTH);
                     let g @ Neighbor::Ghost { forward, offset, .. } = hop else { continue };
@@ -129,9 +132,9 @@ impl<R: Real> SiteKernels<R> for Oracle {
     }
 }
 
-/// One rank's f64 operator on random (non-physical) fat and long links
-/// with exchanged ghosts; random links suffice for bit identity.
-fn build_op<C: Communicator>(comm: &mut C, grid: &ProcessGrid) -> StaggeredOp<f64> {
+/// One rank's random (non-physical) fat and long links with exchanged
+/// ghosts; random links suffice for bit identity.
+fn build_links<C: Communicator>(comm: &mut C, grid: &ProcessGrid) -> [GaugeField<f64>; 2] {
     let global = grid.global;
     let sub = Arc::new(SubLattice::for_rank(grid, comm.rank()));
     let faces = FaceGeometry::new(&sub, STAGGERED_DEPTH).unwrap();
@@ -143,8 +146,58 @@ fn build_op<C: Communicator>(comm: &mut C, grid: &ProcessGrid) -> StaggeredOp<f6
     for l in &mut links {
         l.exchange_ghosts(comm, &faces).unwrap();
     }
-    let [fat, long] = links;
+    links
+}
+
+/// One rank's f64 operator on [`build_links`].
+fn build_op<C: Communicator>(comm: &mut C, grid: &ProcessGrid) -> StaggeredOp<f64> {
+    let [fat, long] = build_links(comm, grid);
     StaggeredOp::new(fat, long, 0.1).unwrap()
+}
+
+/// Every bit of a field's allocation past the pad: body and ghost zones.
+fn all_bits<R: Real>(f: &LatticeField<R, lqcd_su3::Su3<R>>) -> Vec<u64> {
+    let mut bits: Vec<u64> = f.body().iter().map(|x| x.to_f64().to_bits()).collect();
+    for mu in (0..NDIM).filter(|&mu| f.layout().ghost_sites[mu] > 0) {
+        for forward in [false, true] {
+            bits.extend(f.ghost_zone(mu, forward).iter().map(|x| x.to_f64().to_bits()));
+        }
+    }
+    bits
+}
+
+/// The link stores give back the constructor's fields bit for bit,
+/// bodies and ghost zones; and they hold the same reals as those fields
+/// in allocations of the same size, the bodies permuted, so the operator
+/// keeps one copy.
+fn links_round_trip<R: Real>(fat: GaugeField<R>, long: GaugeField<R>) {
+    let op = StaggeredOp::new(fat.clone(), long.clone(), 0.1).unwrap();
+    let (got_fat, got_long) = op.to_gauge();
+    for (got, want, store) in [(got_fat, fat, &op.fat), (got_long, long, &op.long)] {
+        let fields = got.links.iter().flatten().zip(want.links.iter().flatten());
+        for ((g, w), s) in fields.zip(store.fields()) {
+            assert_eq!(g.layout(), w.layout());
+            assert_eq!(all_bits(g), all_bits(w), "to_gauge");
+            assert_eq!(s.layout(), w.layout(), "one allocation of the same size");
+            let (mut held, mut given) = (all_bits(s), all_bits(w));
+            assert_ne!(held, given, "the bodies are lane-major");
+            held.sort_unstable();
+            given.sort_unstable();
+            assert_eq!(held, given, "the store holds the given reals");
+        }
+    }
+}
+
+#[test]
+fn link_stores_hold_one_copy_and_round_trip_bitwise() {
+    // Two ranks along T: ghost zones filled by the exchange.
+    let grid = ProcessGrid::new(Dims([1, 1, 1, 2]), Dims([8, 8, 8, 8])).unwrap();
+    let g = grid.clone();
+    run_on_grid(grid, move |mut comm| {
+        let [fat, long] = build_links(&mut comm, &g);
+        links_round_trip(fat.cast::<f32>(), long.cast::<f32>());
+        links_round_trip(fat, long);
+    });
 }
 
 fn bits<R: Real>(f: &StaggeredField<R>) -> Vec<u64> {
@@ -223,8 +276,8 @@ fn at_every_width<R: Real>(op: &mut StaggeredOp<R>, mut f: impl FnMut(&Staggered
 /// interior threads.
 fn all_mismatches<C: Communicator>(comm: &mut C, grid: &ProcessGrid) -> Vec<String> {
     let mut op64 = build_op(comm, grid);
-    let op32 =
-        StaggeredOp::new(op64.fat.cast::<f32>(), op64.long.cast::<f32>(), op64.mass).unwrap();
+    let (fat, long) = op64.to_gauge();
+    let op32 = StaggeredOp::new(fat.cast::<f32>(), long.cast::<f32>(), op64.mass).unwrap();
     let rank = comm.rank();
     let mut bad = Vec::new();
     for threads in [1, 2] {
@@ -263,7 +316,8 @@ fn dispatch_picks_the_widest_width_for_f64_only() {
         narrow.force_width(Width::Sse2);
         assert!(matches!(narrow.clone().width, Width::Sse2));
     }
-    let op32 = StaggeredOp::new(op.fat.cast::<f32>(), op.long.cast::<f32>(), 0.1).unwrap();
+    let (fat, long) = op.to_gauge();
+    let op32 = StaggeredOp::new(fat.cast::<f32>(), long.cast::<f32>(), 0.1).unwrap();
     assert!(op32.kernels_name().ends_with("Generic"), "{}", op32.kernels_name());
 }
 
@@ -284,30 +338,40 @@ fn partitioned_entry_points_match_oracle_bitwise() {
 }
 
 /// Two ranks along T, each 6×4×4×4: a checkerboard row holds three
-/// sites, so every other pair of consecutive sites straddles two rows,
-/// where `x` changes parity and with it `η_y`, while the hop mask stays.
+/// sites, so a group of four straddles two rows, where `x` changes
+/// parity and with it `η_y`.
 const ODD_ROWS: (Dims, [usize; 4]) = (Dims([6, 4, 4, 8]), [1, 1, 1, 2]);
 
-/// Two ranks along X, each 4×4×4×8: consecutive sites of a row share
-/// their phases but differ in which of their X hops are ghosts.
+/// Two ranks along X, each 4×4×4×8: the sites of a group differ in which
+/// of their X hops are ghosts.
 const X_SPLIT: (Dims, [usize; 4]) = (Dims([8, 4, 4, 8]), [2, 1, 1, 1]);
 
-/// How the pairs of consecutive sites `(2j, 2j + 1)` of rank 0 compare,
-/// both parities: `[grouped, η differs only, ghost hops differ only]`.
-fn pair_kinds((global, dims): (Dims, [usize; 4])) -> [usize; 3] {
+/// The geometry of `multishift_asqtad`: two ranks along T, each 8×8×8×4,
+/// so a lane-major group is one checkerboard row.
+const T_SPLIT_8: (Dims, [usize; 4]) = (Dims([8, 8, 8, 8]), [1, 1, 1, 2]);
+
+/// How the lane-major groups of rank 0 take their interior hops, both
+/// parities: `[uniform, rotated, per-lane, per-lane with ghost lanes]`
+/// (the last also counted in the third).
+fn group_kinds((global, dims): (Dims, [usize; 4])) -> [usize; 4] {
     let grid = ProcessGrid::new(Dims(dims), global).unwrap();
     let sub = SubLattice::for_rank(&grid, 0);
     let nbrs = NeighborTable::new(&sub, STAGGERED_DEPTH).unwrap();
-    let mut kinds = [0; 3];
+    let groups = kernels::GroupHops::new(&nbrs, sub.volume_cb());
+    let mut kinds = [0; 4];
     for p in Parity::BOTH {
-        let ghosts = |idx| nbrs.hops::<16>(p, idx).map(|e| e & NeighborTable::GHOST);
-        for idx in (0..sub.volume_cb() - 1).step_by(2) {
-            let same_eta = nbrs.eta(p, idx) == nbrs.eta(p, idx + 1);
-            match (ghosts(idx) == ghosts(idx + 1), same_eta) {
-                (true, true) => kinds[0] += 1,
-                (true, false) => kinds[1] += 1,
-                (false, true) => kinds[2] += 1,
-                (false, false) => {}
+        for g in 0..sub.volume_cb() / 4 {
+            for (e, &kind) in groups.hops(p, g).iter().enumerate() {
+                match kind {
+                    kernels::GroupHops::SKIP => {}
+                    kernels::GroupHops::PER_LANE => {
+                        kinds[2] += 1;
+                        let ghost = |k| nbrs.hops::<16>(p, 4 * g + k)[e] & NeighborTable::GHOST;
+                        kinds[3] += (0..4).any(|k| ghost(k) != 0) as usize;
+                    }
+                    _ if kind & 3 == 0 => kinds[0] += 1,
+                    _ => kinds[1] += 1,
+                }
             }
         }
     }
@@ -315,13 +379,20 @@ fn pair_kinds((global, dims): (Dims, [usize; 4])) -> [usize; 3] {
 }
 
 #[test]
-fn mixed_masks_exercise_both_group_paths() {
-    // Odd rows: grouped pairs, and pairs that only the η comparison
-    // splits. The X split: pairs that only the ghost-hop comparison splits.
-    let [grouped, eta_only, _] = pair_kinds(ODD_ROWS);
-    assert!(grouped > 0 && eta_only > 0, "odd rows: {grouped} grouped, {eta_only} η-only");
-    let [_, _, ghost_only] = pair_kinds(X_SPLIT);
-    assert!(ghost_only > 0, "X split: {ghost_only} ghost-only");
+fn geometries_reach_every_group_kind() {
+    // One row per group: every hop loads whole registers, the X hops
+    // with their lanes rotated.
+    let [uniform, rotated, per_lane, _] = group_kinds(T_SPLIT_8);
+    assert!(
+        uniform > 0 && rotated > 0 && per_lane == 0,
+        "8⁴ on 1×1×1×2: {uniform} {rotated} {per_lane}"
+    );
+    // Rows of three sites: groups straddle rows and read lane by lane.
+    let [_, _, per_lane, _] = group_kinds(ODD_ROWS);
+    assert!(per_lane > 0, "odd rows: {per_lane} per-lane");
+    // The X split: some lanes of a group hop into the ghost zone.
+    let [_, _, _, blended] = group_kinds(X_SPLIT);
+    assert!(blended > 0, "X split: {blended} per-lane with ghost lanes");
 }
 
 #[test]
@@ -330,6 +401,13 @@ fn odd_row_and_x_split_entry_points_match_oracle_bitwise() {
         let bad = grid_mismatches(global, dims);
         assert!(bad.is_empty(), "{global:?} on {dims:?}: {bad:?}");
     }
+}
+
+#[test]
+fn row_group_entry_points_match_oracle_bitwise() {
+    let (global, dims) = T_SPLIT_8;
+    let bad = grid_mismatches(global, dims);
+    assert!(bad.is_empty(), "{global:?} on {dims:?}: {bad:?}");
 }
 
 /// The in-place passes of `apply_normal` and `apply_full` against the
@@ -375,7 +453,8 @@ fn in_place_passes_match_the_unfused_composition() {
     let mut comm = SingleComm::new(GLOBAL).unwrap();
     let op = build_op(&mut comm, &grid);
     fused_matches_composition(&op);
+    let (fat, long) = op.to_gauge();
     fused_matches_composition(
-        &StaggeredOp::new(op.fat.cast::<f32>(), op.long.cast::<f32>(), op.mass).unwrap(),
+        &StaggeredOp::new(fat.cast::<f32>(), long.cast::<f32>(), op.mass).unwrap(),
     );
 }

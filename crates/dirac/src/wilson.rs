@@ -112,6 +112,23 @@ impl<R: Real> WilsonCloverOp<R> {
         mass: f64,
     ) -> Result<Self> {
         let sub = gauge.sublattice().clone();
+        if let Some(clover) = &clover {
+            for (field, parity) in clover.iter().zip(Parity::BOTH) {
+                if field.parity() != parity {
+                    return Err(Error::Shape(format!(
+                        "clover field {} holds parity {:?}, expected {parity:?}",
+                        parity.index(),
+                        field.parity()
+                    )));
+                }
+                if **field.sublattice() != *sub {
+                    return Err(Error::Shape(format!(
+                        "gauge links live on {sub:?}, the {parity:?} clover term on {:?}",
+                        field.sublattice()
+                    )));
+                }
+            }
+        }
         let faces = FaceGeometry::new(&sub, WILSON_DEPTH)?;
         if gauge.depth() < WILSON_DEPTH {
             return Err(Error::Geometry(
@@ -405,6 +422,7 @@ impl<R: Real, K: SiteKernels<R>> Stencil<R> for Bound<'_, R, K> {
         out_chunk: &mut [R],
         lo_site: usize,
         src: BodyView<'_, R, WilsonSpinor<R>>,
+        _staged: &[R],
         out_parity: Parity,
         src_parity: Parity,
     ) {
@@ -450,6 +468,35 @@ mod tests {
         let gauge = GaugeField::<f64>::generate(sub, &faces, GLOBAL, &SeedTree::new(5), start);
         let clover = with_clover.then(|| build_clover_field(&gauge, GLOBAL, 1.0));
         WilsonCloverOp::new(gauge, clover, mass).unwrap()
+    }
+
+    /// Rank `rank`'s gauge field and clover pair on a 1×1×1×2 grid of 8⁴.
+    fn rank_fields(rank: usize) -> (GaugeField<f64>, [LatticeField<f64, CloverSite<f64>>; 2]) {
+        let global = Dims([8, 8, 8, 8]);
+        let grid = lqcd_lattice::ProcessGrid::new(Dims([1, 1, 1, 2]), global).unwrap();
+        let sub = Arc::new(SubLattice::for_rank(&grid, rank));
+        let faces = FaceGeometry::new(&sub, WILSON_DEPTH).unwrap();
+        let start = GaugeStart::Disordered(0.2);
+        let gauge =
+            GaugeField::<f64>::generate(sub.clone(), &faces, global, &SeedTree::new(5), start);
+        let clover = Parity::BOTH.map(|p| LatticeField::zeros(sub.clone(), &faces, p, 0));
+        (gauge, clover)
+    }
+
+    #[test]
+    fn new_rejects_a_clover_term_of_another_subvolume() {
+        let ((gauge, clover), (_, other)) = (rank_fields(0), rank_fields(1));
+        assert_eq!(gauge.sublattice().dims, other[0].sublattice().dims);
+        let err = WilsonCloverOp::new(gauge.clone(), Some(other), 0.1).err();
+        assert!(matches!(err, Some(Error::Shape(_))), "{err:?}");
+        assert!(WilsonCloverOp::new(gauge, Some(clover), 0.1).is_ok());
+    }
+
+    #[test]
+    fn new_rejects_a_clover_pair_with_swapped_parities() {
+        let (gauge, [even, odd]) = rank_fields(0);
+        let err = WilsonCloverOp::new(gauge, Some([odd, even]), 0.1).err();
+        assert!(matches!(err, Some(Error::Shape(_))), "{err:?}");
     }
 
     fn rand_pair(op: &WilsonCloverOp<f64>, seed: u64) -> (SpinorField<f64>, SpinorField<f64>) {

@@ -391,5 +391,5 @@ where
     lqcd_su3::Su3<f64>:
         lqcd_field::CastSite<f64, R2> + lqcd_field::CastSiteAny<R2, Target = lqcd_su3::Su3<R2>>,
 {
-    StaggeredOp::new(op.fat.cast::<R2>(), op.long.cast::<R2>(), op.mass)
+    Ok(op.cast())
 }

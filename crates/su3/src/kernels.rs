@@ -15,9 +15,10 @@
 //!
 //! For the asqtad operator, in double precision at every [`LaneWidth`]:
 //!
-//! * [`ColorAcc::hop`] — one colour hop: `U·v` or `U†·v`, added to or
-//!   subtracted from a colour-vector accumulator. Reference:
-//!   [`Su3::mul_vec`] or [`Su3::adj_mul_vec`], then `acc.add(&w.scale(±1))`.
+//! * [`LaneAcc::hop`] — one colour hop for the four sites of a lane-major
+//!   group: `U·v` or `U†·v` per lane, each lane with its own sign, added
+//!   to the lanes that take the hop. Reference: [`Su3::mul_vec`] or
+//!   [`Su3::adj_mul_vec`], then `acc.add(&w.scale(±1))`.
 //!
 //! For the Krylov reductions, over f32 or f64 bodies and in f64 at every
 //! [`LaneWidth`]:
@@ -43,14 +44,24 @@
 //! `[re, im, re, im]` — the two projected spins of one colour in the hop
 //! kernel, the same row of both chiral blocks in the clover kernel. In
 //! double precision one 128-bit group holds one complex number as
-//! `[re, im]`, and the colour rotation of the Wilson hop and of the asqtad
-//! hop is one from-zero complex multiply-accumulate body. Across sites, a
-//! [`LaneWidth`] runs [`LaneWidth::SITES`] sites side by side, one per
-//! 128-bit group: [`Sse2`] one site in `__m128`/`__m128d`, [`Avx2`] two in
+//! `[re, im]`, and the colour rotation of the Wilson hop is one from-zero
+//! complex multiply-accumulate body. Across sites, a [`LaneWidth`] runs
+//! [`LaneWidth::SITES`] sites side by side, one per 128-bit group:
+//! [`Sse2`] one site in `__m128`/`__m128d`, [`Avx2`] two in
 //! `__m256`/`__m256d`. Every body is written once over the width, and
 //! each group repeats the width-1 operations in the same order — in-lane
 //! shuffles and unpacks, sign-bit xors, no FMA — so every width is
 //! bit-identical to SSE2 and to the scalar code by construction.
+//!
+//! The asqtad hop is *lane-major* instead: one register holds one real
+//! of the [`LANES`] sites of a group (reals outermost, [`Lanes`]), in one
+//! `__m256d` at [`Avx2`] and two `__m128d` halves at [`Sse2`], so every
+//! width runs the same four lanes and each lane does the scalar
+//! operations on its own site. Lane rotations, per-lane gathers, the
+//! transposes of [`LaneAcc::load`] and [`LaneAcc::store`] and the blend
+//! that keeps a lane out of a hop only move bits: a lane that does not
+//! take a hop keeps its sum, rather than adding `±0` to it (`−0.0 + 0.0`
+//! is `+0.0`).
 //!
 //! Each lane performs the scalar operations in the scalar order: a
 //! complex multiply-accumulate is `acc + ur·h`, then
@@ -82,7 +93,7 @@
 use crate::clover::tri;
 use crate::gamma::{Phase, GAMMA};
 use crate::Projector;
-use regs::{Complexes, Pairs, Pd, Ps};
+use regs::{Complexes, Pairs, Pd, Ps, Qd};
 use std::arch::x86_64::*;
 use std::ops::IndexMut;
 
@@ -143,6 +154,8 @@ pub trait LaneWidth: Copy + Send + Sync + regs::Sealed {
     type Ps: Ps;
     #[doc(hidden)]
     type Pd: Pd;
+    #[doc(hidden)]
+    type Qd: Qd;
 
     /// Four f32 lanes at `at` of every site.
     ///
@@ -179,6 +192,7 @@ impl LaneWidth for Sse2 {
     type Sites<T> = [T; 1];
     type Ps = __m128;
     type Pd = __m128d;
+    type Qd = regs::Halves;
 
     #[inline(always)]
     fn sites<T>(mut f: impl FnMut(usize) -> T) -> [T; 1] {
@@ -231,6 +245,7 @@ impl LaneWidth for Avx2 {
     type Sites<T> = [T; 2];
     type Ps = __m256;
     type Pd = __m256d;
+    type Qd = __m256d;
 
     #[inline(always)]
     fn sites<T>(mut f: impl FnMut(usize) -> T) -> [T; 2] {
@@ -336,7 +351,6 @@ mod regs {
         /// Sign-bit mask `[re, im]` of every group.
         unsafe fn signs(re: bool, im: bool) -> Self;
         unsafe fn add(self, b: Self) -> Self;
-        unsafe fn sub(self, b: Self) -> Self;
         unsafe fn mul(self, b: Self) -> Self;
         unsafe fn xor(self, b: Self) -> Self;
         /// `[re, im]` → `[im, re]`.
@@ -450,10 +464,6 @@ mod regs {
             _mm_add_pd(self, b)
         }
         #[inline(always)]
-        unsafe fn sub(self, b: Self) -> Self {
-            _mm_sub_pd(self, b)
-        }
-        #[inline(always)]
         unsafe fn mul(self, b: Self) -> Self {
             _mm_mul_pd(self, b)
         }
@@ -510,10 +520,6 @@ mod regs {
             _mm256_add_pd(self, b)
         }
         #[inline(always)]
-        unsafe fn sub(self, b: Self) -> Self {
-            _mm256_sub_pd(self, b)
-        }
-        #[inline(always)]
         unsafe fn mul(self, b: Self) -> Self {
             _mm256_mul_pd(self, b)
         }
@@ -562,6 +568,188 @@ mod regs {
     /// f64, one complex per 128-bit group: `[spin][colour]`.
     #[derive(Clone, Copy)]
     pub struct Complexes<V>(pub [[V; 3]; 4]);
+
+    /// Four f64 lanes, one per site of a lane-major group. Arithmetic
+    /// acts on each lane alone; `rotate`, `select` and the loads and
+    /// stores only move bits.
+    pub trait Qd: Copy {
+        /// # Safety
+        /// As for [`Ps::zero`].
+        unsafe fn zero() -> Self;
+        /// The lanes `x[at..at + 4]`.
+        unsafe fn load<const M: usize>(x: &[f64; M], at: usize) -> Self;
+        /// Write the lanes to `x[at..at + 4]`.
+        unsafe fn store<const M: usize>(self, x: &mut [f64; M], at: usize);
+        /// `[l[0], l[1], l[2], l[3]]`.
+        unsafe fn set(l: [f64; 4]) -> Self;
+        unsafe fn add(self, b: Self) -> Self;
+        unsafe fn sub(self, b: Self) -> Self;
+        unsafe fn mul(self, b: Self) -> Self;
+        unsafe fn xor(self, b: Self) -> Self;
+        /// Lane `k` of `b` where lane `k` of `mask` is all ones, else
+        /// lane `k` of `self`.
+        unsafe fn select(self, b: Self, mask: Self) -> Self;
+        /// Lane `k` takes lane `(k + R) % 4`.
+        unsafe fn rotate<const R: i32>(self) -> Self;
+        /// Colour `c` (`re`, `im`) of the four sites, written site-major:
+        /// lane `k` to `out[6k + 2c ..][..2]`.
+        unsafe fn store_sites(re: Self, im: Self, out: &mut [f64; 24], c: usize);
+        /// The inverse of `store_sites`: colour `c` (`re`, `im`) of the
+        /// four sites of `sites`.
+        unsafe fn load_sites(sites: &[f64; 24], c: usize) -> (Self, Self);
+    }
+
+    /// [`Qd`] at width 1: lanes 0–1 and lanes 2–3.
+    #[derive(Clone, Copy)]
+    pub struct Halves(__m128d, __m128d);
+
+    impl Qd for Halves {
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            Halves(_mm_setzero_pd(), _mm_setzero_pd())
+        }
+        #[inline(always)]
+        unsafe fn load<const M: usize>(x: &[f64; M], at: usize) -> Self {
+            assert!(at + 4 <= M);
+            let p = x.as_ptr().add(at);
+            Halves(_mm_loadu_pd(p), _mm_loadu_pd(p.add(2)))
+        }
+        #[inline(always)]
+        unsafe fn store<const M: usize>(self, x: &mut [f64; M], at: usize) {
+            assert!(at + 4 <= M);
+            let p = x.as_mut_ptr().add(at);
+            _mm_storeu_pd(p, self.0);
+            _mm_storeu_pd(p.add(2), self.1);
+        }
+        #[inline(always)]
+        unsafe fn set(l: [f64; 4]) -> Self {
+            Halves(_mm_setr_pd(l[0], l[1]), _mm_setr_pd(l[2], l[3]))
+        }
+        #[inline(always)]
+        unsafe fn add(self, b: Self) -> Self {
+            Halves(_mm_add_pd(self.0, b.0), _mm_add_pd(self.1, b.1))
+        }
+        #[inline(always)]
+        unsafe fn sub(self, b: Self) -> Self {
+            Halves(_mm_sub_pd(self.0, b.0), _mm_sub_pd(self.1, b.1))
+        }
+        #[inline(always)]
+        unsafe fn mul(self, b: Self) -> Self {
+            Halves(_mm_mul_pd(self.0, b.0), _mm_mul_pd(self.1, b.1))
+        }
+        #[inline(always)]
+        unsafe fn xor(self, b: Self) -> Self {
+            Halves(_mm_xor_pd(self.0, b.0), _mm_xor_pd(self.1, b.1))
+        }
+        #[inline(always)]
+        unsafe fn select(self, b: Self, mask: Self) -> Self {
+            Halves(
+                _mm_or_pd(_mm_and_pd(mask.0, b.0), _mm_andnot_pd(mask.0, self.0)),
+                _mm_or_pd(_mm_and_pd(mask.1, b.1), _mm_andnot_pd(mask.1, self.1)),
+            )
+        }
+        #[inline(always)]
+        unsafe fn rotate<const R: i32>(self) -> Self {
+            let Halves(lo, hi) = self;
+            match R & 3 {
+                0 => self,
+                // [l1, l2], [l3, l0]
+                1 => Halves(_mm_shuffle_pd::<0b01>(lo, hi), _mm_shuffle_pd::<0b01>(hi, lo)),
+                2 => Halves(hi, lo),
+                // [l3, l0], [l1, l2]
+                _ => Halves(_mm_shuffle_pd::<0b01>(hi, lo), _mm_shuffle_pd::<0b01>(lo, hi)),
+            }
+        }
+        #[inline(always)]
+        unsafe fn store_sites(re: Self, im: Self, out: &mut [f64; 24], c: usize) {
+            assert!(c < 3);
+            let p = out.as_mut_ptr().add(2 * c);
+            _mm_storeu_pd(p, _mm_unpacklo_pd(re.0, im.0));
+            _mm_storeu_pd(p.add(6), _mm_unpackhi_pd(re.0, im.0));
+            _mm_storeu_pd(p.add(12), _mm_unpacklo_pd(re.1, im.1));
+            _mm_storeu_pd(p.add(18), _mm_unpackhi_pd(re.1, im.1));
+        }
+        #[inline(always)]
+        unsafe fn load_sites(sites: &[f64; 24], c: usize) -> (Self, Self) {
+            assert!(c < 3);
+            let p = sites.as_ptr().add(2 * c);
+            let (s0, s1) = (_mm_loadu_pd(p), _mm_loadu_pd(p.add(6)));
+            let (s2, s3) = (_mm_loadu_pd(p.add(12)), _mm_loadu_pd(p.add(18)));
+            (
+                Halves(_mm_unpacklo_pd(s0, s1), _mm_unpacklo_pd(s2, s3)),
+                Halves(_mm_unpackhi_pd(s0, s1), _mm_unpackhi_pd(s2, s3)),
+            )
+        }
+    }
+
+    impl Qd for __m256d {
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            _mm256_setzero_pd()
+        }
+        #[inline(always)]
+        unsafe fn load<const M: usize>(x: &[f64; M], at: usize) -> Self {
+            assert!(at + 4 <= M);
+            _mm256_loadu_pd(x.as_ptr().add(at))
+        }
+        #[inline(always)]
+        unsafe fn store<const M: usize>(self, x: &mut [f64; M], at: usize) {
+            assert!(at + 4 <= M);
+            _mm256_storeu_pd(x.as_mut_ptr().add(at), self)
+        }
+        #[inline(always)]
+        unsafe fn set(l: [f64; 4]) -> Self {
+            _mm256_setr_pd(l[0], l[1], l[2], l[3])
+        }
+        #[inline(always)]
+        unsafe fn add(self, b: Self) -> Self {
+            _mm256_add_pd(self, b)
+        }
+        #[inline(always)]
+        unsafe fn sub(self, b: Self) -> Self {
+            _mm256_sub_pd(self, b)
+        }
+        #[inline(always)]
+        unsafe fn mul(self, b: Self) -> Self {
+            _mm256_mul_pd(self, b)
+        }
+        #[inline(always)]
+        unsafe fn xor(self, b: Self) -> Self {
+            _mm256_xor_pd(self, b)
+        }
+        #[inline(always)]
+        unsafe fn select(self, b: Self, mask: Self) -> Self {
+            _mm256_blendv_pd(self, b, mask)
+        }
+        #[inline(always)]
+        unsafe fn rotate<const R: i32>(self) -> Self {
+            // Two bits of the immediate per destination lane name its
+            // source lane.
+            match R & 3 {
+                0 => self,
+                1 => _mm256_permute4x64_pd::<0b00_11_10_01>(self),
+                2 => _mm256_permute4x64_pd::<0b01_00_11_10>(self),
+                _ => _mm256_permute4x64_pd::<0b10_01_00_11>(self),
+            }
+        }
+        #[inline(always)]
+        unsafe fn store_sites(re: Self, im: Self, out: &mut [f64; 24], c: usize) {
+            assert!(c < 3);
+            let p = out.as_mut_ptr().add(2 * c);
+            // [re0, im0, re2, im2] and [re1, im1, re3, im3].
+            let (even, odd) = (_mm256_unpacklo_pd(re, im), _mm256_unpackhi_pd(re, im));
+            _mm256_storeu2_m128d(p.add(12), p, even);
+            _mm256_storeu2_m128d(p.add(18), p.add(6), odd);
+        }
+        #[inline(always)]
+        unsafe fn load_sites(sites: &[f64; 24], c: usize) -> (Self, Self) {
+            assert!(c < 3);
+            let p = sites.as_ptr().add(2 * c);
+            let (even, odd) =
+                (_mm256_loadu2_m128d(p.add(12), p), _mm256_loadu2_m128d(p.add(18), p.add(6)));
+            (_mm256_unpacklo_pd(even, odd), _mm256_unpackhi_pd(even, odd))
+        }
+    }
 
     pub trait Sealed {}
     impl Sealed for f32 {}
@@ -925,26 +1113,6 @@ unsafe fn color_rotate<W: LaneWidth, const N: usize>(
     r
 }
 
-/// `acc ± U'·v` per site, with `U' = U†` when `adjoint` and `U`
-/// otherwise, one complex per 128-bit group.
-///
-/// # Safety
-/// As for [`load_pairs`].
-#[inline(always)]
-unsafe fn color_hop<W: LaneWidth>(
-    acc: &mut [W::Pd; 3],
-    adjoint: bool,
-    negate: bool,
-    v: &W::Sites<&[f64; 6]>,
-    u: &W::Sites<&[f64; 18]>,
-) {
-    let b = [W::load_pd(v, 0), W::load_pd(v, 2), W::load_pd(v, 4)];
-    let [r] = color_rotate::<W, 1>(adjoint, &[b], u);
-    for c in 0..3 {
-        acc[c] = if negate { acc[c].sub(r[c]) } else { acc[c].add(r[c]) };
-    }
-}
-
 /// # Safety
 /// As for [`load_pairs`].
 #[inline(always)]
@@ -1301,57 +1469,206 @@ pub fn clover_apply_shifted<R: WilsonLanes, W: LaneWidth>(
     unsafe { R::clover::<W>(&a, &psi, Some(shift), &mut out) }
 }
 
-/// The colour vectors of `W::SITES` sites while their hops are summed,
-/// held in SIMD registers. Flat vectors are the 6 reals of
-/// [`ColorVector`](crate::ColorVector), `[re, im]` per colour; site `k`
-/// of every argument goes to 128-bit group `k`.
-#[derive(Clone, Copy)]
-pub struct ColorAcc<W: LaneWidth>([W::Pd; 3]);
+/// Sites per lane-major group, at every width.
+pub const LANES: usize = 4;
 
-impl<W: LaneWidth> ColorAcc<W> {
+/// Where the four lanes of a lane-major operand come from. A lane-major
+/// group of four sites of `M / 4` reals each holds real `r` of lane `k`
+/// at `4r + k`: 24 reals for colour vectors, 72 for links
+/// ([`Su3::to_reals`](crate::Su3::to_reals) order per lane).
+#[derive(Clone, Copy, Debug)]
+pub enum Lanes<'a, const M: usize> {
+    /// One group with its lanes rotated: lane `k` reads lane
+    /// `(k + rot) % 4`.
+    Rotated(&'a [f64; M], usize),
+    /// Lane `k` reads lane `at[k].1` of group `at[k].0`.
+    PerLane([(&'a [f64; M], usize); LANES]),
+    /// Lane `k` reads the `M / 4` site-major reals at the head of
+    /// `sites[k]`.
+    Sites([&'a [f64]; LANES]),
+}
+
+/// Sign-bit masks: lane `k` of entry `n` is `−0.0` where bit `k` of `n`
+/// is set, else `+0.0`.
+const LANE_SIGNS: [[f64; LANES]; 16] = lane_table(-0.0, 0.0);
+
+/// Lane masks: lane `k` of entry `n` is all ones where bit `k` of `n`
+/// is set, else all zeros.
+const LANE_MASKS: [[f64; LANES]; 16] = lane_table(f64::from_bits(u64::MAX), 0.0);
+
+const fn lane_table(set: f64, clear: f64) -> [[f64; LANES]; 16] {
+    let mut t = [[clear; LANES]; 16];
+    let mut n = 0;
+    while n < 16 {
+        let mut k = 0;
+        while k < LANES {
+            if n >> k & 1 == 1 {
+                t[n][k] = set;
+            }
+            k += 1;
+        }
+        n += 1;
+    }
+    t
+}
+
+/// The `N` lane-major reals of a rotated group, lane `k` from lane
+/// `(k + R) % 4`.
+///
+/// # Safety
+/// As for [`load_pairs`].
+#[inline(always)]
+unsafe fn rotated<Q: Qd, const M: usize, const N: usize, const R: i32>(g: &[f64; M]) -> [Q; N] {
+    let mut out = [Q::zero(); N];
+    for (q, o) in out.iter_mut().enumerate() {
+        *o = Q::load(g, LANES * q).rotate::<R>();
+    }
+    out
+}
+
+/// The `N` lane-major reals of an operand (`M = 4N`).
+///
+/// # Safety
+/// As for [`load_pairs`].
+#[inline(always)]
+unsafe fn lanes<Q: Qd, const M: usize, const N: usize>(x: &Lanes<'_, M>) -> [Q; N] {
+    const { assert!(M == LANES * N) };
+    match *x {
+        Lanes::Rotated(g, rot) => match rot % LANES {
+            0 => rotated::<Q, M, N, 0>(g),
+            1 => rotated::<Q, M, N, 1>(g),
+            2 => rotated::<Q, M, N, 2>(g),
+            _ => rotated::<Q, M, N, 3>(g),
+        },
+        Lanes::PerLane(at) => {
+            let mut out = [Q::zero(); N];
+            for (q, o) in out.iter_mut().enumerate() {
+                let lane = |k: usize| at[k].0[LANES * q + at[k].1];
+                *o = Q::set([lane(0), lane(1), lane(2), lane(3)]);
+            }
+            out
+        }
+        Lanes::Sites(sites) => {
+            let sites = sites.map(|s| s.first_chunk::<N>().expect("a whole site"));
+            let mut out = [Q::zero(); N];
+            for (q, o) in out.iter_mut().enumerate() {
+                *o = Q::set([sites[0][q], sites[1][q], sites[2][q], sites[3][q]]);
+            }
+            out
+        }
+    }
+}
+
+/// `acc + (U'·v)·s` per live lane (see [`LaneAcc::hop`]).
+///
+/// # Safety
+/// As for [`load_pairs`].
+#[inline(always)]
+unsafe fn lane_hop<Q: Qd>(
+    acc: &mut [Q; 6],
+    adjoint: bool,
+    neg: u8,
+    live: u8,
+    v: &Lanes<'_, 24>,
+    u: &Lanes<'_, 72>,
+) {
+    let b: [Q; 6] = lanes(v);
+    let e: [Q; 18] = lanes(u);
+    let sign = Q::load(&LANE_SIGNS[usize::from(neg & 15)], 0);
+    for i in 0..3 {
+        // `mul_vec` (`adj_mul_vec`) order: from `+0.0`, `j` ascending,
+        // `re + ur·br − ui·bi` and `im + ur·bi + ui·br`; the conjugated
+        // entries of U† trade the signs of the `ui` terms.
+        let (mut re, mut im) = (Q::zero(), Q::zero());
+        for j in 0..3 {
+            let k = 2 * if adjoint { 3 * j + i } else { 3 * i + j };
+            let (ur, ui, br, bi) = (e[k], e[k + 1], b[2 * j], b[2 * j + 1]);
+            re = re.add(ur.mul(br));
+            im = im.add(ur.mul(bi));
+            if adjoint {
+                re = re.add(ui.mul(bi));
+                im = im.sub(ui.mul(br));
+            } else {
+                re = re.sub(ui.mul(bi));
+                im = im.add(ui.mul(br));
+            }
+        }
+        let sum_re = acc[2 * i].add(re.xor(sign));
+        let sum_im = acc[2 * i + 1].add(im.xor(sign));
+        if live & 15 == 15 {
+            acc[2 * i] = sum_re;
+            acc[2 * i + 1] = sum_im;
+        } else {
+            let mask = Q::load(&LANE_MASKS[usize::from(live & 15)], 0);
+            acc[2 * i] = acc[2 * i].select(sum_re, mask);
+            acc[2 * i + 1] = acc[2 * i + 1].select(sum_im, mask);
+        }
+    }
+}
+
+/// The colour vectors of the four sites of one lane-major group while
+/// their hops are summed, one SIMD register (or two halves) per real: a
+/// group is four lanes at every width, [`Sse2`] running it as two
+/// 2-lane halves and [`Avx2`] in one `__m256d`.
+#[derive(Clone, Copy)]
+pub struct LaneAcc<W: LaneWidth>([W::Qd; 6]);
+
+impl<W: LaneWidth> LaneAcc<W> {
     /// The zero vectors.
     #[inline(always)]
     pub fn zero(_: W) -> Self {
         // SAFETY: a `W` value exists only where the CPU runs W's
         // instructions.
-        ColorAcc([unsafe { W::Pd::zero() }; 3])
+        LaneAcc([unsafe { W::Qd::zero() }; 6])
     }
 
-    /// Start from existing vectors.
+    /// Add `(U'·v)·s` to every lane `k` whose bit is set in `live`, with
+    /// `U' = U†` when `adjoint` and `U` otherwise, and `s = −1` where bit
+    /// `k` of `neg` is set and `s = 1` elsewhere. A lane outside `live`
+    /// keeps its sum bit for bit (it is not added `±0`). Bit-identical,
+    /// lane by lane, to `acc.add(&U.mul_vec(v).scale(s))` (or
+    /// `adj_mul_vec`).
     #[inline(always)]
-    pub fn load(_: W, v: W::Sites<&[f64; 6]>) -> Self {
+    pub fn hop(&mut self, adjoint: bool, neg: u8, live: u8, v: Lanes<'_, 24>, u: Lanes<'_, 72>) {
         // SAFETY: as for `zero`; loads are bounds-checked against the
         // fixed-size arrays.
-        unsafe { ColorAcc([W::load_pd(&v, 0), W::load_pd(&v, 2), W::load_pd(&v, 4)]) }
+        unsafe { lane_hop::<W::Qd>(&mut self.0, adjoint, neg, live, &v, &u) }
     }
 
-    /// Write the sums out.
+    /// Write the sums out site-major: site `k`'s 6 reals at `6k`.
     #[inline(always)]
-    pub fn store(&self, mut out: W::Sites<&mut [f64; 6]>) {
-        // SAFETY: `self` was built from a `W` value (see `zero`); stores
-        // are bounds-checked against the fixed-size arrays.
+    pub fn store(&self, out: &mut [f64; 24]) {
+        // SAFETY: as for `hop`.
         unsafe {
             for c in 0..3 {
-                W::store_pd(&mut out, 2 * c, self.0[c]);
+                W::Qd::store_sites(self.0[2 * c], self.0[2 * c + 1], out, c);
             }
         }
     }
 
-    /// Add `U'·v` per site, or subtract it when `negate`, with `U' = U†`
-    /// when `adjoint` and `U` otherwise; `u` holds the 18 reals of
-    /// [`Su3::to_reals`](crate::Su3::to_reals). Bit-identical, site by
-    /// site, to `acc.add(&U.mul_vec(v).scale(s))` (or `adj_mul_vec`) with
-    /// `s = −1` when `negate` and `s = 1` otherwise.
+    /// Write the sums out lane-major: lane `k`'s real `r` at `4r + k`.
     #[inline(always)]
-    pub fn hop(
-        &mut self,
-        adjoint: bool,
-        negate: bool,
-        v: W::Sites<&[f64; 6]>,
-        u: W::Sites<&[f64; 18]>,
-    ) {
-        // SAFETY: as for `store`.
-        unsafe { color_hop::<W>(&mut self.0, adjoint, negate, &v, &u) }
+    pub fn store_lanes(&self, out: &mut [f64; 24]) {
+        // SAFETY: as for `hop`.
+        unsafe {
+            for (r, x) in self.0.iter().enumerate() {
+                x.store(out, LANES * r);
+            }
+        }
+    }
+
+    /// Start from the site-major sums `sites`, as [`LaneAcc::store`]
+    /// writes them.
+    #[inline(always)]
+    pub fn load(_: W, sites: &[f64; 24]) -> Self {
+        // SAFETY: as for `hop`.
+        unsafe {
+            let mut acc = [W::Qd::zero(); 6];
+            for c in 0..3 {
+                (acc[2 * c], acc[2 * c + 1]) = W::Qd::load_sites(sites, c);
+            }
+            LaneAcc(acc)
+        }
     }
 }
 
@@ -1614,9 +1931,9 @@ mod tests {
         ChainedHops,
         Clover,
         RoundTrip,
-        ColorHop,
-        ChainedColorHops,
-        ColorRoundTrip,
+        LaneHop,
+        ChainedLaneHops,
+        LaneRoundTrip,
     }
 
     #[derive(Clone, Copy)]
@@ -1632,9 +1949,9 @@ mod tests {
                 Check::ChainedHops => chained_hops_match_scalar::<R, W>(w, seed),
                 Check::Clover => clover_matches_scalar::<R, W>(w, seed),
                 Check::RoundTrip => zero_load_store_roundtrip::<R, W>(w, seed),
-                Check::ColorHop => color_hop_matches_scalar::<W>(w, seed),
-                Check::ChainedColorHops => chained_color_hops_match_scalar::<W>(w, seed),
-                Check::ColorRoundTrip => color_acc_roundtrip::<W>(w, seed),
+                Check::LaneHop => lane_hop_matches_scalar::<W>(w, seed),
+                Check::ChainedLaneHops => chained_lane_hops_match_scalar::<W>(w, seed),
+                Check::LaneRoundTrip => lane_acc_roundtrip::<W>(w, seed),
             }
         }
     }
@@ -1883,105 +2200,167 @@ mod tests {
         std::array::from_fn(|i| reals[6 * k + i].to_bits())
     }
 
-    /// Both forms and both signs, from zero and from a random
-    /// accumulator. Every site of a call draws its own vector, link and
-    /// accumulator, so a kernel that swaps or mixes lanes fails.
-    fn color_hop_matches_scalar<W: LaneWidth>(w: W, seed: u64) {
-        let tree = SeedTree::new(seed);
-        let mut rng = tree.rng();
-        for trial in 0..400 {
-            let special = trial % 2 == 1;
-            let mut v = Vec::new();
-            let mut u = Vec::new();
-            let mut acc0 = Vec::new();
-            for _ in 0..W::SITES {
-                v.push(vector64(&mut rng, special));
-                u.push(matrix::<f64, _>(&mut rng, special));
-                acc0.push(if trial % 4 == 0 {
-                    ColorVector::zero()
-                } else {
-                    vector64(&mut rng, special)
-                });
+    /// Four lane-major groups of colour vectors and of links, every lane
+    /// with its own data, and the same sites site-major.
+    struct LaneData {
+        v: Vec<ColorVector<f64>>,
+        u: Vec<Su3<f64>>,
+        v_sites: Vec<[f64; 6]>,
+        u_sites: Vec<[f64; 18]>,
+        v_groups: Vec<[f64; 24]>,
+        u_groups: Vec<[f64; 72]>,
+    }
+
+    impl LaneData {
+        fn draw<G: Rng>(rng: &mut G, special: bool) -> LaneData {
+            let n = LANES * LANES;
+            let v: Vec<_> = (0..n).map(|_| vector64(rng, special)).collect();
+            let u: Vec<_> = (0..n).map(|_| matrix::<f64, _>(rng, special)).collect();
+            let v_sites: Vec<_> = v.iter().map(flat64).collect();
+            let u_sites: Vec<_> = u.iter().map(Su3::to_reals).collect();
+            let v_groups = (0..LANES)
+                .map(|g| std::array::from_fn(|i| v_sites[LANES * g + i % LANES][i / LANES]))
+                .collect();
+            let u_groups = (0..LANES)
+                .map(|g| std::array::from_fn(|i| u_sites[LANES * g + i % LANES][i / LANES]))
+                .collect();
+            LaneData { v, u, v_sites, u_sites, v_groups, u_groups }
+        }
+
+        /// A source for the four lanes, drawn at random: one group with
+        /// each rotation, every lane from its own group and lane, or every
+        /// lane from its own site-major site. Returns the operands and the
+        /// site each lane reads.
+        fn pick<G: Rng>(&self, rng: &mut G) -> (Lanes<'_, 24>, Lanes<'_, 72>, [usize; LANES]) {
+            let site: [usize; LANES] = std::array::from_fn(|_| below(rng, LANES * LANES));
+            let at = |k: usize| (site[k] / LANES, site[k] % LANES);
+            match below(rng, 3) {
+                0 => {
+                    let (g, rot) = (below(rng, LANES), below(rng, LANES));
+                    let site = std::array::from_fn(|k| LANES * g + (k + rot) % LANES);
+                    let (v, u) = (&self.v_groups[g], &self.u_groups[g]);
+                    (Lanes::Rotated(v, rot), Lanes::Rotated(u, rot), site)
+                }
+                1 => (
+                    Lanes::PerLane(std::array::from_fn(|k| (&self.v_groups[at(k).0], at(k).1))),
+                    Lanes::PerLane(std::array::from_fn(|k| (&self.u_groups[at(k).0], at(k).1))),
+                    site,
+                ),
+                _ => (
+                    Lanes::Sites(std::array::from_fn(|k| &self.v_sites[site[k]][..])),
+                    Lanes::Sites(std::array::from_fn(|k| &self.u_sites[site[k]][..])),
+                    site,
+                ),
             }
-            let v_flat: Vec<_> = v.iter().map(flat64).collect();
-            let u_flat: Vec<_> = u.iter().map(Su3::to_reals).collect();
-            let acc0_flat: Vec<_> = acc0.iter().map(flat64).collect();
+        }
+    }
+
+    /// A uniform draw from `0..n`.
+    fn below<G: Rng>(rng: &mut G, n: usize) -> usize {
+        rng.gen::<u32>() as usize % n
+    }
+
+    fn sites24(v: &[ColorVector<f64>]) -> [f64; 24] {
+        std::array::from_fn(|i| flat64(&v[i / 6])[i % 6])
+    }
+
+    /// One lane-major hop, both forms, every sign and live mask, each
+    /// operand rotated or gathered per lane, from random accumulators
+    /// that include `−0.0`: every lane against the scalar hop on its own
+    /// data, and a lane outside the live mask keeps its bits.
+    fn lane_hop_matches_scalar<W: LaneWidth>(w: W, seed: u64) {
+        let mut rng = SeedTree::new(seed).rng();
+        for trial in 0..300 {
+            let special = trial % 2 == 1;
+            let data = LaneData::draw(&mut rng, special);
+            let mut acc0: Vec<_> = (0..LANES).map(|_| vector64(&mut rng, special)).collect();
+            // A masked lane holding −0.0 shows any add of ±0.
+            acc0[trial % LANES] = ColorVector::from_fn(|_| Complex::new(-0.0, -0.0));
             for adjoint in [false, true] {
-                for negate in [false, true] {
-                    let mut acc = ColorAcc::load(w, W::sites(|k| &acc0_flat[k]));
-                    acc.hop(adjoint, negate, W::sites(|k| &v_flat[k]), W::sites(|k| &u_flat[k]));
-                    let mut got = vec![0.0; 6 * W::SITES];
-                    acc.store(W::split_mut(&mut got));
-                    for k in 0..W::SITES {
-                        let want = scalar_color_hop(&acc0[k], adjoint, negate, &v[k], &u[k]);
-                        assert_eq!(
-                            at6(&got, k),
-                            bits64(&want),
-                            "{}: trial {trial}, site {k}, adjoint={adjoint}, negate={negate}",
-                            name::<W>()
-                        );
-                    }
+                let (v, u, site) = data.pick(&mut rng);
+                let (neg, live) = (below(&mut rng, 16) as u8, below(&mut rng, 16) as u8);
+                let mut acc = LaneAcc::load(w, &sites24(&acc0));
+                acc.hop(adjoint, neg, live, v, u);
+                let mut got = [0.0; 24];
+                acc.store(&mut got);
+                for k in 0..LANES {
+                    let want = if live >> k & 1 == 1 {
+                        let (v, u) = (&data.v[site[k]], &data.u[site[k]]);
+                        scalar_color_hop(&acc0[k], adjoint, neg >> k & 1 == 1, v, u)
+                    } else {
+                        acc0[k]
+                    };
+                    assert_eq!(
+                        at6(&got, k),
+                        bits64(&want),
+                        "{}: trial {trial}, lane {k}, adjoint={adjoint}, neg={neg:04b}, \
+                         live={live:04b}",
+                        name::<W>()
+                    );
                 }
             }
         }
     }
 
     #[test]
-    fn color_hop_matches_scalar_bitwise() {
-        f64_at_every_width(Check::ColorHop, 45);
+    fn lane_hop_matches_scalar_bitwise() {
+        f64_at_every_width(Check::LaneHop, 48);
     }
 
-    /// The asqtad interior pattern: sixteen signed hops summed into a zero
-    /// accumulator, forward with U and backward with U†, each site with
-    /// its own data and its own signs.
-    fn chained_color_hops_match_scalar<W: LaneWidth>(w: W, seed: u64) {
-        let tree = SeedTree::new(seed);
-        let mut rng = tree.rng();
+    /// The asqtad interior pattern on a lane-major group: sixteen hops
+    /// summed from zero, forward with U and backward with U†, each lane
+    /// with its own sign, some hops taken by some lanes only.
+    fn chained_lane_hops_match_scalar<W: LaneWidth>(w: W, seed: u64) {
+        let mut rng = SeedTree::new(seed).rng();
         for trial in 0..50 {
             let special = trial % 2 == 0;
-            let mut want = vec![ColorVector::zero(); W::SITES];
-            let mut acc = ColorAcc::zero(w);
+            let mut want = [ColorVector::zero(); LANES];
+            let mut acc = LaneAcc::zero(w);
             for hop in 0..16 {
-                // One call serves every site with one sign, as a group of
-                // sites with one η mask does; the sign varies per call.
-                let (adjoint, negate) = (hop % 2 == 1, rng.gen::<bool>());
-                let mut v = Vec::new();
-                let mut u = Vec::new();
-                for want in want.iter_mut() {
-                    let x = vector64(&mut rng, special);
-                    let m = matrix::<f64, _>(&mut rng, special);
-                    *want = scalar_color_hop(want, adjoint, negate, &x, &m);
-                    v.push(flat64(&x));
-                    u.push(m.to_reals());
+                let data = LaneData::draw(&mut rng, special);
+                let (v, u, site) = data.pick(&mut rng);
+                let adjoint = hop % 2 == 1;
+                let neg = below(&mut rng, 16) as u8;
+                let live = if below(&mut rng, 4) == 0 { below(&mut rng, 16) as u8 } else { 15 };
+                for (k, want) in want.iter_mut().enumerate() {
+                    if live >> k & 1 == 1 {
+                        let (x, m) = (&data.v[site[k]], &data.u[site[k]]);
+                        *want = scalar_color_hop(want, adjoint, neg >> k & 1 == 1, x, m);
+                    }
                 }
-                acc.hop(adjoint, negate, W::sites(|k| &v[k]), W::sites(|k| &u[k]));
+                acc.hop(adjoint, neg, live, v, u);
             }
-            let mut got = vec![0.0; 6 * W::SITES];
-            acc.store(W::split_mut(&mut got));
+            let mut got = [0.0; 24];
+            acc.store(&mut got);
             for (k, want) in want.iter().enumerate() {
-                assert_eq!(at6(&got, k), bits64(want), "{}: trial {trial}, site {k}", name::<W>());
+                assert_eq!(at6(&got, k), bits64(want), "{}: trial {trial}, lane {k}", name::<W>());
             }
         }
     }
 
     #[test]
-    fn chained_color_hops_from_zero_match_scalar_bitwise() {
-        f64_at_every_width(Check::ChainedColorHops, 46);
+    fn chained_lane_hops_from_zero_match_scalar_bitwise() {
+        f64_at_every_width(Check::ChainedLaneHops, 49);
     }
 
-    fn color_acc_roundtrip<W: LaneWidth>(w: W, seed: u64) {
-        let mut got = vec![1.0; 6 * W::SITES];
-        ColorAcc::zero(w).store(W::split_mut(&mut got));
+    fn lane_acc_roundtrip<W: LaneWidth>(w: W, seed: u64) {
+        let mut got = [1.0; 24];
+        LaneAcc::zero(w).store(&mut got);
         assert!(got.iter().all(|x| x.to_bits() == 0), "{}", name::<W>());
         let mut rng = SeedTree::new(seed).rng();
-        let v: Vec<_> = (0..W::SITES).map(|_| flat64(&vector64(&mut rng, true))).collect();
-        ColorAcc::load(w, W::sites(|k| &v[k])).store(W::split_mut(&mut got));
-        assert_eq!(bits(&got), bits(&v.concat()), "{}", name::<W>());
+        let v: Vec<_> = (0..LANES).map(|_| vector64(&mut rng, true)).collect();
+        let sites = sites24(&v);
+        LaneAcc::load(w, &sites).store(&mut got);
+        assert_eq!(bits(&got), bits(&sites), "{}", name::<W>());
+        // Lane-major: real r of lane k at 4r + k.
+        LaneAcc::load(w, &sites).store_lanes(&mut got);
+        let want: Vec<f64> = (0..24).map(|i| sites[6 * (i % LANES) + i / LANES]).collect();
+        assert_eq!(bits(&got), bits(&want), "{}", name::<W>());
     }
 
     #[test]
-    fn color_acc_zero_load_store_roundtrip_is_exact() {
-        f64_at_every_width(Check::ColorRoundTrip, 47);
+    fn lane_acc_load_store_round_trips_and_transposes_exactly() {
+        f64_at_every_width(Check::LaneRoundTrip, 50);
     }
 
     /// `‖x‖²` in the documented order, term by term in scalar f64.
