@@ -393,8 +393,8 @@ fn half_precision(c: &mut Criterion) {
 }
 
 fn whole_solves(c: &mut Criterion) {
+    use lqcd_core::LadderChoice;
     use lqcd_core::{solve_wilson, WilsonProblem, WilsonSolve};
-    use lqcd_tune::LadderChoice;
     let p = WilsonProblem::small();
     let mut g = c.benchmark_group("solves");
     g.sample_size(10);

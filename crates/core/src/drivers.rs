@@ -2,9 +2,9 @@
 //! whole distributed solve, and both operators run one launch body.
 //!
 //! [`solve_wilson`] runs a [`WilsonSolve`] request: BiCGstab, or GCR-DD
-//! from a start rung of the precision ladder, optionally under a resolved
-//! [`TuneParam`]. [`solve_staggered`] runs a [`StaggeredSolve`] request:
-//! asqtad multi-shift CG. Both are a [`SolveRequest`], which adds the
+//! from a start rung of the precision ladder ([`LadderChoice`]), or GCR-DD
+//! under a resolved [`TuneParam`]. [`solve_staggered`] runs a
+//! [`StaggeredSolve`] request: asqtad multi-shift CG. Both are a [`SolveRequest`], which adds the
 //! comms policy, a fault plan per world launch and an optional
 //! [`SupervisorConfig`], and both return a [`SolveRun`] of per-rank
 //! results. Each operator supplies only its operator build, its start
@@ -37,10 +37,37 @@ use lqcd_solvers::{
     bicgstab, gcr_monitored, multishift_cg, SchwarzMR, SolveMonitor, SolveStats, SolverSpace,
 };
 use lqcd_su3::WilsonSpinor;
-use lqcd_tune::{LadderChoice, TuneParam};
+use lqcd_tune::TuneParam;
 use lqcd_util::{trace, BreakdownKind, Error, Real, Result};
 use std::ops::Deref;
 use std::time::{Duration, Instant};
+
+/// Which rung of the precision ladder a solve starts on (the
+/// graceful-degradation choice): lower rungs are faster per iteration
+/// but may pay fallback restarts. Every request climbs it the same way,
+/// and a checkpoint records the rung by its
+/// [`rung_code`](crate::supervise::rung_code).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LadderChoice {
+    /// f64 operator — the last resort; a breakdown here is final.
+    Double,
+    /// f32 operator, single-precision Krylov storage.
+    Single,
+    /// f32 operator with 16-bit quantized Krylov/block storage — the
+    /// paper's single-half-half configuration.
+    Half,
+}
+
+impl LadderChoice {
+    /// The next-higher rung, if any.
+    pub fn escalate(self) -> Option<LadderChoice> {
+        match self {
+            LadderChoice::Half => Some(LadderChoice::Single),
+            LadderChoice::Single => Some(LadderChoice::Double),
+            LadderChoice::Double => None,
+        }
+    }
+}
 
 /// Per-rank outcome of a solve: what the solver measured, the request
 /// facts, and the operator's summary `S` of the solution. The summary's
@@ -101,9 +128,9 @@ pub type StaggeredSolveOutcome = SolveOutcome<StaggeredSummary>;
 enum Krylov {
     /// BiCGstab at f64 (Fig. 8's baseline): no ladder, no checkpoints.
     BiCgStab,
-    /// Additive-Schwarz preconditioned flexible GCR (Algorithm 1), under
-    /// an optional tuned configuration.
-    GcrDd(Option<TuneParam>),
+    /// Additive-Schwarz preconditioned flexible GCR (Algorithm 1), with
+    /// the interior thread count a tuned request sets.
+    GcrDd(Option<usize>),
 }
 
 /// What a Wilson request solves with; [`WilsonSolve::bicgstab`],
@@ -178,13 +205,13 @@ impl WilsonSolve {
         Self::new(WilsonMethod(Krylov::GcrDd(None)), start)
     }
 
-    /// GCR-DD under a resolved tuned configuration: it starts on
-    /// `param.ladder` and applies `param`'s interior thread count to
-    /// every rung's operator and its `mr_steps` and `n_kv` (GCR `kmax`)
-    /// to the solve. The partition scheme is the caller's grid (see
+    /// GCR-DD from Double under a resolved tuned configuration: it sets
+    /// `param`'s interior thread count on every rung's operator, and
+    /// nothing else. The partition scheme is the caller's grid (see
     /// [`tuning::resolve`](crate::tuning::resolve)).
     pub fn tuned(param: TuneParam) -> Self {
-        Self::new(WilsonMethod(Krylov::GcrDd(Some(param))), param.ladder)
+        let threads = Some(param.interior_threads);
+        Self::new(WilsonMethod(Krylov::GcrDd(threads)), LadderChoice::Double)
     }
 }
 
@@ -437,17 +464,15 @@ where
     }
     let result = match l.method.0 {
         Krylov::BiCgStab => bicgstab(&mut space, &mut x, &b, p.tol, p.maxiter),
-        Krylov::GcrDd(tune) => {
+        Krylov::GcrDd(threads) => {
             let mut params = p.gcr;
             params.quantize_krylov |= half;
-            let mut mr_steps = p.mr_steps;
-            if let Some(t) = tune {
+            if let Some(t) = threads {
                 // Set on the rung's own operator: a cast operator does
                 // not inherit the f64 operator's thread count.
-                space.op.set_interior_threads(t.interior_threads);
-                (mr_steps, params.kmax) = (t.mr_steps, t.n_kv);
+                space.op.set_interior_threads(t);
             }
-            let precond = SchwarzMR::new(mr_steps);
+            let precond = SchwarzMR::new(p.mr_steps);
             let mut precond = if half { precond.quantized() } else { precond };
             // The watchdog rides every rung, its wall-clock budget
             // counting from the first launch: a NaN or a stagnating
@@ -522,6 +547,13 @@ impl Operator for StaggeredProblem {
 mod tests {
     use super::*;
     use lqcd_lattice::Dims;
+
+    #[test]
+    fn ladder_escalates_half_single_double() {
+        assert_eq!(LadderChoice::Half.escalate(), Some(LadderChoice::Single));
+        assert_eq!(LadderChoice::Single.escalate(), Some(LadderChoice::Double));
+        assert_eq!(LadderChoice::Double.escalate(), None);
+    }
 
     #[test]
     fn bicgstab_and_gcr_dd_agree_on_solution_norm() {
@@ -753,7 +785,7 @@ mod resilient_tests {
         // for bit.
         let param = TuneParam::baseline(1);
         let (zt, resolved) =
-            tuning::resolve(&TunePolicy::Fixed(param), &tuning::wilson_solver_key(&p, 4)).unwrap();
+            tuning::resolve(&TunePolicy::Fixed(param), &tuning::wilson_dslash_key(&p, 4)).unwrap();
         assert_eq!(resolved, Some(param));
         let untuned = fault_free(&p, &zt);
         let tuned = solve_wilson(&p, zt, WilsonSolve::tuned(param)).into_result().unwrap();

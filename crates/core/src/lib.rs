@@ -27,16 +27,16 @@
 
 pub mod calibration;
 pub mod drivers;
-pub mod ensemble;
 pub mod observables;
 pub mod problem;
 pub mod supervise;
 pub mod tuning;
 
 pub use drivers::{
-    solve_staggered, solve_wilson, SolveOutcome, SolveRequest, SolveRun, StaggeredRun,
-    StaggeredSolve, StaggeredSolveOutcome, WilsonRun, WilsonSolve, WilsonSolveOutcome,
+    solve_staggered, solve_wilson, LadderChoice, SolveOutcome, SolveRequest, SolveRun,
+    StaggeredRun, StaggeredSolve, StaggeredSolveOutcome, WilsonRun, WilsonSolve,
+    WilsonSolveOutcome,
 };
 pub use problem::{StaggeredProblem, WilsonProblem};
 pub use supervise::{CheckpointingMonitor, SolveCheckpointMeta, SupervisorConfig};
-pub use tuning::{tune_wilson, WilsonTuneOutcome};
+pub use tuning::tune_wilson;

@@ -41,6 +41,7 @@
 //! convergence optimisation and a determinism aid, not a correctness
 //! requirement.
 
+use crate::drivers::LadderChoice;
 use crate::problem::WilsonProblem;
 use lqcd_comms::{Communicator, SharedComm};
 use lqcd_dirac::wilson::SpinorField;
@@ -49,7 +50,6 @@ use lqcd_field::snapshot::{decode_field_into, encode_field};
 use lqcd_lattice::{Parity, ProcessGrid};
 use lqcd_solvers::spaces::EoWilsonSpace;
 use lqcd_solvers::{SolveMonitor, SolveStats, SolveWatchdog, WatchdogConfig};
-use lqcd_tune::LadderChoice;
 use lqcd_util::checkpoint::{ByteReader, Checkpoint, CheckpointStore};
 use lqcd_util::{trace, Error, Result};
 use std::path::{Path, PathBuf};

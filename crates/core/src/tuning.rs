@@ -1,21 +1,20 @@
-//! Autotuning glue: real micro-trial runners for `lqcd-tune` and the
+//! Autotuning glue: the real micro-trial runner for `lqcd-tune` and the
 //! policy resolution the solve entry points take.
 //!
 //! `lqcd-tune`'s [`Tuner`] is closure-based — it knows nothing about
-//! operators or communicators. This module supplies the two Wilson-clover
-//! closures: a dslash trial that launches a fresh in-process world per
+//! operators or communicators. This module supplies the Wilson-clover
+//! dslash trial: one round launches a fresh in-process world on the
 //! candidate partition scheme, applies the candidate's interior thread
-//! count, times the real overlapped pipeline (min-of-rounds behind
-//! barriers, max over ranks), and bit-compares one apply against the
-//! blocking reference path; and a GCR-DD trial that times whole
-//! preconditioned solves under candidate `mr_steps`/`n_kv`. A staggered
+//! count, bit-compares one overlapped apply against the blocking
+//! reference path, and times `applies` applies of the real overlapped
+//! pipeline after warm-up, behind barriers, max over ranks. A staggered
 //! request takes no tuned parameter, so no asqtad trial exists. On top
-//! sit [`tune_wilson`] (the two-phase dslash-then-solver search) and
-//! [`resolve`], which turns a [`TunePolicy`] into the grid and the
-//! [`TuneParam`] a [`WilsonSolve::tuned`] request applies. See
-//! DESIGN.md, "Autotuning".
+//! sit [`tune_wilson`] (the one-phase search, decided by the tuner's
+//! alternating-rounds rule) and [`resolve`], which turns a
+//! [`TunePolicy`] into the grid and the [`TuneParam`] a
+//! [`WilsonSolve::tuned`](crate::WilsonSolve::tuned) request applies.
+//! See DESIGN.md, "Autotuning".
 
-use crate::drivers::{solve_wilson, WilsonSolve};
 use crate::problem::WilsonProblem;
 use lqcd_comms::{run_on_grid, Communicator};
 use lqcd_dirac::{BoundaryMode, OverlapHost};
@@ -25,33 +24,28 @@ use lqcd_util::trace::MetricsRegistry;
 use lqcd_util::Result;
 use std::time::Instant;
 
-/// The tune key of the Wilson-clover dslash phase.
+/// The tune key of the Wilson-clover dslash.
 pub fn wilson_dslash_key(problem: &WilsonProblem, ranks: usize) -> TuneKey {
     TuneKey::new("wilson_clover/dslash", problem.global, ranks)
-}
-
-/// The tune key of the Wilson-clover GCR-DD solver phase.
-pub fn wilson_solver_key(problem: &WilsonProblem, ranks: usize) -> TuneKey {
-    TuneKey::new("wilson_clover/gcr_dd", problem.global, ranks)
 }
 
 /// Resolve `policy` for the solve `key` names: the process grid to run
 /// on and the tuned configuration to apply. `Off` (or a cache miss under
 /// `Tuned`) gives the hardcoded defaults — ZT partitioning and no
-/// [`TuneParam`], so the problem's own solver parameters run; `Fixed`
-/// and a `Tuned` hit give the parameter's own scheme.
+/// [`TuneParam`]; `Fixed` and a `Tuned` hit give the parameter's own
+/// scheme.
 pub fn resolve(policy: &TunePolicy, key: &TuneKey) -> Result<(ProcessGrid, Option<TuneParam>)> {
     let param = policy.resolve(key)?;
     let scheme = param.map_or(PartitionScheme::ZT, |p| p.scheme);
     Ok((scheme.grid(key.global_dims(), key.ranks)?, param))
 }
 
-/// The Wilson-clover dslash micro-trial (see [`Tuner`]): launch
-/// `param.scheme`'s world, build each rank's operator and source, apply
-/// the candidate interior thread count, and measure the real overlapped
-/// pipeline. The trial unit is one dslash apply; the bitwise guard
-/// compares one overlapped apply against `dslash_sequential` on every
-/// rank.
+/// One round of the Wilson-clover dslash micro-trial (see [`Tuner`]):
+/// launch `param.scheme`'s world, build each rank's operator and source,
+/// apply the candidate interior thread count, and time `tuner.applies`
+/// applies of the real overlapped pipeline after `tuner.warmup` untimed
+/// ones. The trial unit is one dslash apply; the bitwise guard compares
+/// one overlapped apply against `dslash_sequential` on every rank.
 pub fn wilson_dslash_trial(
     problem: &WilsonProblem,
     ranks: usize,
@@ -59,7 +53,7 @@ pub fn wilson_dslash_trial(
     param: &TuneParam,
 ) -> Result<TrialOutcome> {
     let grid = param.scheme.grid(problem.global, ranks)?;
-    let (warmup, rounds, applies) = (tuner.warmup, tuner.rounds, tuner.applies);
+    let (warmup, applies) = (tuner.warmup, tuner.applies);
     let results = run_on_grid(grid.clone(), |mut comm| -> Result<(f64, bool)> {
         let op = problem.build_operator(&mut comm, &grid)?;
         let mut src = problem.rhs(&op);
@@ -73,76 +67,19 @@ pub fn wilson_dslash_trial(
         for _ in 0..warmup {
             op.dslash(&mut out, &mut src, &mut comm, BoundaryMode::Full)?;
         }
-        let mut best = f64::INFINITY;
-        for _ in 0..rounds {
-            comm.barrier()?;
-            let t = Instant::now();
-            for _ in 0..applies {
-                op.dslash(&mut out, &mut src, &mut comm, BoundaryMode::Full)?;
-            }
-            comm.barrier()?;
-            let mut wall = [t.elapsed().as_secs_f64()];
-            comm.allreduce_max(&mut wall)?;
-            best = best.min(wall[0]);
+        comm.barrier()?;
+        let t = Instant::now();
+        for _ in 0..applies {
+            op.dslash(&mut out, &mut src, &mut comm, BoundaryMode::Full)?;
         }
-        Ok((best / applies as f64, identical))
+        comm.barrier()?;
+        let mut wall = [t.elapsed().as_secs_f64()];
+        comm.allreduce_max(&mut wall)?;
+        Ok((wall[0] / applies as f64, identical))
     });
     let per_rank = results.into_iter().collect::<Result<Vec<_>>>()?;
     let bit_identical = per_rank.iter().all(|&(_, id)| id);
     Ok(TrialOutcome { secs_per_unit: per_rank[0].0, bit_identical })
-}
-
-/// One GCR-DD micro-trial: whole preconditioned solves of `problem`
-/// under `param`'s solver axes. The trial unit is one solve. Exact
-/// bit-identity against a reference cannot hold here — different
-/// `mr_steps`/`n_kv` legitimately change the iterates — so the guard
-/// checks what *must* hold: every solve converges, all ranks agree
-/// bit-exactly on the global solution norm, and repeated solves of the
-/// same candidate are bit-identical run to run (the determinism the
-/// warm-cache contract relies on).
-pub fn wilson_gcr_trial(
-    problem: &WilsonProblem,
-    ranks: usize,
-    tuner: &Tuner,
-    param: &TuneParam,
-) -> Result<TrialOutcome> {
-    let grid = param.scheme.grid(problem.global, ranks)?;
-    let mut best = f64::INFINITY;
-    let mut sound = true;
-    let mut norms: Vec<f64> = Vec::new();
-    for i in 0..tuner.warmup + tuner.rounds * tuner.applies {
-        let t = Instant::now();
-        let out = solve_wilson(problem, grid.clone(), WilsonSolve::tuned(*param)).into_result()?;
-        let wall = t.elapsed().as_secs_f64();
-        sound &= out.iter().all(|o| o.stats.converged);
-        let n0 = out[0].solution_norm2;
-        sound &= out.iter().all(|o| o.solution_norm2.to_bits() == n0.to_bits());
-        norms.push(n0);
-        if i >= tuner.warmup {
-            best = best.min(wall);
-        }
-    }
-    sound &= norms.windows(2).all(|w| w[0].to_bits() == w[1].to_bits());
-    Ok(TrialOutcome { secs_per_unit: best, bit_identical: sound })
-}
-
-/// Everything the two-phase Wilson tune produced.
-#[derive(Clone, Debug)]
-pub struct WilsonTuneOutcome {
-    /// Phase 1: partition scheme / interior threads, decided on dslash
-    /// micro-trials.
-    pub dslash: TuneReport,
-    /// Phase 2: `mr_steps` / `n_kv`, decided on whole-solve trials
-    /// around the phase-1 winner.
-    pub solver: TuneReport,
-}
-
-impl WilsonTuneOutcome {
-    /// The fully tuned configuration (phase-2 winner, which carries the
-    /// phase-1 axes as its baseline).
-    pub fn best(&self) -> TuneParam {
-        self.solver.decision.param
-    }
 }
 
 /// The most interior workers one of `ranks` co-resident ranks can run
@@ -153,40 +90,34 @@ pub fn interior_thread_cap(ranks: usize) -> usize {
     (cores / ranks.max(1)).max(1)
 }
 
-/// The dslash-phase tuner of a `ranks`-rank world: the thread axis goes
-/// up to `max_threads`, but no further than [`interior_thread_cap`].
+/// The tuner of a `ranks`-rank world: the thread axis goes up to
+/// `max_threads`, but no further than [`interior_thread_cap`].
 fn dslash_tuner(ranks: usize, max_threads: usize) -> Tuner {
-    Tuner::dslash(TuneParam::baseline(1), max_threads.min(interior_thread_cap(ranks)))
+    Tuner::new(TuneParam::baseline(1), max_threads.min(interior_thread_cap(ranks)))
 }
 
-/// Two-phase Wilson-clover tune: dslash axes first (scheme, threads),
-/// then the solver axes around that winner. The thread axis stops at
-/// each rank's share of the host's cores ([`interior_thread_cap`]).
-/// Each phase consults `cache` first — a warm cache runs zero trials.
+/// Tune the Wilson-clover dslash's partition scheme and interior threads
+/// on a `ranks`-rank world. The thread axis stops at each rank's share
+/// of the host's cores ([`interior_thread_cap`]). The cache is consulted
+/// first — a warm cache runs zero trials.
 pub fn tune_wilson(
     problem: &WilsonProblem,
     ranks: usize,
     max_threads: usize,
     cache: &mut TuneCache,
     metrics: &mut MetricsRegistry,
-) -> Result<WilsonTuneOutcome> {
-    let dslash_tuner = dslash_tuner(ranks, max_threads);
-    let dslash =
-        dslash_tuner.tune(&wilson_dslash_key(problem, ranks), cache, metrics, |param| {
-            wilson_dslash_trial(problem, ranks, &dslash_tuner, param)
-        })?;
-    let solver_tuner = Tuner::solver(dslash.decision.param);
-    let solver =
-        solver_tuner.tune(&wilson_solver_key(problem, ranks), cache, metrics, |param| {
-            wilson_gcr_trial(problem, ranks, &solver_tuner, param)
-        })?;
-    Ok(WilsonTuneOutcome { dslash, solver })
+) -> Result<TuneReport> {
+    let tuner = dslash_tuner(ranks, max_threads);
+    tuner.tune(&wilson_dslash_key(problem, ranks), cache, metrics, |param| {
+        wilson_dslash_trial(problem, ranks, &tuner, param)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lqcd_tune::{host_fingerprint, LadderChoice};
+    use crate::drivers::{solve_wilson, LadderChoice, WilsonSolve};
+    use lqcd_tune::host_fingerprint;
 
     fn quick_problem() -> WilsonProblem {
         let mut p = WilsonProblem::small();
@@ -197,7 +128,7 @@ mod tests {
 
     /// The request a policy resolves to, solved on 4 ranks.
     fn solve_under(p: &WilsonProblem, policy: &TunePolicy) -> Vec<crate::WilsonSolveOutcome> {
-        let (grid, param) = resolve(policy, &wilson_solver_key(p, 4)).unwrap();
+        let (grid, param) = resolve(policy, &wilson_dslash_key(p, 4)).unwrap();
         let request = param.map_or(WilsonSolve::gcr_dd(LadderChoice::Double), WilsonSolve::tuned);
         solve_wilson(p, grid, request).into_result().unwrap()
     }
@@ -218,12 +149,10 @@ mod tests {
     }
 
     #[test]
-    fn fixed_policy_with_baseline_solver_axes_is_bit_identical() {
+    fn fixed_baseline_policy_is_bit_identical() {
         let p = quick_problem();
-        // Baseline solver axes (mr 8, kv 16) match WilsonProblem::small,
-        // and the thread count is scheduling-only — so a
-        // Fixed policy at the baseline point must reproduce the plain
-        // driver bit for bit.
+        // The thread count is scheduling-only, so a Fixed policy at the
+        // baseline point must reproduce the plain driver bit for bit.
         let param = TuneParam::baseline(2);
         let grid = param.scheme.grid(p.global, 4).unwrap();
         let plain = plain(&p, grid);
@@ -237,9 +166,8 @@ mod tests {
     #[test]
     fn dslash_trial_guards_and_times_real_applies() {
         let p = quick_problem();
-        let mut tuner = Tuner::dslash(TuneParam::baseline(1), 2);
+        let mut tuner = Tuner::new(TuneParam::baseline(1), 2);
         tuner.warmup = 1;
-        tuner.rounds = 2;
         tuner.applies = 3;
         let param = TuneParam::baseline(2);
         let out = wilson_dslash_trial(&p, 4, &tuner, &param).unwrap();
@@ -265,8 +193,8 @@ mod tests {
     fn tune_keys_separate_operator_and_host() {
         let p = quick_problem();
         let dk = wilson_dslash_key(&p, 4).cache_key();
-        let sk = wilson_solver_key(&p, 4).cache_key();
-        assert_ne!(dk, sk);
+        assert!(dk.starts_with("wilson_clover/dslash@8x8x8x8/r4/"), "{dk}");
+        assert_ne!(dk, wilson_dslash_key(&p, 2).cache_key());
         assert!(dk.contains(&host_fingerprint()));
     }
 }

@@ -7,11 +7,11 @@ use lqcd_comms::{CommConfig, FaultPlan, FaultRule};
 use lqcd_core::supervise::{
     rung_code, SolveCheckpointMeta, SupervisorConfig, META_SECTION, SOLUTION_SECTION,
 };
+use lqcd_core::LadderChoice;
 use lqcd_core::{solve_wilson, WilsonProblem, WilsonSolve};
 use lqcd_field::{decode_field_into, LatticeField};
 use lqcd_lattice::{Dims, FaceGeometry, Parity, ProcessGrid, SubLattice};
 use lqcd_su3::WilsonSpinor;
-use lqcd_tune::LadderChoice;
 use lqcd_util::{BreakdownKind, CheckpointStore, Error};
 use std::path::PathBuf;
 use std::sync::Arc;

@@ -13,7 +13,8 @@
 //! silent stale hit.
 
 use crate::key::TuneKey;
-use crate::param::{LadderChoice, TuneParam};
+use crate::param::TuneParam;
+use crate::tuner::MIN_WINS;
 use lqcd_lattice::PartitionScheme;
 use lqcd_util::checksum::crc64;
 use lqcd_util::{Error, Result};
@@ -28,32 +29,52 @@ pub const MAGIC: &str = "LQTUNE01";
 /// Current cache format version. Bumping it invalidates every cache on
 /// disk (they reload as empty → retune), which is the upgrade path when
 /// the parameter space or trial methodology changes incompatibly
-/// (version 2 dropped the ghost-completion-order axis).
-pub const VERSION: u32 = 2;
+/// (version 2 dropped the ghost-completion-order axis; version 3 cut the
+/// space to scheme × threads and records the decision rule's evidence).
+pub const VERSION: u32 = 3;
 
-/// One cached tuning outcome: the winning parameter point plus the
-/// measurements that justified it.
+/// One cached tuning outcome: the chosen parameter point plus the
+/// evidence of the decision rule ([`Tuner::tune`](crate::Tuner::tune)).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TuneDecision {
-    /// The chosen configuration.
+    /// The chosen configuration (the baseline when the default stands).
     pub param: TuneParam,
-    /// Best measured time of the chosen configuration, µs per unit of
-    /// trial work.
+    /// Alternating rounds the chosen candidate won against the
+    /// incumbent (0 when the default stands).
+    pub wins: usize,
+    /// Alternating rounds run.
+    pub rounds: usize,
+    /// Median µs per unit of trial work of the chosen configuration.
     pub tuned_us: f64,
-    /// Measured time of the hardcoded baseline under the same protocol.
+    /// Median µs per unit of the incumbent over the same rounds.
     pub default_us: f64,
+    /// Interquartile range of the incumbent's rounds, µs.
+    pub default_iqr_us: f64,
     /// Stream-model prior for the chosen configuration, µs.
     pub model_us: f64,
-    /// Micro-trials that were actually measured (pruned candidates are
-    /// not counted).
-    pub trials: usize,
 }
 
 impl TuneDecision {
-    /// Measured default/tuned ratio (≥ 1.0 whenever the baseline was in
-    /// the trialled set, since the winner is the argmin).
+    /// Incumbent median over the chosen one: exactly 1.0 when the
+    /// default stands.
     pub fn speedup(&self) -> f64 {
         self.default_us / self.tuned_us
+    }
+
+    /// Whether this evidence passes the decision rule: at least
+    /// [`MIN_WINS`] wins, and a median gap wider than the incumbent's
+    /// IQR.
+    pub fn significant(&self) -> bool {
+        self.wins >= MIN_WINS && self.default_us - self.tuned_us > self.default_iqr_us
+    }
+
+    /// The verdict the report prints.
+    pub fn verdict(&self) -> &'static str {
+        if self.significant() {
+            "significant win"
+        } else {
+            "no significant difference"
+        }
     }
 }
 
@@ -109,31 +130,22 @@ fn param_from_value(v: &Value, what: &Path) -> Result<TuneParam> {
         .into_iter()
         .find(|s| s.label() == scheme_name)
         .ok_or_else(|| corrupt(what, format!("unknown partition scheme '{scheme_name}'")))?;
-    let ladder_name = field_str(v, "ladder", what)?;
-    let ladder = LadderChoice::ALL
-        .into_iter()
-        .find(|l| l.label().eq_ignore_ascii_case(&ladder_name))
-        .ok_or_else(|| corrupt(what, format!("unknown ladder '{ladder_name}'")))?;
     let interior_threads = field_usize(v, "interior_threads", what)?;
     if interior_threads == 0 {
         return Err(corrupt(what, "interior_threads is 0"));
     }
-    Ok(TuneParam {
-        scheme,
-        interior_threads,
-        mr_steps: field_usize(v, "mr_steps", what)?,
-        n_kv: field_usize(v, "n_kv", what)?,
-        ladder,
-    })
+    Ok(TuneParam { scheme, interior_threads })
 }
 
 fn decision_from_value(v: &Value, what: &Path) -> Result<TuneDecision> {
     Ok(TuneDecision {
         param: param_from_value(field(v, "param", what)?, what)?,
+        wins: field_usize(v, "wins", what)?,
+        rounds: field_usize(v, "rounds", what)?,
         tuned_us: field_f64(v, "tuned_us", what)?,
         default_us: field_f64(v, "default_us", what)?,
+        default_iqr_us: field_f64(v, "default_iqr_us", what)?,
         model_us: field_f64(v, "model_us", what)?,
-        trials: field_usize(v, "trials", what)?,
     })
 }
 

@@ -16,8 +16,8 @@ pub fn host_fingerprint() -> String {
 /// and host capability.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TuneKey {
-    /// What was tuned, e.g. `wilson_clover/dslash` or
-    /// `wilson_clover/gcr_dd` (operator plus trial kind).
+    /// What was tuned, e.g. `wilson_clover/dslash` (operator plus trial
+    /// kind).
     pub operator: String,
     /// Global lattice extents.
     pub global: [usize; 4],

@@ -2,24 +2,27 @@
 //!
 //! The paper's throughput hinges on execution parameters the rest of
 //! the workspace exposes but hardcodes: which dimensions to partition
-//! ([`PartitionScheme`]), how many interior workers overlap the ghost
-//! exchange, the Schwarz block work (`mr_steps`), the GCR restart length `n_kv`, and the precision
-//! ladder. Its QUDA lineage (arXiv:1011.0024) made *measured*
+//! ([`PartitionScheme`]) and how many interior workers overlap the ghost
+//! exchange. Its QUDA lineage (arXiv:1011.0024) made *measured*
 //! autotuning with a persistent cache a core library feature; this
 //! crate is that subsystem:
 //!
-//! * [`TuneParam`] — one point in the search space; [`TuneSpace`]
-//!   enumerates candidate points around a baseline.
+//! * [`TuneParam`] — one point in the search space (scheme, interior
+//!   threads); [`TuneSpace`] enumerates scheme × threads.
 //! * [`TuneKey`] — what a decision is keyed on: operator kind, global
 //!   volume, world geometry, and a host capability fingerprint. A
 //!   decision never silently applies to a different problem shape or
 //!   machine.
-//! * [`Tuner`] — runs short measured micro-trials (warmup + min-of-N)
-//!   of the *real* pipeline through a caller-supplied trial closure,
-//!   with the `lqcd-perf` stream model as a prior that prunes the
-//!   candidate list before anything is measured, and a bitwise-equality
-//!   guard: a candidate whose trial output differs from the reference
-//!   path is rejected no matter how fast it ran.
+//! * [`Tuner`] — one dslash phase of measured rounds of the *real*
+//!   pipeline through a caller-supplied trial closure. The hardcoded
+//!   default is the incumbent; a candidate displaces it only if it wins
+//!   at least [`MIN_WINS`] of [`ROUNDS`] alternating rounds and its
+//!   median beats the incumbent's by more than the incumbent's IQR.
+//!   Otherwise the report reads "no significant difference" at exactly
+//!   1.00×. A bitwise-equality guard rejects a candidate whose output
+//!   differs from the reference path, no matter how fast it ran. The
+//!   `lqcd-perf` stream model's price is printed next to each candidate
+//!   and decides nothing.
 //! * [`TuneCache`] — versioned JSON persistence (serde shims out,
 //!   hand-rolled `serde_json::Value` parsing back), written with the
 //!   same tmp-write → re-read/validate → rename discipline as the
@@ -41,8 +44,8 @@ pub mod tuner;
 
 pub use cache::{TuneCache, TuneDecision};
 pub use key::{host_fingerprint, TuneKey};
-pub use param::{LadderChoice, TuneParam, TuneSpace};
-pub use tuner::{TrialOutcome, TrialRow, TuneReport, Tuner};
+pub use param::{TuneParam, TuneSpace};
+pub use tuner::{TrialOutcome, TrialRow, TuneReport, Tuner, MIN_WINS, ROUNDS};
 
 use std::path::PathBuf;
 

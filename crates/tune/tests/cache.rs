@@ -5,7 +5,7 @@
 
 use lqcd_lattice::{Dims, PartitionScheme};
 use lqcd_tune::cache::VERSION;
-use lqcd_tune::{LadderChoice, TuneCache, TuneDecision, TuneKey, TuneParam};
+use lqcd_tune::{TuneCache, TuneDecision, TuneKey, TuneParam};
 use lqcd_util::Error;
 use std::path::PathBuf;
 
@@ -22,17 +22,13 @@ fn sample_key(ranks: usize) -> TuneKey {
 
 fn sample_decision(scheme: PartitionScheme, tuned_us: f64) -> TuneDecision {
     TuneDecision {
-        param: TuneParam {
-            scheme,
-            interior_threads: 2,
-            mr_steps: 8,
-            n_kv: 16,
-            ladder: LadderChoice::Double,
-        },
+        param: TuneParam { scheme, interior_threads: 2 },
+        wins: 9,
+        rounds: 10,
         tuned_us,
         default_us: tuned_us * 1.25,
+        default_iqr_us: tuned_us * 0.1,
         model_us: tuned_us * 0.9,
-        trials: 7,
     }
 }
 
@@ -132,10 +128,34 @@ fn bad_magic_is_corrupt_but_stale_version_retunes() {
     std::fs::write(&path, text.replace(&version, "\"version\": 999")).unwrap();
     let stale = TuneCache::open(&path).unwrap();
     assert!(stale.is_empty());
-    // So does a file of the previous version.
-    std::fs::write(&path, text.replace(&version, &format!("\"version\": {}", VERSION - 1)))
-        .unwrap();
-    assert!(TuneCache::open(&path).unwrap().is_empty());
+}
+
+#[test]
+fn a_version_2_file_reads_as_empty() {
+    // A file of the five-axis version-2 schema is the documented
+    // invalidation path, not corruption: it reads as empty before its
+    // entries or its CRC are looked at.
+    let path = tmpdir("v2").join("cache.json");
+    let v2 = r#"{
+  "magic": "LQTUNE01",
+  "version": 2,
+  "payload_crc64": "0000000000000000",
+  "entries": [
+    {
+      "key": "wilson_clover/gcr_dd@8x8x8x8/r4/x86_64-linux-2c",
+      "decision": {
+        "param": {"scheme": "T", "interior_threads": 1, "mr_steps": 4, "n_kv": 24, "ladder": "Double"},
+        "tuned_us": 40100.0,
+        "default_us": 71800.0,
+        "model_us": 541.4,
+        "trials": 10
+      }
+    }
+  ]
+}"#;
+    std::fs::write(&path, v2).unwrap();
+    let cache = TuneCache::open(&path).unwrap();
+    assert!(cache.is_empty());
 }
 
 #[test]

@@ -1,12 +1,15 @@
-//! Tuner search semantics on a synthetic (deterministic) trial
-//! function: prior pruning, the bitwise guard, argmin selection with
-//! the baseline always measured, cache hits running zero trials, and
-//! corruption answered by a successful retune.
+//! Tuner decision rule on synthetic (deterministic) trials: each round
+//! returns a time the test fixes in advance. A candidate displaces the
+//! default only with at least 9 of 10 alternating round wins and a
+//! median gap wider than the default's IQR; the bitwise guard rejects a
+//! fast-but-wrong candidate, a failing default aborts the tune, cache
+//! hits run zero trials, and corruption is answered by a clean retune.
 
 use lqcd_lattice::{Dims, PartitionScheme};
-use lqcd_tune::{TrialOutcome, TuneCache, TuneKey, TuneParam, Tuner};
+use lqcd_tune::{TrialOutcome, TuneCache, TuneKey, TuneParam, Tuner, ROUNDS};
 use lqcd_util::trace::MetricsRegistry;
-use lqcd_util::Error;
+use lqcd_util::{Error, Result};
+use std::collections::HashMap;
 use std::path::PathBuf;
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -16,130 +19,177 @@ fn tmpdir(tag: &str) -> PathBuf {
     d
 }
 
-/// Synthetic cost: XYZT with 4 threads is the planted optimum on the
-/// scheme × thread axes; everything else is slower in a deterministic
-/// way.
-fn synthetic_cost(p: &TuneParam) -> f64 {
-    let scheme_cost = match p.scheme {
-        PartitionScheme::XYZT => 1.0,
-        PartitionScheme::YZT => 1.2,
-        PartitionScheme::ZT => 1.5,
-        PartitionScheme::T => 2.0,
-    };
-    let thread_cost = 1.0 + 1.0 / p.interior_threads as f64;
-    scheme_cost * thread_cost * 1e-5
-}
-
 fn key() -> TuneKey {
     TuneKey::new("wilson_clover/dslash", Dims([8, 8, 8, 8]), 4)
 }
 
-/// A dslash tuner with pruning effectively disabled, so every candidate
-/// is measured and the planted optimum cannot be dropped on its model
-/// prior.
-fn exhaustive_tuner() -> Tuner {
-    let mut t = Tuner::dslash(TuneParam::baseline(1), 4);
-    t.keep = 1024;
-    t
+/// One thread per rank: the space is the four schemes, ZT the default.
+fn tuner() -> Tuner {
+    Tuner::new(TuneParam::baseline(1), 1)
+}
+
+/// The default's per-round µs: 10 µs with a ±1 % spread.
+const DEFAULT_S: [f64; ROUNDS] = [10.0, 10.1, 9.9, 10.05, 9.95, 10.0, 10.1, 9.9, 10.05, 9.95];
+
+/// A synthetic trial: round `r` (the r-th call, counted per candidate,
+/// modulo the 10 rounds of a comparison) of `scheme` takes
+/// `series(scheme, r)` µs; every other scheme ties the default.
+fn trial_with(
+    series: impl Fn(PartitionScheme, usize) -> Option<f64>,
+) -> impl FnMut(&TuneParam) -> Result<TrialOutcome> {
+    let mut calls: HashMap<PartitionScheme, usize> = HashMap::new();
+    move |p| {
+        let n = calls.entry(p.scheme).or_default();
+        let r = *n % ROUNDS;
+        *n += 1;
+        let us = series(p.scheme, r).unwrap_or(DEFAULT_S[r]);
+        Ok(TrialOutcome { secs_per_unit: us * 1e-6, bit_identical: true })
+    }
+}
+
+fn tune(
+    name: &str,
+    metrics: &mut MetricsRegistry,
+    trial: impl FnMut(&TuneParam) -> Result<TrialOutcome>,
+) -> Result<lqcd_tune::TuneReport> {
+    let mut cache = TuneCache::empty(tmpdir(name).join("cache.json"));
+    tuner().tune(&key(), &mut cache, metrics, trial)
 }
 
 #[test]
-fn picks_the_planted_optimum_and_measures_the_baseline() {
-    let path = tmpdir("argmin").join("cache.json");
-    let mut cache = TuneCache::empty(&path);
+fn a_candidate_twice_as_fast_displaces_the_default() {
     let mut metrics = MetricsRegistry::new();
-    let tuner = exhaustive_tuner();
-    let mut calls = 0usize;
-    let report = tuner
-        .tune(&key(), &mut cache, &mut metrics, |p| {
-            calls += 1;
-            Ok(TrialOutcome { secs_per_unit: synthetic_cost(p), bit_identical: true })
-        })
-        .unwrap();
-
-    assert!(!report.cache_hit);
-    assert_eq!(report.trials_run, calls);
-    let d = &report.decision;
+    let report = tune(
+        "twice",
+        &mut metrics,
+        trial_with(|s, r| (s == PartitionScheme::XYZT).then_some(0.5 * DEFAULT_S[r])),
+    )
+    .unwrap();
+    let d = report.decision;
     assert_eq!(d.param.scheme, PartitionScheme::XYZT);
-    assert_eq!(d.param.interior_threads, 4);
-    // The baseline was measured under the same protocol, so the quoted
-    // speedup is a real measured ratio ≥ 1.
-    let expected_default = synthetic_cost(&TuneParam::baseline(1)) * 1e6;
-    assert!((d.default_us - expected_default).abs() < 1e-9);
-    assert!(d.speedup() >= 1.0);
-    assert_eq!(metrics.counter("tune.trials"), calls as u64);
+    assert_eq!((d.wins, d.rounds), (ROUNDS, ROUNDS));
+    assert!(d.significant());
+    assert_eq!(d.verdict(), "significant win");
+    assert!((d.speedup() - 2.0).abs() < 1e-12, "{}", d.speedup());
+    // Three candidates, each 10 rounds of both sides.
+    assert_eq!(report.trials_run, 3 * 2 * ROUNDS);
+    assert_eq!(metrics.counter("tune.trials"), report.trials_run as u64);
     assert_eq!(metrics.counter("tune.cache_misses"), 1);
+    // Ties win no round, so the tying candidates stand at 0 wins.
+    for r in &report.rows[1..] {
+        let e = r.evidence.unwrap();
+        assert_eq!(e.wins, if r.param.scheme == PartitionScheme::XYZT { ROUNDS } else { 0 });
+    }
 }
 
 #[test]
-fn model_prior_prunes_and_bounds_the_trial_count() {
-    let path = tmpdir("prune").join("cache.json");
-    let mut cache = TuneCache::empty(&path);
+fn eight_wins_of_ten_do_not_displace_the_default() {
     let mut metrics = MetricsRegistry::new();
-    // The dslash space holds 12 candidates (4 schemes × {1, 2, 4}
-    // threads); a kept set of 4 must prune some of them.
-    let mut tuner = Tuner::dslash(TuneParam::baseline(1), 4);
-    tuner.keep = 4;
-    let mut calls = 0usize;
-    let report = tuner
-        .tune(&key(), &mut cache, &mut metrics, |p| {
-            calls += 1;
-            Ok(TrialOutcome { secs_per_unit: synthetic_cost(p), bit_identical: true })
-        })
-        .unwrap();
-    assert!(calls <= tuner.keep + 1, "prior pruning must bound the trial count");
-    assert!(metrics.counter("tune.pruned") > 0);
-    assert!(report.rows.iter().any(|r| r.pruned && r.measured_us.is_none()));
-    // The winner is still the argmin of what was measured, baseline
-    // included, so the quoted speedup stays a real measured ratio ≥ 1.
-    assert!(report.decision.speedup() >= 1.0);
+    // Twice as fast in 8 rounds, slower in rounds 3 and 7: the median gap
+    // is wide, but the candidate won only 8 rounds.
+    let report = tune(
+        "eight",
+        &mut metrics,
+        trial_with(|s, r| {
+            (s == PartitionScheme::T).then_some(if r == 3 || r == 7 { 11.0 } else { 5.0 })
+        }),
+    )
+    .unwrap();
+    let t = report.rows.iter().find(|r| r.param.scheme == PartitionScheme::T).unwrap();
+    let e = t.evidence.unwrap();
+    assert_eq!(e.wins, 8);
+    assert!(e.default_us - e.tuned_us > e.default_iqr_us, "the gap alone would pass");
+    let d = report.decision;
+    assert_eq!(d.param, TuneParam::baseline(1));
+    assert_eq!(d.speedup(), 1.0);
+    assert_eq!(d.verdict(), "no significant difference");
+}
+
+#[test]
+fn faster_every_round_inside_the_default_iqr_does_not_displace_it() {
+    let mut metrics = MetricsRegistry::new();
+    // 0.05 µs faster in every round, against a 0.1 µs IQR.
+    let report = tune(
+        "iqr",
+        &mut metrics,
+        trial_with(|s, r| (s == PartitionScheme::YZT).then_some(DEFAULT_S[r] - 0.05)),
+    )
+    .unwrap();
+    let y = report.rows.iter().find(|r| r.param.scheme == PartitionScheme::YZT).unwrap();
+    let e = y.evidence.unwrap();
+    assert_eq!(e.wins, ROUNDS);
+    assert!((e.default_iqr_us - 0.1).abs() < 1e-9, "IQR {}", e.default_iqr_us);
+    assert!(!e.significant());
+    assert_eq!(report.decision.param, TuneParam::baseline(1));
+    assert_eq!(report.decision.speedup(), 1.0);
 }
 
 #[test]
 fn guard_rejects_fast_but_wrong_candidates() {
-    let path = tmpdir("guard").join("cache.json");
-    let mut cache = TuneCache::empty(&path);
     let mut metrics = MetricsRegistry::new();
-    let tuner = exhaustive_tuner();
-    // The planted optimum claims an absurdly fast time but fails the
-    // bitwise guard; the tuner must not choose it.
-    let report = tuner
-        .tune(&key(), &mut cache, &mut metrics, |p| {
-            let wrong = p.scheme == PartitionScheme::XYZT && p.interior_threads == 4;
-            Ok(TrialOutcome {
-                secs_per_unit: if wrong { 1e-12 } else { synthetic_cost(p) },
-                bit_identical: !wrong,
-            })
-        })
-        .unwrap();
-    let d = &report.decision;
-    assert!(
-        !(d.param.scheme == PartitionScheme::XYZT && d.param.interior_threads == 4),
-        "guard-rejected candidate was chosen: {}",
-        d.param.label()
-    );
+    // XYZT claims an absurdly fast time but fails the bitwise guard; the
+    // tuner must not choose it.
+    let mut inner = trial_with(|_, _| None);
+    let report = tune("guard", &mut metrics, |p| {
+        if p.scheme == PartitionScheme::XYZT {
+            return Ok(TrialOutcome { secs_per_unit: 1e-12, bit_identical: false });
+        }
+        inner(p)
+    })
+    .unwrap();
+    assert_ne!(report.decision.param.scheme, PartitionScheme::XYZT);
     assert!(metrics.counter("tune.guard_rejected") > 0);
-    assert!(report.rows.iter().any(|r| r.rejected));
+    let x = report.rows.iter().find(|r| r.param.scheme == PartitionScheme::XYZT).unwrap();
+    assert!(x.rejected && x.evidence.is_none());
+}
+
+#[test]
+fn a_failing_default_aborts_the_tune() {
+    let mut metrics = MetricsRegistry::new();
+    let guard = tune("abort-guard", &mut metrics, |p| {
+        let wrong = *p == TuneParam::baseline(1);
+        Ok(TrialOutcome { secs_per_unit: 1e-5, bit_identical: !wrong })
+    });
+    assert!(matches!(guard, Err(Error::Config(m)) if m.contains("bitwise guard")));
+    let failed = tune("abort-error", &mut metrics, |p| {
+        if *p == TuneParam::baseline(1) {
+            Err(Error::Config("synthetic default failure".into()))
+        } else {
+            Ok(TrialOutcome { secs_per_unit: 1e-5, bit_identical: true })
+        }
+    });
+    assert!(matches!(failed, Err(Error::Config(m)) if m.contains("synthetic")));
+}
+
+#[test]
+fn trial_errors_on_candidates_reject_but_do_not_abort() {
+    let mut metrics = MetricsRegistry::new();
+    let mut inner = trial_with(|s, r| (s == PartitionScheme::T).then_some(0.5 * DEFAULT_S[r]));
+    let report = tune("trialerr", &mut metrics, |p| {
+        if p.scheme == PartitionScheme::XYZT {
+            return Err(Error::Config("synthetic trial failure".into()));
+        }
+        inner(p)
+    })
+    .unwrap();
+    assert_eq!(report.decision.param.scheme, PartitionScheme::T);
+    assert!(metrics.counter("tune.trial_failed") > 0);
 }
 
 #[test]
 fn second_run_hits_the_cache_with_zero_trials_and_identical_decision() {
     let path = tmpdir("warm").join("cache.json");
     let mut metrics = MetricsRegistry::new();
-    let tuner = Tuner::dslash(TuneParam::baseline(1), 4);
+    let half_xyzt = |s, r: usize| (s == PartitionScheme::XYZT).then_some(0.5 * DEFAULT_S[r]);
 
     let mut cold_cache = TuneCache::empty(&path);
-    let cold = tuner
-        .tune(&key(), &mut cold_cache, &mut metrics, |p| {
-            Ok(TrialOutcome { secs_per_unit: synthetic_cost(p), bit_identical: true })
-        })
-        .unwrap();
+    let cold = tuner().tune(&key(), &mut cold_cache, &mut metrics, trial_with(half_xyzt)).unwrap();
 
     // Fresh process equivalent: reopen from disk, trial closure must
     // never be called.
     let mut warm_cache = TuneCache::open(&path).unwrap();
-    let warm = tuner
-        .tune(&key(), &mut warm_cache, &mut metrics, |_| -> lqcd_util::Result<TrialOutcome> {
+    let warm = tuner()
+        .tune(&key(), &mut warm_cache, &mut metrics, |_| -> Result<TrialOutcome> {
             panic!("cache hit must run zero micro-trials")
         })
         .unwrap();
@@ -152,14 +202,10 @@ fn second_run_hits_the_cache_with_zero_trials_and_identical_decision() {
 #[test]
 fn corrupt_cache_is_a_structured_error_then_a_clean_retune() {
     let path = tmpdir("retune").join("cache.json");
-    let tuner = Tuner::dslash(TuneParam::baseline(1), 4);
     let mut metrics = MetricsRegistry::new();
+    let half_xyzt = |s, r: usize| (s == PartitionScheme::XYZT).then_some(0.5 * DEFAULT_S[r]);
     let mut cache = TuneCache::empty(&path);
-    let cold = tuner
-        .tune(&key(), &mut cache, &mut metrics, |p| {
-            Ok(TrialOutcome { secs_per_unit: synthetic_cost(p), bit_identical: true })
-        })
-        .unwrap();
+    let cold = tuner().tune(&key(), &mut cache, &mut metrics, trial_with(half_xyzt)).unwrap();
 
     // Corrupt the file on disk.
     let text = std::fs::read_to_string(&path).unwrap();
@@ -172,31 +218,8 @@ fn corrupt_cache_is_a_structured_error_then_a_clean_retune() {
     // The retune path: start from an explicit empty cache at the same
     // path, tune again, and the file is healthy afterwards.
     let mut fresh = TuneCache::empty(&path);
-    let redo = tuner
-        .tune(&key(), &mut fresh, &mut metrics, |p| {
-            Ok(TrialOutcome { secs_per_unit: synthetic_cost(p), bit_identical: true })
-        })
-        .unwrap();
-    assert_eq!(redo.decision.param, cold.decision.param);
+    let redo = tuner().tune(&key(), &mut fresh, &mut metrics, trial_with(half_xyzt)).unwrap();
+    assert_eq!(redo.decision, cold.decision);
     let healthy = TuneCache::open(&path).unwrap();
-    assert_eq!(healthy.lookup(&key()).unwrap().param, cold.decision.param);
-}
-
-#[test]
-fn trial_errors_on_candidates_reject_but_do_not_abort() {
-    let path = tmpdir("trialerr").join("cache.json");
-    let mut cache = TuneCache::empty(&path);
-    let mut metrics = MetricsRegistry::new();
-    let tuner = exhaustive_tuner();
-    let report = tuner
-        .tune(&key(), &mut cache, &mut metrics, |p| {
-            if p.scheme == PartitionScheme::XYZT {
-                Err(Error::Config("synthetic trial failure".into()))
-            } else {
-                Ok(TrialOutcome { secs_per_unit: synthetic_cost(p), bit_identical: true })
-            }
-        })
-        .unwrap();
-    assert_ne!(report.decision.param.scheme, PartitionScheme::XYZT);
-    assert!(metrics.counter("tune.trial_failed") > 0);
+    assert_eq!(healthy.lookup(&key()), Some(&cold.decision));
 }

@@ -45,8 +45,8 @@ pub mod prelude {
         FaultRule, MsgClass, SharedComm, SingleComm, ThreadedComm,
     };
     pub use lqcd_core::{
-        solve_staggered, solve_wilson, tune_wilson, StaggeredProblem, StaggeredRun, StaggeredSolve,
-        SupervisorConfig, WilsonProblem, WilsonRun, WilsonSolve,
+        solve_staggered, solve_wilson, tune_wilson, LadderChoice, StaggeredProblem, StaggeredRun,
+        StaggeredSolve, SupervisorConfig, WilsonProblem, WilsonRun, WilsonSolve,
     };
     pub use lqcd_dirac::{BoundaryMode, StaggeredOp, WilsonCloverOp};
     pub use lqcd_gauge::{average_plaquette, AsqtadLinks, GaugeField};
@@ -57,7 +57,7 @@ pub mod prelude {
         SchwarzMR, SolveStats, SolverSpace, Spectrum,
     };
     pub use lqcd_su3::{ColorVector, Su3, WilsonSpinor};
-    pub use lqcd_tune::{LadderChoice, TuneCache, TuneParam, TunePolicy};
+    pub use lqcd_tune::{TuneCache, TuneParam, TunePolicy};
     pub use lqcd_util::rng::SeedTree;
     pub use lqcd_util::{Complex, Error, Real, Result};
 }
