@@ -2,9 +2,11 @@
 //! the paper's reference numbers for side-by-side comparison.
 //!
 //! The `figures` binary regenerates Figs. 5–10 from the calibrated
-//! performance model and prints paper-vs-model tables, and `fig4` the
-//! Fig. 4 stream timeline; criterion benches (`benches/`) measure the
-//! real Rust kernels and the ablations called out in DESIGN.md.
+//! performance model and prints paper-vs-model tables, then the paper's
+//! in-text claims measured by real solves, each with a verdict; `fig4`
+//! prints the Fig. 4 stream timeline; criterion benches (`benches/`)
+//! measure the real Rust kernels and the ablations called out in
+//! DESIGN.md.
 
 use serde::Serialize;
 use std::path::PathBuf;

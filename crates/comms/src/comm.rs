@@ -163,53 +163,6 @@ pub trait Communicator {
     }
 }
 
-/// A borrowed communicator is a communicator, so a solver space can take
-/// one rank's endpoint by value for a solve while its owner keeps using
-/// it afterwards.
-impl<C: Communicator + ?Sized> Communicator for &mut C {
-    fn rank(&self) -> usize {
-        (**self).rank()
-    }
-    fn size(&self) -> usize {
-        (**self).size()
-    }
-    fn grid(&self) -> &ProcessGrid {
-        (**self).grid()
-    }
-    fn send_recv(
-        &mut self,
-        mu: usize,
-        forward: bool,
-        send: &[f64],
-        recv: &mut [f64],
-    ) -> Result<()> {
-        (**self).send_recv(mu, forward, send, recv)
-    }
-    fn start_send_recv(
-        &mut self,
-        mu: usize,
-        forward: bool,
-        send: &[f64],
-    ) -> Result<ExchangeHandle> {
-        (**self).start_send_recv(mu, forward, send)
-    }
-    fn complete_send_recv(&mut self, handle: ExchangeHandle, recv: &mut [f64]) -> Result<()> {
-        (**self).complete_send_recv(handle, recv)
-    }
-    fn allreduce_sum(&mut self, vals: &mut [f64]) -> Result<()> {
-        (**self).allreduce_sum(vals)
-    }
-    fn allreduce_max(&mut self, vals: &mut [f64]) -> Result<()> {
-        (**self).allreduce_max(vals)
-    }
-    fn exchange_retries(&self) -> u64 {
-        (**self).exchange_retries()
-    }
-    fn faults_survived(&self) -> u64 {
-        (**self).faults_survived()
-    }
-}
-
 /// A rank-local shared handle to a communicator, so several operator
 /// precisions (the mixed-precision solver stack) can use one rank's
 /// endpoint. Single-threaded within a rank, hence `Rc<RefCell>`; the

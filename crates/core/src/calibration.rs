@@ -2,14 +2,15 @@
 //!
 //! The performance model's iteration inputs (EXPERIMENTS.md) come from
 //! running the *real* solvers here at laptop scale: the DD block-size
-//! dependence of GCR-DD outer iterations, the BiCGstab baseline count,
-//! and the single-vs-double iteration overhead of the mixed-precision
-//! staggered solver (§9.2's ≈ 20 % note).
+//! dependence of GCR-DD outer iterations and the BiCGstab baseline
+//! count. The multi-shift matvec economy (§3.1) is measured here too.
+//! The `figures` binary prints both: the first as its calibration
+//! section, the second as a row of "In-text claims".
 
 use crate::problem::{StaggeredProblem, WilsonProblem};
 use lqcd_comms::run_on_grid;
 use lqcd_lattice::{Dims, PartitionScheme, ProcessGrid, SubLattice};
-use lqcd_solvers::spaces::{cast_staggered_op, EoWilsonSpace, StaggeredNormalSpace};
+use lqcd_solvers::spaces::{EoWilsonSpace, StaggeredNormalSpace};
 use lqcd_solvers::{bicgstab, cg, gcr, multishift_cg, SchwarzMR, SolverSpace};
 use lqcd_util::Result;
 use serde::{Deserialize, Serialize};
@@ -81,49 +82,6 @@ pub fn fit_block_exponent(points: &[DdCalibrationPoint]) -> f64 {
     -(sxy / sxx)
 }
 
-/// Measured single-vs-double iteration overhead of the staggered solver
-/// (the ≈ 20 % increase noted in §9.2 for mixed precision).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PrecisionOverhead {
-    /// Iterations of the f64 CG base solve.
-    pub double_iters: usize,
-    /// Iterations of the f32 CG solve to the same (loose) tolerance.
-    pub single_iters: usize,
-    /// `single/double − 1`.
-    pub overhead: f64,
-}
-
-/// Measure the single-precision iteration overhead on the staggered
-/// normal system at tolerance `tol` (must be within f32 reach, ≳ 1e-5).
-pub fn measure_precision_overhead(
-    problem: &StaggeredProblem,
-    tol: f64,
-) -> Result<PrecisionOverhead> {
-    let grid = ProcessGrid::new(Dims([1, 1, 1, 1]), problem.global)?;
-    let op = problem.build_operator(&grid, 0)?;
-    let op32 = cast_staggered_op::<f32>(&op)?;
-    let comm = lqcd_comms::SingleComm::new(problem.global)?;
-    let comm32 = lqcd_comms::SingleComm::new(problem.global)?;
-    let mut hi = StaggeredNormalSpace::new(op, comm);
-    let mut lo = StaggeredNormalSpace::new(op32, comm32);
-    let b = problem.rhs(&hi.op);
-    let mut x = hi.alloc();
-    let d = cg(&mut hi, &mut x, &b, tol, problem.maxiter)?;
-    // Same solve in f32.
-    let mut b32 = lo.alloc();
-    use lqcd_field::CastSite;
-    for idx in 0..b.num_sites() {
-        b32.set_site(idx, b.site(idx).cast_site());
-    }
-    let mut x32 = lo.alloc();
-    let s = cg(&mut lo, &mut x32, &b32, tol, problem.maxiter)?;
-    Ok(PrecisionOverhead {
-        double_iters: d.iterations,
-        single_iters: s.iterations,
-        overhead: s.iterations as f64 / d.iterations as f64 - 1.0,
-    })
-}
-
 /// Measured multishift-vs-sequential matvec economy: the multi-shift
 /// solver produces all N solutions in one Krylov pass (§3.1).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -175,14 +133,6 @@ mod tests {
         }
         let q = fit_block_exponent(&points);
         assert!((-0.05..0.6).contains(&q), "block exponent {q}");
-    }
-
-    #[test]
-    fn precision_overhead_is_modest() {
-        let p = StaggeredProblem::small();
-        let o = measure_precision_overhead(&p, 1e-4).unwrap();
-        assert!(o.single_iters >= o.double_iters);
-        assert!(o.overhead < 0.5, "f32 overhead {:.0}% too large", o.overhead * 100.0);
     }
 
     #[test]

@@ -27,7 +27,6 @@
 
 pub mod calibration;
 pub mod drivers;
-pub mod observables;
 pub mod problem;
 pub mod supervise;
 pub mod tuning;

@@ -343,11 +343,11 @@ mod tests {
                 let grid = ProcessGrid::new(Dims(dims), p.global).unwrap();
                 // Two data messages per partitioned dimension.
                 let messages = 2 * grid.shape.0.iter().filter(|&&n| n > 1).count() as u64;
-                run_on_grid(grid.clone(), |mut comm| {
-                    let mut c = Counted { inner: &mut comm, messages: 0 };
+                run_on_grid(grid.clone(), |comm| {
+                    let mut c = Counted { inner: comm, messages: 0 };
                     let local = p.build_operator(&mut c, &grid).unwrap();
                     assert_eq!(c.messages, messages, "{dims:?}: messages of a build");
-                    let mut c = Counted { inner: &mut comm, messages: 0 };
+                    let mut c = Counted { inner: c.inner, messages: 0 };
                     let want = global_build_operator(&p, &mut c, &grid).unwrap();
                     assert_eq!(c.messages, messages, "{dims:?}: messages of the global build");
                     assert!(same(&local.clover, &want.clover), "{dims:?} {csw:?}: clover");

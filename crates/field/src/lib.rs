@@ -38,4 +38,4 @@ pub use field::{BodyView, CastSite, CastSiteAny, GhostZonesMut, LatticeField};
 pub use half::HalfField;
 pub use layout::FieldLayout;
 pub use site::SiteObject;
-pub use snapshot::{decode_field_into, encode_field, SnapshotReal};
+pub use snapshot::{decode_field_into, encode_field};

@@ -5,8 +5,9 @@
 //! bit-exactly: every real is stored by its IEEE bit pattern
 //! (little-endian), so `decode(encode(f)) == f` down to the last bit,
 //! including negative zeros and NaN payloads. Fields are stored in `f64`
-//! or `f32`; a solver checkpoint stores its solution in `f64` whatever
-//! precision produced it.
+//! only: a solver checkpoint stores its solution in `f64` whatever
+//! precision produced it. The header still carries a precision byte, so
+//! bytes of any other precision are refused rather than misread.
 //!
 //! Layout (all little-endian):
 //!
@@ -27,47 +28,15 @@ use crate::field::LatticeField;
 use crate::site::SiteObject;
 use lqcd_util::checkpoint::ByteReader;
 use lqcd_util::checksum::crc64;
-use lqcd_util::{Error, Real, Result};
+use lqcd_util::{Error, Result};
 
 /// Snapshot magic: "LQ Field Snapshot".
 pub const FIELD_MAGIC: &[u8; 4] = b"LQFS";
 /// Snapshot format version.
 pub const FIELD_VERSION: u8 = 1;
 
-/// Precision byte stored in a snapshot header.
+/// Precision byte stored in a snapshot header: the bytes per real.
 pub const TAG_F64: u8 = 8;
-/// Precision byte for single precision.
-pub const TAG_F32: u8 = 4;
-
-/// A [`Real`] that knows its exact on-disk representation.
-pub trait SnapshotReal: Real {
-    /// Precision byte written to the header.
-    const TAG: u8;
-    /// Append the exact bit pattern, little-endian.
-    fn put_le(self, out: &mut Vec<u8>);
-    /// Read one value back from a reader.
-    fn get_le(r: &mut ByteReader<'_>) -> Result<Self>;
-}
-
-impl SnapshotReal for f64 {
-    const TAG: u8 = TAG_F64;
-    fn put_le(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_bits().to_le_bytes());
-    }
-    fn get_le(r: &mut ByteReader<'_>) -> Result<Self> {
-        Ok(f64::from_bits(u64::from_le_bytes(r.take(8)?.try_into().expect("8 bytes"))))
-    }
-}
-
-impl SnapshotReal for f32 {
-    const TAG: u8 = TAG_F32;
-    fn put_le(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_bits().to_le_bytes());
-    }
-    fn get_le(r: &mut ByteReader<'_>) -> Result<Self> {
-        Ok(f32::from_bits(u32::from_le_bytes(r.take(4)?.try_into().expect("4 bytes"))))
-    }
-}
 
 struct Header {
     precision: u8,
@@ -130,7 +99,7 @@ fn open_snapshot<'a>(bytes: &'a [u8], what: &'a str) -> Result<(ByteReader<'a>, 
     Ok((r, Header { precision, parity, reals_per_site, dims, origin, num_sites }))
 }
 
-fn field_header<R: SnapshotReal, S: SiteObject<R>>(f: &LatticeField<R, S>) -> Header {
+fn field_header<S: SiteObject<f64>>(f: &LatticeField<f64, S>) -> Header {
     let sub = f.sublattice();
     let mut dims = [0u32; 4];
     let mut origin = [0u32; 4];
@@ -139,7 +108,7 @@ fn field_header<R: SnapshotReal, S: SiteObject<R>>(f: &LatticeField<R, S>) -> He
         origin[mu] = sub.origin[mu] as u32;
     }
     Header {
-        precision: R::TAG,
+        precision: TAG_F64,
         parity: f.parity().index() as u8,
         reals_per_site: S::REALS as u32,
         dims,
@@ -149,22 +118,22 @@ fn field_header<R: SnapshotReal, S: SiteObject<R>>(f: &LatticeField<R, S>) -> He
 }
 
 /// Serialize a field body bit-exactly.
-pub fn encode_field<R: SnapshotReal, S: SiteObject<R>>(f: &LatticeField<R, S>) -> Vec<u8> {
+pub fn encode_field<S: SiteObject<f64>>(f: &LatticeField<f64, S>) -> Vec<u8> {
     let body = f.body();
     let mut out = Vec::with_capacity(48 + std::mem::size_of_val(body) + 8);
     put_header(&mut out, &field_header(f));
     for &x in body {
-        x.put_le(&mut out);
+        out.extend_from_slice(&x.to_bits().to_le_bytes());
     }
     out.extend_from_slice(&crc64(&out).to_le_bytes());
     out
 }
 
-/// Restore a snapshot into an existing field of identical geometry and
-/// precision (ghosts untouched — refresh them with the next exchange).
-pub fn decode_field_into<R: SnapshotReal, S: SiteObject<R>>(
+/// Restore a snapshot into an existing field of identical geometry
+/// (ghosts untouched — refresh them with the next exchange).
+pub fn decode_field_into<S: SiteObject<f64>>(
     bytes: &[u8],
-    dst: &mut LatticeField<R, S>,
+    dst: &mut LatticeField<f64, S>,
     what: &str,
 ) -> Result<()> {
     let (mut r, h) = open_snapshot(bytes, what)?;
@@ -173,7 +142,7 @@ pub fn decode_field_into<R: SnapshotReal, S: SiteObject<R>>(
     // leave `dst` half-overwritten.
     let mut scratch = Vec::with_capacity(dst.body().len());
     for _ in 0..dst.body().len() {
-        scratch.push(R::get_le(&mut r)?);
+        scratch.push(r.take_f64()?);
     }
     expect_empty(&r, what)?;
     dst.body_mut().copy_from_slice(&scratch);
@@ -234,10 +203,7 @@ mod tests {
     use lqcd_util::rng::SeedTree;
     use std::sync::Arc;
 
-    fn rand_field<R: SnapshotReal>(seed: u64) -> LatticeField<R, WilsonSpinor<R>>
-    where
-        WilsonSpinor<R>: SiteObject<R>,
-    {
+    fn rand_field(seed: u64) -> LatticeField<f64, WilsonSpinor<f64>> {
         let sub = Arc::new(SubLattice::single(Dims([4, 4, 4, 4])).unwrap());
         let faces = FaceGeometry::new(&sub, 1).unwrap();
         let mut f = LatticeField::zeros(sub, &faces, Parity::Even, 0);
@@ -248,17 +214,7 @@ mod tests {
 
     #[test]
     fn f64_roundtrip_is_bit_exact() {
-        let f = rand_field::<f64>(11);
-        let bytes = encode_field(&f);
-        let mut back = LatticeField::zeros_like(&f);
-        decode_field_into(&bytes, &mut back, "test").unwrap();
-        let (a, b) = (f.body(), back.body());
-        assert!(a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()));
-    }
-
-    #[test]
-    fn f32_roundtrip_is_bit_exact() {
-        let f = rand_field::<f32>(12);
+        let f = rand_field(11);
         let bytes = encode_field(&f);
         let mut back = LatticeField::zeros_like(&f);
         decode_field_into(&bytes, &mut back, "test").unwrap();
@@ -268,7 +224,7 @@ mod tests {
 
     #[test]
     fn special_values_survive() {
-        let mut f = rand_field::<f64>(13);
+        let mut f = rand_field(13);
         f.body_mut()[0] = -0.0;
         f.body_mut()[1] = f64::MIN_POSITIVE / 2.0; // subnormal
         let bytes = encode_field(&f);
@@ -280,15 +236,21 @@ mod tests {
 
     #[test]
     fn precision_mismatch_is_a_shape_error() {
-        let f = rand_field::<f64>(15);
-        let bytes = encode_field(&f);
-        let mut wrong = rand_field::<f32>(15);
-        assert!(matches!(decode_field_into(&bytes, &mut wrong, "test"), Err(Error::Shape(_))));
+        // An intact snapshot whose header says single precision (byte 4
+        // after the magic and version), with a valid CRC over it.
+        let f = rand_field(15);
+        let mut bytes = encode_field(&f);
+        bytes[5] = 4;
+        let body = bytes.len() - 8;
+        let crc = crc64(&bytes[..body]).to_le_bytes();
+        bytes[body..].copy_from_slice(&crc);
+        let mut dst = LatticeField::zeros_like(&f);
+        assert!(matches!(decode_field_into(&bytes, &mut dst, "test"), Err(Error::Shape(_))));
     }
 
     #[test]
     fn flipped_byte_is_corrupt_never_a_panic() {
-        let f = rand_field::<f64>(16);
+        let f = rand_field(16);
         let bytes = encode_field(&f);
         for pos in [0usize, 5, 50, bytes.len() / 2, bytes.len() - 1] {
             let mut bad = bytes.clone();
@@ -303,7 +265,7 @@ mod tests {
 
     #[test]
     fn truncation_is_corrupt_and_leaves_destination_untouched() {
-        let f = rand_field::<f64>(17);
+        let f = rand_field(17);
         let bytes = encode_field(&f);
         let mut dst = LatticeField::zeros_like(&f);
         for len in [0, 7, 48, bytes.len() - 9, bytes.len() - 1] {

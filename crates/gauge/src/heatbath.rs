@@ -193,14 +193,6 @@ pub fn overrelax_sweep<R: Real>(g: &mut GaugeField<R>, global: Dims) {
     }
 }
 
-/// The Wilson gauge action `−(β/3) Σ_p Re tr U_p` (up to the constant),
-/// for monitoring updates.
-pub fn wilson_action<R: Real>(g: &GaugeField<R>, global: Dims, beta: f64) -> f64 {
-    let plaq = crate::plaquette::average_plaquette(g, global);
-    let n_plaq = (global.volume() * 6) as f64;
-    -beta * plaq * n_plaq
-}
-
 /// One full heatbath sweep over every link of a global field.
 pub fn heatbath_sweep<R: Real>(
     g: &mut GaugeField<R>,
@@ -247,6 +239,12 @@ mod tests {
     use crate::plaquette::average_plaquette;
     use lqcd_lattice::{FaceGeometry, SubLattice};
     use std::sync::Arc;
+
+    /// The Wilson gauge action `−(β/3) Σ_p Re tr U_p` (up to the constant).
+    fn wilson_action<R: Real>(g: &GaugeField<R>, global: Dims, beta: f64) -> f64 {
+        let n_plaq = (global.volume() * 6) as f64;
+        -beta * average_plaquette(g, global) * n_plaq
+    }
 
     #[test]
     fn quaternion_algebra() {

@@ -27,8 +27,6 @@ pub mod asqtad;
 pub mod clover_build;
 pub mod field;
 pub mod heatbath;
-pub mod hmc;
-pub mod io;
 pub mod paths;
 pub mod plaquette;
 

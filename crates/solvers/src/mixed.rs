@@ -28,23 +28,6 @@ pub trait Bridge<HI: SolverSpace + ?Sized, LO: SolverSpace + ?Sized> {
     fn up(&self, lo: &LO::V, hi: &mut HI::V);
 }
 
-/// Identity bridge for same-type vector spaces (testing, or
-/// double-double configurations).
-pub struct IdentityBridge;
-
-impl<S> Bridge<S, S> for IdentityBridge
-where
-    S: SolverSpace,
-    S::V: Clone,
-{
-    fn down(&self, hi: &S::V, lo: &mut S::V) {
-        *lo = hi.clone();
-    }
-    fn up(&self, lo: &S::V, hi: &mut S::V) {
-        *hi = lo.clone();
-    }
-}
-
 /// Solve `A x = b` to high-precision tolerance `tol` by repeated
 /// low-precision correction solves: each cycle computes `r = b − A x` at
 /// high precision, solves `A e = r` in the low space to `inner_tol`, and

@@ -15,9 +15,10 @@
 //!   machine.
 //! * [`Tuner`] — one dslash phase of measured rounds of the *real*
 //!   pipeline through a caller-supplied trial closure. The hardcoded
-//!   default is the incumbent; a candidate displaces it only if it wins
-//!   at least [`MIN_WINS`] of [`ROUNDS`] alternating rounds and its
-//!   median beats the incumbent's by more than the incumbent's IQR.
+//!   default is the incumbent; after one discarded warm-up round of
+//!   each side, a candidate displaces it only if it wins at least
+//!   [`MIN_WINS`] of [`ROUNDS`] alternating rounds and its median beats
+//!   the incumbent's by more than the incumbent's IQR.
 //!   Otherwise the report reads "no significant difference" at exactly
 //!   1.00×. A bitwise-equality guard rejects a candidate whose output
 //!   differs from the reference path, no matter how fast it ran. The

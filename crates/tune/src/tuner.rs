@@ -52,7 +52,8 @@ pub struct TuneReport {
     /// True when the decision came straight from the cache (zero
     /// micro-trials were run).
     pub cache_hit: bool,
-    /// Micro-trials actually measured (one per side per round).
+    /// Micro-trials actually measured (one per side per round, plus the
+    /// two discarded warm-up trials).
     pub trials_run: usize,
     /// The full candidate table, incumbent first (empty on a cache hit).
     pub rows: Vec<TrialRow>,
@@ -178,13 +179,14 @@ impl Tuner {
 
     /// Tune `key`: consult the cache first (a hit runs zero trials),
     /// otherwise run every runnable candidate against the incumbent for
-    /// [`ROUNDS`] rounds, alternating which side runs first. A candidate
-    /// is significant when it wins at least [`MIN_WINS`] rounds and its
-    /// median is below the incumbent's by more than the incumbent's IQR
-    /// over the same rounds; the significant candidate with the lowest
-    /// median displaces the incumbent. Otherwise the incumbent stands at
-    /// exactly 1.00× ("no significant difference"). The decision is
-    /// persisted either way.
+    /// [`ROUNDS`] rounds, alternating which side runs first, after one
+    /// discarded warm-up trial of each side before the first comparison.
+    /// A candidate is significant when it wins at least [`MIN_WINS`]
+    /// rounds and its median is below the incumbent's by more than the
+    /// incumbent's IQR over the same rounds; the significant candidate
+    /// with the lowest median displaces the incumbent. Otherwise the
+    /// incumbent stands at exactly 1.00× ("no significant difference").
+    /// The decision is persisted either way.
     ///
     /// A candidate that fails the bitwise guard or whose trial errors is
     /// rejected and the search continues; a failing *incumbent* aborts
@@ -264,8 +266,18 @@ impl Tuner {
         };
 
         let mut incumbent_all = Vec::new();
+        let mut cold = true;
         for idx in 1..candidates.len() {
             let Some(model_us) = rows[idx].model_us else { continue };
+            // A cold process slows whichever side runs first: one
+            // discarded round of each side precedes the first comparison.
+            if std::mem::take(&mut cold) {
+                measure(0, metrics)?;
+                if measure(idx, metrics).is_err() {
+                    rows[idx].rejected = true;
+                    continue;
+                }
+            }
             let (mut inc, mut cand) = (Vec::new(), Vec::new());
             for round in 0..ROUNDS {
                 let incumbent_first = round % 2 == 0;

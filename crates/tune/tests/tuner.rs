@@ -1,7 +1,8 @@
 //! Tuner decision rule on synthetic (deterministic) trials: each round
 //! returns a time the test fixes in advance. A candidate displaces the
 //! default only with at least 9 of 10 alternating round wins and a
-//! median gap wider than the default's IQR; the bitwise guard rejects a
+//! median gap wider than the default's IQR; the warm-up round before the
+//! first comparison is discarded; the bitwise guard rejects a
 //! fast-but-wrong candidate, a failing default aborts the tune, cache
 //! hits run zero trials, and corruption is answered by a clean retune.
 
@@ -31,17 +32,28 @@ fn tuner() -> Tuner {
 /// The default's per-round µs: 10 µs with a ±1 % spread.
 const DEFAULT_S: [f64; ROUNDS] = [10.0, 10.1, 9.9, 10.05, 9.95, 10.0, 10.1, 9.9, 10.05, 9.95];
 
+/// The tuner's first two calls: the discarded warm-up round (the
+/// default, then the first candidate) before its first comparison.
+const WARMUP_CALLS: usize = 2;
+
 /// A synthetic trial: round `r` (the r-th call, counted per candidate,
 /// modulo the 10 rounds of a comparison) of `scheme` takes
-/// `series(scheme, r)` µs; every other scheme ties the default.
+/// `series(scheme, r)` µs; every other scheme ties the default. The
+/// warm-up calls take round 0's time and count as no round.
 fn trial_with(
     series: impl Fn(PartitionScheme, usize) -> Option<f64>,
 ) -> impl FnMut(&TuneParam) -> Result<TrialOutcome> {
+    let mut warmups = 0;
     let mut calls: HashMap<PartitionScheme, usize> = HashMap::new();
     move |p| {
-        let n = calls.entry(p.scheme).or_default();
-        let r = *n % ROUNDS;
-        *n += 1;
+        let r = if warmups < WARMUP_CALLS {
+            warmups += 1;
+            0
+        } else {
+            let n = calls.entry(p.scheme).or_default();
+            *n += 1;
+            (*n - 1) % ROUNDS
+        };
         let us = series(p.scheme, r).unwrap_or(DEFAULT_S[r]);
         Ok(TrialOutcome { secs_per_unit: us * 1e-6, bit_identical: true })
     }
@@ -71,8 +83,8 @@ fn a_candidate_twice_as_fast_displaces_the_default() {
     assert!(d.significant());
     assert_eq!(d.verdict(), "significant win");
     assert!((d.speedup() - 2.0).abs() < 1e-12, "{}", d.speedup());
-    // Three candidates, each 10 rounds of both sides.
-    assert_eq!(report.trials_run, 3 * 2 * ROUNDS);
+    // Three candidates, each 10 rounds of both sides, and the warm-up.
+    assert_eq!(report.trials_run, 3 * 2 * ROUNDS + WARMUP_CALLS);
     assert_eq!(metrics.counter("tune.trials"), report.trials_run as u64);
     assert_eq!(metrics.counter("tune.cache_misses"), 1);
     // Ties win no round, so the tying candidates stand at 0 wins.
@@ -122,6 +134,32 @@ fn faster_every_round_inside_the_default_iqr_does_not_displace_it() {
     assert!(!e.significant());
     assert_eq!(report.decision.param, TuneParam::baseline(1));
     assert_eq!(report.decision.speedup(), 1.0);
+}
+
+#[test]
+fn a_slow_first_call_on_each_side_is_discarded() {
+    // T beats the default by 0.12 µs every round, against its 0.1 µs IQR:
+    // a significant displacement. Counted as round 0, a 10× slow first
+    // call of each side would widen the default's IQR to 0.15 µs and
+    // leave the default standing.
+    let series = |s, r: usize| (s == PartitionScheme::T).then_some(DEFAULT_S[r] - 0.12);
+    let mut metrics = MetricsRegistry::new();
+    let steady = tune("steady", &mut metrics, trial_with(series)).unwrap();
+    let mut calls = 0;
+    let mut inner = trial_with(series);
+    let cold = tune("cold", &mut metrics, |p| {
+        calls += 1;
+        let o = inner(p)?;
+        let slow = if calls <= WARMUP_CALLS { 10.0 } else { 1.0 };
+        Ok(TrialOutcome { secs_per_unit: slow * o.secs_per_unit, ..o })
+    })
+    .unwrap();
+    assert_eq!(steady.decision.param.scheme, PartitionScheme::T);
+    assert_eq!(cold.decision, steady.decision);
+    let wins = |r: &lqcd_tune::TuneReport| {
+        r.rows.iter().map(|row| row.evidence.map(|e| e.wins)).collect::<Vec<_>>()
+    };
+    assert_eq!(wins(&cold), wins(&steady));
 }
 
 #[test]

@@ -2,10 +2,9 @@
 //!
 //! Field snapshots and solver checkpoints are written by ranks that may die
 //! mid-campaign; on restart we must distinguish a *valid* checkpoint from a
-//! torn or bit-rotted one before trusting it as an initial guess. The gauge
-//! file format's additive f64 checksum (see `lqcd-gauge::io`) detects gross
-//! corruption but is blind to reordering and cancellation; checkpoints use a
-//! real CRC instead.
+//! torn or bit-rotted one before trusting it as an initial guess. An
+//! additive checksum detects gross corruption but is blind to reordering
+//! and cancellation; checkpoints use a real CRC instead.
 //!
 //! This is CRC-64/XZ (ECMA-182 polynomial, reflected, init/xorout all-ones),
 //! implemented with a single 256-entry table — small enough to build at

@@ -1,9 +1,7 @@
-//! Quenched gauge-field generation — the paper's "configuration
-//! generation" phase (§2) end to end: equilibrate with the
-//! Cabibbo–Marinari heatbath (+ microcanonical overrelaxation), evolve
-//! with HMC using the gauge force (§5 lists force terms among QUDA's
-//! kernels), checkpoint the configuration to disk, reload it, and feed it
-//! to the Wilson-clover solver.
+//! Quenched gauge-field generation, the paper's "configuration
+//! generation" phase (§2): the Cabibbo–Marinari heatbath plaquette
+//! against β, then a β = 5.7 configuration equilibrated with heatbath +
+//! microcanonical overrelaxation and fed to the Wilson-clover solver.
 //!
 //! ```sh
 //! cargo run --release --example gauge_generation
@@ -12,8 +10,6 @@
 use lqcd::gauge::clover_build::build_clover_field;
 use lqcd::gauge::field::GaugeStart;
 use lqcd::gauge::heatbath::{heatbath_sweep, overrelax_sweep};
-use lqcd::gauge::hmc::hmc_trajectory;
-use lqcd::gauge::io;
 use lqcd::prelude::*;
 use std::sync::Arc;
 
@@ -36,43 +32,23 @@ fn main() -> Result<()> {
         println!("{:>6.2} {:>12.4} {:>14.4}", beta, p, strong);
     }
 
-    // Equilibrate a β = 5.7 ensemble with heatbath + overrelaxation, then
-    // continue the Markov chain with HMC (the force-based evolution the
-    // gauge-generation phase uses in production).
+    // Equilibrate a β = 5.7 configuration with heatbath + overrelaxation.
     let mut g = GaugeField::<f64>::generate(sub.clone(), &faces, global, &seeds, GaugeStart::Hot);
     for sweep in 0..10 {
         heatbath_sweep(&mut g, global, 5.7, &seeds, sweep);
         overrelax_sweep(&mut g, global);
     }
-    println!("\nHMC continuation at β = 5.7 (ε = 0.01, 30 steps):");
-    let mut accepted = 0;
-    for traj in 0..4 {
-        let t = hmc_trajectory(&mut g, global, 5.7, 0.01, 30, &seeds, traj);
-        if t.accepted {
-            accepted += 1;
-        }
-        println!(
-            "  trajectory {traj}: ΔH = {:+.4}, {}, plaquette {:.4}",
-            t.delta_h,
-            if t.accepted { "accepted" } else { "rejected" },
-            t.plaquette
-        );
-    }
-    println!("  acceptance {accepted}/4");
-
-    // Checkpoint and reload (the generation → analysis handoff).
-    let path = std::env::temp_dir().join("lqcd_example_config.lqcd");
-    io::save(&g, global, &path)?;
-    let (g, _) = io::load(&path, 1)?;
-    println!("\ncheckpointed to {} and reloaded (checksum + plaquette verified)", path.display());
+    println!(
+        "\nβ = 5.7 after 10 heatbath + OR sweeps: plaquette {:.4}",
+        average_plaquette(&g, global)
+    );
 
     let clover = build_clover_field(&g, global, 1.0);
     let mut op = WilsonCloverOp::new(g, Some(clover), 0.3)?;
     op.build_t_inverse()?;
 
     // Solve a point source on it.
-    let mut comm = SingleComm::new(global)?;
-    let mut space = lqcd::solvers::spaces::EoWilsonSpace::new(op, comm_take(&mut comm))?;
+    let mut space = lqcd::solvers::spaces::EoWilsonSpace::new(op, SingleComm::new(global)?)?;
     let mut b = space.alloc();
     let mut point = WilsonSpinor::zero();
     point.s[0].c[0] = Complex::one();
@@ -84,9 +60,4 @@ fn main() -> Result<()> {
         stats.iterations, stats.residual
     );
     Ok(())
-}
-
-// Tiny helper: SingleComm is Clone, take a fresh copy.
-fn comm_take(c: &mut SingleComm) -> SingleComm {
-    c.clone()
 }

@@ -1,13 +1,12 @@
 //! The analysis-phase workload: one staggered multi-shift solve producing
 //! quark propagators at several masses from a single Krylov pass
-//! (paper §3.1, Eq. 4) — then the same solves done sequentially, to show
-//! the economy.
+//! (paper §3.1, Eq. 4). The matvec economy against sequential per-shift
+//! CG is a row of the `figures` binary's "In-text claims".
 //!
 //! ```sh
 //! cargo run --release --example multishift_spectrum
 //! ```
 
-use lqcd::core::calibration::measure_multishift_economy;
 use lqcd::prelude::*;
 
 fn main() -> Result<()> {
@@ -32,15 +31,5 @@ fn main() -> Result<()> {
     for (i, &sigma) in problem.shifts.iter().enumerate() {
         println!("{:>10.3} {:>14.4} {:>16}", sigma, o.solution_norms[i], o.converged_at[i]);
     }
-
-    // Compare matvec economy against per-shift sequential CG (serial, so
-    // the counts are directly comparable).
-    let econ = measure_multishift_economy(&problem)?;
-    println!(
-        "\nmatvec economy: multi-shift {} vs sequential {} ({:.1}× saved)",
-        econ.multishift_matvecs,
-        econ.sequential_matvecs,
-        econ.sequential_matvecs as f64 / econ.multishift_matvecs as f64
-    );
     Ok(())
 }
